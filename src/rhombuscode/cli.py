@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -29,11 +30,8 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_with_usage(message))
-
-    def exit_with_usage(self, message):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_USAGE
+        raise SystemExit(EXIT_USAGE)
 
 
 @dataclass
@@ -108,6 +106,9 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.w_max < 1 or args.threads < 1:
+        print("verify: --w-max and --threads must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     manifest = _manifest(args)
     started = time.monotonic()
     try:
@@ -162,7 +163,7 @@ def _parse_t_grid(text: str) -> List[float]:
         start, stop, steps = float(start_s), float(stop_s), int(steps_s)
     except ValueError:
         raise ValueError(f"cannot parse t grid {text!r}, expected start:stop:steps")
-    if steps < 1 or stop < start:
+    if steps < 1 or not 0.0 <= start <= stop < math.inf:
         raise ValueError(f"invalid t grid {text!r}")
     if steps == 1:
         return [start]
@@ -175,6 +176,16 @@ def cmd_dephase(args: argparse.Namespace) -> int:
     if args.mc_samples > 0 and args.seed is None:
         print("dephase: --seed is required when --mc-samples > 0", file=sys.stderr)
         return EXIT_USAGE
+    for ok, message in (
+        (math.isfinite(args.theta), "--theta must be finite"),
+        (math.isfinite(args.phi), "--phi must be finite"),
+        (0.0 <= args.gamma < math.inf, "--gamma must be finite and >= 0"),
+        (args.seed is None or 0 <= args.seed < 2**128, "--seed must be in [0, 2^128)"),
+        (args.threads >= 1, "--threads must be >= 1"),
+    ):
+        if not ok:
+            print(f"dephase: {message}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         t_grid = _parse_t_grid(args.t_grid)
     except ValueError as exc:

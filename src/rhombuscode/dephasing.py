@@ -1,15 +1,18 @@
 """Logical-qubit observables under global and local Gaussian dephasing.
 
-The dephased density matrix is never materialized: dephasing is diagonal,
-so an operator expectation only pairs basis states (a, a ^ x_mask), each
-damped by a factor depending on the magnetization difference (global
-noise) or the Hamming distance (local noise) of the pair.
-
-The Monte Carlo oracle averages pure-state expectations over explicitly
-sampled phase trajectories; the accumulated phase of delta-correlated
-Gaussian noise over time t is Normal(0, gamma*t). Samples are drawn from
-a counter-based stream keyed by (seed, sample index), so partitioned
-evaluation reproduces the serial result bit for bit.
+Everything is computed on one sparse frame: the codeword support of the
+designated logical pair (the orbit of engine.codeword_orbit and its shift
+by Xbar). Dephasing multiplies each support state by a phase u[a], and
+every observable is a quadratic form in u with fixed coefficients. The
+Monte Carlo oracle evaluates the forms on sampled phase trajectories (the
+accumulated phase over time t is Normal(0, gamma*t)), each batch drawn from
+a counter-based stream at an offset set by its first sample, so any thread
+count reproduces the serial result bit for bit. The analytic engine is the
+exact expectation of that estimator: E[conj(u_p) u_q] is a damping factor
+set by the magnetization difference (global noise) or the Hamming distance
+(local noise) of the two basis states. The dense O(2^n) functions
+prepare_logical_state, dephased_pauli_expectation and code_space_operator
+are small-n references for the tests.
 """
 
 from __future__ import annotations
@@ -18,15 +21,17 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtri
 
 from . import pauli
-from .engine import LogicalSet, codeword_zero
+from .engine import LogicalSet, codeword_orbit
+from .engine import codeword_zero  # noqa: F401  perfbench/test_perfbench.py needs it
 from .lattice import CodeSpec
-from .pauli import PauliOperator, apply, multiply
+from .pauli import PauliOperator, basis_action, commutes, multiply
+from .pauli import apply  # noqa: F401  perfbench/test_perfbench.py needs it
 from .states import PureState
 
 KINDS = ("global", "local")
@@ -173,28 +178,106 @@ def code_space_operator(
     return terms
 
 
-def _frame_operators(
-    code: CodeSpec, logicals: LogicalSet, pair_index: int
-) -> Tuple[PauliOperator, PauliOperator, PauliOperator]:
-    """(Xbar, Ybar, Zbar) for the designated pair, with Ybar = i*Zbar*Xbar."""
-    xbar, zbar = logicals.pairs[pair_index]
-    prod = multiply(zbar, xbar)
-    ybar = PauliOperator(prod.n, prod.x_mask, prod.z_mask, prod.phase + 1)
-    return xbar, ybar, zbar
+class _Frame:
+    """The codeword support of one logical pair and its quadratic forms.
+
+    support holds the S sorted basis states of |0_L> and |1_L>, and b_j the
+    amplitudes of |j_L> on it. For L in (Xbar, Ybar = i*Zbar*Xbar, Zbar),
+    L|support[c]> = sign[c]|support[perm c]> (sign 0 where L leaves the
+    support). On the support the paper-normalized code-space operator is
+    Pc = pc (|0_L><0_L| + |1_L><1_L|) with pc = 2^(m-n). So with
+    cr[jk, c] = conj(b_j[perm c]) sign[c] b_k[c] and
+    cg[ik, c] = conj(b_i[c]) b_k[c], a phase vector u on the support gives
+
+      <j|U' L U|k>    = sum_c conj(u[perm c]) u[c] cr[jk, c]
+      <j|U' L Pc U|k> = pc sum_i (sum_c conj(u[perm c]) cr[ji, c])
+                              (sum_c u[c] cg[ik, c])
+    """
+
+    def __init__(self, code: CodeSpec, logicals: LogicalSet, pair_index: int):
+        xbar, zbar = logicals.pairs[pair_index]
+        if not all(commutes(xbar, s) for s in code.stabilizers):
+            raise ValueError("Xbar must commute with every stabilizer")
+        prod = multiply(zbar, xbar)
+        ybar = PauliOperator(prod.n, prod.x_mask, prod.z_mask, prod.phase + 1)
+        orbit, amps = codeword_orbit(code)
+        self.pc = 2.0 ** (code.m - code.n)
+        self.support = np.union1d(orbit, orbit ^ np.uint64(xbar.x_mask))
+        maps = [self._signed_permutation(op) for op in (xbar, ybar, zbar)]
+        b = np.zeros((2, len(self.support)), dtype=np.complex128)
+        b[0, np.searchsorted(self.support, orbit)] = amps
+        b[1, maps[0][0]] = maps[0][1] * b[0]  # |1_L> = Xbar|0_L>
+        if abs(np.vdot(b[0], b[1])) > 1e-12:
+            raise ValueError("basis states must be orthogonal")
+        self.terms = [  # (perm, cr) of Xbar, Ybar, Zbar
+            (perm, (np.conj(b[:, perm])[:, None] * sign * b).reshape(4, -1))
+            for perm, sign in maps
+        ]
+        self.cg = (np.conj(b)[:, None] * b).reshape(4, -1)
+        # spins[kind][k, c]: coupling of the k-th noise field to support state c,
+        # half the magnetization (global) or each qubit's z-spin/2 (local)
+        bits = (
+            self.support[None, :] >> np.arange(code.n, dtype=np.uint64)[:, None]
+        ) & np.uint64(1)
+        half_spin = 0.5 - bits.astype(np.float64)
+        self.spins = {"global": half_spin.sum(axis=0, keepdims=True), "local": half_spin}
+
+    def _signed_permutation(self, op: PauliOperator) -> Tuple[np.ndarray, np.ndarray]:
+        images, phases = basis_action(op, self.support)
+        perm = np.minimum(np.searchsorted(self.support, images), len(self.support) - 1)
+        return perm, phases * (self.support[perm] == images)
+
+    def sampled_forms(self, u: np.ndarray) -> np.ndarray:
+        """(6, 2, 2, count) forms for phase vectors u of shape (count, S)."""
+        u = np.ascontiguousarray(u.T)  # support-major, so perm gathers rows
+        uc = np.conj(u)
+        right = (self.cg @ u).reshape(2, 2, -1)
+        forms = np.empty((6, 2, 2, u.shape[1]), dtype=np.complex128)
+        for o, (perm, cr) in enumerate(self.terms):
+            ucp = uc[perm]
+            forms[o] = (cr @ (ucp * u)).reshape(2, 2, -1)
+            left = (cr @ ucp).reshape(2, 2, -1)
+            forms[3 + o] = self.pc * (left[:, :1] * right[0] + left[:, 1:] * right[1])
+        return forms
+
+    def expected_forms(self, model: NoiseModel, t: float) -> np.ndarray:
+        """(6, 2, 2) forms with conj(u_p) u_q replaced by its expectation
+        exp(-gt |spins[:, p] - spins[:, q]|^2 / 2)."""
+        gt = model.convention * model.gamma * t
+        spins = self.spins[model.kind]
+        sq = (spins * spins).sum(axis=0)
+        # exact: every term is a small multiple of 1/4
+        dist2 = sq[:, None] + sq[None, :] - 2.0 * (spins.T @ spins)
+        damping = np.exp(-dist2 * gt / 2.0)
+        right = damping @ self.cg.T
+        forms = np.empty((6, 2, 2), dtype=np.complex128)
+        diag = np.arange(len(self.support))
+        for o, (perm, cr) in enumerate(self.terms):
+            forms[o] = (cr @ damping[perm, diag]).reshape(2, 2)
+            pairs = (cr @ right[perm]).reshape(2, 2, 2, 2)
+            forms[3 + o] = self.pc * (pairs[:, 0, 0] + pairs[:, 1, 1])
+        return forms
+
+    def phase_matrix(
+        self, model: NoiseModel, t: float, seed: int, start: int, count: int
+    ) -> np.ndarray:
+        """U[s, p] = diagonal evolution factor at support index p for sample s."""
+        spins = self.spins[model.kind]
+        bitgen = np.random.Philox(key=seed)
+        bitgen.advance(start * len(spins))
+        gen = np.random.Generator(bitgen)
+        uniforms = gen.random((count, len(spins)))
+        np.clip(uniforms, 1e-300, 1.0 - 1e-16, out=uniforms)
+        scale = math.sqrt(model.convention * model.gamma * t) if t > 0 else 0.0
+        normals = ndtri(uniforms) * scale
+        return np.exp(-1j * (normals @ spins))
 
 
-def _observable_terms(
-    code: CodeSpec, logicals: LogicalSet, pair_index: int
-) -> List[List[Tuple[complex, PauliOperator]]]:
-    """Pauli expansions of the six observables (r_x, r_y, r_z, p_x, p_y, p_z)."""
-    xbar, ybar, zbar = _frame_operators(code, logicals, pair_index)
-    pc_terms = code_space_operator(code, "paper")
-    observables: List[List[Tuple[complex, PauliOperator]]] = []
-    for lbar in (xbar, ybar, zbar):
-        observables.append([(1.0 + 0j, lbar)])
-    for lbar in (xbar, ybar, zbar):
-        observables.append([(c + 0j, multiply(lbar, term)) for c, term in pc_terms])
-    return observables
+def _point_values(forms: np.ndarray, theta: float, phi: float) -> np.ndarray:
+    """sum_jk conj(c_j) c_k forms[:, j, k] for the state c_0|0_L> + c_1|1_L>,
+    c = (cos(theta/2), e^{i phi} sin(theta/2))."""
+    c = np.array([math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)])
+    return np.einsum("jk,ojk...->o...", np.outer(np.conj(c), c), forms)
 
 
 def _real_or_raise(value: complex, what: str) -> float:
@@ -212,23 +295,20 @@ def bloch_and_leakage(
     t_grid: Sequence[float],
     pair_index: int = 0,
 ) -> List[ObservableRecord]:
-    """Analytic-factor engine: Bloch coordinates and leakage on a time grid."""
-    zero_l = codeword_zero(code)
-    xbar = logicals.pairs[pair_index][0]
-    one_l = apply(xbar, zero_l)
-    state = prepare_logical_state(theta, phi, zero_l, one_l)
-    observables = _observable_terms(code, logicals, pair_index)
+    """Analytic-factor engine: Bloch coordinates and leakage on a time grid.
+
+    This is the exact expectation of the Monte Carlo estimator.
+    """
+    frame = _Frame(code, logicals, pair_index)
     names = ("r_x", "r_y", "r_z", "p_x", "p_y", "p_z")
     records = []
     for t in t_grid:
-        vals = []
-        for name, terms in zip(names, observables):
-            total = sum(
-                c * dephased_pauli_expectation(state, op, model, t)
-                for c, op in terms
-            )
-            vals.append(_real_or_raise(total, name))
-        records.append(ObservableRecord(t, *vals))
+        if t < 0:
+            raise ValueError("t must be nonnegative")
+        values = _point_values(frame.expected_forms(model, t), theta, phi)
+        records.append(
+            ObservableRecord(t, *map(_real_or_raise, values.tolist(), names))
+        )
     return records
 
 
@@ -266,80 +346,8 @@ def closed_form(
 # --- Monte Carlo oracle -------------------------------------------------------
 
 
-class _McContext:
-    """Support-restricted sampling context for one (code, logical frame).
-
-    Every observable preserves the union of the |0_L> and |1_L> supports,
-    so trajectories are tracked on those ~2^(m_x + 1) basis states only.
-    """
-
-    def __init__(self, code: CodeSpec, logicals: LogicalSet, pair_index: int = 0):
-        self.n = code.n
-        zero_l = codeword_zero(code)
-        xbar = logicals.pairs[pair_index][0]
-        one_l = apply(xbar, zero_l)
-        support = np.flatnonzero(
-            (np.abs(zero_l.amplitudes) > 1e-14) | (np.abs(one_l.amplitudes) > 1e-14)
-        ).astype(np.uint64)
-        self.support = support
-        pos = {int(a): i for i, a in enumerate(support)}
-        b = np.stack(
-            [zero_l.amplitudes[support], one_l.amplitudes[support]]
-        )  # (2, S)
-        observables = _observable_terms(code, logicals, pair_index)
-        s_count = len(support)
-        # C[obs][j][k][p, q]: contribution of conj(u_p) u_q to <b_j|U' O U|b_k>
-        self.coeff: List[List[List[np.ndarray]]] = []
-        for terms in observables:
-            per_obs = [
-                [np.zeros((s_count, s_count), dtype=np.complex128) for _ in range(2)]
-                for _ in range(2)
-            ]
-            for c, op in terms:
-                ph = (1j) ** op.phase
-                for q_in, a in enumerate(support.tolist()):
-                    out = a ^ op.x_mask
-                    p_out = pos.get(out)
-                    if p_out is None:
-                        raise AssertionError("observable leaves the tracked support")
-                    sign = -1.0 if (a & op.z_mask).bit_count() & 1 else 1.0
-                    factor = c * ph * sign
-                    for j in range(2):
-                        for k in range(2):
-                            per_obs[j][k][p_out, q_in] += (
-                                factor * np.conj(b[j, p_out]) * b[k, q_in]
-                            )
-            self.coeff.append(per_obs)
-        # diagonal noise couplings on the support
-        pops = np.bitwise_count(support).astype(np.int64)
-        self.half_magnetization = (self.n - 2 * pops) / 2.0  # (S,)
-        bits = (support[None, :] >> np.arange(self.n, dtype=np.uint64)[:, None]) & np.uint64(1)
-        self.half_spin = (1.0 - 2.0 * bits.astype(np.float64)) / 2.0  # (n, S)
-
-    def words_per_sample(self, kind: str) -> int:
-        return 1 if kind == "global" else self.n
-
-    def phase_matrix(
-        self, model: NoiseModel, t: float, seed: int, start: int, count: int
-    ) -> np.ndarray:
-        """U[s, p] = diagonal evolution factor at support index p for sample s."""
-        w = self.words_per_sample(model.kind)
-        bitgen = np.random.Philox(key=seed)
-        bitgen.advance(start * w)
-        gen = np.random.Generator(bitgen)
-        uniforms = gen.random((count, w))
-        np.clip(uniforms, 1e-300, 1.0 - 1e-16, out=uniforms)
-        scale = math.sqrt(model.convention * model.gamma * t) if t > 0 else 0.0
-        normals = ndtri(uniforms) * scale
-        if model.kind == "global":
-            angle = normals[:, 0:1] * self.half_magnetization[None, :]
-        else:
-            angle = normals @ self.half_spin
-        return np.exp(-1j * angle)
-
-
 def _batch_moments(
-    ctx: _McContext,
+    frame: _Frame,
     model: NoiseModel,
     t: float,
     seed: int,
@@ -348,31 +356,12 @@ def _batch_moments(
     points: Sequence[Tuple[float, float]],
 ) -> np.ndarray:
     """(len(points), 6, 2) array of per-batch [sum v, sum v^2]."""
-    u = ctx.phase_matrix(model, t, seed, start, count)
-    uc = np.conj(u)
-    t_jk = np.empty((6, 2, 2, count), dtype=np.complex128)
-    for o in range(6):
-        for j in range(2):
-            for k in range(2):
-                v = u @ ctx.coeff[o][j][k].T  # (count, S)
-                t_jk[o, j, k] = (uc * v).sum(axis=1)
+    forms = frame.sampled_forms(frame.phase_matrix(model, t, seed, start, count))
     out = np.empty((len(points), 6, 2))
     for ip, (theta, phi) in enumerate(points):
-        c0 = math.cos(theta / 2.0)
-        c1 = complex(np.exp(1j * phi)) * math.sin(theta / 2.0)
-        w00 = c0 * c0
-        w01 = c0 * c1
-        w10 = np.conj(c1) * c0
-        w11 = abs(c1) ** 2
-        for o in range(6):
-            v = (
-                w00 * t_jk[o, 0, 0]
-                + w01 * t_jk[o, 0, 1]
-                + w10 * t_jk[o, 1, 0]
-                + w11 * t_jk[o, 1, 1]
-            ).real
-            out[ip, o, 0] = v.sum()
-            out[ip, o, 1] = (v * v).sum()
+        v = _point_values(forms, theta, phi).real
+        out[ip, :, 0] = v.sum(axis=1)
+        out[ip, :, 1] = (v * v).sum(axis=1)
     return out
 
 
@@ -391,16 +380,16 @@ def monte_carlo_grid(
     """Monte Carlo means and standard errors for several (theta, phi) points.
 
     One common set of phase trajectories serves every point; results are
-    bit-identical for any thread count or batch partitioning.
+    bit-identical for any thread count.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    ctx = _McContext(code, logicals, pair_index)
+    frame = _Frame(code, logicals, pair_index)
     starts = list(range(0, samples, batch_size))
 
     def run(start: int) -> np.ndarray:
         return _batch_moments(
-            ctx, model, t, seed, start, min(batch_size, samples - start), points
+            frame, model, t, seed, start, min(batch_size, samples - start), points
         )
 
     if threads <= 1:
@@ -411,16 +400,13 @@ def monte_carlo_grid(
     total = np.zeros((len(points), 6, 2))
     for part in partials:  # fixed batch order => deterministic reduction
         total += part
-    records = []
-    for ip in range(len(points)):
-        means = total[ip, :, 0] / samples
-        if samples > 1:
-            var = (total[ip, :, 1] - samples * means**2) / (samples - 1)
-            ses = np.sqrt(np.maximum(var, 0.0) / samples)
-        else:
-            ses = np.zeros(6)
-        records.append(ObservableRecord(t, *means.tolist(), *ses.tolist()))
-    return records
+    means = total[:, :, 0] / samples
+    if samples > 1:
+        var = (total[:, :, 1] - samples * means**2) / (samples - 1)
+        ses = np.sqrt(np.maximum(var, 0.0) / samples)
+    else:
+        ses = np.zeros_like(means)
+    return [ObservableRecord(t, *m.tolist(), *e.tolist()) for m, e in zip(means, ses)]
 
 
 def monte_carlo_oracle(

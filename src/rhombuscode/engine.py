@@ -17,13 +17,13 @@ import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import gf2, pauli
 from .lattice import CodeSpec
-from .pauli import PauliOperator, apply, commutes, multiply, to_string, weight
+from .pauli import PauliOperator, apply, basis_action, commutes, multiply, to_string
 from .states import PureState
 
 KL_TOL = 1e-10
@@ -90,22 +90,37 @@ def require_independent(code: CodeSpec) -> int:
 # --- codewords --------------------------------------------------------------
 
 
-def codeword_zero(code: CodeSpec) -> PureState:
-    """Normalized projection of |0...0> onto the code space.
+def codeword_orbit(code: CodeSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted basis indices and exact amplitudes of |0_L>, the normalized
+    projection prod_i (I + S_i)|0...0> with stabilizer phases included.
 
-    For the CSS codes built here this is the equal superposition over the
-    X-stabilizer-group orbit of the all-zeros string.
+    With independent CSS generators each X-type factor doubles the orbit
+    onto new indices and each Z-type factor only rescales it.
     """
     require_independent(code)
-    state = PureState.basis(code.n, 0)
+    indices = np.zeros(1, dtype=np.uint64)
+    amps = np.ones(1, dtype=np.complex128)
     for s in code.stabilizers:
-        projected = PureState(code.n, state.amplitudes + apply(s, state).amplitudes)
-        if projected.norm() < 1e-9:
+        images, phases = basis_action(s, indices)
+        if s.x_mask:
+            indices = np.concatenate([indices, images])
+            amps = np.concatenate([amps, phases * amps])
+        else:
+            amps = amps + phases * amps
+        if np.linalg.norm(amps) < 1e-9:
             raise ValueError(
                 f"projector (I + {to_string(s)}) annihilates the seed state"
             )
-        state = projected
-    return state.normalized()
+    order = np.argsort(indices)
+    return indices[order], amps[order] / np.linalg.norm(amps)
+
+
+def codeword_zero(code: CodeSpec) -> PureState:
+    """|0_L> as a dense 2^n vector: the embedding of codeword_orbit."""
+    indices, amps = codeword_orbit(code)
+    dense = np.zeros(1 << code.n, dtype=np.complex128)
+    dense[indices] = amps
+    return PureState(code.n, dense)
 
 
 def logical_basis_state(
@@ -267,36 +282,32 @@ def find_logical_set(code: CodeSpec, minimize: bool = True) -> LogicalSet:
 # --- distance ---------------------------------------------------------------
 
 
+def _pauli_of(support: Sequence[int], letters: Sequence[str], n: int) -> PauliOperator:
+    """The sign-free Pauli with letters[i] on qubit support[i]."""
+    x = z = 0
+    for q, letter in zip(support, letters):
+        bit = 1 << q
+        if letter in ("X", "Y"):
+            x |= bit
+        if letter in ("Z", "Y"):
+            z |= bit
+    return PauliOperator(n, x, z, 0)
+
+
 def _candidate_paulis(support: Sequence[int], n: int) -> Iterable[PauliOperator]:
     for letters in itertools.product("XYZ", repeat=len(support)):
-        x = z = 0
-        for q, letter in zip(support, letters):
-            bit = 1 << q
-            if letter in ("X", "Y"):
-                x |= bit
-            if letter in ("Z", "Y"):
-                z |= bit
-        yield PauliOperator(n, x, z, 0)
+        yield _pauli_of(support, letters, n)
 
 
 def _scan_weight(
-    code: CodeSpec,
+    n: int,
     w: int,
     first_qubits: Sequence[int],
+    rows: List[int],
+    syndrome: Dict[Tuple[int, str], int],
 ) -> Optional[PauliOperator]:
     """First zero-syndrome non-stabilizer of weight w whose lowest support
     qubit lies in first_qubits, in deterministic candidate order."""
-    rows = _symplectic_rows(code)
-    n = code.n
-    # per-(qubit, letter) syndrome bitmask over the stabilizer list
-    syndrome = {}
-    for q in range(n):
-        for letter, (hx, hz) in (("X", (1, 0)), ("Y", (1, 1)), ("Z", (0, 1))):
-            op = PauliOperator(n, (1 << q) * hx, (1 << q) * hz)
-            syndrome[(q, letter)] = sum(
-                (0 if commutes(op, s) else 1) << i
-                for i, s in enumerate(code.stabilizers)
-            )
     for q0 in first_qubits:
         for rest in itertools.combinations(range(q0 + 1, n), w - 1):
             support = (q0,) + rest
@@ -306,16 +317,9 @@ def _scan_weight(
                     syn ^= syndrome[(q, letter)]
                 if syn:
                     continue
-                x = z = 0
-                for q, letter in zip(support, letters):
-                    bit = 1 << q
-                    if letter in ("X", "Y"):
-                        x |= bit
-                    if letter in ("Z", "Y"):
-                        z |= bit
-                vec = x | (z << n)
-                if not gf2.in_span(vec, rows, 2 * n):
-                    return PauliOperator(n, x, z, 0)
+                op = _pauli_of(support, letters, n)
+                if not gf2.in_span(pauli.symplectic_vector(op), rows, 2 * n):
+                    return op
     return None
 
 
@@ -330,16 +334,28 @@ def distance_symplectic(
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
     require_independent(code)
+    rows = _symplectic_rows(code)
+    # per-(qubit, letter) syndrome bitmask over the stabilizer list
+    syndrome = {}
+    for q in range(code.n):
+        for letter, (hx, hz) in (("X", (1, 0)), ("Y", (1, 1)), ("Z", (0, 1))):
+            op = PauliOperator(code.n, (1 << q) * hx, (1 << q) * hz)
+            syndrome[(q, letter)] = sum(
+                (0 if commutes(op, s) else 1) << i
+                for i, s in enumerate(code.stabilizers)
+            )
     for w in range(1, w_max + 1):
         if threads <= 1:
-            hit = _scan_weight(code, w, range(code.n))
+            hit = _scan_weight(code.n, w, range(code.n), rows, syndrome)
             if hit is not None:
                 return w, hit
         else:
             chunks = [list(range(code.n))[i::threads] for i in range(threads)]
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 results = list(
-                    pool.map(lambda ch: _scan_weight(code, w, ch), chunks)
+                    pool.map(
+                        lambda ch: _scan_weight(code.n, w, ch, rows, syndrome), chunks
+                    )
                 )
             hits = [r for r in results if r is not None]
             if hits:
@@ -367,19 +383,17 @@ def _letter_rank(op: PauliOperator) -> Tuple:
 
 
 class _SparseCodewords:
-    """All 2^k codewords of a CSS code as X-group cosets with uniform amplitude."""
+    """All 2^k codewords of a CSS code: the codeword_orbit of |0_L> shifted
+    by each combination of X-logicals, with the orbit's uniform amplitude."""
 
     def __init__(self, code: CodeSpec, logicals: LogicalSet):
         if code.n > 20:
             raise ValueError("codeword-matrix oracle is capped at n <= 20")
-        require_independent(code)
-        x_gens = [s.x_mask for s in code.stabilizers if s.is_x_type()]
-        orbit = np.array([0], dtype=np.uint64)
-        for g in x_gens:
-            orbit = np.concatenate([orbit, orbit ^ np.uint64(g)])
-        orbit = np.sort(orbit)
-        if len(set(orbit.tolist())) != len(orbit):
-            raise ValueError("codeword basis not orthonormal (dependent X stabilizers)")
+        orbit, amps = codeword_orbit(code)
+        if np.any(amps != amps[0]):
+            raise ValueError("codeword-matrix oracle needs uniform codeword amplitudes")
+        if not all(xbar.is_x_type() for xbar, _ in logicals.pairs):
+            raise ValueError("oracle requires X-type logical representatives")
         self.k = logicals.k
         self.supports = []
         self.coset_of = {}
@@ -387,17 +401,14 @@ class _SparseCodewords:
             shift = 0
             for i in range(self.k):
                 if (bits >> i) & 1:
-                    xbar = logicals.pairs[i][0]
-                    if not xbar.is_x_type():
-                        raise ValueError("oracle requires X-type logical representatives")
-                    shift ^= xbar.x_mask
+                    shift ^= logicals.pairs[i][0].x_mask
             supp = np.sort(orbit ^ np.uint64(shift))
             rep = int(supp[0])
             if rep in self.coset_of:
                 raise ValueError("codeword basis not orthonormal (coset collision)")
             self.coset_of[rep] = bits
             self.supports.append(supp)
-        self.amp = 1.0 / np.sqrt(len(orbit))
+        self.weight = abs(amps[0]) ** 2
 
     def violates_kl(self, op: PauliOperator, tol: float = KL_TOL) -> bool:
         """True iff M_ij = <psi_i|op|psi_j> is not a scalar multiple of I."""
@@ -408,7 +419,7 @@ class _SparseCodewords:
             mapped = supp ^ x
             target = self.coset_of.get(int(mapped.min()))
             signs = 1.0 - 2.0 * (np.bitwise_count(supp & z).astype(np.int64) & 1)
-            value = (1j) ** op.phase * self.amp**2 * signs.sum()
+            value = (1j) ** op.phase * self.weight * signs.sum()
             if target != j:
                 # off-diagonal mass, or leakage out of the code space
                 if target is not None and abs(value) > tol:
@@ -450,24 +461,12 @@ def verify_code(
     a set when n permits. The codeword-matrix oracle, when requested,
     must agree exactly with the symplectic search.
     """
-    rows = _symplectic_rows(code)
-    rank = gf2.rank(rows, 2 * code.n)
-    report = VerificationReport(
-        commuting=all(
-            commutes(a, b) for a, b in itertools.combinations(code.stabilizers, 2)
-        ),
-        rank=rank,
-        k=code.n - rank,
-    )
     logicals = None
     if code.logical_pairs is not None:
         logicals = LogicalSet(code.logical_pairs)
     elif code.n <= 24:
         logicals = find_logical_set(code)
-    if logicals is not None:
-        sub = verify_logical_set(code, logicals)
-        report.logical_violations = sub.logical_violations
-        report.degenerate = sub.degenerate
+    report = verify_logical_set(code, logicals or LogicalSet(()))
     d, witness = distance_symplectic(code, w_max, threads=threads)
     report.distance = d
     report.witness = to_string(witness) if witness is not None else None

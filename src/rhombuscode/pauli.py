@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -129,17 +130,21 @@ def weight(a: PauliOperator) -> int:
     return (a.x_mask | a.z_mask).bit_count()
 
 
+def basis_action(a: PauliOperator, indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(images, phases) with a|i> = phases[j] |images[j]> for i = indices[j]."""
+    signs = 1.0 - 2.0 * (
+        np.bitwise_count(indices & np.uint64(a.z_mask)).astype(np.int64) & 1
+    )
+    return indices ^ np.uint64(a.x_mask), (1j) ** a.phase * signs
+
+
 def apply(a: PauliOperator, s: PureState) -> PureState:
     """Exact state a|s>, global phase included."""
     if a.n != s.n:
         raise ValueError("operator acts on %d qubits, state has %d" % (a.n, s.n))
-    dim = 1 << a.n
-    idx = np.arange(dim, dtype=np.uint64)
-    signs = 1.0 - 2.0 * (
-        np.bitwise_count(idx & np.uint64(a.z_mask)).astype(np.int64) & 1
-    )
-    out = np.zeros(dim, dtype=np.complex128)
-    out[idx ^ np.uint64(a.x_mask)] = (1j) ** a.phase * signs * s.amplitudes
+    images, phases = basis_action(a, np.arange(1 << a.n, dtype=np.uint64))
+    out = np.zeros(1 << a.n, dtype=np.complex128)
+    out[images] = phases * s.amplitudes
     return PureState(a.n, out)
 
 

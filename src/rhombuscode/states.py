@@ -37,12 +37,6 @@ class PureState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "PureState":
-        nrm = self.norm()
-        if nrm < NORM_TOL:
-            raise ValueError("cannot normalize a (numerically) zero state")
-        return PureState(self.n, self.amplitudes / nrm)
-
     def inner(self, other: "PureState") -> complex:
         """<self|other>."""
         if self.n != other.n:

@@ -186,6 +186,30 @@ def test_dephase_bad_grid_usage_error(capsys):
     assert code == 64
 
 
+DEPHASE_ARGS = ("--kind", "local", "--theta", "1", "--phi", "1", "--gamma", "1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2", "--gamma", "-1"),
+        ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2", "--mc-samples", "10", "--seed", "-1"),
+        ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2", "--theta", "nan"),
+        ("dephase", *DEPHASE_ARGS, "--t-grid", "0:nan:2"),
+        ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2", "--threads", "0"),
+        ("verify", "CODE", "--threads", "0"),
+        ("verify", "CODE", "--w-max", "0"),
+    ],
+    ids=["gamma", "seed", "theta", "t-grid", "dephase-threads", "verify-threads", "w-max"],
+)
+def test_bad_input_is_a_one_line_usage_error(capsys, tmp_path, argv):
+    path = str(write_code(capsys, tmp_path, "unit"))
+    code, out, err = run(capsys, *(path if a == "CODE" else a for a in argv))
+    assert code == 64
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 # --- family / usage -------------------------------------------------------------
 
 

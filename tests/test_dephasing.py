@@ -20,8 +20,8 @@ from rhombuscode.dephasing import (
     sweep_row,
 )
 from rhombuscode.engine import LogicalSet, codeword_zero, logical_basis_state
-from rhombuscode.lattice import build_unit
-from rhombuscode.pauli import apply, multiply, parse_pauli
+from rhombuscode.lattice import build_named, build_unit
+from rhombuscode.pauli import PauliOperator, apply, multiply, parse_pauli
 from rhombuscode.states import PureState
 
 THETAS = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi]
@@ -182,6 +182,40 @@ def test_local_engine_convention_2_matches_closed_form_bloch_only():
             abs(rec.p_z - want.p_z),
         )
     assert leak_mismatch > 1e-3  # genuinely different, not a tolerance issue
+
+
+def dense_reference(code, logicals, theta, phi, model, t):
+    """The six observables from dense 2^n states and the 2^m-term expansion
+    of the paper-normalized code-space operator."""
+    one_l = logical_basis_state(code, logicals, "1" + "0" * (logicals.k - 1))
+    psi = prepare_logical_state(theta, phi, codeword_zero(code), one_l)
+    xbar, zbar = logicals.pairs[0]
+    prod = multiply(zbar, xbar)
+    ybar = PauliOperator(prod.n, prod.x_mask, prod.z_mask, prod.phase + 1)
+    pc_terms = code_space_operator(code, "paper")
+    bloch = [dephased_pauli_expectation(psi, op, model, t) for op in (xbar, ybar, zbar)]
+    leakage = [
+        sum(c * dephased_pauli_expectation(psi, multiply(op, term), model, t)
+            for c, term in pc_terms)
+        for op in (xbar, ybar, zbar)
+    ]
+    return bloch + leakage
+
+
+@pytest.mark.parametrize("name", ["unit", "two_vertical", "two_horizontal"])
+@pytest.mark.parametrize("kind", ["global", "local"])
+def test_engine_equals_dense_reference(name, kind):
+    code = build_named(name)
+    logicals = LogicalSet(code.logical_pairs)
+    ts = [0.0, 0.3, 1.1, 2.7]
+    for convention in (1.0, 2.0):
+        model = NoiseModel(kind, 0.9, convention)
+        for theta, phi in [(0.0, 0.0), (1.1, 0.8), (2.5, 4.0)]:
+            recs = bloch_and_leakage(code, logicals, theta, phi, model, ts)
+            for t, rec in zip(ts, recs):
+                want = dense_reference(code, logicals, theta, phi, model, t)
+                for got, ref in zip(rec.values(), want):
+                    assert abs(got - ref) < 1e-12
 
 
 # --- Monte Carlo oracle ----------------------------------------------------------
