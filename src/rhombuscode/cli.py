@@ -106,15 +106,16 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.w_max < 1 or args.threads < 1:
-        print("verify: --w-max and --threads must be >= 1", file=sys.stderr)
+    if args.w_max < 1:
+        print("verify: --w-max must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     manifest = _manifest(args)
     started = time.monotonic()
     try:
         with open(args.code) as fh:
             code = lattice.code_from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+        engine.require_independent(code)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"verify: cannot load code: {exc}", file=sys.stderr)
         return EXIT_USAGE
     manifest.inputs.append(args.code)
@@ -130,9 +131,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_INFEASIBLE
-    report = engine.verify_code(
-        code, w_max=args.w_max, use_kl=args.kl, threads=args.threads
-    )
+    report = engine.verify_code(code, w_max=args.w_max, use_kl=args.kl)
     manifest.duration_seconds = time.monotonic() - started
     _emit(report.to_json(), args.out, manifest)
 
@@ -197,7 +196,8 @@ def cmd_dephase(args: argparse.Namespace) -> int:
         try:
             with open(args.code) as fh:
                 code = lattice.code_from_json(fh.read())
-        except (OSError, ValueError, KeyError) as exc:
+            engine.require_independent(code)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"dephase: cannot load code: {exc}", file=sys.stderr)
             return EXIT_USAGE
         manifest.inputs.append(args.code)
@@ -294,7 +294,6 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--w-max", type=int, default=4)
     p_verify.add_argument("--kl", action="store_true",
                           help="cross-check with the codeword-matrix oracle")
-    p_verify.add_argument("--threads", type=int, default=1)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -36,6 +36,7 @@ from .states import PureState
 
 KINDS = ("global", "local")
 REALNESS_TOL = 1e-10
+MC_BATCH = 1 << 16  # samples per Monte Carlo batch
 
 
 @dataclass(frozen=True)
@@ -375,21 +376,21 @@ def monte_carlo_grid(
     seed: int,
     pair_index: int = 0,
     threads: int = 1,
-    batch_size: int = 1 << 16,
 ) -> List[ObservableRecord]:
     """Monte Carlo means and standard errors for several (theta, phi) points.
 
-    One common set of phase trajectories serves every point; results are
+    One common set of phase trajectories serves every point. Batches of
+    MC_BATCH samples read disjoint Philox counter ranges, so results are
     bit-identical for any thread count.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     frame = _Frame(code, logicals, pair_index)
-    starts = list(range(0, samples, batch_size))
+    starts = list(range(0, samples, MC_BATCH))
 
     def run(start: int) -> np.ndarray:
         return _batch_moments(
-            frame, model, t, seed, start, min(batch_size, samples - start), points
+            frame, model, t, seed, start, min(MC_BATCH, samples - start), points
         )
 
     if threads <= 1:

@@ -8,6 +8,9 @@ Distance is computed by two independent routes:
   M_ij = <psi_i|E|psi_j> over explicit codeword amplitudes and flags any
   E for which M is not a scalar multiple of the identity.
 
+Both routes share one serial candidate scan (_scan_weight): by weight
+w = 1, 2, ..., supports in itertools.combinations(range(n), w) order,
+letters in itertools.product("XYZ", repeat=w) order, first hit wins.
 Both must agree; verification never trusts declared parameters.
 """
 
@@ -15,9 +18,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,14 +79,19 @@ def stabilizer_rank(code: CodeSpec) -> int:
     return gf2.rank(_symplectic_rows(code), 2 * code.n)
 
 
+def _stabilizer_echelon(code: CodeSpec) -> Tuple[List[int], List[int]]:
+    """Reduced echelon form of the stabilizer rows, raising when dependent."""
+    reduced, pivots = gf2.row_reduce(_symplectic_rows(code), 2 * code.n)
+    if len(reduced) != code.m:
+        raise ValueError(
+            f"dependent stabilizer generators: rank {len(reduced)} < count {code.m}"
+        )
+    return reduced, pivots
+
+
 def require_independent(code: CodeSpec) -> int:
     """Return k = n - m, raising when the generators are dependent."""
-    r = stabilizer_rank(code)
-    if r != code.m:
-        raise ValueError(
-            f"dependent stabilizer generators: rank {r} < count {code.m}"
-        )
-    return code.n - r
+    return code.n - len(_stabilizer_echelon(code)[0])
 
 
 # --- codewords --------------------------------------------------------------
@@ -144,8 +151,8 @@ def logical_basis_state(
 def verify_logical_set(code: CodeSpec, logicals: LogicalSet) -> VerificationReport:
     """Check commutation with stabilizers, pairwise anticommutation, and
     flag representatives lying inside the stabilizer group."""
-    rows = _symplectic_rows(code)
-    rank = gf2.rank(rows, 2 * code.n)
+    reduced, pivots = gf2.row_reduce(_symplectic_rows(code), 2 * code.n)
+    rank = len(reduced)
     report = VerificationReport(
         commuting=all(
             commutes(a, b)
@@ -162,7 +169,7 @@ def verify_logical_set(code: CodeSpec, logicals: LogicalSet) -> VerificationRepo
                     report.logical_violations.append(
                         f"{name}{i}={to_string(op)} anticommutes with stabilizer {to_string(s)}"
                     )
-            if gf2.in_span(pauli.symplectic_vector(op), rows, 2 * code.n):
+            if not gf2.reduce_against(pauli.symplectic_vector(op), reduced, pivots):
                 report.degenerate.append(
                     f"{name}{i}={to_string(op)} lies in the stabilizer group"
                 )
@@ -294,89 +301,72 @@ def _pauli_of(support: Sequence[int], letters: Sequence[str], n: int) -> PauliOp
     return PauliOperator(n, x, z, 0)
 
 
-def _candidate_paulis(support: Sequence[int], n: int) -> Iterable[PauliOperator]:
-    for letters in itertools.product("XYZ", repeat=len(support)):
-        yield _pauli_of(support, letters, n)
+def _qubits(mask: int) -> Iterator[int]:
+    """Set bit positions of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _scan_weight(
-    n: int,
-    w: int,
-    first_qubits: Sequence[int],
-    rows: List[int],
-    syndrome: Dict[Tuple[int, str], int],
-) -> Optional[PauliOperator]:
-    """First zero-syndrome non-stabilizer of weight w whose lowest support
-    qubit lies in first_qubits, in deterministic candidate order."""
-    for q0 in first_qubits:
-        for rest in itertools.combinations(range(q0 + 1, n), w - 1):
-            support = (q0,) + rest
-            for letters in itertools.product("XYZ", repeat=w):
-                syn = 0
-                for q, letter in zip(support, letters):
-                    syn ^= syndrome[(q, letter)]
-                if syn:
-                    continue
-                op = _pauli_of(support, letters, n)
-                if not gf2.in_span(pauli.symplectic_vector(op), rows, 2 * n):
-                    return op
+    n: int, w: int, accept: Callable[[Tuple[int, ...], Tuple[str, ...]], bool]
+) -> Optional[Tuple[Tuple[int, ...], Tuple[str, ...]]]:
+    """First weight-w (support, letters) that accept takes, in scan order."""
+    for support in itertools.combinations(range(n), w):
+        for letters in itertools.product("XYZ", repeat=w):
+            if accept(support, letters):
+                return support, letters
     return None
 
 
+def _first_accepted(
+    n: int, w_max: int, accept: Callable[[Tuple[int, ...], Tuple[str, ...]], bool]
+) -> Tuple[Optional[int], Optional[PauliOperator]]:
+    """(weight, Pauli) of the first candidate accept takes, weights 1..w_max."""
+    if w_max < 1:
+        raise ValueError("w_max must be >= 1")
+    for w in range(1, w_max + 1):
+        hit = _scan_weight(n, w, accept)
+        if hit is not None:
+            return w, _pauli_of(*hit, n)
+    return None, None
+
+
 def distance_symplectic(
-    code: CodeSpec, w_max: int, threads: int = 1
+    code: CodeSpec, w_max: int
 ) -> Tuple[Optional[int], Optional[PauliOperator]]:
     """Minimum weight of a zero-syndrome Pauli outside the stabilizer group.
 
     Returns (distance, witness) or (None, None) when no witness of weight
-    <= w_max exists. The result is independent of the thread count.
+    <= w_max exists. Candidates are scanned serially in one order: by
+    weight, then supports in itertools.combinations(range(n), w) order,
+    then letters in itertools.product("XYZ", repeat=w) order; the witness
+    is the first hit. The syndrome table and the stabilizer echelon are
+    built once per code.
     """
-    if w_max < 1:
-        raise ValueError("w_max must be >= 1")
-    require_independent(code)
-    rows = _symplectic_rows(code)
-    # per-(qubit, letter) syndrome bitmask over the stabilizer list
-    syndrome = {}
-    for q in range(code.n):
-        for letter, (hx, hz) in (("X", (1, 0)), ("Y", (1, 1)), ("Z", (0, 1))):
-            op = PauliOperator(code.n, (1 << q) * hx, (1 << q) * hz)
-            syndrome[(q, letter)] = sum(
-                (0 if commutes(op, s) else 1) << i
-                for i, s in enumerate(code.stabilizers)
-            )
-    for w in range(1, w_max + 1):
-        if threads <= 1:
-            hit = _scan_weight(code.n, w, range(code.n), rows, syndrome)
-            if hit is not None:
-                return w, hit
-        else:
-            chunks = [list(range(code.n))[i::threads] for i in range(threads)]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(
-                    pool.map(
-                        lambda ch: _scan_weight(code.n, w, ch, rows, syndrome), chunks
-                    )
-                )
-            hits = [r for r in results if r is not None]
-            if hits:
-                # the serial winner is some chunk's first hit; candidate
-                # order is (support, letters) lexicographic in every chunk
-                best = min(hits, key=_letter_rank)
-                return w, best
-    return None, None
+    reduced, pivots = _stabilizer_echelon(code)
+    n = code.n
+    # syndrome[letter][q]: stabilizers the single-qubit Pauli anticommutes with
+    syn_x = [0] * n
+    syn_z = [0] * n
+    for i, s in enumerate(code.stabilizers):
+        for q in _qubits(s.z_mask):
+            syn_x[q] |= 1 << i
+        for q in _qubits(s.x_mask):
+            syn_z[q] |= 1 << i
+    syndrome = {"X": syn_x, "Y": [a ^ b for a, b in zip(syn_x, syn_z)], "Z": syn_z}
 
+    def undetected_logical(support, letters) -> bool:
+        syn = 0
+        for q, letter in zip(support, letters):
+            syn ^= syndrome[letter][q]
+        if syn:
+            return False
+        vec = pauli.symplectic_vector(_pauli_of(support, letters, n))
+        return gf2.reduce_against(vec, reduced, pivots) != 0
 
-def _letter_rank(op: PauliOperator) -> Tuple:
-    support = sorted(
-        q for q in range(op.n) if (op.x_mask | op.z_mask) >> q & 1
-    )
-    order = {"X": 0, "Y": 1, "Z": 2}
-    letters = []
-    for q in support:
-        has_x = op.x_mask >> q & 1
-        has_z = op.z_mask >> q & 1
-        letters.append(order["Y" if has_x and has_z else "X" if has_x else "Z"])
-    return (tuple(support), tuple(letters))
+    return _first_accepted(n, w_max, undetected_logical)
 
 
 # --- error-discrimination (codeword matrix) oracle ---------------------------
@@ -394,6 +384,13 @@ class _SparseCodewords:
             raise ValueError("codeword-matrix oracle needs uniform codeword amplitudes")
         if not all(xbar.is_x_type() for xbar, _ in logicals.pairs):
             raise ValueError("oracle requires X-type logical representatives")
+        for xbar, _ in logicals.pairs:
+            for s in code.stabilizers:
+                if not commutes(xbar, s):
+                    raise ValueError(
+                        f"Xbar {to_string(xbar)} anticommutes with stabilizer "
+                        f"{to_string(s)}: its shifted orbit is not a codeword"
+                    )
         self.k = logicals.k
         self.supports = []
         self.coset_of = {}
@@ -433,17 +430,14 @@ class _SparseCodewords:
 def distance_kl_oracle(
     code: CodeSpec, logicals: LogicalSet, w_max: int
 ) -> Tuple[Optional[int], Optional[PauliOperator]]:
-    """Distance from the first weight at which some Pauli E breaks the
-    scalar-identity structure of the codeword matrix."""
-    if w_max < 1:
-        raise ValueError("w_max must be >= 1")
+    """Distance from the first Pauli E, in distance_symplectic's scan order,
+    that breaks the scalar-identity structure of the codeword matrix."""
     words = _SparseCodewords(code, logicals)
-    for w in range(1, w_max + 1):
-        for support in itertools.combinations(range(code.n), w):
-            for cand in _candidate_paulis(support, code.n):
-                if words.violates_kl(cand):
-                    return w, cand
-    return None, None
+    return _first_accepted(
+        code.n,
+        w_max,
+        lambda support, letters: words.violates_kl(_pauli_of(support, letters, code.n)),
+    )
 
 
 # --- end-to-end verification -------------------------------------------------
@@ -453,7 +447,6 @@ def verify_code(
     code: CodeSpec,
     w_max: int = 4,
     use_kl: bool = False,
-    threads: int = 1,
 ) -> VerificationReport:
     """Full report: commutativity, rank/k, logical set, distance.
 
@@ -467,12 +460,10 @@ def verify_code(
     elif code.n <= 24:
         logicals = find_logical_set(code)
     report = verify_logical_set(code, logicals or LogicalSet(()))
-    d, witness = distance_symplectic(code, w_max, threads=threads)
+    d, witness = distance_symplectic(code, w_max)
     report.distance = d
     report.witness = to_string(witness) if witness is not None else None
     if use_kl:
-        if code.n > 20:
-            raise ValueError("codeword-matrix oracle requires n <= 20")
         kl_logicals = logicals
         if kl_logicals is None or not all(
             x.is_x_type() for x, _ in kl_logicals.pairs

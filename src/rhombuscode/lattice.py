@@ -74,6 +74,11 @@ class CodeSpec:
     declared: Optional[Tuple[int, int, int]] = None
 
     def __post_init__(self):
+        declared = self.declared
+        if declared is not None and not (
+            len(declared) == 3 and all(type(v) is int and v > 0 for v in declared)
+        ):
+            raise ValueError(f"declared must be three positive ints, got {list(declared)}")
         for s in self.stabilizers:
             if s.n != self.n:
                 raise ValueError("stabilizer qubit count differs from code size")

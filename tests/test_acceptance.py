@@ -286,9 +286,6 @@ def test_criterion7_rz_invariance_and_trace():
 
 
 def test_criterion7_thread_invariance():
-    code = build_named("grid_2x2")
-    results = {distance_symplectic(code, w_max=4, threads=t) for t in (1, 2, 5)}
-    assert len(results) == 1
     unit = build_unit()
     logicals = LogicalSet(unit.logical_pairs)
     from rhombuscode.dephasing import monte_carlo_oracle

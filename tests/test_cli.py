@@ -87,13 +87,6 @@ def test_verify_missing_file_usage_error(capsys, tmp_path):
     assert code == 64
 
 
-def test_verify_thread_invariant_report(capsys, tmp_path):
-    path = write_code(capsys, tmp_path, "two_vertical")
-    _, out1, _ = run(capsys, "verify", str(path), "--threads", "1")
-    _, out3, _ = run(capsys, "verify", str(path), "--threads", "3")
-    assert out1 == out3
-
-
 # --- dephase -----------------------------------------------------------------
 
 
@@ -187,6 +180,13 @@ def test_dephase_bad_grid_usage_error(capsys):
 
 
 DEPHASE_ARGS = ("--kind", "local", "--theta", "1", "--phi", "1", "--gamma", "1")
+# edits of the unit code's JSON that make it unloadable
+BAD_CODES = {
+    "DECLARED_PAIR": {"declared": [6, 2]},
+    "DECLARED_TEXT": {"declared": ["a", "b", "c"]},
+    "DECLARED_SCALAR": {"declared": 5},
+    "DEPENDENT": {"stabilizers": ["X1X2X3X4", "X3X4X5X6", "Z1Z3Z5", "Z2Z4Z6", "Z1Z3Z5"]},
+}
 
 
 @pytest.mark.parametrize(
@@ -197,14 +197,28 @@ DEPHASE_ARGS = ("--kind", "local", "--theta", "1", "--phi", "1", "--gamma", "1")
         ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2", "--theta", "nan"),
         ("dephase", *DEPHASE_ARGS, "--t-grid", "0:nan:2"),
         ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2", "--threads", "0"),
-        ("verify", "CODE", "--threads", "0"),
         ("verify", "CODE", "--w-max", "0"),
+        ("verify", "DECLARED_PAIR"),
+        ("verify", "DECLARED_TEXT"),
+        ("verify", "DECLARED_SCALAR"),
+        ("verify", "DEPENDENT"),
+        ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2", "--code", "DECLARED_PAIR"),
+        ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2", "--code", "DECLARED_TEXT"),
+        ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2", "--code", "DEPENDENT"),
     ],
-    ids=["gamma", "seed", "theta", "t-grid", "dephase-threads", "verify-threads", "w-max"],
+    ids=["gamma", "seed", "theta", "t-grid", "dephase-threads", "w-max",
+         "verify-declared-pair", "verify-declared-text", "verify-declared-scalar",
+         "verify-dependent",
+         "dephase-declared-pair", "dephase-declared-text", "dephase-dependent"],
 )
 def test_bad_input_is_a_one_line_usage_error(capsys, tmp_path, argv):
-    path = str(write_code(capsys, tmp_path, "unit"))
-    code, out, err = run(capsys, *(path if a == "CODE" else a for a in argv))
+    paths = {"CODE": str(write_code(capsys, tmp_path, "unit"))}
+    for name, edit in BAD_CODES.items():
+        doc = json.loads((tmp_path / "code.json").read_text())
+        doc.update(edit)
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
     assert code == 64
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err

@@ -15,8 +15,9 @@ from rhombuscode.engine import (
     verify_code,
     verify_logical_set,
 )
-from rhombuscode.lattice import CodeSpec, build_named, build_unit, stack_grid
-from rhombuscode.pauli import commutes, parse_pauli, to_string, weight
+from rhombuscode.gf2 import in_span
+from rhombuscode.lattice import CodeSpec, build_named, build_unit, stack_grid, stack_l_shape
+from rhombuscode.pauli import commutes, parse_pauli, symplectic_vector, to_string, weight
 
 # basis indices of the four-term unit codewords; bit i of the index is
 # the value of qubit i+1, so e.g. |110011> (qubits 1..6) is 0b110011.
@@ -137,15 +138,6 @@ def test_distance_methods_agree(name):
     assert weight(w_sym) == weight(w_kl)
 
 
-def test_distance_thread_invariance():
-    for name in ("two_vertical", "grid_2x2"):
-        code = build_named(name)
-        results = {
-            distance_symplectic(code, w_max=4, threads=t) for t in (1, 2, 5)
-        }
-        assert len(results) == 1
-
-
 def test_distance_not_found_below_cutoff():
     d, w = distance_symplectic(build_unit(), w_max=1)
     assert d is None and w is None
@@ -158,6 +150,28 @@ def test_distance_witness_is_undetectable_logical():
     logicals = LogicalSet(code.logical_pairs)
     sparse_violation = distance_kl_oracle(code, logicals, w_max=2)
     assert sparse_violation[0] == 2
+
+
+@pytest.mark.parametrize(
+    "code",
+    [build_named(name) for name in ("unit", "two_horizontal", "two_vertical", "grid_2x2")]
+    + [stack_grid(3), stack_l_shape(1, 1)],
+    ids=["unit", "two_horizontal", "two_vertical", "grid_2x2", "grid3", "lshape1_1"],
+)
+def test_distance_witness_outside_stabilizer_group(code):
+    d, w = distance_symplectic(code, w_max=3)
+    assert weight(w) == d
+    assert all(commutes(w, s) for s in code.stabilizers)
+    rows = [symplectic_vector(s) for s in code.stabilizers]
+    assert not in_span(symplectic_vector(w), rows, 2 * code.n)
+
+
+def test_kl_oracle_rejects_logicals_outside_code_space():
+    """two_horizontal's transcribed X2X7 anticommutes with Z2Z4Z6, so its
+    shifted orbit is not a codeword and the codeword matrix is meaningless."""
+    code = build_named("two_horizontal")
+    with pytest.raises(ValueError, match="X2X7.*Z2Z4Z6"):
+        distance_kl_oracle(code, LogicalSet(code.logical_pairs), w_max=2)
 
 
 # --- full report ----------------------------------------------------------------
