@@ -81,6 +81,19 @@ def _parse_target(target: str) -> lattice.CodeSpec:
     raise ValueError(f"unknown build target {target!r}")
 
 
+def _load_code(path: str, command: str) -> Optional[lattice.CodeSpec]:
+    """The CodeSpec in the JSON file at path, or None after a one-line
+    "cannot load code" message on stderr."""
+    try:
+        with open(path) as fh:
+            code = lattice.code_from_json(fh.read())
+        engine.require_independent(code)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"{command}: cannot load code: {exc}", file=sys.stderr)
+        return None
+    return code
+
+
 def _manifest(args: argparse.Namespace, skip=("func",)) -> RunManifest:
     params = {k: v for k, v in vars(args).items() if k not in skip}
     return RunManifest(
@@ -111,12 +124,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     manifest = _manifest(args)
     started = time.monotonic()
-    try:
-        with open(args.code) as fh:
-            code = lattice.code_from_json(fh.read())
-        engine.require_independent(code)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"verify: cannot load code: {exc}", file=sys.stderr)
+    code = _load_code(args.code, "verify")
+    if code is None:
         return EXIT_USAGE
     manifest.inputs.append(args.code)
     if args.kl and code.n > 20:
@@ -193,12 +202,8 @@ def cmd_dephase(args: argparse.Namespace) -> int:
     if args.code is None:
         code = lattice.build_unit()
     else:
-        try:
-            with open(args.code) as fh:
-                code = lattice.code_from_json(fh.read())
-            engine.require_independent(code)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"dephase: cannot load code: {exc}", file=sys.stderr)
+        code = _load_code(args.code, "dephase")
+        if code is None:
             return EXIT_USAGE
         manifest.inputs.append(args.code)
     if code.n > DEPHASE_MAX_QUBITS:

@@ -1,8 +1,9 @@
 """Logical-qubit observables under global and local Gaussian dephasing.
 
 Everything is computed on one sparse frame: the codeword support of the
-designated logical pair (the orbit of engine.codeword_orbit and its shift
-by Xbar). Dephasing multiplies each support state by a phase u[a], and
+designated logical pair, built by engine._SparseCodewords (the type the
+codeword-matrix oracle also uses) from the orbit of |0_L> and its shift by
+Xbar. Dephasing multiplies each support state by a phase u[a], and
 every observable is a quadratic form in u with fixed coefficients. The
 Monte Carlo oracle evaluates the forms on sampled phase trajectories (the
 accumulated phase over time t is Normal(0, gamma*t)), each batch drawn from
@@ -27,10 +28,10 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import pauli
-from .engine import LogicalSet, codeword_orbit
+from .engine import LogicalSet, _SparseCodewords
 from .engine import codeword_zero  # noqa: F401  perfbench/test_perfbench.py needs it
 from .lattice import CodeSpec
-from .pauli import PauliOperator, basis_action, commutes, multiply
+from .pauli import PauliOperator, multiply
 from .pauli import apply  # noqa: F401  perfbench/test_perfbench.py needs it
 from .states import PureState
 
@@ -184,8 +185,9 @@ class _Frame:
 
     support holds the S sorted basis states of |0_L> and |1_L>, and b_j the
     amplitudes of |j_L> on it. For L in (Xbar, Ybar = i*Zbar*Xbar, Zbar),
-    L|support[c]> = sign[c]|support[perm c]> (sign 0 where L leaves the
-    support). On the support the paper-normalized code-space operator is
+    L|support[c]> = sign[c]|support[perm c]> (_SparseCodewords'
+    signed_permutation; sign 0 where L leaves the support). On the support
+    the paper-normalized code-space operator is
     Pc = pc (|0_L><0_L| + |1_L><1_L|) with pc = 2^(m-n). So with
     cr[jk, c] = conj(b_j[perm c]) sign[c] b_k[c] and
     cg[ik, c] = conj(b_i[c]) b_k[c], a phase vector u on the support gives
@@ -197,22 +199,16 @@ class _Frame:
 
     def __init__(self, code: CodeSpec, logicals: LogicalSet, pair_index: int):
         xbar, zbar = logicals.pairs[pair_index]
-        if not all(commutes(xbar, s) for s in code.stabilizers):
-            raise ValueError("Xbar must commute with every stabilizer")
         prod = multiply(zbar, xbar)
         ybar = PauliOperator(prod.n, prod.x_mask, prod.z_mask, prod.phase + 1)
-        orbit, amps = codeword_orbit(code)
+        words = _SparseCodewords(code, [xbar])
         self.pc = 2.0 ** (code.m - code.n)
-        self.support = np.union1d(orbit, orbit ^ np.uint64(xbar.x_mask))
-        maps = [self._signed_permutation(op) for op in (xbar, ybar, zbar)]
+        self.support = words.support
         b = np.zeros((2, len(self.support)), dtype=np.complex128)
-        b[0, np.searchsorted(self.support, orbit)] = amps
-        b[1, maps[0][0]] = maps[0][1] * b[0]  # |1_L> = Xbar|0_L>
-        if abs(np.vdot(b[0], b[1])) > 1e-12:
-            raise ValueError("basis states must be orthogonal")
+        b[words.label, np.arange(len(self.support))] = words.amps
         self.terms = [  # (perm, cr) of Xbar, Ybar, Zbar
             (perm, (np.conj(b[:, perm])[:, None] * sign * b).reshape(4, -1))
-            for perm, sign in maps
+            for perm, sign in map(words.signed_permutation, (xbar, ybar, zbar))
         ]
         self.cg = (np.conj(b)[:, None] * b).reshape(4, -1)
         # spins[kind][k, c]: coupling of the k-th noise field to support state c,
@@ -222,11 +218,6 @@ class _Frame:
         ) & np.uint64(1)
         half_spin = 0.5 - bits.astype(np.float64)
         self.spins = {"global": half_spin.sum(axis=0, keepdims=True), "local": half_spin}
-
-    def _signed_permutation(self, op: PauliOperator) -> Tuple[np.ndarray, np.ndarray]:
-        images, phases = basis_action(op, self.support)
-        perm = np.minimum(np.searchsorted(self.support, images), len(self.support) - 1)
-        return perm, phases * (self.support[perm] == images)
 
     def sampled_forms(self, u: np.ndarray) -> np.ndarray:
         """(6, 2, 2, count) forms for phase vectors u of shape (count, S)."""

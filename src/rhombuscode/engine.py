@@ -12,6 +12,12 @@ Both routes share one serial candidate scan (_scan_weight): by weight
 w = 1, 2, ..., supports in itertools.combinations(range(n), w) order,
 letters in itertools.product("XYZ", repeat=w) order, first hit wins.
 Both must agree; verification never trusts declared parameters.
+
+One sparse codeword type, _SparseCodewords, holds the codeword support
+(codeword_orbit shifted by the X-logicals), each support state's codeword
+label and amplitude, and the signed permutation a Pauli induces on it. It
+serves the codeword-matrix oracle here and the analytic engine and Monte
+Carlo oracle in dephasing.
 """
 
 from __future__ import annotations
@@ -197,20 +203,14 @@ def verify_logical_set(code: CodeSpec, logicals: LogicalSet) -> VerificationRepo
 def _quotient_basis(kernel: List[int], modulus: List[int], n_cols: int) -> List[int]:
     """Basis vectors of kernel that are independent modulo span(modulus)."""
     reduced, pivots = gf2.row_reduce(modulus, n_cols)
-    reduced = list(reduced)
-    pivots = list(pivots)
     out = []
     for v in kernel:
         rem = gf2.reduce_against(v, reduced, pivots)
         if rem:
             out.append(v)
-            # extend the echelon basis with the new vector
-            pc = (rem & -rem).bit_length() - 1
+            # rem is zero at every earlier pivot, so append order stays valid
             reduced.append(rem)
-            pivots.append(pc)
-            order = sorted(range(len(pivots)), key=lambda t: pivots[t])
-            reduced = [reduced[t] for t in order]
-            pivots = [pivots[t] for t in order]
+            pivots.append((rem & -rem).bit_length() - 1)
     return out
 
 
@@ -373,58 +373,63 @@ def distance_symplectic(
 
 
 class _SparseCodewords:
-    """All 2^k codewords of a CSS code: the codeword_orbit of |0_L> shifted
-    by each combination of X-logicals, with the orbit's uniform amplitude."""
+    """The 2^len(xbars) codewords of a code on their common support.
 
-    def __init__(self, code: CodeSpec, logicals: LogicalSet):
-        if code.n > 20:
-            raise ValueError("codeword-matrix oracle is capped at n <= 20")
-        orbit, amps = codeword_orbit(code)
-        if np.any(amps != amps[0]):
-            raise ValueError("codeword-matrix oracle needs uniform codeword amplitudes")
-        if not all(xbar.is_x_type() for xbar, _ in logicals.pairs):
-            raise ValueError("oracle requires X-type logical representatives")
-        for xbar, _ in logicals.pairs:
+    support is the sorted union of codeword_orbit shifted by every product
+    of the xbars; support[c] belongs to codeword label[c] (bit i set means
+    xbars[i] was applied) with amplitude amps[c]. The shifts are cosets of
+    the orbit, so unless two coincide (which raises) the codewords have
+    disjoint supports and are orthonormal.
+    """
+
+    def __init__(self, code: CodeSpec, xbars: Sequence[PauliOperator]):
+        indices, amps = codeword_orbit(code)
+        labels = np.zeros(len(indices), dtype=np.int64)
+        for i, xbar in enumerate(xbars):
             for s in code.stabilizers:
                 if not commutes(xbar, s):
                     raise ValueError(
                         f"Xbar {to_string(xbar)} anticommutes with stabilizer "
                         f"{to_string(s)}: its shifted orbit is not a codeword"
                     )
-        self.k = logicals.k
-        self.supports = []
-        self.coset_of = {}
-        for bits in range(1 << self.k):
-            shift = 0
-            for i in range(self.k):
-                if (bits >> i) & 1:
-                    shift ^= logicals.pairs[i][0].x_mask
-            supp = np.sort(orbit ^ np.uint64(shift))
-            rep = int(supp[0])
-            if rep in self.coset_of:
-                raise ValueError("codeword basis not orthonormal (coset collision)")
-            self.coset_of[rep] = bits
-            self.supports.append(supp)
-        self.weight = abs(amps[0]) ** 2
+            images, phases = basis_action(xbar, indices)
+            indices = np.concatenate([indices, images])
+            amps = np.concatenate([amps, phases * amps])
+            labels = np.concatenate([labels, labels | (1 << i)])
+        order = np.argsort(indices)
+        self.support = indices[order]
+        if np.any(self.support[1:] == self.support[:-1]):
+            raise ValueError("codeword basis not orthonormal (coset collision)")
+        self.label = labels[order]
+        self.amps = amps[order]
+        self.count = 1 << len(xbars)
+
+    def signed_permutation(self, op: PauliOperator) -> Tuple[np.ndarray, np.ndarray]:
+        """(perm, sign) with op|support[c]> = sign[c] |support[perm[c]]>;
+        sign[c] is 0 where op leaves the support."""
+        images, phases = basis_action(op, self.support)
+        perm = np.minimum(np.searchsorted(self.support, images), len(self.support) - 1)
+        return perm, phases * (self.support[perm] == images)
 
     def violates_kl(self, op: PauliOperator, tol: float = KL_TOL) -> bool:
-        """True iff M_ij = <psi_i|op|psi_j> is not a scalar multiple of I."""
-        x = np.uint64(op.x_mask)
-        z = np.uint64(op.z_mask)
-        diag = np.zeros(1 << self.k, dtype=np.complex128)
-        for j, supp in enumerate(self.supports):
-            mapped = supp ^ x
-            target = self.coset_of.get(int(mapped.min()))
-            signs = 1.0 - 2.0 * (np.bitwise_count(supp & z).astype(np.int64) & 1)
-            value = (1j) ** op.phase * self.weight * signs.sum()
-            if target != j:
-                # off-diagonal mass, or leakage out of the code space
-                if target is not None and abs(value) > tol:
-                    return True
-                diag[j] = 0.0
-            else:
-                diag[j] = value
-        return bool(np.max(np.abs(diag - diag[0])) > tol)
+        """True iff M_ij = <psi_i|op|psi_j> is not a scalar multiple of I.
+
+        op's X part moves each codeword's support as a whole, so column j
+        has at most one entry, in row label[perm[c]] for any c of label j;
+        a column that leaves the code space has a zero diagonal entry.
+        """
+        perm, sign = self.signed_permutation(op)
+        terms = np.conj(self.amps[perm]) * sign * self.amps
+        column = np.bincount(self.label, terms.real, self.count) + 1j * np.bincount(
+            self.label, terms.imag, self.count
+        )
+        row = np.full(self.count, -1)
+        inside = sign != 0
+        row[self.label[inside]] = self.label[perm[inside]]
+        diag = np.where(row == np.arange(self.count), column, 0.0)
+        return bool(
+            np.max(np.abs(column - diag)) > tol or np.max(np.abs(diag - diag[0])) > tol
+        )
 
 
 def distance_kl_oracle(
@@ -432,7 +437,9 @@ def distance_kl_oracle(
 ) -> Tuple[Optional[int], Optional[PauliOperator]]:
     """Distance from the first Pauli E, in distance_symplectic's scan order,
     that breaks the scalar-identity structure of the codeword matrix."""
-    words = _SparseCodewords(code, logicals)
+    if code.n > 20:
+        raise ValueError("codeword-matrix oracle is capped at n <= 20")
+    words = _SparseCodewords(code, [xbar for xbar, _ in logicals.pairs])
     return _first_accepted(
         code.n,
         w_max,

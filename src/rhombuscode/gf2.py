@@ -6,7 +6,7 @@ deterministic (fixed pivoting order, lowest column first).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 def row_reduce(rows: Sequence[int], n_cols: int) -> Tuple[List[int], List[int]]:
@@ -99,21 +99,3 @@ def invert(matrix_rows: Sequence[int], k: int) -> List[int]:
                 inv[i] ^= inv[r]
         r += 1
     return inv
-
-
-def solve(rows: Sequence[int], n_cols: int, target: int) -> Optional[int]:
-    """Express target as an XOR of rows; returns the combination bitmask or None.
-
-    Bit j of the result means rows[j] participates.
-    """
-    m = len(rows)
-    # augment each row with an indicator of its original index
-    aug = [rows[j] | (1 << (n_cols + j)) for j in range(m)]
-    reduced, pivots = row_reduce(aug, n_cols)
-    v = target
-    combo = 0
-    for r, col in zip(reduced, pivots):
-        if (v >> col) & 1:
-            v ^= r & ((1 << n_cols) - 1)
-            combo ^= r >> n_cols
-    return combo if v == 0 else None

@@ -1,10 +1,15 @@
 """Codewords, logical sets, and the two independent distance methods."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from rhombuscode.engine import (
+    KL_TOL,
     LogicalSet,
+    _pauli_of,
+    _SparseCodewords,
     codeword_zero,
     distance_kl_oracle,
     distance_symplectic,
@@ -17,7 +22,15 @@ from rhombuscode.engine import (
 )
 from rhombuscode.gf2 import in_span
 from rhombuscode.lattice import CodeSpec, build_named, build_unit, stack_grid, stack_l_shape
-from rhombuscode.pauli import commutes, parse_pauli, symplectic_vector, to_string, weight
+from rhombuscode.pauli import (
+    apply,
+    commutes,
+    multiply,
+    parse_pauli,
+    symplectic_vector,
+    to_string,
+    weight,
+)
 
 # basis indices of the four-term unit codewords; bit i of the index is
 # the value of qubit i+1, so e.g. |110011> (qubits 1..6) is 0b110011.
@@ -172,6 +185,60 @@ def test_kl_oracle_rejects_logicals_outside_code_space():
     code = build_named("two_horizontal")
     with pytest.raises(ValueError, match="X2X7.*Z2Z4Z6"):
         distance_kl_oracle(code, LogicalSet(code.logical_pairs), w_max=2)
+
+
+def y_dressed(code, logicals):
+    """Each Xbar times a Z stabilizer it overlaps: same codewords, Y letters."""
+    pairs = []
+    for xbar, zbar in logicals.pairs:
+        s = next(s for s in code.stabilizers
+                 if s.is_z_type() and s.z_mask & xbar.x_mask)
+        pairs.append((multiply(xbar, s), zbar))
+    return LogicalSet(tuple(pairs))
+
+
+def dense_violates_kl(states, op):
+    """M_ij = <psi_i|op|psi_j> on dense codeword states is not a scalar * I."""
+    images = [apply(op, b) for b in states]
+    m = np.array([[a.inner(b) for b in images] for a in states])
+    return bool(np.max(np.abs(m - m[0, 0] * np.eye(len(states)))) > KL_TOL)
+
+
+@pytest.mark.parametrize("dressed", [False, True], ids=["synthesized", "y_dressed"])
+@pytest.mark.parametrize("name", ["unit", "two_vertical"])
+def test_violates_kl_matches_dense_codeword_matrix(name, dressed):
+    code = build_named(name)
+    logicals = find_logical_set(code)
+    if dressed:
+        logicals = y_dressed(code, logicals)
+        assert not any(xbar.is_x_type() for xbar, _ in logicals.pairs)
+    words = _SparseCodewords(code, [xbar for xbar, _ in logicals.pairs])
+    k = logicals.k
+    states = [
+        logical_basis_state(code, logicals, "".join(str((j >> i) & 1) for i in range(k)))
+        for j in range(1 << k)
+    ]
+    ops = [
+        _pauli_of(support, letters, code.n)
+        for w in (1, 2)
+        for support in itertools.combinations(range(code.n), w)
+        for letters in itertools.product("XYZ", repeat=w)
+    ]
+    # stabilizers give M = I and logicals a nonzero M, which weight <= 2 misses
+    ops += list(code.stabilizers) + [op for pair in logicals.pairs for op in pair]
+    verdicts = []
+    for op in ops:
+        got = words.violates_kl(op)
+        assert got == dense_violates_kl(states, op), to_string(op)
+        verdicts.append(got)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_sparse_codewords_reject_coset_collision():
+    code = build_unit()
+    xbar = find_logical_set(code).pairs[0][0]
+    with pytest.raises(ValueError, match="coset collision"):
+        _SparseCodewords(code, [xbar, xbar])
 
 
 # --- full report ----------------------------------------------------------------
