@@ -1,7 +1,8 @@
 """Command-line workbench: build codes, verify claims, run noise sweeps.
 
-Exit codes: 0 all checks pass, 1 claim mismatch, 2 infeasible request,
-64 usage error. Data outputs (CSV/JSON) are byte-identical across reruns
+Exit codes: 0 all checks pass, 1 claim mismatch, 2 infeasible request
+(dephase: n > 64 or codeword support S above DEPHASE_MAX_SUPPORT), 64
+usage error. Data outputs (CSV/JSON) are byte-identical across reruns
 with the same flags; each --out file gets an <out>.manifest.json sidecar.
 """
 
@@ -22,7 +23,7 @@ EXIT_MISMATCH = 1
 EXIT_INFEASIBLE = 2
 EXIT_USAGE = 64
 
-DEPHASE_MAX_QUBITS = 14
+DEPHASE_MAX_SUPPORT = 1 << 18  # largest codeword support S = 2^(m_x + 1)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -206,9 +207,11 @@ def cmd_dephase(args: argparse.Namespace) -> int:
         if code is None:
             return EXIT_USAGE
         manifest.inputs.append(args.code)
-    if code.n > DEPHASE_MAX_QUBITS:
+    support = 2 << sum(1 for s in code.stabilizers if s.x_mask)
+    if code.n > 64 or support > DEPHASE_MAX_SUPPORT:
         print(
-            f"dephase: n = {code.n} exceeds the {DEPHASE_MAX_QUBITS}-qubit limit",
+            f"dephase: needs n <= 64 and codeword support S <= {DEPHASE_MAX_SUPPORT}, "
+            f"got n = {code.n}, S = {support}",
             file=sys.stderr,
         )
         return EXIT_INFEASIBLE

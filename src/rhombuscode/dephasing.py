@@ -9,11 +9,11 @@ Monte Carlo oracle evaluates the forms on sampled phase trajectories (the
 accumulated phase over time t is Normal(0, gamma*t)), each batch drawn from
 a counter-based stream at an offset set by its first sample, so any thread
 count reproduces the serial result bit for bit. The analytic engine is the
-exact expectation of that estimator: E[conj(u_p) u_q] is a damping factor
-set by the magnetization difference (global noise) or the Hamming distance
-(local noise) of the two basis states. The dense O(2^n) functions
-prepare_logical_state, dephased_pauli_expectation and code_space_operator
-are small-n references for the tests.
+exact expectation of that estimator: E[conj(u_p) u_q] is decoherence_factor
+of the two basis states (magnetization difference for global noise, Hamming
+distance for local), summed per codeword coset or popcount level, never as
+an S x S matrix. The dense O(2^n) references prepare_logical_state,
+dephased_pauli_expectation and code_space_operator serve the tests.
 """
 
 from __future__ import annotations
@@ -31,13 +31,13 @@ from . import pauli
 from .engine import LogicalSet, _SparseCodewords
 from .engine import codeword_zero  # noqa: F401  perfbench/test_perfbench.py needs it
 from .lattice import CodeSpec
-from .pauli import PauliOperator, multiply
+from .pauli import PauliOperator, basis_action, multiply
 from .pauli import apply  # noqa: F401  perfbench/test_perfbench.py needs it
 from .states import PureState
 
 KINDS = ("global", "local")
 REALNESS_TOL = 1e-10
-MC_BATCH = 1 << 16  # samples per Monte Carlo batch
+MC_BATCH = 1 << 16  # samples per Monte Carlo batch on supports S <= 32
 
 
 @dataclass(frozen=True)
@@ -93,21 +93,27 @@ class ObservableRecord:
         )
 
 
-def magnetization(index: int, n: int) -> int:
-    """2*(number of 0 bits) - n for a computational basis index."""
-    return n - 2 * int(index).bit_count()
+def _popcount(index) -> np.ndarray:
+    """Set bits of basis indices (an int or a uint64 array), as int64."""
+    return np.bitwise_count(np.asarray(index, dtype=np.uint64)).astype(np.int64)
 
 
-def decoherence_factor(a: int, b: int, model: NoiseModel, t: float, n: int) -> float:
-    """Damping of the (a, b) density-matrix element after time t."""
+def magnetization(index, n: int):
+    """2*(number of 0 bits) - n for basis indices (an int or a uint64 array)."""
+    return n - 2 * _popcount(index)
+
+
+def decoherence_factor(a, b, model: NoiseModel, t: float, n: int):
+    """Damping of the (a, b) density-matrix element after time t, elementwise
+    over basis indices (ints or uint64 arrays). This is the one place the
+    damping formula is written; the engine and the dense reference call it."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     gt = model.convention * model.gamma * t
     if model.kind == "global":
         dm = magnetization(a, n) - magnetization(b, n)
-        return math.exp(-dm * dm * gt / 8.0)
-    dn = int(a ^ b).bit_count()
-    return math.exp(-dn * gt / 2.0)
+        return np.exp(-(dm * dm) * gt / 8.0)
+    return np.exp(-_popcount(a ^ b) * gt / 2.0)
 
 
 def prepare_logical_state(
@@ -134,26 +140,11 @@ def dephased_pauli_expectation(
     """Tr[rho' op] for the dephased density matrix of state, in O(2^n)."""
     if op.n != state.n:
         raise ValueError("operator and state qubit counts differ")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    n = state.n
     psi = state.amplitudes
-    idx = np.arange(1 << n, dtype=np.uint64)
-    flipped = idx ^ np.uint64(op.x_mask)
-    signs = 1.0 - 2.0 * (
-        np.bitwise_count(idx & np.uint64(op.z_mask)).astype(np.int64) & 1
-    )
-    gt = model.convention * model.gamma * t
-    if model.kind == "global":
-        pops = np.bitwise_count(idx).astype(np.int64)
-        mvals = n - 2 * pops
-        dm = mvals[flipped] - mvals
-        factors = np.exp(-(dm.astype(np.float64) ** 2) * gt / 8.0)
-    else:
-        dn = int(op.x_mask).bit_count()
-        factors = math.exp(-dn * gt / 2.0)
-    terms = np.conj(psi[flipped]) * signs * psi * factors
-    return complex((1j) ** op.phase * terms.sum())
+    idx = np.arange(1 << state.n, dtype=np.uint64)
+    flipped, phases = basis_action(op, idx)
+    factors = decoherence_factor(flipped, idx, model, t, state.n)
+    return complex((np.conj(psi[flipped]) * phases * psi * factors).sum())
 
 
 def code_space_operator(
@@ -202,8 +193,10 @@ class _Frame:
         prod = multiply(zbar, xbar)
         ybar = PauliOperator(prod.n, prod.x_mask, prod.z_mask, prod.phase + 1)
         words = _SparseCodewords(code, [xbar])
+        self.n = code.n
         self.pc = 2.0 ** (code.m - code.n)
         self.support = words.support
+        self.label = words.label
         b = np.zeros((2, len(self.support)), dtype=np.complex128)
         b[words.label, np.arange(len(self.support))] = words.amps
         self.terms = [  # (perm, cr) of Xbar, Ybar, Zbar
@@ -211,13 +204,6 @@ class _Frame:
             for perm, sign in map(words.signed_permutation, (xbar, ybar, zbar))
         ]
         self.cg = (np.conj(b)[:, None] * b).reshape(4, -1)
-        # spins[kind][k, c]: coupling of the k-th noise field to support state c,
-        # half the magnetization (global) or each qubit's z-spin/2 (local)
-        bits = (
-            self.support[None, :] >> np.arange(code.n, dtype=np.uint64)[:, None]
-        ) & np.uint64(1)
-        half_spin = 0.5 - bits.astype(np.float64)
-        self.spins = {"global": half_spin.sum(axis=0, keepdims=True), "local": half_spin}
 
     def sampled_forms(self, u: np.ndarray) -> np.ndarray:
         """(6, 2, 2, count) forms for phase vectors u of shape (count, S)."""
@@ -234,27 +220,46 @@ class _Frame:
 
     def expected_forms(self, model: NoiseModel, t: float) -> np.ndarray:
         """(6, 2, 2) forms with conj(u_p) u_q replaced by its expectation
-        exp(-gt |spins[:, p] - spins[:, q]|^2 / 2)."""
-        gt = model.convention * model.gamma * t
-        spins = self.spins[model.kind]
-        sq = (spins * spins).sum(axis=0)
-        # exact: every term is a small multiple of 1/4
-        dist2 = sq[:, None] + sq[None, :] - 2.0 * (spins.T @ spins)
-        damping = np.exp(-dist2 * gt / 2.0)
-        right = damping @ self.cg.T
+        K(p, q) = decoherence_factor(support[p], support[q]), in O(S + n^2).
+
+        The support is the linear code O + {0, Xbar} (O: the X-stabilizer
+        orbit) and |k_L> lives on coset k. The code is CSS with independent
+        generators, so |b_k|^2 = 2/S there and the leakage forms need only
+        R[p, k] = (2/S) sum_{label q = k} K(p, q): under local noise a function
+        of coset label[p] ^ k (support[p] ^ support[q] runs over it), under
+        global noise of popcount(support[p]).
+        """
+        n, support, label = self.n, self.support, self.label
+        if model.kind == "local":
+            level = label
+            coset = np.bincount(label, decoherence_factor(support, 0, model, t, n), 2)
+            table = np.array([coset, coset[::-1]])  # [level, k] -> coset[level ^ k]
+        else:
+            level = _popcount(support)
+            hist = np.bincount(label * (n + 1) + level, minlength=2 * (n + 1))
+            reps = np.array([(1 << w) - 1 for w in range(n + 1)], dtype=np.uint64)
+            kernel = decoherence_factor(reps[:, None], reps, model, t, n)
+            table = kernel @ hist.reshape(2, n + 1).T
         forms = np.empty((6, 2, 2), dtype=np.complex128)
-        diag = np.arange(len(self.support))
         for o, (perm, cr) in enumerate(self.terms):
-            forms[o] = (cr @ damping[perm, diag]).reshape(2, 2)
-            pairs = (cr @ right[perm]).reshape(2, 2, 2, 2)
-            forms[3 + o] = self.pc * (pairs[:, 0, 0] + pairs[:, 1, 1])
+            diag = decoherence_factor(support[perm], support, model, t, n)
+            forms[o] = (cr @ diag).reshape(2, 2)
+            leak = cr.reshape(2, 2, -1) * table[level[perm]].T
+            forms[3 + o] = (2.0 * self.pc / len(support)) * leak.sum(axis=-1)
         return forms
 
+    def spins(self, kind: str) -> np.ndarray:
+        """spins[k, p] couples noise field k to support state p: one field, half
+        the magnetization (global), or one per qubit, its z-spin/2 (local)."""
+        if kind == "global":
+            return magnetization(self.support, self.n)[None, :] / 2.0
+        bits = (self.support >> np.arange(self.n, dtype=np.uint64)[:, None]) & 1
+        return 0.5 - bits.astype(np.float64)
+
     def phase_matrix(
-        self, model: NoiseModel, t: float, seed: int, start: int, count: int
+        self, spins, model: NoiseModel, t: float, seed: int, start: int, count: int
     ) -> np.ndarray:
-        """U[s, p] = diagonal evolution factor at support index p for sample s."""
-        spins = self.spins[model.kind]
+        """U[s, p] = exp(-i normals[s] . spins[:, p]) for sample start + s."""
         bitgen = np.random.Philox(key=seed)
         bitgen.advance(start * len(spins))
         gen = np.random.Generator(bitgen)
@@ -295,8 +300,6 @@ def bloch_and_leakage(
     names = ("r_x", "r_y", "r_z", "p_x", "p_y", "p_z")
     records = []
     for t in t_grid:
-        if t < 0:
-            raise ValueError("t must be nonnegative")
         values = _point_values(frame.expected_forms(model, t), theta, phi)
         records.append(
             ObservableRecord(t, *map(_real_or_raise, values.tolist(), names))
@@ -338,25 +341,6 @@ def closed_form(
 # --- Monte Carlo oracle -------------------------------------------------------
 
 
-def _batch_moments(
-    frame: _Frame,
-    model: NoiseModel,
-    t: float,
-    seed: int,
-    start: int,
-    count: int,
-    points: Sequence[Tuple[float, float]],
-) -> np.ndarray:
-    """(len(points), 6, 2) array of per-batch [sum v, sum v^2]."""
-    forms = frame.sampled_forms(frame.phase_matrix(model, t, seed, start, count))
-    out = np.empty((len(points), 6, 2))
-    for ip, (theta, phi) in enumerate(points):
-        v = _point_values(forms, theta, phi).real
-        out[ip, :, 0] = v.sum(axis=1)
-        out[ip, :, 1] = (v * v).sum(axis=1)
-    return out
-
-
 def monte_carlo_grid(
     code: CodeSpec,
     logicals: LogicalSet,
@@ -370,19 +354,29 @@ def monte_carlo_grid(
 ) -> List[ObservableRecord]:
     """Monte Carlo means and standard errors for several (theta, phi) points.
 
-    One common set of phase trajectories serves every point. Batches of
-    MC_BATCH samples read disjoint Philox counter ranges, so results are
-    bit-identical for any thread count.
+    One common set of phase trajectories serves every point. The cost grows
+    as samples * S for the support size S (times n under local noise);
+    batches hold MC_BATCH * 32 phase factors at most (MC_BATCH samples for
+    S <= 32) and read disjoint Philox counter ranges. The split depends on S
+    only, so results are bit-identical for any thread count.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     frame = _Frame(code, logicals, pair_index)
-    starts = list(range(0, samples, MC_BATCH))
+    spins = frame.spins(model.kind)
+    batch = max(1, min(MC_BATCH, (MC_BATCH << 5) // len(frame.support)))
+    starts = list(range(0, samples, batch))
 
     def run(start: int) -> np.ndarray:
-        return _batch_moments(
-            frame, model, t, seed, start, min(MC_BATCH, samples - start), points
-        )
+        """(len(points), 6, 2) array of per-batch [sum v, sum v^2]."""
+        count = min(batch, samples - start)
+        forms = frame.sampled_forms(frame.phase_matrix(spins, model, t, seed, start, count))
+        out = np.empty((len(points), 6, 2))
+        for ip, (theta, phi) in enumerate(points):
+            v = _point_values(forms, theta, phi).real
+            out[ip, :, 0] = v.sum(axis=1)
+            out[ip, :, 1] = (v * v).sum(axis=1)
+        return out
 
     if threads <= 1:
         partials = [run(s) for s in starts]

@@ -215,19 +215,14 @@ def _quotient_basis(kernel: List[int], modulus: List[int], n_cols: int) -> List[
 
 
 def _min_weight_coset_rep(mask: int, group_rows: List[int]) -> int:
-    """Lowest-weight (then lexicographically smallest) element of mask + span(rows)."""
-    best = mask
-    best_w = best.bit_count()
+    """Lowest-weight (then smallest) element of mask + span(rows). The coset
+    is walked in Gray-code order, one XOR per step; the (weight, value)
+    order makes the result independent of the visiting order."""
+    best = v = mask
     for r in range(1, 1 << len(group_rows)):
-        v = mask
-        sel = r
-        while sel:
-            j = (sel & -sel).bit_length() - 1
-            v ^= group_rows[j]
-            sel &= sel - 1
-        w = v.bit_count()
-        if w < best_w or (w == best_w and v < best):
-            best, best_w = v, w
+        v ^= group_rows[(r & -r).bit_length() - 1]
+        if (v.bit_count(), v) < (best.bit_count(), best):
+            best = v
     return best
 
 
@@ -240,8 +235,6 @@ def find_logical_set(code: CodeSpec, minimize: bool = True) -> LogicalSet:
     Representatives are weight-minimized over their stabilizer coset when
     the exhaustive scan is affordable.
     """
-    if code.n > 24:
-        raise ValueError("logical synthesis is capped at n <= 24")
     k = require_independent(code)
     h_x = [s.x_mask for s in code.stabilizers if s.is_x_type() and not s.is_identity()]
     h_z = [s.z_mask for s in code.stabilizers if s.is_z_type() and not s.is_identity()]

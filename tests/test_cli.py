@@ -166,6 +166,44 @@ def test_dephase_mc_rows_and_seed_requirement(capsys):
             assert abs(float(e[col]) - float(m[col])) <= max(4 * se, 1e-12)
 
 
+def test_dephase_runs_on_wider_support(capsys, tmp_path):
+    """grid_2x2 (n = 20, support S = 128) is within the support cap; its MC
+    batches (2^21 / S samples) split the same way for any --threads."""
+    path = write_code(capsys, tmp_path, "grid_2x2")
+    outs = []
+    for threads in ("1", "2"):
+        code, out, err = run(
+            capsys, "dephase", "--code", str(path), "--kind", "local",
+            "--theta", "1.1", "--phi", "0.3", "--gamma", "0.9", "--t-grid", "0:1.5:3",
+            "--mc-samples", "40000", "--seed", "9", "--threads", threads,
+        )
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    rows = parse_csv(outs[0])
+    mc = [r for r in rows if r["source"] == "monte_carlo"]
+    engine = [r for r in rows if r["source"] == "engine"]
+    assert len(mc) == len(engine) == 3
+    for e, m in zip(engine, mc):
+        for col in ("r_x", "r_y", "r_z", "p_x", "p_y", "p_z"):
+            se = float(m["se_" + col])
+            assert abs(float(e[col]) - float(m[col])) <= max(5 * se, 1e-12)
+
+
+@pytest.mark.parametrize("target", ["grid:4", "lshape:3,3"])
+def test_dephase_refuses_oversized_code(capsys, tmp_path, target):
+    """grid:4 has n = 72 > 64 (basis indices are 64-bit); lshape:3,3 has
+    n = 64 but support S = 2^19 above the cap."""
+    path = write_code(capsys, tmp_path, target)
+    code, out, err = run(
+        capsys, "dephase", "--code", str(path), "--kind", "global",
+        "--theta", "1", "--phi", "1", "--gamma", "1", "--t-grid", "0:1:2",
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 def test_dephase_bad_grid_usage_error(capsys):
     code, _, _ = run(
         capsys,

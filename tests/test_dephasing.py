@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from rhombuscode.cli import _parse_target
 from rhombuscode.dephasing import (
     NoiseModel,
+    _Frame,
+    _point_values,
     bloch_and_leakage,
     closed_form,
     code_space_operator,
@@ -19,7 +22,12 @@ from rhombuscode.dephasing import (
     prepare_logical_state,
     sweep_row,
 )
-from rhombuscode.engine import LogicalSet, codeword_zero, logical_basis_state
+from rhombuscode.engine import (
+    LogicalSet,
+    codeword_zero,
+    find_logical_set,
+    logical_basis_state,
+)
 from rhombuscode.lattice import build_named, build_unit
 from rhombuscode.pauli import PauliOperator, apply, multiply, parse_pauli
 from rhombuscode.states import PureState
@@ -57,6 +65,16 @@ def test_decoherence_factor_values():
         math.exp(-1.0)
     )
     assert decoherence_factor(5, 5, model, 3.0, 6) == 1.0
+    # uint64 arrays (indices up to 64 bits) equal the elementwise scalar calls
+    rng = np.random.default_rng(3)
+    for n in (6, 64):
+        a = rng.integers(0, 1 << n, size=40, dtype=np.uint64, endpoint=False)
+        b = rng.integers(0, 1 << n, size=40, dtype=np.uint64, endpoint=False)
+        assert magnetization(a, n).tolist() == [magnetization(int(x), n) for x in a]
+        for m in (model, local, NoiseModel("local", 0.7, convention=2.0)):
+            got = decoherence_factor(a, b, m, 0.9, n)
+            want = [decoherence_factor(int(x), int(y), m, 0.9, n) for x, y in zip(a, b)]
+            assert got.tolist() == want
 
 
 def test_noise_model_validation():
@@ -214,6 +232,47 @@ def test_engine_equals_dense_reference(name, kind):
             recs = bloch_and_leakage(code, logicals, theta, phi, model, ts)
             for t, rec in zip(ts, recs):
                 want = dense_reference(code, logicals, theta, phi, model, t)
+                for got, ref in zip(rec.values(), want):
+                    assert abs(got - ref) < 1e-12
+
+
+def square_damping_forms(frame, model, t):
+    """_Frame.expected_forms through the full S x S damping matrix
+    exp(-gt |spins_p - spins_q|^2 / 2), its kernel written out here."""
+    bits = (frame.support[None, :] >> np.arange(frame.n, dtype=np.uint64)[:, None]) & 1
+    spins = 0.5 - bits.astype(np.float64)
+    if model.kind == "global":
+        spins = spins.sum(axis=0, keepdims=True)
+    sq = (spins * spins).sum(axis=0)
+    dist2 = sq[:, None] + sq[None, :] - 2.0 * (spins.T @ spins)
+    damping = np.exp(-dist2 * model.convention * model.gamma * t / 2.0)
+    right = damping @ frame.cg.T
+    forms = np.empty((6, 2, 2), dtype=np.complex128)
+    for o, (perm, cr) in enumerate(frame.terms):
+        forms[o] = (cr @ damping[perm, np.arange(len(perm))]).reshape(2, 2)
+        pairs = (cr @ right[perm]).reshape(2, 2, 2, 2)
+        forms[3 + o] = frame.pc * (pairs[:, 0, 0] + pairs[:, 1, 1])
+    return forms
+
+
+@pytest.mark.parametrize("target", ["grid_2x2", "lshape:1,1"])
+@pytest.mark.parametrize("kind", ["global", "local"])
+def test_engine_equals_square_damping_reference(target, kind):
+    """The coset/popcount kernel sums against the S x S matrix they replace,
+    on supports (S = 128, 512) larger than any dense-reference code."""
+    code = _parse_target(target)
+    if code.logical_pairs is not None:
+        logicals = LogicalSet(code.logical_pairs)
+    else:
+        logicals = find_logical_set(code)
+    frame = _Frame(code, logicals, 0)
+    ts = [0.0, 0.3, 1.1, 2.7]
+    for convention in (1.0, 2.0):
+        model = NoiseModel(kind, 0.9, convention)
+        for theta, phi in [(0.0, 0.0), (1.1, 0.8), (2.5, 4.0)]:
+            recs = bloch_and_leakage(code, logicals, theta, phi, model, ts)
+            for t, rec in zip(ts, recs):
+                want = _point_values(square_damping_forms(frame, model, t), theta, phi)
                 for got, ref in zip(rec.values(), want):
                     assert abs(got - ref) < 1e-12
 

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from rhombuscode.cli import _parse_target
 from rhombuscode.engine import (
     KL_TOL,
     LogicalSet,
@@ -99,10 +100,11 @@ def test_two_horizontal_transcribed_logicals_fail():
 
 
 @pytest.mark.parametrize(
-    "name", ["unit", "two_horizontal", "two_vertical", "grid_2x2"]
+    # grid:3 has n = 42: synthesis has no qubit cap, only the coset-scan cap
+    "name", ["unit", "two_horizontal", "two_vertical", "grid_2x2", "grid:3"]
 )
 def test_find_logical_set_properties(name):
-    code = build_named(name)
+    code = _parse_target(name)
     logicals = find_logical_set(code)
     assert logicals.k == code.n - stabilizer_rank(code)
     report = verify_logical_set(code, logicals)
