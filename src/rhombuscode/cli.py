@@ -1,7 +1,8 @@
 """Command-line workbench: build codes, verify claims, run noise sweeps.
 
 Exit codes: 0 all checks pass, 1 claim mismatch, 2 infeasible request
-(dephase: n > 64 or codeword support S above DEPHASE_MAX_SUPPORT), 64
+(dephase: n > 64, codeword support S above DEPHASE_MAX_SUPPORT, or Monte
+Carlo work --mc-samples x S x t points above DEPHASE_MAX_MC_WORK), 64
 usage error. Data outputs (CSV/JSON) are byte-identical across reruns
 with the same flags; each --out file gets an <out>.manifest.json sidecar.
 """
@@ -24,6 +25,7 @@ EXIT_INFEASIBLE = 2
 EXIT_USAGE = 64
 
 DEPHASE_MAX_SUPPORT = 1 << 18  # largest codeword support S = 2^(m_x + 1)
+DEPHASE_MAX_MC_WORK = 1 << 32  # samples * S * t points: ~5 min at the MC kernel's 75 ns each
 
 
 class _Parser(argparse.ArgumentParser):
@@ -208,10 +210,12 @@ def cmd_dephase(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         manifest.inputs.append(args.code)
     support = 2 << sum(1 for s in code.stabilizers if s.x_mask)
-    if code.n > 64 or support > DEPHASE_MAX_SUPPORT:
+    work = args.mc_samples * support * len(t_grid)
+    if code.n > 64 or support > DEPHASE_MAX_SUPPORT or work > DEPHASE_MAX_MC_WORK:
         print(
-            f"dephase: needs n <= 64 and codeword support S <= {DEPHASE_MAX_SUPPORT}, "
-            f"got n = {code.n}, S = {support}",
+            f"dephase: needs n <= 64, codeword support S <= {DEPHASE_MAX_SUPPORT} and "
+            f"--mc-samples x S x t points <= {DEPHASE_MAX_MC_WORK}, "
+            f"got n = {code.n}, S = {support}, {args.mc_samples} x {support} x {len(t_grid)}",
             file=sys.stderr,
         )
         return EXIT_INFEASIBLE

@@ -4,15 +4,28 @@ Everything is computed on one sparse frame: the codeword support of the
 designated logical pair, built by engine._SparseCodewords (the type the
 codeword-matrix oracle also uses) from the orbit of |0_L> and its shift by
 Xbar. Dephasing multiplies each support state by a phase u[a], and
-every observable is a quadratic form in u with fixed coefficients. The
-Monte Carlo oracle evaluates the forms on sampled phase trajectories (the
-accumulated phase over time t is Normal(0, gamma*t)), each batch drawn from
-a counter-based stream at an offset set by its first sample, so any thread
-count reproduces the serial result bit for bit. The analytic engine is the
-exact expectation of that estimator: E[conj(u_p) u_q] is decoherence_factor
-of the two basis states (magnetization difference for global noise, Hamming
-distance for local), summed per codeword coset or popcount level, never as
-an S x S matrix. The dense O(2^n) references prepare_logical_state,
+every observable is a quadratic form in u with fixed coefficients.
+
+The Monte Carlo oracle samples u (the phase accumulated over time t is
+Normal(0, gamma*t)). Each normalizer Pauli L_o maps coset k of the support
+to coset k ^ delta_o and the code-space operator is diagonal there, so each
+form has two nonzero entries per sample, F_k at (k ^ delta_o, k): Bloch
+F_k = sum_{c in k} coef_o[c] conj(u[perm_o c]) u[c], leakage F_k = pc
+(sum_{c in k} coef_o[c] conj(u[perm_o c])) (sum_{c in k} g[c] u[c]). A
+point (theta, phi) sees v = Re(y G), G = F_0 + conj(F_1) for coset-flipping
+forms (else Re F_0 + i Re F_1), so batches keep the sums of G, G^2 and
+|G|^2 and every point follows in closed form. In doubling order (state
+p + 2^j is p shifted by generator j, Xbar last) the cosets are the halves
+of the support, and u is built support-major without BLAS from cos + i sin
+of small tables (the distinct magnetizations; or the first MC_DIRECT
+states, then each generator's distinct spin changes), in sub-chunks of
+MC_CHUNK phase factors. Batches read a counter-based stream at offsets set
+by their first sample, so any thread count reproduces the serial result
+bit for bit. The analytic engine is the exact expectation of that
+estimator: E[conj(u_p) u_q] is decoherence_factor of the two basis states
+(magnetization difference for global noise, Hamming distance for local),
+summed per codeword coset or popcount level, never as an S x S matrix.
+The dense O(2^n) references prepare_logical_state,
 dephased_pauli_expectation and code_space_operator serve the tests.
 """
 
@@ -38,6 +51,8 @@ from .states import PureState
 KINDS = ("global", "local")
 REALNESS_TOL = 1e-10
 MC_BATCH = 1 << 16  # samples per Monte Carlo batch on supports S <= 32
+MC_CHUNK = 1 << 14  # phase factors per sub-chunk of a batch (stays in L2)
+MC_DIRECT = 8  # support states whose local-noise phases need no doubling step
 
 
 @dataclass(frozen=True)
@@ -204,19 +219,10 @@ class _Frame:
             for perm, sign in map(words.signed_permutation, (xbar, ybar, zbar))
         ]
         self.cg = (np.conj(b)[:, None] * b).reshape(4, -1)
-
-    def sampled_forms(self, u: np.ndarray) -> np.ndarray:
-        """(6, 2, 2, count) forms for phase vectors u of shape (count, S)."""
-        u = np.ascontiguousarray(u.T)  # support-major, so perm gathers rows
-        uc = np.conj(u)
-        right = (self.cg @ u).reshape(2, 2, -1)
-        forms = np.empty((6, 2, 2, u.shape[1]), dtype=np.complex128)
-        for o, (perm, cr) in enumerate(self.terms):
-            ucp = uc[perm]
-            forms[o] = (cr @ (ucp * u)).reshape(2, 2, -1)
-            left = (cr @ ucp).reshape(2, 2, -1)
-            forms[3 + o] = self.pc * (left[:, :1] * right[0] + left[:, 1:] * right[1])
-        return forms
+        doubled = np.zeros(1, dtype=np.uint64)  # O, then O + Xbar, by generator
+        for mask in [s.x_mask for s in code.stabilizers if s.x_mask] + [xbar.x_mask]:
+            doubled = np.concatenate([doubled, doubled ^ np.uint64(mask)])
+        self.doubling = np.searchsorted(self.support, doubled)
 
     def expected_forms(self, model: NoiseModel, t: float) -> np.ndarray:
         """(6, 2, 2) forms with conj(u_p) u_q replaced by its expectation
@@ -253,21 +259,72 @@ class _Frame:
         the magnetization (global), or one per qubit, its z-spin/2 (local)."""
         if kind == "global":
             return magnetization(self.support, self.n)[None, :] / 2.0
-        bits = (self.support >> np.arange(self.n, dtype=np.uint64)[:, None]) & 1
-        return 0.5 - bits.astype(np.float64)
+        bytes_ = self.support.astype("<u8").view(np.uint8).reshape(-1, 8)
+        return 0.5 - np.unpackbits(bytes_, axis=1, bitorder="little")[:, : self.n].T
 
-    def phase_matrix(
-        self, spins, model: NoiseModel, t: float, seed: int, start: int, count: int
-    ) -> np.ndarray:
-        """U[s, p] = exp(-i normals[s] . spins[:, p]) for sample start + s."""
-        bitgen = np.random.Philox(key=seed)
-        bitgen.advance(start * len(spins))
-        gen = np.random.Generator(bitgen)
-        uniforms = gen.random((count, len(spins)))
-        np.clip(uniforms, 1e-300, 1.0 - 1e-16, out=uniforms)
-        scale = math.sqrt(model.convention * model.gamma * t) if t > 0 else 0.0
-        normals = ndtri(uniforms) * scale
-        return np.exp(-1j * (normals @ spins))
+
+class _CosetKernel:
+    """Per-batch Monte Carlo moments of a frame's forms at time t (see the
+    module docstring), on the support in the frame's doubling order."""
+
+    def __init__(self, frame: _Frame, model: NoiseModel, t: float):
+        order, terms, rank = frame.doubling, frame.terms, np.argsort(frame.doubling)
+        self.pc, self.g = frame.pc, frame.cg.sum(axis=0)[order, None]
+        self.forms = [(rank[perm[order]], cr.sum(axis=0)[order, None]) for perm, cr in terms]
+        self.flips = np.array([frame.label[perm[0]] != frame.label[0] for perm, _ in terms] * 2)
+        self.scale = math.sqrt(model.convention * model.gamma * t) if t > 0 else 0.0
+        spins = -frame.spins(model.kind)[:, order]  # u = exp(i normals . spins)
+        self.fields, self.size = spins.shape
+        self.chunk = max(1, MC_CHUNK // self.size)
+        hi = self.size if model.kind == "global" else min(self.size, MC_DIRECT)
+        self.steps, lo = [], 0
+        while lo < self.size:  # u[lo:hi] = u[:hi - lo] * exp(i normals . change)
+            change = spins[:, lo:hi] - (spins[:, : hi - lo] if lo else 0.0)
+            fields = np.flatnonzero(np.any(change, axis=1))
+            table, index = np.unique(change[fields].T, axis=0, return_inverse=True)
+            self.steps.append((lo, hi, fields, table, index.ravel()))
+            lo, hi = hi, 2 * hi
+
+    def moments(self, seed: int, start: int, count: int) -> np.ndarray:
+        """(6, 3) sums of G, G^2 and |G|^2 over samples start .. start + count - 1."""
+        gen = np.random.Generator(np.random.Philox(key=seed).advance(start * self.fields))
+        total = np.zeros((6, 3), dtype=np.complex128)
+        buffer = np.empty((9, self.size, min(self.chunk, count)), dtype=np.complex128)
+        for lo in range(0, count, self.chunk):
+            uniforms = gen.random((min(self.chunk, count - lo), self.fields))
+            np.clip(uniforms, 1e-300, 1.0 - 1e-16, out=uniforms)
+            normals = np.ascontiguousarray(ndtri(uniforms).T) * self.scale
+            width = normals.shape[1]
+            u, uc, parts = buffer[0, :, :width], buffer[1, :, :width], buffer[2:, :, :width]
+            for lo_, hi, fields, table, index in self.steps:
+                angles = np.einsum("tw,wc->tc", table, normals[fields])
+                phases = np.empty(angles.shape, dtype=np.complex128)
+                np.cos(angles, out=phases.real)
+                np.sin(angles, out=phases.imag)
+                np.take(phases, index, axis=0, out=u[lo_:hi], mode="clip")
+                if lo_:
+                    u[lo_:hi] *= u[: hi - lo_]
+            np.conj(u, out=uc)
+            np.multiply(self.g, u, out=parts[0])
+            for o, (perm, coef) in enumerate(self.forms):
+                np.take(uc, perm, axis=0, out=parts[1 + 2 * o], mode="clip")
+                parts[1 + 2 * o] *= coef
+                np.multiply(parts[1 + 2 * o], u, out=parts[2 + 2 * o])
+            sums = np.einsum("kqhc->kqc", parts.reshape(7, 2, -1, width))
+            forms = np.concatenate([sums[2::2], self.pc * sums[1::2] * sums[0]])
+            g = forms[:, 0] + np.conj(forms[:, 1])
+            g[~self.flips] = forms[~self.flips, 0].real + 1j * forms[~self.flips, 1].real
+            total += np.stack([g.sum(-1), (g * g).sum(-1), (g * np.conj(g)).sum(-1)], 1)
+        return total
+
+
+def _point_sums(moments: np.ndarray, flips: np.ndarray, theta: float, phi: float) -> np.ndarray:
+    """(6, 2) sums of v and v^2 for the state c_0|0_L> + c_1|1_L>, where
+    v = Re(y G): v^2 = (Re(y^2 G^2) + |y G|^2) / 2."""
+    c0, c1 = math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)
+    y = np.where(flips, np.conj(c1) * c0, c0 * c0 - 1j * abs(c1) ** 2)
+    square = (y * y * moments[:, 1] + abs(y) ** 2 * moments[:, 2]).real
+    return np.stack([(y * moments[:, 0]).real, 0.5 * square], axis=1)
 
 
 def _point_values(forms: np.ndarray, theta: float, phi: float) -> np.ndarray:
@@ -354,38 +411,26 @@ def monte_carlo_grid(
 ) -> List[ObservableRecord]:
     """Monte Carlo means and standard errors for several (theta, phi) points.
 
-    One common set of phase trajectories serves every point. The cost grows
-    as samples * S for the support size S (times n under local noise);
-    batches hold MC_BATCH * 32 phase factors at most (MC_BATCH samples for
-    S <= 32) and read disjoint Philox counter ranges. The split depends on S
-    only, so results are bit-identical for any thread count.
+    One common set of phase trajectories serves every point: batches return
+    the sums of G, G^2 and |G|^2 (see the module docstring) and each point
+    follows from their total. The cost grows as samples * S for the support
+    size S; batches hold MC_BATCH * 32 phase factors at most (MC_BATCH
+    samples for S <= 32) and read disjoint Philox counter ranges, so results
+    are bit-identical for any thread count. Threads run whole batches (those
+    beyond ceil(samples / batch) sit idle) and need no OPENBLAS_NUM_THREADS
+    setting: the kernel calls no BLAS.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    frame = _Frame(code, logicals, pair_index)
-    spins = frame.spins(model.kind)
-    batch = max(1, min(MC_BATCH, (MC_BATCH << 5) // len(frame.support)))
-    starts = list(range(0, samples, batch))
+    kernel = _CosetKernel(_Frame(code, logicals, pair_index), model, t)
+    batch = max(1, min(MC_BATCH, (MC_BATCH << 5) // kernel.size))
 
     def run(start: int) -> np.ndarray:
-        """(len(points), 6, 2) array of per-batch [sum v, sum v^2]."""
-        count = min(batch, samples - start)
-        forms = frame.sampled_forms(frame.phase_matrix(spins, model, t, seed, start, count))
-        out = np.empty((len(points), 6, 2))
-        for ip, (theta, phi) in enumerate(points):
-            v = _point_values(forms, theta, phi).real
-            out[ip, :, 0] = v.sum(axis=1)
-            out[ip, :, 1] = (v * v).sum(axis=1)
-        return out
+        return kernel.moments(seed, start, min(batch, samples - start))
 
-    if threads <= 1:
-        partials = [run(s) for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run, starts))
-    total = np.zeros((len(points), 6, 2))
-    for part in partials:  # fixed batch order => deterministic reduction
-        total += part
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        moments = sum(pool.map(run, range(0, samples, batch)))  # in batch order
+    total = np.stack([_point_sums(moments, kernel.flips, *p) for p in points])
     means = total[:, :, 0] / samples
     if samples > 1:
         var = (total[:, :, 1] - samples * means**2) / (samples - 1)
@@ -408,17 +453,8 @@ def monte_carlo_oracle(
     threads: int = 1,
 ) -> ObservableRecord:
     """Trajectory-averaged observables with standard errors at one point."""
-    return monte_carlo_grid(
-        code,
-        logicals,
-        [(theta, phi)],
-        model,
-        t,
-        samples,
-        seed,
-        pair_index=pair_index,
-        threads=threads,
-    )[0]
+    args = (model, t, samples, seed, pair_index, threads)
+    return monte_carlo_grid(code, logicals, [(theta, phi)], *args)[0]
 
 
 # --- sweep CSV ----------------------------------------------------------------

@@ -204,6 +204,21 @@ def test_dephase_refuses_oversized_code(capsys, tmp_path, target):
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
+def test_dephase_refuses_unbounded_monte_carlo(capsys, tmp_path):
+    """lshape:1,4 (S = 2^18) is within the support cap, but 10^6 samples at
+    3 t points exceed DEPHASE_MAX_MC_WORK: exit 2 before any frame is built."""
+    path = write_code(capsys, tmp_path, "lshape:1,4")
+    code, out, err = run(
+        capsys, "dephase", "--code", str(path), "--kind", "local",
+        "--theta", "1", "--phi", "1", "--gamma", "1", "--t-grid", "0:1:3",
+        "--mc-samples", "1000000", "--seed", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert "--mc-samples" in err
+
+
 def test_dephase_bad_grid_usage_error(capsys):
     code, _, _ = run(
         capsys,

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from rhombuscode.cli import _parse_target
 from rhombuscode.dephasing import (
+    MC_BATCH,
     NoiseModel,
     _Frame,
     _point_values,
@@ -324,6 +326,87 @@ def test_mc_grid_matches_pointwise():
             code, logicals, theta, phi, model, 0.5, 20_000, seed=5
         )
         assert single == rec  # same trajectories, same arithmetic
+
+
+def per_sample_reference(code, logicals, points, model, t, samples, seed):
+    """Monte Carlo means and SEs from the per-sample estimator the coset
+    kernel replaces: each batch's phases exp(-i normals . spins) from the same
+    Philox offsets, dense (6, 2, 2) forms from frame.terms and frame.cg, then
+    _point_values and per-sample sums of v and v^2."""
+    frame = _Frame(code, logicals, 0)
+    spins = frame.spins(model.kind)
+    batch = max(1, min(MC_BATCH, (MC_BATCH << 5) // len(frame.support)))
+    scale = math.sqrt(model.convention * model.gamma * t)
+    sums = np.zeros((len(points), 6, 2))
+    for start in range(0, samples, batch):
+        count = min(batch, samples - start)
+        bitgen = np.random.Philox(key=seed)
+        bitgen.advance(start * len(spins))
+        uniforms = np.random.Generator(bitgen).random((count, len(spins)))
+        normals = ndtri(np.clip(uniforms, 1e-300, 1.0 - 1e-16)) * scale
+        u = np.exp(-1j * (normals @ spins)).T
+        uc = np.conj(u)
+        right = (frame.cg @ u).reshape(2, 2, -1)
+        forms = np.empty((6, 2, 2, count), dtype=np.complex128)
+        for o, (perm, cr) in enumerate(frame.terms):
+            forms[o] = (cr @ (uc[perm] * u)).reshape(2, 2, -1)
+            left = (cr @ uc[perm]).reshape(2, 2, -1)
+            forms[3 + o] = frame.pc * (left[:, :1] * right[0] + left[:, 1:] * right[1])
+        for ip, (theta, phi) in enumerate(points):
+            v = _point_values(forms, theta, phi).real
+            sums[ip, :, 0] += v.sum(axis=1)
+            sums[ip, :, 1] += (v * v).sum(axis=1)
+    means = sums[:, :, 0] / samples
+    var = (sums[:, :, 1] - samples * means**2) / (samples - 1)
+    return means, np.sqrt(np.maximum(var, 0.0) / samples)
+
+
+@pytest.mark.parametrize(
+    "target, samples",  # >= 3 batches (2^21 / S samples, at most 2^16), the last ragged
+    [("unit", 3 * MC_BATCH + 4321), ("two_vertical", 3 * MC_BATCH + 999),
+     ("grid_2x2", 3 * (1 << 14) + 2500), ("lshape:1,1", 3 * (1 << 12) + 777)],
+)
+@pytest.mark.parametrize("kind", ["global", "local"])
+def test_mc_moments_match_per_sample_reference(target, samples, kind):
+    """The point-independent coset moments reproduce the per-sample
+    estimator: means to 1e-14, SEs to 1e-9 relative. r_z is constant per
+    sample, so both SEs of it are round-off (below 1e-8) and only agree to
+    1e-10 absolute."""
+    code = _parse_target(target)
+    if code.logical_pairs is not None:
+        logicals = LogicalSet(code.logical_pairs)
+    else:
+        logicals = find_logical_set(code)
+    model = NoiseModel(kind, 0.9)
+    points = [(0.4, 0.3), (1.7, 2.2), (2.9, 5.1)]
+    recs = monte_carlo_grid(code, logicals, points, model, 0.7, samples, seed=31, threads=2)
+    means, ses = per_sample_reference(code, logicals, points, model, 0.7, samples, 31)
+    for rec, mean, se in zip(recs, means, ses):
+        assert np.abs(np.array(rec.values()) - mean).max() < 1e-14
+        for got, want in zip(rec.errors(), se):
+            if want > 1e-8:
+                assert abs(got - want) <= 1e-9 * want
+            else:
+                assert abs(got - want) <= 1e-10
+
+
+def test_mc_thread_and_batch_invariant_beyond_unit_cell():
+    """grid_2x2 (S = 128) splits into batches of 2^14 samples and sub-chunks
+    of MC_CHUNK / S; a sample count that is no multiple of either gives the
+    same records for any thread count, and a grid equals its points run
+    one at a time (two_vertical)."""
+    code = build_named("grid_2x2")
+    logicals = LogicalSet(code.logical_pairs)
+    model = NoiseModel("local", 0.8)
+    args = (code, logicals, 1.3, 0.6, model, 0.9, 3 * (1 << 14) + 77)
+    assert len({monte_carlo_oracle(*args, seed=4, threads=k) for k in (1, 2, 3)}) == 1
+    code = build_named("two_vertical")
+    logicals = LogicalSet(code.logical_pairs)
+    points = [(0.5, 0.1), (2.2, 3.3), (1.0, 5.9)]
+    model = NoiseModel("global", 1.1)
+    grid = monte_carlo_grid(code, logicals, points, model, 0.4, 70_001, seed=6, threads=2)
+    for (theta, phi), rec in zip(points, grid):
+        assert rec == monte_carlo_oracle(code, logicals, theta, phi, model, 0.4, 70_001, seed=6)
 
 
 # --- CSV formatting ---------------------------------------------------------------
