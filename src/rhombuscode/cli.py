@@ -229,7 +229,22 @@ def cmd_dephase(args: argparse.Namespace) -> int:
     engine_records = dephasing.bloch_and_leakage(
         code, logicals, args.theta, args.phi, model, t_grid
     )
-    for t, rec in zip(t_grid, engine_records):
+    mc_records = (
+        dephasing.monte_carlo_sweep(
+            code,
+            logicals,
+            args.theta,
+            args.phi,
+            model,
+            t_grid,
+            args.mc_samples,
+            args.seed,
+            threads=args.threads,
+        )
+        if args.mc_samples > 0
+        else [None] * len(t_grid)
+    )
+    for t, rec, mc in zip(t_grid, engine_records, mc_records):
         lines.append(
             dephasing.sweep_row(rec, args.gamma, args.theta, args.phi, args.kind, "engine")
         )
@@ -239,18 +254,7 @@ def cmd_dephase(args: argparse.Namespace) -> int:
                 closed, args.gamma, args.theta, args.phi, args.kind, "closed_form"
             )
         )
-        if args.mc_samples > 0:
-            mc = dephasing.monte_carlo_oracle(
-                code,
-                logicals,
-                args.theta,
-                args.phi,
-                model,
-                t,
-                args.mc_samples,
-                args.seed,
-                threads=args.threads,
-            )
+        if mc is not None:
             lines.append(
                 dephasing.sweep_row(
                     mc, args.gamma, args.theta, args.phi, args.kind, "monte_carlo"

@@ -19,12 +19,14 @@ p + 2^j is p shifted by generator j, Xbar last) the cosets are the halves
 of the support, and u is built support-major without BLAS from cos + i sin
 of small tables (the distinct magnetizations; or the first MC_DIRECT
 states, then each generator's distinct spin changes), in sub-chunks of
-MC_CHUNK phase factors. Batches read a counter-based stream at offsets set
-by their first sample, so any thread count reproduces the serial result
-bit for bit. The analytic engine is the exact expectation of that
-estimator: E[conj(u_p) u_q] is decoherence_factor of the two basis states
-(magnetization difference for global noise, Hamming distance for local),
-summed per codeword coset or popcount level, never as an S x S matrix.
+MC_CHUNK phase factors. Time enters only as the scale of the normals, so
+one kernel serves every t of a sweep. Batches read a counter-based stream
+at offsets set by their first sample, so any thread count reproduces the
+serial result bit for bit. The analytic engine is the exact expectation
+of that estimator: E[conj(u_p) u_q] is decoherence_factor of the two basis
+states (magnetization difference for global noise, Hamming distance for
+local), summed per codeword coset or popcount level, never as an S x S
+matrix.
 The dense O(2^n) references prepare_logical_state,
 dephased_pauli_expectation and code_space_operator serve the tests.
 """
@@ -264,19 +266,20 @@ class _Frame:
 
 
 class _CosetKernel:
-    """Per-batch Monte Carlo moments of a frame's forms at time t (see the
-    module docstring), on the support in the frame's doubling order."""
+    """Per-batch Monte Carlo moments of a frame's forms (see the module
+    docstring), on the support in the frame's doubling order. Time enters
+    only as the scale of the normals, so one kernel serves every t."""
 
-    def __init__(self, frame: _Frame, model: NoiseModel, t: float):
+    def __init__(self, frame: _Frame, kind: str):
         order, terms, rank = frame.doubling, frame.terms, np.argsort(frame.doubling)
+        self.kind = kind
         self.pc, self.g = frame.pc, frame.cg.sum(axis=0)[order, None]
         self.forms = [(rank[perm[order]], cr.sum(axis=0)[order, None]) for perm, cr in terms]
         self.flips = np.array([frame.label[perm[0]] != frame.label[0] for perm, _ in terms] * 2)
-        self.scale = math.sqrt(model.convention * model.gamma * t) if t > 0 else 0.0
-        spins = -frame.spins(model.kind)[:, order]  # u = exp(i normals . spins)
+        spins = -frame.spins(kind)[:, order]  # u = exp(i normals . spins)
         self.fields, self.size = spins.shape
         self.chunk = max(1, MC_CHUNK // self.size)
-        hi = self.size if model.kind == "global" else min(self.size, MC_DIRECT)
+        hi = self.size if kind == "global" else min(self.size, MC_DIRECT)
         self.steps, lo = [], 0
         while lo < self.size:  # u[lo:hi] = u[:hi - lo] * exp(i normals . change)
             change = spins[:, lo:hi] - (spins[:, : hi - lo] if lo else 0.0)
@@ -285,15 +288,16 @@ class _CosetKernel:
             self.steps.append((lo, hi, fields, table, index.ravel()))
             lo, hi = hi, 2 * hi
 
-    def moments(self, seed: int, start: int, count: int) -> np.ndarray:
-        """(6, 3) sums of G, G^2 and |G|^2 over samples start .. start + count - 1."""
+    def moments(self, seed: int, start: int, count: int, scale: float) -> np.ndarray:
+        """(6, 3) sums of G, G^2 and |G|^2 over samples start .. start + count - 1,
+        whose phases are normals of standard deviation scale."""
         gen = np.random.Generator(np.random.Philox(key=seed).advance(start * self.fields))
         total = np.zeros((6, 3), dtype=np.complex128)
         buffer = np.empty((9, self.size, min(self.chunk, count)), dtype=np.complex128)
         for lo in range(0, count, self.chunk):
             uniforms = gen.random((min(self.chunk, count - lo), self.fields))
             np.clip(uniforms, 1e-300, 1.0 - 1e-16, out=uniforms)
-            normals = np.ascontiguousarray(ndtri(uniforms).T) * self.scale
+            normals = np.ascontiguousarray(ndtri(uniforms).T) * scale
             width = normals.shape[1]
             u, uc, parts = buffer[0, :, :width], buffer[1, :, :width], buffer[2:, :, :width]
             for lo_, hi, fields, table, index in self.steps:
@@ -408,6 +412,7 @@ def monte_carlo_grid(
     seed: int,
     pair_index: int = 0,
     threads: int = 1,
+    kernel: Optional[_CosetKernel] = None,
 ) -> List[ObservableRecord]:
     """Monte Carlo means and standard errors for several (theta, phi) points.
 
@@ -418,15 +423,21 @@ def monte_carlo_grid(
     samples for S <= 32) and read disjoint Philox counter ranges, so results
     are bit-identical for any thread count. Threads run whole batches (those
     beyond ceil(samples / batch) sit idle) and need no OPENBLAS_NUM_THREADS
-    setting: the kernel calls no BLAS.
+    setting: the kernel calls no BLAS. kernel, the _CosetKernel of (code,
+    logicals, pair_index, model.kind), is built here when None;
+    monte_carlo_sweep passes one so that every t point shares it.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    kernel = _CosetKernel(_Frame(code, logicals, pair_index), model, t)
+    if kernel is None:
+        kernel = _CosetKernel(_Frame(code, logicals, pair_index), model.kind)
+    elif kernel.kind != model.kind:
+        raise ValueError(f"kernel built for {kernel.kind} noise, model is {model.kind}")
+    scale = math.sqrt(model.convention * model.gamma * t) if t > 0 else 0.0
     batch = max(1, min(MC_BATCH, (MC_BATCH << 5) // kernel.size))
 
     def run(start: int) -> np.ndarray:
-        return kernel.moments(seed, start, min(batch, samples - start))
+        return kernel.moments(seed, start, min(batch, samples - start), scale)
 
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         moments = sum(pool.map(run, range(0, samples, batch)))  # in batch order
@@ -455,6 +466,29 @@ def monte_carlo_oracle(
     """Trajectory-averaged observables with standard errors at one point."""
     args = (model, t, samples, seed, pair_index, threads)
     return monte_carlo_grid(code, logicals, [(theta, phi)], *args)[0]
+
+
+def monte_carlo_sweep(
+    code: CodeSpec,
+    logicals: LogicalSet,
+    theta: float,
+    phi: float,
+    model: NoiseModel,
+    t_grid: Sequence[float],
+    samples: int,
+    seed: int,
+    pair_index: int = 0,
+    threads: int = 1,
+) -> List[ObservableRecord]:
+    """monte_carlo_oracle at every t of t_grid, with the frame and the kernel
+    tables built once; each record equals the single-t call."""
+    kernel = _CosetKernel(_Frame(code, logicals, pair_index), model.kind)
+    return [
+        monte_carlo_grid(
+            code, logicals, [(theta, phi)], model, t, samples, seed, pair_index, threads, kernel
+        )[0]
+        for t in t_grid
+    ]
 
 
 # --- sweep CSV ----------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -160,10 +160,7 @@ def verify_logical_set(code: CodeSpec, logicals: LogicalSet) -> VerificationRepo
     reduced, pivots = gf2.row_reduce(_symplectic_rows(code), 2 * code.n)
     rank = len(reduced)
     report = VerificationReport(
-        commuting=all(
-            commutes(a, b)
-            for a, b in itertools.combinations(code.stabilizers, 2)
-        ),
+        commuting=pauli.first_anticommuting_pair(code.stabilizers) is None,
         rank=rank,
         k=code.n - rank,
     )
@@ -294,14 +291,6 @@ def _pauli_of(support: Sequence[int], letters: Sequence[str], n: int) -> PauliOp
     return PauliOperator(n, x, z, 0)
 
 
-def _qubits(mask: int) -> Iterator[int]:
-    """Set bit positions of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _scan_weight(
     n: int, w: int, accept: Callable[[Tuple[int, ...], Tuple[str, ...]], bool]
 ) -> Optional[Tuple[Tuple[int, ...], Tuple[str, ...]]]:
@@ -341,14 +330,8 @@ def distance_symplectic(
     reduced, pivots = _stabilizer_echelon(code)
     n = code.n
     # syndrome[letter][q]: stabilizers the single-qubit Pauli anticommutes with
-    syn_x = [0] * n
-    syn_z = [0] * n
-    for i, s in enumerate(code.stabilizers):
-        for q in _qubits(s.z_mask):
-            syn_x[q] |= 1 << i
-        for q in _qubits(s.x_mask):
-            syn_z[q] |= 1 << i
-    syndrome = {"X": syn_x, "Y": [a ^ b for a, b in zip(syn_x, syn_z)], "Z": syn_z}
+    x_cols, z_cols = pauli.qubit_columns(code.stabilizers, n)
+    syndrome = {"X": z_cols, "Y": [a ^ b for a, b in zip(x_cols, z_cols)], "Z": x_cols}
 
     def undetected_logical(support, letters) -> bool:
         syn = 0

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .gf2 import _set_bits
 from .states import PureState
 
 _TOKEN = re.compile(r"([XYZ])([0-9]+)")
@@ -89,20 +90,19 @@ def to_string(a: PauliOperator) -> str:
     """Serialize with factors in ascending qubit order, identity sites omitted.
 
     A nontrivial overall phase is emitted as a ``+i``/``-``/``-i`` prefix.
+    Only the support is visited, so the cost is linear in the weight.
     """
     parts = []
     n_y = 0
-    for q in range(a.n):
-        bit = 1 << q
-        has_x = bool(a.x_mask & bit)
-        has_z = bool(a.z_mask & bit)
-        if has_x and has_z:
-            parts.append(f"Y{q + 1}")
+    for low in _set_bits(a.x_mask | a.z_mask):
+        label = low.bit_length()
+        if not a.z_mask & low:
+            parts.append(f"X{label}")
+        elif not a.x_mask & low:
+            parts.append(f"Z{label}")
+        else:
+            parts.append(f"Y{label}")
             n_y += 1
-        elif has_x:
-            parts.append(f"X{q + 1}")
-        elif has_z:
-            parts.append(f"Z{q + 1}")
     shown = (a.phase - n_y) % 4
     prefix = ("", "+i", "-", "-i")[shown]
     return prefix + "".join(parts)
@@ -123,6 +123,41 @@ def commutes(a: PauliOperator, b: PauliOperator) -> bool:
         raise ValueError("qubit count mismatch")
     par = (a.x_mask & b.z_mask).bit_count() + (a.z_mask & b.x_mask).bit_count()
     return par % 2 == 0
+
+
+def qubit_columns(ops: Sequence[PauliOperator], n: int) -> Tuple[List[int], List[int]]:
+    """The n-qubit ops transposed to per-qubit masks over the operators: bit
+    g of x_cols[q] (z_cols[q]) is set when ops[g] carries X or Y (Z or Y) on
+    qubit q. Costs O(total weight) big-int updates."""
+    if any(a.n != n for a in ops):
+        raise ValueError("qubit count mismatch")
+    x_cols, z_cols = [0] * n, [0] * n
+    for g, a in enumerate(ops):
+        for cols, mask in ((x_cols, a.x_mask), (z_cols, a.z_mask)):
+            for low in _set_bits(mask):
+                cols[low.bit_length() - 1] |= 1 << g
+    return x_cols, z_cols
+
+
+def first_anticommuting_pair(ops: Sequence[PauliOperator]) -> Optional[Tuple[int, int]]:
+    """(i, j) of the first anticommuting pair in itertools.combinations
+    order, or None when all of ops commute.
+
+    Bit j of the XOR of z_cols over the X-support of ops[i] and x_cols over
+    its Z-support (see qubit_columns) is the symplectic product of ops[i]
+    and ops[j], so the cost is O(total weight) big-int XORs, not O(m^2)
+    pair tests.
+    """
+    x_cols, z_cols = qubit_columns(ops, ops[0].n if ops else 0)
+    for i, a in enumerate(ops):
+        odd = 0
+        for cols, mask in ((z_cols, a.x_mask), (x_cols, a.z_mask)):
+            for low in _set_bits(mask):
+                odd ^= cols[low.bit_length() - 1]
+        later = odd >> (i + 1)
+        if later:
+            return i, i + (later & -later).bit_length()
+    return None
 
 
 def weight(a: PauliOperator) -> int:

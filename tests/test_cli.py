@@ -1,5 +1,6 @@
 """CLI workbench: exit codes, output formats, and byte-level determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -45,6 +46,20 @@ def test_build_bad_target_usage_error(capsys, target):
     code, _, err = run(capsys, "build", target)
     assert code == 64
     assert err
+
+
+@pytest.mark.parametrize("target, digest", [
+    ("grid:12", "aae7b6c659531d72a006d2224cfee1cfaf1a8e86be207f5cd04cb543d51b1c19"),
+    ("grid:20", "d014779bc3c62713fda415840d2a4d0a88c64f1b493ff892c308ae0cff193fec"),
+    ("lshape:2,1,matrix", "53888c51006af4c8af0f60e79814c1d3dc9493492bbd008e5c02c04f51ae5143"),
+    ("lshape:3,3", "348ded230bc3cb3436c420473395a37d40ed65dd1e780eabb210ea31b5770020"),
+])
+def test_build_output_pinned(capsys, target, digest):
+    """sha256 of the build JSON, so that construction and serialization
+    cannot drift."""
+    code, out, _ = run(capsys, "build", target)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # --- verify ----------------------------------------------------------------

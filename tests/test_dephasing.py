@@ -10,6 +10,7 @@ from rhombuscode.cli import _parse_target
 from rhombuscode.dephasing import (
     MC_BATCH,
     NoiseModel,
+    _CosetKernel,
     _Frame,
     _point_values,
     bloch_and_leakage,
@@ -21,6 +22,7 @@ from rhombuscode.dephasing import (
     magnetization,
     monte_carlo_grid,
     monte_carlo_oracle,
+    monte_carlo_sweep,
     prepare_logical_state,
     sweep_row,
 )
@@ -407,6 +409,27 @@ def test_mc_thread_and_batch_invariant_beyond_unit_cell():
     grid = monte_carlo_grid(code, logicals, points, model, 0.4, 70_001, seed=6, threads=2)
     for (theta, phi), rec in zip(points, grid):
         assert rec == monte_carlo_oracle(code, logicals, theta, phi, model, 0.4, 70_001, seed=6)
+
+
+@pytest.mark.parametrize("target", ["unit", "grid_2x2", "lshape:1,1"])
+@pytest.mark.parametrize("kind", ["global", "local"])
+def test_mc_sweep_shares_one_kernel_across_t(target, kind):
+    """A sweep over t (one frame and kernel) equals a fresh single-t call at
+    every t, bit for bit; a kernel of the other noise kind is refused."""
+    code = _parse_target(target)
+    if code.logical_pairs is not None:
+        logicals = LogicalSet(code.logical_pairs)
+    else:
+        logicals = find_logical_set(code)
+    model = NoiseModel(kind, 0.7)
+    t_grid = [0.0, 0.35, 1.2]
+    sweep = monte_carlo_sweep(code, logicals, 1.1, 0.3, model, t_grid, 5001, seed=9, threads=2)
+    assert sweep == [
+        monte_carlo_oracle(code, logicals, 1.1, 0.3, model, t, 5001, seed=9) for t in t_grid
+    ]
+    other = _CosetKernel(_Frame(code, logicals, 0), "local" if kind == "global" else "global")
+    with pytest.raises(ValueError, match="kernel built for"):
+        monte_carlo_grid(code, logicals, [(1.1, 0.3)], model, 0.5, 10, 9, kernel=other)
 
 
 # --- CSV formatting ---------------------------------------------------------------

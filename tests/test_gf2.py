@@ -1,6 +1,7 @@
 """GF(2) bitmask linear algebra against a numpy mod-2 oracle."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,3 +70,61 @@ def test_row_reduce_idempotent_and_pivots():
     for r, p in zip(reduced, pivots):
         assert (r >> p) & 1
         assert all(((other >> p) & 1) == 0 for other in reduced if other != r)
+
+
+def reference_row_reduce(rows, n_cols):
+    """Reduced row echelon form by a column-by-column scan over every row."""
+    work = list(rows)
+    pivots = []
+    rank = 0
+    for col in range(n_cols):
+        pivot = next((i for i in range(rank, len(work)) if (work[i] >> col) & 1), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for i in range(len(work)):
+            if i != rank and ((work[i] >> col) & 1):
+                work[i] ^= work[rank]
+        pivots.append(col)
+        rank += 1
+    return work[:rank], pivots
+
+
+@st.composite
+def row_sets(draw):
+    """Rows on up to 80 columns, dense or banded, with dependent rows mixed in."""
+    n_cols = draw(st.integers(1, 80))
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.integers(0, (1 << n_cols) - 1), max_size=24))
+    else:
+        band = draw(st.integers(1, min(8, n_cols)))
+        rows = [draw(st.integers(0, (1 << band) - 1)) << draw(st.integers(0, n_cols - band))
+                for _ in range(draw(st.integers(0, 24)))]
+    for _ in range(draw(st.integers(0, 4))):
+        if rows:
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            rows.append(rows[i] ^ rows[j])
+    return rows, n_cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_sets())
+def test_row_reduce_matches_column_scan(case):
+    rows, n_cols = case
+    assert gf2.row_reduce(rows, n_cols) == reference_row_reduce(rows, n_cols)
+
+
+def test_row_reduce_matches_column_scan_on_lattice_codes():
+    from rhombuscode.cli import _parse_target
+    from rhombuscode.engine import _symplectic_rows
+
+    for target in ("grid:1", "grid:4", "grid:7", "lshape:2,1,matrix", "lshape:2,2"):
+        code = _parse_target(target)
+        rows = _symplectic_rows(code)
+        assert gf2.row_reduce(rows, 2 * code.n) == reference_row_reduce(rows, 2 * code.n)
+
+
+@pytest.mark.parametrize("row", [-1, 1 << 10])
+def test_row_reduce_rejects_bits_outside_the_columns(row):
+    with pytest.raises(ValueError, match="outside columns"):
+        gf2.row_reduce([0b11, row], 10)

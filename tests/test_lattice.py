@@ -1,10 +1,14 @@
 """Lattice construction: golden listings, family counting, layout, JSON."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rhombuscode.engine import stabilizer_rank
+from rhombuscode.engine import require_independent, stabilizer_rank
 from rhombuscode.lattice import (
     NAMED_CODES,
+    CodeSpec,
+    _adjacency,
     build_named,
     build_unit,
     code_from_json,
@@ -14,7 +18,7 @@ from rhombuscode.lattice import (
     stack_grid,
     stack_l_shape,
 )
-from rhombuscode.pauli import to_string
+from rhombuscode.pauli import parse_pauli, to_string
 
 UNIT_STABILIZERS = ("X1X2X3X4", "X3X4X5X6", "Z1Z3Z5", "Z2Z4Z6")
 
@@ -139,6 +143,39 @@ def test_layout_adjacency_reproduces_stabilizer_supports(p):
     assert {frozenset(adj) for adj in layout.z_adjacency} == z_supports
 
 
+def unit_distance_adjacency(data, ancillae):
+    """_adjacency as the O(N^2) predicate dx^2 + 3 dy^2 == 4."""
+    return tuple(
+        tuple(
+            i + 1
+            for i, (dx, dy) in enumerate(data)
+            if (ax - dx) ** 2 + 3 * (ay - dy) ** 2 == 4
+        )
+        for ax, ay in ancillae
+    )
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_adjacency_matches_unit_distance_predicate(p):
+    layout = layout_coordinates(p)
+    data = layout.data_coords
+    for ancillae, adjacency in (
+        (layout.x_ancilla_coords, layout.x_adjacency),
+        (layout.z_ancilla_coords, layout.z_adjacency),
+    ):
+        assert adjacency == unit_distance_adjacency(data, ancillae)
+
+
+points = st.tuples(st.integers(-6, 6), st.integers(-4, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(points, max_size=60, unique=True), st.lists(points, max_size=12))
+def test_adjacency_matches_predicate_on_random_points(data, ancillae):
+    data, ancillae = tuple(data), tuple(ancillae)
+    assert _adjacency(data, ancillae) == unit_distance_adjacency(data, ancillae)
+
+
 def test_layout_coords_distinct():
     layout = layout_coordinates(2)
     everything = (
@@ -175,3 +212,26 @@ def test_json_round_trip_generated():
 def test_json_rejects_garbage():
     with pytest.raises((ValueError, KeyError)):
         code_from_json("{}")
+
+
+# --- validation and scale -------------------------------------------------------
+
+
+def test_anticommuting_stabilizers_name_the_first_pair():
+    """The first anticommuting pair in combinations order is (X1, Z1Z2), not
+    one involving the first generator; (Z1Z2, X2) anticommutes too."""
+    stabs = tuple(parse_pauli(t, 3) for t in ("Z3", "X1", "Z1Z2", "X2"))
+    with pytest.raises(ValueError) as exc:
+        CodeSpec(3, stabs)
+    assert str(exc.value) == "stabilizers X1 and Z1Z2 anticommute"
+
+
+def test_stack_grid_40_builds_round_trips_and_is_independent():
+    """n = 6480, m = 3280: construction, the commutation check, adjacency,
+    JSON and the rank check stay near-linear at this size."""
+    code = stack_grid(40)
+    assert (code.n, code.m) == (6480, 3280)
+    back = code_from_json(code_to_json(code))
+    assert back.stabilizers == code.stabilizers
+    assert back.layout == code.layout
+    assert require_independent(back) == 3200

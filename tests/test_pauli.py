@@ -1,5 +1,7 @@
 """Pauli group arithmetic against a dense Kronecker-product oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from rhombuscode.pauli import (
     PauliOperator,
     apply,
     commutes,
+    first_anticommuting_pair,
     from_symplectic_vector,
     identity,
     multiply,
@@ -199,3 +202,120 @@ def test_apply_is_group_homomorphism(a, b):
     via_product = apply(multiply(a, b), state)
     via_sequence = apply(a, apply(b, state))
     assert via_product.isclose(via_sequence)
+
+
+# --- support-linear kernels against their O(n) / O(m^2) definitions ---------
+
+
+def reference_to_string(a: PauliOperator) -> str:
+    """to_string as a walk over every qubit position."""
+    parts = []
+    n_y = 0
+    for q in range(a.n):
+        bit = 1 << q
+        has_x = bool(a.x_mask & bit)
+        has_z = bool(a.z_mask & bit)
+        if has_x and has_z:
+            parts.append(f"Y{q + 1}")
+            n_y += 1
+        elif has_x:
+            parts.append(f"X{q + 1}")
+        elif has_z:
+            parts.append(f"Z{q + 1}")
+    return ("", "+i", "-", "-i")[(a.phase - n_y) % 4] + "".join(parts)
+
+
+@st.composite
+def wide_ops(draw):
+    """Operators on up to 2000 qubits, dense or sparse, any phase."""
+    n = draw(st.integers(1, 2000))
+    if draw(st.booleans()):
+        x, z = (draw(st.integers(0, (1 << n) - 1)) for _ in range(2))
+    else:
+        qubits = draw(st.lists(st.integers(0, n - 1), max_size=8, unique=True))
+        letters = draw(st.lists(st.sampled_from("XYZ"), min_size=len(qubits),
+                                max_size=len(qubits)))
+        x = sum(1 << q for q, c in zip(qubits, letters) if c != "Z")
+        z = sum(1 << q for q, c in zip(qubits, letters) if c != "X")
+    return PauliOperator(n, x, z, draw(phases))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_ops())
+def test_to_string_matches_per_qubit_walk_and_round_trips(op):
+    text = to_string(op)
+    assert text == reference_to_string(op)
+    shown = next((i for i, p in ((1, "+i"), (3, "-i"), (2, "-")) if text.startswith(p)), 0)
+    body = text[len(("", "+i", "-", "-i")[shown]):]
+    back = parse_pauli(body, op.n)
+    assert (back.x_mask, back.z_mask, (back.phase + shown) % 4) == (
+        op.x_mask, op.z_mask, op.phase)
+
+
+def test_to_string_covers_every_phase():
+    op = parse_pauli("X1Y2Z4", 5)
+    ops = [PauliOperator(5, op.x_mask, op.z_mask, op.phase + k) for k in range(4)]
+    texts = ["X1Y2Z4", "+iX1Y2Z4", "-X1Y2Z4", "-iX1Y2Z4"]
+    assert [to_string(a) for a in ops] == [reference_to_string(a) for a in ops] == texts
+
+
+def brute_first_pair(ops):
+    return next(
+        ((i, j) for i, j in itertools.combinations(range(len(ops)), 2)
+         if not commutes(ops[i], ops[j])),
+        None,
+    )
+
+
+FIVE_QUBIT = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")  # commuting, non-CSS
+
+
+@st.composite
+def pauli_lists(draw):
+    """(ops, expected first pair or "any"): random products of commuting
+    five-qubit-code generators tiled over the first n - 1 qubits (Y factors,
+    non-CSS) with zero or exactly one anticommuting pair put in on the last
+    qubit, or dense random operators with many pairs."""
+    n = draw(st.integers(1, 200))
+    mode = draw(st.sampled_from(["none", "one", "many"]))
+    m = draw(st.integers(0 if mode != "one" else 2, 14))
+    if mode == "many":
+        mask = st.integers(0, (1 << n) - 1)
+        ops = [PauliOperator(n, draw(mask), draw(mask), draw(phases)) for _ in range(m)]
+        return ops, "any"
+    gens = []
+    for b in range(0, n - 1 - 4, 5):
+        gens += [parse_pauli("".join(f"{c}{b + k + 1}" for k, c in enumerate(row) if c != "I"),
+                             n) for row in FIVE_QUBIT]
+    gens += [parse_pauli(f"Z{q + 1}", n) for q in range(5 * ((n - 1) // 5), n - 1)]
+    ops = []
+    for _ in range(m):
+        pick = draw(st.integers(0, (1 << len(gens)) - 1))
+        op = PauliOperator(n, phase=draw(phases))
+        for g, gen in enumerate(gens):
+            if pick >> g & 1:
+                op = multiply(op, gen)
+        ops.append(op)
+    if mode == "none":
+        return ops, None
+    a, b = sorted(draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True)))
+    last = 1 << (n - 1)
+    ops[a] = PauliOperator(n, ops[a].x_mask | last, ops[a].z_mask, ops[a].phase)
+    ops[b] = PauliOperator(n, ops[b].x_mask, ops[b].z_mask | last, ops[b].phase)
+    return ops, (a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pauli_lists())
+def test_first_anticommuting_pair_matches_combinations_scan(case):
+    ops, expected = case
+    found = first_anticommuting_pair(ops)
+    assert found == brute_first_pair(ops)
+    if expected != "any":
+        assert found == expected
+
+
+def test_first_anticommuting_pair_rejects_mixed_sizes():
+    assert first_anticommuting_pair([]) is None
+    with pytest.raises(ValueError, match="qubit count mismatch"):
+        first_anticommuting_pair([identity(2), identity(3)])
