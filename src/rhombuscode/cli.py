@@ -193,6 +193,7 @@ def cmd_dephase(args: argparse.Namespace) -> int:
         (0.0 <= args.gamma < math.inf, "--gamma must be finite and >= 0"),
         (args.seed is None or 0 <= args.seed < 2**128, "--seed must be in [0, 2^128)"),
         (args.threads >= 1, "--threads must be >= 1"),
+        (args.mc_samples >= 0, "--mc-samples must be >= 0"),
     ):
         if not ok:
             print(f"dephase: {message}", file=sys.stderr)
@@ -224,10 +225,11 @@ def cmd_dephase(args: argparse.Namespace) -> int:
     else:
         logicals = engine.find_logical_set(code)
     model = dephasing.NoiseModel(args.kind, args.gamma)
+    frame = dephasing._Frame(code, logicals, 0)  # shared by the engine and MC
 
     lines = [dephasing.SWEEP_COLUMNS]
     engine_records = dephasing.bloch_and_leakage(
-        code, logicals, args.theta, args.phi, model, t_grid
+        code, logicals, args.theta, args.phi, model, t_grid, frame=frame
     )
     mc_records = (
         dephasing.monte_carlo_sweep(
@@ -240,6 +242,7 @@ def cmd_dephase(args: argparse.Namespace) -> int:
             args.mc_samples,
             args.seed,
             threads=args.threads,
+            frame=frame,
         )
         if args.mc_samples > 0
         else [None] * len(t_grid)

@@ -29,18 +29,18 @@ local), summed per codeword coset or popcount level, never as an S x S
 matrix.
 The dense O(2^n) references prepare_logical_state,
 dephased_pauli_expectation and code_space_operator serve the tests.
+scipy (for ndtri) and the thread pool load on the first _CosetKernel and
+monte_carlo_grid call, so importing this module loads neither.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import pauli
 from .engine import LogicalSet, _SparseCodewords
@@ -271,6 +271,9 @@ class _CosetKernel:
     only as the scale of the normals, so one kernel serves every t."""
 
     def __init__(self, frame: _Frame, kind: str):
+        from scipy.special import ndtri  # the MC oracle's only scipy use
+
+        self.ndtri = ndtri
         order, terms, rank = frame.doubling, frame.terms, np.argsort(frame.doubling)
         self.kind = kind
         self.pc, self.g = frame.pc, frame.cg.sum(axis=0)[order, None]
@@ -297,7 +300,7 @@ class _CosetKernel:
         for lo in range(0, count, self.chunk):
             uniforms = gen.random((min(self.chunk, count - lo), self.fields))
             np.clip(uniforms, 1e-300, 1.0 - 1e-16, out=uniforms)
-            normals = np.ascontiguousarray(ndtri(uniforms).T) * scale
+            normals = np.ascontiguousarray(self.ndtri(uniforms).T) * scale
             width = normals.shape[1]
             u, uc, parts = buffer[0, :, :width], buffer[1, :, :width], buffer[2:, :, :width]
             for lo_, hi, fields, table, index in self.steps:
@@ -352,12 +355,15 @@ def bloch_and_leakage(
     model: NoiseModel,
     t_grid: Sequence[float],
     pair_index: int = 0,
+    frame: Optional[_Frame] = None,
 ) -> List[ObservableRecord]:
     """Analytic-factor engine: Bloch coordinates and leakage on a time grid.
 
-    This is the exact expectation of the Monte Carlo estimator.
+    This is the exact expectation of the Monte Carlo estimator. frame, the
+    _Frame of (code, logicals, pair_index), is built here when None.
     """
-    frame = _Frame(code, logicals, pair_index)
+    if frame is None:
+        frame = _Frame(code, logicals, pair_index)
     names = ("r_x", "r_y", "r_z", "p_x", "p_y", "p_z")
     records = []
     for t in t_grid:
@@ -427,6 +433,8 @@ def monte_carlo_grid(
     logicals, pair_index, model.kind), is built here when None;
     monte_carlo_sweep passes one so that every t point shares it.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if kernel is None:
@@ -479,10 +487,14 @@ def monte_carlo_sweep(
     seed: int,
     pair_index: int = 0,
     threads: int = 1,
+    frame: Optional[_Frame] = None,
 ) -> List[ObservableRecord]:
     """monte_carlo_oracle at every t of t_grid, with the frame and the kernel
-    tables built once; each record equals the single-t call."""
-    kernel = _CosetKernel(_Frame(code, logicals, pair_index), model.kind)
+    tables built once; each record equals the single-t call. frame, the
+    _Frame of (code, logicals, pair_index), is built here when None."""
+    if frame is None:
+        frame = _Frame(code, logicals, pair_index)
+    kernel = _CosetKernel(frame, model.kind)
     return [
         monte_carlo_grid(
             code, logicals, [(theta, phi)], model, t, samples, seed, pair_index, threads, kernel

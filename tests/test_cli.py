@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+from rhombuscode import dephasing
 from rhombuscode.cli import main
 
 
@@ -265,6 +270,7 @@ BAD_CODES = {
         ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2", "--theta", "nan"),
         ("dephase", *DEPHASE_ARGS, "--t-grid", "0:nan:2"),
         ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2", "--threads", "0"),
+        ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2", "--mc-samples", "-5"),
         ("verify", "CODE", "--w-max", "0"),
         ("verify", "DECLARED_PAIR"),
         ("verify", "DECLARED_TEXT"),
@@ -274,7 +280,7 @@ BAD_CODES = {
         ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2", "--code", "DECLARED_TEXT"),
         ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2", "--code", "DEPENDENT"),
     ],
-    ids=["gamma", "seed", "theta", "t-grid", "dephase-threads", "w-max",
+    ids=["gamma", "seed", "theta", "t-grid", "dephase-threads", "mc-samples", "w-max",
          "verify-declared-pair", "verify-declared-text", "verify-declared-scalar",
          "verify-dependent",
          "dephase-declared-pair", "dephase-declared-text", "dephase-dependent"],
@@ -290,6 +296,25 @@ def test_bad_input_is_a_one_line_usage_error(capsys, tmp_path, argv):
     assert code == 64
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_dephase_builds_one_frame(capsys, monkeypatch):
+    """The engine and the MC sweep share one codeword frame per call."""
+    built = []
+
+    class CountedFrame(dephasing._Frame):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(dephasing, "_Frame", CountedFrame)
+    code, out, _ = run(
+        capsys, "dephase", *DEPHASE_ARGS, "--t-grid", "0:1:3",
+        "--mc-samples", "1000", "--seed", "5",
+    )
+    assert code == 0
+    assert len(built) == 1
+    assert sum(r["source"] == "monte_carlo" for r in parse_csv(out)) == 3
 
 
 # --- family / usage -------------------------------------------------------------
@@ -336,3 +361,65 @@ def test_outputs_byte_identical(capsys, tmp_path):
         out_json = tmp_path / f"{name}.json"
         assert run(capsys, "build", "grid:2", "--out", str(out_json))[0] == 0
     assert (tmp_path / "c.json").read_bytes() == (tmp_path / "d.json").read_bytes()
+
+
+# --- cold start -------------------------------------------------------------------
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+LAZY_MODULES = ("concurrent.futures", "scipy")
+# Imports a module (a JSON string) or runs cli.main (a JSON list) with its
+# stdout swallowed, then prints the exit code and which LAZY_MODULES loaded.
+COLD_PROBE = f"""
+import contextlib, importlib, io, json, sys
+arg = json.loads(sys.argv[1])
+if isinstance(arg, str):
+    importlib.import_module(arg)
+    code = 0
+else:
+    from rhombuscode import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(arg)
+print(json.dumps([code, [m for m in {LAZY_MODULES!r} if m in sys.modules]]))
+"""
+
+
+def cold_start(arg, cwd):
+    """(exit code, loaded LAZY_MODULES) of arg in a fresh interpreter."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_PROBE, json.dumps(arg)],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    return code, loaded
+
+
+@pytest.mark.parametrize(
+    "arg",
+    [
+        "rhombuscode",
+        "rhombuscode.cli",
+        ["build", "unit"],
+        ["verify", "CODE"],
+        ["family", "--p-max", "3"],
+        ["dephase", *DEPHASE_ARGS, "--t-grid", "0:1:3"],
+    ],
+    ids=["import", "import-cli", "build", "verify", "family", "dephase-engine"],
+)
+def test_cold_start_loads_neither_scipy_nor_threads(capsys, tmp_path, arg):
+    if "CODE" in arg:
+        arg = [str(write_code(capsys, tmp_path, "unit")) if a == "CODE" else a for a in arg]
+    code, loaded = cold_start(arg, tmp_path)
+    assert code == 0
+    assert loaded == []
+
+
+def test_cold_start_monte_carlo_loads_scipy_with_same_bytes(capsys, tmp_path):
+    argv = ["dephase", *DEPHASE_ARGS, "--t-grid", "0:1:3", "--mc-samples", "2000", "--seed", "3"]
+    code, loaded = cold_start(argv + ["--out", str(tmp_path / "fresh.csv")], tmp_path)
+    assert code == 0
+    assert loaded == list(LAZY_MODULES)
+    assert run(capsys, *argv, "--out", str(tmp_path / "here.csv"))[0] == 0
+    assert (tmp_path / "fresh.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
