@@ -13,20 +13,20 @@ form has two nonzero entries per sample, F_k at (k ^ delta_o, k): Bloch
 F_k = sum_{c in k} coef_o[c] conj(u[perm_o c]) u[c], leakage F_k = pc
 (sum_{c in k} coef_o[c] conj(u[perm_o c])) (sum_{c in k} g[c] u[c]). A
 point (theta, phi) sees v = Re(y G), G = F_0 + conj(F_1) for coset-flipping
-forms (else Re F_0 + i Re F_1), so batches keep the sums of G, G^2 and
-|G|^2 and every point follows in closed form. In doubling order (state
-p + 2^j is p shifted by generator j, Xbar last) the cosets are the halves
-of the support, and u is built support-major without BLAS from cos + i sin
-of small tables (the distinct magnetizations; or the first MC_DIRECT
-states, then each generator's distinct spin changes), in sub-chunks of
-MC_CHUNK phase factors. Time enters only as the scale of the normals, so
-one kernel serves every t of a sweep. Batches read a counter-based stream
-at offsets set by their first sample, so any thread count reproduces the
-serial result bit for bit. The analytic engine is the exact expectation
-of that estimator: E[conj(u_p) u_q] is decoherence_factor of the two basis
-states (magnetization difference for global noise, Hamming distance for
-local), summed per codeword coset or popcount level, never as an S x S
-matrix.
+forms (else Re F_0 + i Re F_1), so batches keep the sums of D, D^2 and
+|D|^2, D = G - G_ref (G at u = 1), and every point follows in closed form.
+In the frame's coordinate order (state p ^ 2^j is p shifted by generator j,
+Xbar last) the cosets are the halves of the support, and u is built
+support-major without BLAS from cos + i sin of small tables (the distinct
+magnetizations; or the first MC_DIRECT states, then each generator's
+distinct spin changes), in sub-chunks of MC_CHUNK phase factors. Time
+enters only as the scale of the normals, so one kernel serves every t of a
+sweep. Batches read a counter-based stream at offsets set by their first
+sample, so any thread count reproduces the serial result bit for bit. The
+analytic engine is the exact expectation of that estimator: E[conj(u_p) u_q]
+is decoherence_factor of the two basis states (magnetization difference for
+global noise, Hamming distance for local), summed per codeword coset or
+popcount level, never as an S x S matrix.
 The dense O(2^n) references prepare_logical_state,
 dephased_pauli_expectation and code_space_operator serve the tests.
 scipy (for ndtri) and the thread pool load on the first _CosetKernel and
@@ -191,11 +191,11 @@ def code_space_operator(
 class _Frame:
     """The codeword support of one logical pair and its quadratic forms.
 
-    support holds the S sorted basis states of |0_L> and |1_L>, and b_j the
-    amplitudes of |j_L> on it. For L in (Xbar, Ybar = i*Zbar*Xbar, Zbar),
-    L|support[c]> = sign[c]|support[perm c]> (_SparseCodewords'
-    signed_permutation; sign 0 where L leaves the support). On the support
-    the paper-normalized code-space operator is
+    support holds the S basis states of |0_L> and |1_L> in coordinate order
+    (coset k is the k-th half), b_j the amplitudes of |j_L> on it. For L in
+    (Xbar, Ybar = i*Zbar*Xbar, Zbar), L|support[c]> = sign[c]|support[perm c]>
+    (_SparseCodewords' signed_permutation; sign 0 where L leaves it). On
+    the support the paper-normalized code-space operator is
     Pc = pc (|0_L><0_L| + |1_L><1_L|) with pc = 2^(m-n). So with
     cr[jk, c] = conj(b_j[perm c]) sign[c] b_k[c] and
     cg[ik, c] = conj(b_i[c]) b_k[c], a phase vector u on the support gives
@@ -214,17 +214,12 @@ class _Frame:
         self.pc = 2.0 ** (code.m - code.n)
         self.support = words.support
         self.label = words.label
-        b = np.zeros((2, len(self.support)), dtype=np.complex128)
-        b[words.label, np.arange(len(self.support))] = words.amps
+        b = np.where(words.label == np.arange(2)[:, None], words.amps, 0.0)
         self.terms = [  # (perm, cr) of Xbar, Ybar, Zbar
             (perm, (np.conj(b[:, perm])[:, None] * sign * b).reshape(4, -1))
             for perm, sign in map(words.signed_permutation, (xbar, ybar, zbar))
         ]
         self.cg = (np.conj(b)[:, None] * b).reshape(4, -1)
-        doubled = np.zeros(1, dtype=np.uint64)  # O, then O + Xbar, by generator
-        for mask in [s.x_mask for s in code.stabilizers if s.x_mask] + [xbar.x_mask]:
-            doubled = np.concatenate([doubled, doubled ^ np.uint64(mask)])
-        self.doubling = np.searchsorted(self.support, doubled)
 
     def expected_forms(self, model: NoiseModel, t: float) -> np.ndarray:
         """(6, 2, 2) forms with conj(u_p) u_q replaced by its expectation
@@ -267,19 +262,18 @@ class _Frame:
 
 class _CosetKernel:
     """Per-batch Monte Carlo moments of a frame's forms (see the module
-    docstring), on the support in the frame's doubling order. Time enters
+    docstring), on the support in the frame's coordinate order. Time enters
     only as the scale of the normals, so one kernel serves every t."""
 
     def __init__(self, frame: _Frame, kind: str):
         from scipy.special import ndtri  # the MC oracle's only scipy use
 
         self.ndtri = ndtri
-        order, terms, rank = frame.doubling, frame.terms, np.argsort(frame.doubling)
         self.kind = kind
-        self.pc, self.g = frame.pc, frame.cg.sum(axis=0)[order, None]
-        self.forms = [(rank[perm[order]], cr.sum(axis=0)[order, None]) for perm, cr in terms]
-        self.flips = np.array([frame.label[perm[0]] != frame.label[0] for perm, _ in terms] * 2)
-        spins = -frame.spins(kind)[:, order]  # u = exp(i normals . spins)
+        self.pc, self.g = frame.pc, frame.cg.sum(axis=0)[:, None]
+        self.forms = [(perm, cr.sum(axis=0)[:, None]) for perm, cr in frame.terms]
+        self.flips = np.array([frame.label[perm[0]] != 0 for perm, _ in frame.terms] * 2)
+        spins = -frame.spins(kind)  # u = exp(i normals . spins)
         self.fields, self.size = spins.shape
         self.chunk = max(1, MC_CHUNK // self.size)
         hi = self.size if kind == "global" else min(self.size, MC_DIRECT)
@@ -290,10 +284,13 @@ class _CosetKernel:
             table, index = np.unique(change[fields].T, axis=0, return_inverse=True)
             self.steps.append((lo, hi, fields, table, index.ravel()))
             lo, hi = hi, 2 * hi
+        self.reference = np.zeros(6, dtype=np.complex128)
+        self.reference = self.moments(0, 0, 1, 0.0)[:, 0]  # zero phases: G at u = 1
 
     def moments(self, seed: int, start: int, count: int, scale: float) -> np.ndarray:
-        """(6, 3) sums of G, G^2 and |G|^2 over samples start .. start + count - 1,
-        whose phases are normals of standard deviation scale."""
+        """(6, 3) sums of D, D^2 and |D|^2, D = G - reference, over samples
+        start .. start + count - 1, whose phases are normals of standard
+        deviation scale. D of a form constant per sample (r_z) is round-off."""
         gen = np.random.Generator(np.random.Philox(key=seed).advance(start * self.fields))
         total = np.zeros((6, 3), dtype=np.complex128)
         buffer = np.empty((9, self.size, min(self.chunk, count)), dtype=np.complex128)
@@ -321,17 +318,18 @@ class _CosetKernel:
             forms = np.concatenate([sums[2::2], self.pc * sums[1::2] * sums[0]])
             g = forms[:, 0] + np.conj(forms[:, 1])
             g[~self.flips] = forms[~self.flips, 0].real + 1j * forms[~self.flips, 1].real
+            g -= self.reference[:, None]  # D = G - G_ref
             total += np.stack([g.sum(-1), (g * g).sum(-1), (g * np.conj(g)).sum(-1)], 1)
         return total
 
 
-def _point_sums(moments: np.ndarray, flips: np.ndarray, theta: float, phi: float) -> np.ndarray:
-    """(6, 2) sums of v and v^2 for the state c_0|0_L> + c_1|1_L>, where
-    v = Re(y G): v^2 = (Re(y^2 G^2) + |y G|^2) / 2."""
+def _point_sums(moments: np.ndarray, kernel: _CosetKernel, theta: float, phi: float) -> np.ndarray:
+    """(6, 3) v_ref = Re(y G_ref) and the sums of v - v_ref = Re(y D) and its
+    square (Re(y^2 D^2) + |y D|^2) / 2 for the state c_0|0_L> + c_1|1_L>."""
     c0, c1 = math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)
-    y = np.where(flips, np.conj(c1) * c0, c0 * c0 - 1j * abs(c1) ** 2)
+    y = np.where(kernel.flips, np.conj(c1) * c0, c0 * c0 - 1j * abs(c1) ** 2)
     square = (y * y * moments[:, 1] + abs(y) ** 2 * moments[:, 2]).real
-    return np.stack([(y * moments[:, 0]).real, 0.5 * square], axis=1)
+    return np.stack([(y * kernel.reference).real, (y * moments[:, 0]).real, 0.5 * square], 1)
 
 
 def _point_values(forms: np.ndarray, theta: float, phi: float) -> np.ndarray:
@@ -423,7 +421,7 @@ def monte_carlo_grid(
     """Monte Carlo means and standard errors for several (theta, phi) points.
 
     One common set of phase trajectories serves every point: batches return
-    the sums of G, G^2 and |G|^2 (see the module docstring) and each point
+    the sums of D, D^2 and |D|^2 (see the module docstring) and each point
     follows from their total. The cost grows as samples * S for the support
     size S; batches hold MC_BATCH * 32 phase factors at most (MC_BATCH
     samples for S <= 32) and read disjoint Philox counter ranges, so results
@@ -449,10 +447,10 @@ def monte_carlo_grid(
 
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         moments = sum(pool.map(run, range(0, samples, batch)))  # in batch order
-    total = np.stack([_point_sums(moments, kernel.flips, *p) for p in points])
-    means = total[:, :, 0] / samples
+    total = np.stack([_point_sums(moments, kernel, *p) for p in points])
+    means = total[:, :, 0] + total[:, :, 1] / samples
     if samples > 1:
-        var = (total[:, :, 1] - samples * means**2) / (samples - 1)
+        var = (total[:, :, 2] - total[:, :, 1] ** 2 / samples) / (samples - 1)
         ses = np.sqrt(np.maximum(var, 0.0) / samples)
     else:
         ses = np.zeros_like(means)

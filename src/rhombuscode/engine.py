@@ -17,7 +17,7 @@ One sparse codeword type, _SparseCodewords, holds the codeword support
 (codeword_orbit shifted by the X-logicals), each support state's codeword
 label and amplitude, and the signed permutation a Pauli induces on it. It
 serves the codeword-matrix oracle here and the analytic engine and Monte
-Carlo oracle in dephasing.
+Carlo oracle in dephasing, kept in coordinate order rather than sorted.
 """
 
 from __future__ import annotations
@@ -104,12 +104,12 @@ def require_independent(code: CodeSpec) -> int:
 
 
 def codeword_orbit(code: CodeSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted basis indices and exact amplitudes of |0_L>, the normalized
+    """Basis indices and exact amplitudes of |0_L>, the normalized
     projection prod_i (I + S_i)|0...0> with stabilizer phases included.
 
     With independent CSS generators each X-type factor doubles the orbit
-    onto new indices and each Z-type factor only rescales it.
-    """
+    onto new indices and each Z-type factor only rescales it; index p (not
+    sorted) is the XOR of the X-type x-masks chosen by the bits of p."""
     require_independent(code)
     indices = np.zeros(1, dtype=np.uint64)
     amps = np.ones(1, dtype=np.complex128)
@@ -124,8 +124,7 @@ def codeword_orbit(code: CodeSpec) -> Tuple[np.ndarray, np.ndarray]:
             raise ValueError(
                 f"projector (I + {to_string(s)}) annihilates the seed state"
             )
-    order = np.argsort(indices)
-    return indices[order], amps[order] / np.linalg.norm(amps)
+    return indices, amps / np.linalg.norm(amps)
 
 
 def codeword_zero(code: CodeSpec) -> PureState:
@@ -351,17 +350,15 @@ def distance_symplectic(
 class _SparseCodewords:
     """The 2^len(xbars) codewords of a code on their common support.
 
-    support is the sorted union of codeword_orbit shifted by every product
-    of the xbars; support[c] belongs to codeword label[c] (bit i set means
-    xbars[i] was applied) with amplitude amps[c]. The shifts are cosets of
-    the orbit, so unless two coincide (which raises) the codewords have
-    disjoint supports and are orthonormal.
+    support[p] is the XOR of the generator x-masks (the m_x X-stabilizers,
+    then the xbars) chosen by the bits of p, with amplitude amps[p], in
+    codeword label[p] = p >> m_x (bit i set: xbars[i] applied). Independent
+    generators (dependent ones raise) make the codewords orthonormal cosets.
     """
 
     def __init__(self, code: CodeSpec, xbars: Sequence[PauliOperator]):
         indices, amps = codeword_orbit(code)
-        labels = np.zeros(len(indices), dtype=np.int64)
-        for i, xbar in enumerate(xbars):
+        for xbar in xbars:
             for s in code.stabilizers:
                 if not commutes(xbar, s):
                     raise ValueError(
@@ -371,41 +368,46 @@ class _SparseCodewords:
             images, phases = basis_action(xbar, indices)
             indices = np.concatenate([indices, images])
             amps = np.concatenate([amps, phases * amps])
-            labels = np.concatenate([labels, labels | (1 << i)])
-        order = np.argsort(indices)
-        self.support = indices[order]
-        if np.any(self.support[1:] == self.support[:-1]):
+        masks = [s.x_mask for s in code.stabilizers if s.x_mask] + [x.x_mask for x in xbars]
+        # bit n + j tags generator j, so a reduced x-mask keeps its coordinates there
+        tagged = [mask | 1 << (code.n + j) for j, mask in enumerate(masks)]
+        self._echelon = gf2.row_reduce(tagged, code.n + len(masks))
+        if any(col >= code.n for col in self._echelon[1]):
             raise ValueError("codeword basis not orthonormal (coset collision)")
-        self.label = labels[order]
-        self.amps = amps[order]
+        self.n, self.support, self.amps = code.n, indices, amps
+        self.position = np.arange(len(indices))
+        self.label = self.position >> (len(masks) - len(xbars))
         self.count = 1 << len(xbars)
+        self._coordinates = {}  # x-mask -> coordinates, or None outside the span
+
+    def coordinate(self, x_mask: int) -> Optional[int]:
+        """a with support[p] ^ x_mask = support[p ^ a] for all p; None off the span."""
+        if x_mask not in self._coordinates:
+            rem = gf2.reduce_against(x_mask, *self._echelon)
+            self._coordinates[x_mask] = None if rem & ((1 << self.n) - 1) else rem >> self.n
+        return self._coordinates[x_mask]
 
     def signed_permutation(self, op: PauliOperator) -> Tuple[np.ndarray, np.ndarray]:
-        """(perm, sign) with op|support[c]> = sign[c] |support[perm[c]]>;
-        sign[c] is 0 where op leaves the support."""
-        images, phases = basis_action(op, self.support)
-        perm = np.minimum(np.searchsorted(self.support, images), len(self.support) - 1)
-        return perm, phases * (self.support[perm] == images)
+        """(perm, sign) with op|support[p]> = sign[p] |support[perm[p]]>,
+        perm[p] = p ^ a; sign is 0 (perm the identity) if op leaves it."""
+        a = self.coordinate(op.x_mask)
+        if a is None:
+            return self.position, np.zeros(len(self.support), dtype=np.complex128)
+        return self.position ^ a, basis_action(op, self.support)[1]
 
     def violates_kl(self, op: PauliOperator, tol: float = KL_TOL) -> bool:
         """True iff M_ij = <psi_i|op|psi_j> is not a scalar multiple of I.
 
-        op's X part moves each codeword's support as a whole, so column j
-        has at most one entry, in row label[perm[c]] for any c of label j;
-        a column that leaves the code space has a zero diagonal entry.
+        op maps codeword j (a block of the support) onto j ^ label[a], so
+        column j has one entry, a sum over block j; M = 0 off the span.
         """
+        a = self.coordinate(op.x_mask)
+        if a is None:
+            return False
         perm, sign = self.signed_permutation(op)
-        terms = np.conj(self.amps[perm]) * sign * self.amps
-        column = np.bincount(self.label, terms.real, self.count) + 1j * np.bincount(
-            self.label, terms.imag, self.count
-        )
-        row = np.full(self.count, -1)
-        inside = sign != 0
-        row[self.label[inside]] = self.label[perm[inside]]
-        diag = np.where(row == np.arange(self.count), column, 0.0)
-        return bool(
-            np.max(np.abs(column - diag)) > tol or np.max(np.abs(diag - diag[0])) > tol
-        )
+        column = (np.conj(self.amps[perm]) * sign * self.amps).reshape(self.count, -1).sum(1)
+        scalar = 0.0 if self.label[a] else column[0]
+        return bool(np.max(np.abs(column - scalar)) > tol)
 
 
 def distance_kl_oracle(

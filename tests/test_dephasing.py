@@ -334,12 +334,12 @@ def per_sample_reference(code, logicals, points, model, t, samples, seed):
     """Monte Carlo means and SEs from the per-sample estimator the coset
     kernel replaces: each batch's phases exp(-i normals . spins) from the same
     Philox offsets, dense (6, 2, 2) forms from frame.terms and frame.cg, then
-    _point_values and per-sample sums of v and v^2."""
+    _point_values per sample, and the two-pass mean and variance of v."""
     frame = _Frame(code, logicals, 0)
     spins = frame.spins(model.kind)
     batch = max(1, min(MC_BATCH, (MC_BATCH << 5) // len(frame.support)))
     scale = math.sqrt(model.convention * model.gamma * t)
-    sums = np.zeros((len(points), 6, 2))
+    values = []
     for start in range(0, samples, batch):
         count = min(batch, samples - start)
         bitgen = np.random.Philox(key=seed)
@@ -354,13 +354,11 @@ def per_sample_reference(code, logicals, points, model, t, samples, seed):
             forms[o] = (cr @ (uc[perm] * u)).reshape(2, 2, -1)
             left = (cr @ uc[perm]).reshape(2, 2, -1)
             forms[3 + o] = frame.pc * (left[:, :1] * right[0] + left[:, 1:] * right[1])
-        for ip, (theta, phi) in enumerate(points):
-            v = _point_values(forms, theta, phi).real
-            sums[ip, :, 0] += v.sum(axis=1)
-            sums[ip, :, 1] += (v * v).sum(axis=1)
-    means = sums[:, :, 0] / samples
-    var = (sums[:, :, 1] - samples * means**2) / (samples - 1)
-    return means, np.sqrt(np.maximum(var, 0.0) / samples)
+        values.append([_point_values(forms, theta, phi).real for theta, phi in points])
+    v = np.concatenate(values, axis=-1)  # (points, 6, samples)
+    means = v.sum(axis=-1) / samples
+    var = ((v - means[:, :, None]) ** 2).sum(axis=-1) / (samples - 1)
+    return means, np.sqrt(var / samples)
 
 
 @pytest.mark.parametrize(
@@ -372,8 +370,8 @@ def per_sample_reference(code, logicals, points, model, t, samples, seed):
 def test_mc_moments_match_per_sample_reference(target, samples, kind):
     """The point-independent coset moments reproduce the per-sample
     estimator: means to 1e-14, SEs to 1e-9 relative. r_z is constant per
-    sample, so both SEs of it are round-off (below 1e-8) and only agree to
-    1e-10 absolute."""
+    sample, so both SEs of it are round-off (below 1e-8), checked to 1e-10
+    absolute."""
     code = _parse_target(target)
     if code.logical_pairs is not None:
         logicals = LogicalSet(code.logical_pairs)
@@ -390,6 +388,21 @@ def test_mc_moments_match_per_sample_reference(target, samples, kind):
                 assert abs(got - want) <= 1e-9 * want
             else:
                 assert abs(got - want) <= 1e-10
+
+
+@pytest.mark.parametrize("target", ["unit", "grid_2x2"])
+@pytest.mark.parametrize("kind", ["global", "local"])
+def test_mc_se_of_constant_form_is_round_off_free(target, kind):
+    """r_z is the same on every sample, so its true SE is 0. The moments are
+    centred on the forms at u = 1, so only the rounding of |u|^2 = 1 is
+    left: at most 1e-15 over 2^17 samples, where uncentred sums of v and v^2
+    gave about 1e-11."""
+    code = build_named(target)
+    logicals = LogicalSet(code.logical_pairs)
+    points = [(1.1, 0.3), (2.5, 4.0)]
+    model = NoiseModel(kind, 0.9)
+    recs = monte_carlo_grid(code, logicals, points, model, 0.7, 1 << 17, seed=3, threads=2)
+    assert all(rec.se_r_z <= 1e-15 for rec in recs)
 
 
 def test_mc_thread_and_batch_invariant_beyond_unit_cell():

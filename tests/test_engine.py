@@ -1,9 +1,13 @@
 """Codewords, logical sets, and the two independent distance methods."""
 
+import functools
 import itertools
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhombuscode.cli import _parse_target
 from rhombuscode.engine import (
@@ -24,7 +28,8 @@ from rhombuscode.engine import (
 from rhombuscode.gf2 import in_span
 from rhombuscode.lattice import CodeSpec, build_named, build_unit, stack_grid, stack_l_shape
 from rhombuscode.pauli import (
-    apply,
+    PauliOperator,
+    basis_action,
     commutes,
     multiply,
     parse_pauli,
@@ -185,7 +190,10 @@ def test_kl_oracle_rejects_logicals_outside_code_space():
     """two_horizontal's transcribed X2X7 anticommutes with Z2Z4Z6, so its
     shifted orbit is not a codeword and the codeword matrix is meaningless."""
     code = build_named("two_horizontal")
-    with pytest.raises(ValueError, match="X2X7.*Z2Z4Z6"):
+    message = (
+        "Xbar X2X7 anticommutes with stabilizer Z2Z4Z6: its shifted orbit is not a codeword"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         distance_kl_oracle(code, LogicalSet(code.logical_pairs), w_max=2)
 
 
@@ -199,27 +207,55 @@ def y_dressed(code, logicals):
     return LogicalSet(tuple(pairs))
 
 
-def dense_violates_kl(states, op):
-    """M_ij = <psi_i|op|psi_j> on dense codeword states is not a scalar * I."""
-    images = [apply(op, b) for b in states]
-    m = np.array([[a.inner(b) for b in images] for a in states])
-    return bool(np.max(np.abs(m - m[0, 0] * np.eye(len(states)))) > KL_TOL)
+def dense_violates_kl(psi, op):
+    """M_ij = <psi_i|op|psi_j> on the dense codeword states (the rows of psi)
+    is not a scalar * I. Only basis states y where some psi_i is nonzero
+    contribute, and op maps x = y ^ op.x_mask onto y."""
+    cols = np.flatnonzero(np.any(psi, axis=0)).astype(np.uint64)
+    sources = cols ^ np.uint64(op.x_mask)
+    _, phases = basis_action(op, sources)
+    m = np.conj(psi[:, cols]) @ (phases * psi[:, sources]).T
+    return bool(np.max(np.abs(m - m[0, 0] * np.eye(len(psi)))) > KL_TOL)
 
 
-@pytest.mark.parametrize("dressed", [False, True], ids=["synthesized", "y_dressed"])
-@pytest.mark.parametrize("name", ["unit", "two_vertical"])
-def test_violates_kl_matches_dense_codeword_matrix(name, dressed):
-    code = build_named(name)
+def paulis(code, words, extra):
+    """Paulis of any weight and phase: random masks (an X-part almost always
+    outside the codeword span), X-parts drawn from words.support (inside
+    it) with any Z-part, and the operators in extra."""
+    n, full = code.n, (1 << code.n) - 1
+    masks, phases = st.integers(0, full), st.integers(0, 3)
+    anywhere = st.builds(PauliOperator, st.just(n), masks, masks, phases)
+    inside = st.builds(
+        lambda p, z, phase: PauliOperator(n, int(words.support[p]), z, phase),
+        st.integers(0, len(words.support) - 1), masks, phases,
+    )
+    return st.one_of(anywhere, inside, st.sampled_from(extra))
+
+
+KL_CASES = [(name, dressed) for name in ("unit", "two_vertical") for dressed in (False, True)]
+KL_CASES += [("grid:1", False), ("lshape:0,0", False), ("two_horizontal", False)]
+KL_IDS = [f"{name}-{'y_dressed' if dressed else 'synthesized'}" for name, dressed in KL_CASES]
+
+
+@functools.lru_cache(maxsize=None)
+def dense_codewords(name, dressed):
+    """(code, logicals, _SparseCodewords, dense codeword states as rows) for
+    the synthesized logicals, Y-dressed when dressed."""
+    code = _parse_target(name)
     logicals = find_logical_set(code)
     if dressed:
         logicals = y_dressed(code, logicals)
         assert not any(xbar.is_x_type() for xbar, _ in logicals.pairs)
     words = _SparseCodewords(code, [xbar for xbar, _ in logicals.pairs])
     k = logicals.k
-    states = [
-        logical_basis_state(code, logicals, "".join(str((j >> i) & 1) for i in range(k)))
-        for j in range(1 << k)
-    ]
+    bits = ["".join(str((j >> i) & 1) for i in range(k)) for j in range(1 << k)]
+    psi = np.array([logical_basis_state(code, logicals, b).amplitudes for b in bits])
+    return code, logicals, words, psi
+
+
+@pytest.mark.parametrize("name,dressed", KL_CASES, ids=KL_IDS)
+def test_violates_kl_matches_dense_codeword_matrix(name, dressed):
+    code, logicals, words, psi = dense_codewords(name, dressed)
     ops = [
         _pauli_of(support, letters, code.n)
         for w in (1, 2)
@@ -231,16 +267,96 @@ def test_violates_kl_matches_dense_codeword_matrix(name, dressed):
     verdicts = []
     for op in ops:
         got = words.violates_kl(op)
-        assert got == dense_violates_kl(states, op), to_string(op)
+        assert got == dense_violates_kl(psi, op), to_string(op)
         verdicts.append(got)
     assert any(verdicts) and not all(verdicts)
 
 
+@pytest.mark.parametrize("name,dressed", KL_CASES, ids=KL_IDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_violates_kl_matches_dense_codeword_matrix_on_any_pauli(name, dressed, data):
+    code, logicals, words, psi = dense_codewords(name, dressed)
+    op = data.draw(paulis(code, words, [op for pair in logicals.pairs for op in pair]))
+    assert words.violates_kl(op) == dense_violates_kl(psi, op), to_string(op)
+
+
 def test_sparse_codewords_reject_coset_collision():
+    """An Xbar repeated, an Xbar whose X-part lies in the X-stabilizer span,
+    and a third Xbar equal to the product of two others each shift the
+    orbit onto a coset already taken."""
     code = build_unit()
-    xbar = find_logical_set(code).pairs[0][0]
-    with pytest.raises(ValueError, match="coset collision"):
-        _SparseCodewords(code, [xbar, xbar])
+    x1, x2 = (xbar for xbar, _ in find_logical_set(code).pairs)
+    x_stabs = [s for s in code.stabilizers if s.is_x_type()]
+    z_stab = next(s for s in code.stabilizers if s.is_z_type())
+    message = re.escape("codeword basis not orthonormal (coset collision)")
+    for xbars in (
+        [x1, x1],
+        [multiply(x_stabs[0], x_stabs[1])],
+        [x1, multiply(x_stabs[0], z_stab)],
+        [x1, x2, multiply(x1, x2)],
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _SparseCodewords(code, xbars)
+
+
+# --- coordinate layout of the codeword support ---------------------------------
+
+LAYOUT_TARGETS = ["unit", "two_vertical", "grid_2x2", "lshape:1,1"]
+
+
+@functools.lru_cache(maxsize=None)
+def frame_codewords(target):
+    """(code, logicals, _SparseCodewords) of a dephasing frame: the code's
+    own logicals (else synthesized ones) and the first Xbar alone."""
+    code = _parse_target(target)
+    if code.logical_pairs is not None:
+        logicals = LogicalSet(code.logical_pairs)
+    else:
+        logicals = find_logical_set(code)
+    return code, logicals, _SparseCodewords(code, [logicals.pairs[0][0]])
+
+
+@pytest.mark.parametrize("target", LAYOUT_TARGETS)
+def test_support_in_coordinate_order(target):
+    """support[p] is the XOR of the generator x-masks (X-stabilizers, then
+    Xbar) chosen by the bits of p, and label[p] = p >> m_x."""
+    code, logicals, words = frame_codewords(target)
+    masks = [s.x_mask for s in code.stabilizers if s.x_mask] + [logicals.pairs[0][0].x_mask]
+    assert len(words.support) == 1 << len(masks)
+    for p, state in enumerate(words.support.tolist()):
+        want = 0
+        for j, mask in enumerate(masks):
+            if p >> j & 1:
+                want ^= mask
+        assert state == want
+        assert words.label[p] == p >> (len(masks) - 1)
+
+
+def searchsorted_signed_permutation(words, op):
+    """signed_permutation by the sorted-support lookup it replaced."""
+    order = np.argsort(words.support)
+    ordered = words.support[order]
+    images, phases = basis_action(op, words.support)
+    at = np.minimum(np.searchsorted(ordered, images), len(ordered) - 1)
+    return order[at], phases * (ordered[at] == images)
+
+
+@pytest.mark.parametrize("target", LAYOUT_TARGETS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_signed_permutation_matches_sorted_lookup(target, data):
+    """Any Pauli, including a Zbar dressed with an X-stabilizer and the
+    Y-dressed Xbars (the other pairs' X-parts lie outside the span)."""
+    code, logicals, words = frame_codewords(target)
+    x_stab = next(s for s in code.stabilizers if s.x_mask)
+    extra = [multiply(zbar, x_stab) for _, zbar in logicals.pairs]
+    extra += [xbar for xbar, _ in y_dressed(code, logicals).pairs]
+    op = data.draw(paulis(code, words, extra))
+    perm, sign = words.signed_permutation(op)
+    want_perm, want_sign = searchsorted_signed_permutation(words, op)
+    assert np.array_equal(sign, want_sign)
+    assert np.array_equal(perm[sign != 0], want_perm[sign != 0])
 
 
 # --- full report ----------------------------------------------------------------
