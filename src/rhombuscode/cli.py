@@ -131,13 +131,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if code is None:
         return EXIT_USAGE
     manifest.inputs.append(args.code)
-    if args.kl and code.n > 20:
+    if args.kl and code.n > engine.KL_MAX_QUBITS:
         print(
-            f"verify: codeword-matrix oracle infeasible for n = {code.n} > 20",
+            f"verify: codeword-matrix oracle infeasible for n = {code.n} > {engine.KL_MAX_QUBITS}",
             file=sys.stderr,
         )
         return EXIT_INFEASIBLE
-    if code.logical_pairs is None and code.n > 24:
+    if code.logical_pairs is None and code.n > engine.SYNTHESIS_MAX_QUBITS:
         print(
             f"verify: no logical set given and synthesis infeasible for n = {code.n}",
             file=sys.stderr,
@@ -225,7 +225,7 @@ def cmd_dephase(args: argparse.Namespace) -> int:
     else:
         logicals = engine.find_logical_set(code)
     model = dephasing.NoiseModel(args.kind, args.gamma)
-    frame = dephasing._Frame(code, logicals, 0)  # shared by the engine and MC
+    frame = dephasing._Frame(code, logicals)  # shared by the engine and MC
 
     lines = [dephasing.SWEEP_COLUMNS]
     engine_records = dephasing.bloch_and_leakage(
@@ -276,7 +276,7 @@ def cmd_family(args: argparse.Namespace) -> int:
     for p in range(1, args.p_max + 1):
         fam = lattice.family_parameters(p)
         rate = fam.k / fam.n
-        if fam.n <= 24:
+        if fam.n <= engine.SYNTHESIS_MAX_QUBITS:
             code = lattice.stack_grid(p)
             found, _ = engine.distance_symplectic(code, w_max=fam.d)
             if found == fam.d:

@@ -4,14 +4,15 @@ Everything is computed on one sparse frame: the codeword support of the
 designated logical pair, built by engine._SparseCodewords (the type the
 codeword-matrix oracle also uses) from the orbit of |0_L> and its shift by
 Xbar. Dephasing multiplies each support state by a phase u[a], and
-every observable is a quadratic form in u with fixed coefficients.
+every observable is a quadratic form in u with fixed coefficients, one
+row per logical Pauli (Xbar, Ybar, Zbar).
 
 The Monte Carlo oracle samples u (the phase accumulated over time t is
-Normal(0, gamma*t)). Each normalizer Pauli L_o maps coset k of the support
-to coset k ^ delta_o and the code-space operator is diagonal there, so each
-form has two nonzero entries per sample, F_k at (k ^ delta_o, k): Bloch
-F_k = sum_{c in k} coef_o[c] conj(u[perm_o c]) u[c], leakage F_k = pc
-(sum_{c in k} coef_o[c] conj(u[perm_o c])) (sum_{c in k} g[c] u[c]). A
+Normal(0, gamma*t)). Each logical Pauli L_o maps coset k of the support
+to coset k ^ flips_o and the code-space operator is diagonal there, so each
+form has two nonzero entries per sample, F_k at (k ^ flips_o, k): Bloch
+F_k = sum_{c in k} coefs_o[c] conj(u[perms_o c]) u[c], leakage F_k = pc
+(sum_{c in k} coefs_o[c] conj(u[perms_o c])) (sum_{c in k} weight[c] u[c]). A
 point (theta, phi) sees v = Re(y G), G = F_0 + conj(F_1) for coset-flipping
 forms (else Re F_0 + i Re F_1), so batches keep the sums of D, D^2 and
 |D|^2, D = G - G_ref (G at u = 1), and every point follows in closed form.
@@ -189,37 +190,37 @@ def code_space_operator(
 
 
 class _Frame:
-    """The codeword support of one logical pair and its quadratic forms.
+    """The codeword support of the designated logical pair and its forms.
 
-    support holds the S basis states of |0_L> and |1_L> in coordinate order
-    (coset k is the k-th half), b_j the amplitudes of |j_L> on it. For L in
-    (Xbar, Ybar = i*Zbar*Xbar, Zbar), L|support[c]> = sign[c]|support[perm c]>
-    (_SparseCodewords' signed_permutation; sign 0 where L leaves it). On
-    the support the paper-normalized code-space operator is
-    Pc = pc (|0_L><0_L| + |1_L><1_L|) with pc = 2^(m-n). So with
-    cr[jk, c] = conj(b_j[perm c]) sign[c] b_k[c] and
-    cg[ik, c] = conj(b_i[c]) b_k[c], a phase vector u on the support gives
+    support holds the S basis states of |0_L> and |1_L> in coordinate order;
+    state c lies in coset[c] (the half holding |coset[c]_L>) with amplitude
+    amps[c] and weight[c] = |amps[c]|^2. Row o of perms and coefs belongs to
+    L in (Xbar, Ybar = i*Zbar*Xbar, Zbar): L|support[c]> = sign[c]
+    |support[perms[o, c]]> (_SparseCodewords' signed_permutation), coefs[o, c]
+    = conj(amps[perms[o, c]]) sign[c] amps[c], and L maps coset k onto
+    j = k ^ flips[o]. With Pc = pc (|0_L><0_L| + |1_L><1_L|) on the support,
+    pc = 2^(m-n), a phase vector u gives (sums over the states c of coset k;
+    every other (j, k) entry is 0)
 
-      <j|U' L U|k>    = sum_c conj(u[perm c]) u[c] cr[jk, c]
-      <j|U' L Pc U|k> = pc sum_i (sum_c conj(u[perm c]) cr[ji, c])
-                              (sum_c u[c] cg[ik, c])
+      <j|U' L U|k>    = sum_c coefs[o, c] conj(u[perms[o, c]]) u[c]
+      <j|U' L Pc U|k> = pc (sum_c coefs[o, c] conj(u[perms[o, c]])) (sum_c weight[c] u[c])
     """
 
-    def __init__(self, code: CodeSpec, logicals: LogicalSet, pair_index: int):
-        xbar, zbar = logicals.pairs[pair_index]
+    def __init__(self, code: CodeSpec, logicals: LogicalSet):
+        xbar, zbar = logicals.pairs[0]
         prod = multiply(zbar, xbar)
         ybar = PauliOperator(prod.n, prod.x_mask, prod.z_mask, prod.phase + 1)
         words = _SparseCodewords(code, [xbar])
+        amps = words.amps
         self.n = code.n
         self.pc = 2.0 ** (code.m - code.n)
         self.support = words.support
-        self.label = words.label
-        b = np.where(words.label == np.arange(2)[:, None], words.amps, 0.0)
-        self.terms = [  # (perm, cr) of Xbar, Ybar, Zbar
-            (perm, (np.conj(b[:, perm])[:, None] * sign * b).reshape(4, -1))
-            for perm, sign in map(words.signed_permutation, (xbar, ybar, zbar))
-        ]
-        self.cg = (np.conj(b)[:, None] * b).reshape(4, -1)
+        self.coset = words.position >> words.m_x
+        self.weight = np.conj(amps) * amps
+        perms, signs = zip(*map(words.signed_permutation, (xbar, ybar, zbar)))
+        self.perms = np.array(perms)
+        self.coefs = np.conj(amps[self.perms]) * np.array(signs) * amps
+        self.flips = self.coset[self.perms[:, 0]]
 
     def expected_forms(self, model: NoiseModel, t: float) -> np.ndarray:
         """(6, 2, 2) forms with conj(u_p) u_q replaced by its expectation
@@ -227,28 +228,30 @@ class _Frame:
 
         The support is the linear code O + {0, Xbar} (O: the X-stabilizer
         orbit) and |k_L> lives on coset k. The code is CSS with independent
-        generators, so |b_k|^2 = 2/S there and the leakage forms need only
-        R[p, k] = (2/S) sum_{label q = k} K(p, q): under local noise a function
-        of coset label[p] ^ k (support[p] ^ support[q] runs over it), under
-        global noise of popcount(support[p]).
+        generators, so weight = 2/S there and the leakage forms need only
+        R[p, k] = (2/S) sum_{coset q = k} K(p, q): under local noise a function
+        of coset[p] ^ k (support[p] ^ support[q] runs over it), under global
+        noise of popcount(support[p]). One pass sums coefs times K(perms c, c)
+        (Bloch) or R[perms c, coset c] (leakage) per coset k: entry (k ^ flip, k).
         """
-        n, support, label = self.n, self.support, self.label
+        n, support, coset, perms = self.n, self.support, self.coset, self.perms
         if model.kind == "local":
-            level = label
-            coset = np.bincount(label, decoherence_factor(support, 0, model, t, n), 2)
-            table = np.array([coset, coset[::-1]])  # [level, k] -> coset[level ^ k]
+            level = coset
+            sums = np.bincount(coset, decoherence_factor(support, 0, model, t, n), 2)
+            table = np.array([sums, sums[::-1]])  # [level, k] -> sums[level ^ k]
         else:
             level = _popcount(support)
-            hist = np.bincount(label * (n + 1) + level, minlength=2 * (n + 1))
+            hist = np.bincount(coset * (n + 1) + level, minlength=2 * (n + 1))
             reps = np.array([(1 << w) - 1 for w in range(n + 1)], dtype=np.uint64)
             kernel = decoherence_factor(reps[:, None], reps, model, t, n)
             table = kernel @ hist.reshape(2, n + 1).T
-        forms = np.empty((6, 2, 2), dtype=np.complex128)
-        for o, (perm, cr) in enumerate(self.terms):
-            diag = decoherence_factor(support[perm], support, model, t, n)
-            forms[o] = (cr @ diag).reshape(2, 2)
-            leak = cr.reshape(2, 2, -1) * table[level[perm]].T
-            forms[3 + o] = (2.0 * self.pc / len(support)) * leak.sum(axis=-1)
+        diag = decoherence_factor(support[perms], support, model, t, n)
+        factors = np.stack([diag, table[level[perms], coset]])  # (2, 3, S)
+        sums = (self.coefs * factors).reshape(6, 2, -1).sum(axis=-1)
+        sums[3:] *= 2.0 * self.pc / len(support)
+        forms = np.zeros((6, 2, 2), dtype=np.complex128)
+        k = np.arange(2)
+        forms[np.arange(6)[:, None], k ^ np.tile(self.flips, 2)[:, None], k] = sums
         return forms
 
     def spins(self, kind: str) -> np.ndarray:
@@ -270,9 +273,9 @@ class _CosetKernel:
 
         self.ndtri = ndtri
         self.kind = kind
-        self.pc, self.g = frame.pc, frame.cg.sum(axis=0)[:, None]
-        self.forms = [(perm, cr.sum(axis=0)[:, None]) for perm, cr in frame.terms]
-        self.flips = np.array([frame.label[perm[0]] != 0 for perm, _ in frame.terms] * 2)
+        self.pc, self.g = frame.pc, frame.weight[:, None]
+        self.perms, self.coefs = frame.perms, frame.coefs[:, :, None]
+        self.flips = np.tile(frame.flips != 0, 2)
         spins = -frame.spins(kind)  # u = exp(i normals . spins)
         self.fields, self.size = spins.shape
         self.chunk = max(1, MC_CHUNK // self.size)
@@ -310,12 +313,12 @@ class _CosetKernel:
                     u[lo_:hi] *= u[: hi - lo_]
             np.conj(u, out=uc)
             np.multiply(self.g, u, out=parts[0])
-            for o, (perm, coef) in enumerate(self.forms):
-                np.take(uc, perm, axis=0, out=parts[1 + 2 * o], mode="clip")
-                parts[1 + 2 * o] *= coef
-                np.multiply(parts[1 + 2 * o], u, out=parts[2 + 2 * o])
+            left, diag = parts[1:4], parts[4:]  # per Pauli: coef conj(u[perm]), times u
+            np.take(uc, self.perms, axis=0, out=left, mode="clip")
+            left *= self.coefs
+            np.multiply(left, u, out=diag)
             sums = np.einsum("kqhc->kqc", parts.reshape(7, 2, -1, width))
-            forms = np.concatenate([sums[2::2], self.pc * sums[1::2] * sums[0]])
+            forms = np.concatenate([sums[4:], self.pc * sums[1:4] * sums[0]])
             g = forms[:, 0] + np.conj(forms[:, 1])
             g[~self.flips] = forms[~self.flips, 0].real + 1j * forms[~self.flips, 1].real
             g -= self.reference[:, None]  # D = G - G_ref
@@ -352,16 +355,15 @@ def bloch_and_leakage(
     phi: float,
     model: NoiseModel,
     t_grid: Sequence[float],
-    pair_index: int = 0,
     frame: Optional[_Frame] = None,
 ) -> List[ObservableRecord]:
     """Analytic-factor engine: Bloch coordinates and leakage on a time grid.
 
     This is the exact expectation of the Monte Carlo estimator. frame, the
-    _Frame of (code, logicals, pair_index), is built here when None.
+    _Frame of (code, logicals), is built here when None.
     """
     if frame is None:
-        frame = _Frame(code, logicals, pair_index)
+        frame = _Frame(code, logicals)
     names = ("r_x", "r_y", "r_z", "p_x", "p_y", "p_z")
     records = []
     for t in t_grid:
@@ -414,7 +416,6 @@ def monte_carlo_grid(
     t: float,
     samples: int,
     seed: int,
-    pair_index: int = 0,
     threads: int = 1,
     kernel: Optional[_CosetKernel] = None,
 ) -> List[ObservableRecord]:
@@ -428,15 +429,16 @@ def monte_carlo_grid(
     are bit-identical for any thread count. Threads run whole batches (those
     beyond ceil(samples / batch) sit idle) and need no OPENBLAS_NUM_THREADS
     setting: the kernel calls no BLAS. kernel, the _CosetKernel of (code,
-    logicals, pair_index, model.kind), is built here when None;
-    monte_carlo_sweep passes one so that every t point shares it.
+    logicals, model.kind), is built here when None; monte_carlo_sweep passes
+    one so that every t point shares it. At phase scale 0 (t = 0 or gamma = 0)
+    no sample is drawn: each record is v_ref with standard errors 0.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if kernel is None:
-        kernel = _CosetKernel(_Frame(code, logicals, pair_index), model.kind)
+        kernel = _CosetKernel(_Frame(code, logicals), model.kind)
     elif kernel.kind != model.kind:
         raise ValueError(f"kernel built for {kernel.kind} noise, model is {model.kind}")
     scale = math.sqrt(model.convention * model.gamma * t) if t > 0 else 0.0
@@ -445,8 +447,10 @@ def monte_carlo_grid(
     def run(start: int) -> np.ndarray:
         return kernel.moments(seed, start, min(batch, samples - start), scale)
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        moments = sum(pool.map(run, range(0, samples, batch)))  # in batch order
+    moments = np.zeros((6, 3), dtype=np.complex128)  # scale 0: every u is 1, D = 0
+    if scale > 0.0:
+        with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+            moments = sum(pool.map(run, range(0, samples, batch)))  # in batch order
     total = np.stack([_point_sums(moments, kernel, *p) for p in points])
     means = total[:, :, 0] + total[:, :, 1] / samples
     if samples > 1:
@@ -466,11 +470,10 @@ def monte_carlo_oracle(
     t: float,
     samples: int,
     seed: int,
-    pair_index: int = 0,
     threads: int = 1,
 ) -> ObservableRecord:
     """Trajectory-averaged observables with standard errors at one point."""
-    args = (model, t, samples, seed, pair_index, threads)
+    args = (model, t, samples, seed, threads)
     return monte_carlo_grid(code, logicals, [(theta, phi)], *args)[0]
 
 
@@ -483,22 +486,17 @@ def monte_carlo_sweep(
     t_grid: Sequence[float],
     samples: int,
     seed: int,
-    pair_index: int = 0,
     threads: int = 1,
     frame: Optional[_Frame] = None,
 ) -> List[ObservableRecord]:
     """monte_carlo_oracle at every t of t_grid, with the frame and the kernel
     tables built once; each record equals the single-t call. frame, the
-    _Frame of (code, logicals, pair_index), is built here when None."""
+    _Frame of (code, logicals), is built here when None."""
     if frame is None:
-        frame = _Frame(code, logicals, pair_index)
+        frame = _Frame(code, logicals)
     kernel = _CosetKernel(frame, model.kind)
-    return [
-        monte_carlo_grid(
-            code, logicals, [(theta, phi)], model, t, samples, seed, pair_index, threads, kernel
-        )[0]
-        for t in t_grid
-    ]
+    args = (samples, seed, threads, kernel)
+    return [monte_carlo_grid(code, logicals, [(theta, phi)], model, t, *args)[0] for t in t_grid]
 
 
 # --- sweep CSV ----------------------------------------------------------------

@@ -14,10 +14,9 @@ letters in itertools.product("XYZ", repeat=w) order, first hit wins.
 Both must agree; verification never trusts declared parameters.
 
 One sparse codeword type, _SparseCodewords, holds the codeword support
-(codeword_orbit shifted by the X-logicals), each support state's codeword
-label and amplitude, and the signed permutation a Pauli induces on it. It
-serves the codeword-matrix oracle here and the analytic engine and Monte
-Carlo oracle in dephasing, kept in coordinate order rather than sorted.
+(codeword_orbit shifted by the X-logicals) in coordinate order, so codeword
+p >> m_x owns position p, the amplitudes and a Pauli's signed permutation.
+It serves the codeword-matrix oracle here and both dephasing methods.
 """
 
 from __future__ import annotations
@@ -36,6 +35,8 @@ from .states import PureState
 
 KL_TOL = 1e-10
 EXHAUSTIVE_COSET_CAP = 1 << 20
+KL_MAX_QUBITS = 20  # largest n the codeword-matrix oracle accepts
+SYNTHESIS_MAX_QUBITS = 24  # largest n verify synthesizes logicals for and family checks
 
 
 @dataclass(frozen=True)
@@ -352,7 +353,7 @@ class _SparseCodewords:
 
     support[p] is the XOR of the generator x-masks (the m_x X-stabilizers,
     then the xbars) chosen by the bits of p, with amplitude amps[p], in
-    codeword label[p] = p >> m_x (bit i set: xbars[i] applied). Independent
+    codeword p >> m_x (bit i set: xbars[i] applied). Independent
     generators (dependent ones raise) make the codewords orthonormal cosets.
     """
 
@@ -376,7 +377,7 @@ class _SparseCodewords:
             raise ValueError("codeword basis not orthonormal (coset collision)")
         self.n, self.support, self.amps = code.n, indices, amps
         self.position = np.arange(len(indices))
-        self.label = self.position >> (len(masks) - len(xbars))
+        self.m_x = len(masks) - len(xbars)
         self.count = 1 << len(xbars)
         self._coordinates = {}  # x-mask -> coordinates, or None outside the span
 
@@ -398,7 +399,7 @@ class _SparseCodewords:
     def violates_kl(self, op: PauliOperator, tol: float = KL_TOL) -> bool:
         """True iff M_ij = <psi_i|op|psi_j> is not a scalar multiple of I.
 
-        op maps codeword j (a block of the support) onto j ^ label[a], so
+        op maps codeword j (a block of the support) onto j ^ (a >> m_x), so
         column j has one entry, a sum over block j; M = 0 off the span.
         """
         a = self.coordinate(op.x_mask)
@@ -406,7 +407,7 @@ class _SparseCodewords:
             return False
         perm, sign = self.signed_permutation(op)
         column = (np.conj(self.amps[perm]) * sign * self.amps).reshape(self.count, -1).sum(1)
-        scalar = 0.0 if self.label[a] else column[0]
+        scalar = 0.0 if a >> self.m_x else column[0]
         return bool(np.max(np.abs(column - scalar)) > tol)
 
 
@@ -415,8 +416,8 @@ def distance_kl_oracle(
 ) -> Tuple[Optional[int], Optional[PauliOperator]]:
     """Distance from the first Pauli E, in distance_symplectic's scan order,
     that breaks the scalar-identity structure of the codeword matrix."""
-    if code.n > 20:
-        raise ValueError("codeword-matrix oracle is capped at n <= 20")
+    if code.n > KL_MAX_QUBITS:
+        raise ValueError(f"codeword-matrix oracle is capped at n <= {KL_MAX_QUBITS}")
     words = _SparseCodewords(code, [xbar for xbar, _ in logicals.pairs])
     return _first_accepted(
         code.n,
@@ -442,7 +443,7 @@ def verify_code(
     logicals = None
     if code.logical_pairs is not None:
         logicals = LogicalSet(code.logical_pairs)
-    elif code.n <= 24:
+    elif code.n <= SYNTHESIS_MAX_QUBITS:
         logicals = find_logical_set(code)
     report = verify_logical_set(code, logicals or LogicalSet(()))
     d, witness = distance_symplectic(code, w_max)

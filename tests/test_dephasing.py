@@ -12,6 +12,7 @@ from rhombuscode.dephasing import (
     NoiseModel,
     _CosetKernel,
     _Frame,
+    _point_sums,
     _point_values,
     bloch_and_leakage,
     closed_form,
@@ -28,6 +29,7 @@ from rhombuscode.dephasing import (
 )
 from rhombuscode.engine import (
     LogicalSet,
+    _SparseCodewords,
     codeword_zero,
     find_logical_set,
     logical_basis_state,
@@ -44,6 +46,32 @@ GAMMA_TS = [0.0, 0.1, 0.5, 1.0, 5.0]
 def unit_and_logicals():
     code = build_unit()
     return code, LogicalSet(code.logical_pairs)
+
+
+def target_and_logicals(target):
+    """The code of a CLI target and its own logicals, else synthesized ones."""
+    code = _parse_target(target)
+    if code.logical_pairs is not None:
+        return code, LogicalSet(code.logical_pairs)
+    return code, find_logical_set(code)
+
+
+def block_coefficients(code, logicals):
+    """The six forms' coefficients as 4 x S blocks, from _SparseCodewords
+    alone: for L in (Xbar, Ybar, Zbar) with L|support[c]> = sign[c]
+    |support[perm c]>, cr[2j + k, c] = conj(b_j[perm c]) sign[c] b_k[c], and
+    cg[2i + k, c] = conj(b_i[c]) b_k[c], b_k the amplitudes of |k_L> (zero
+    off its coset). Returns ([(perm, cr) per L], cg)."""
+    xbar, zbar = logicals.pairs[0]
+    prod = multiply(zbar, xbar)
+    ybar = PauliOperator(prod.n, prod.x_mask, prod.z_mask, prod.phase + 1)
+    words = _SparseCodewords(code, [xbar])
+    b = np.where(words.position >> words.m_x == np.arange(2)[:, None], words.amps, 0.0)
+    terms = [
+        (perm, (np.conj(b[:, perm])[:, None] * sign * b).reshape(4, -1))
+        for perm, sign in map(words.signed_permutation, (xbar, ybar, zbar))
+    ]
+    return terms, (np.conj(b)[:, None] * b).reshape(4, -1)
 
 
 # --- building blocks ----------------------------------------------------------
@@ -240,9 +268,11 @@ def test_engine_equals_dense_reference(name, kind):
                     assert abs(got - ref) < 1e-12
 
 
-def square_damping_forms(frame, model, t):
+def square_damping_forms(frame, blocks, model, t):
     """_Frame.expected_forms through the full S x S damping matrix
-    exp(-gt |spins_p - spins_q|^2 / 2), its kernel written out here."""
+    exp(-gt |spins_p - spins_q|^2 / 2), its kernel written out here, and the
+    block_coefficients of the frame's code and logicals."""
+    terms, cg = blocks
     bits = (frame.support[None, :] >> np.arange(frame.n, dtype=np.uint64)[:, None]) & 1
     spins = 0.5 - bits.astype(np.float64)
     if model.kind == "global":
@@ -250,9 +280,9 @@ def square_damping_forms(frame, model, t):
     sq = (spins * spins).sum(axis=0)
     dist2 = sq[:, None] + sq[None, :] - 2.0 * (spins.T @ spins)
     damping = np.exp(-dist2 * model.convention * model.gamma * t / 2.0)
-    right = damping @ frame.cg.T
+    right = damping @ cg.T
     forms = np.empty((6, 2, 2), dtype=np.complex128)
-    for o, (perm, cr) in enumerate(frame.terms):
+    for o, (perm, cr) in enumerate(terms):
         forms[o] = (cr @ damping[perm, np.arange(len(perm))]).reshape(2, 2)
         pairs = (cr @ right[perm]).reshape(2, 2, 2, 2)
         forms[3 + o] = frame.pc * (pairs[:, 0, 0] + pairs[:, 1, 1])
@@ -264,21 +294,37 @@ def square_damping_forms(frame, model, t):
 def test_engine_equals_square_damping_reference(target, kind):
     """The coset/popcount kernel sums against the S x S matrix they replace,
     on supports (S = 128, 512) larger than any dense-reference code."""
-    code = _parse_target(target)
-    if code.logical_pairs is not None:
-        logicals = LogicalSet(code.logical_pairs)
-    else:
-        logicals = find_logical_set(code)
-    frame = _Frame(code, logicals, 0)
+    code, logicals = target_and_logicals(target)
+    frame = _Frame(code, logicals)
+    blocks = block_coefficients(code, logicals)
     ts = [0.0, 0.3, 1.1, 2.7]
     for convention in (1.0, 2.0):
         model = NoiseModel(kind, 0.9, convention)
         for theta, phi in [(0.0, 0.0), (1.1, 0.8), (2.5, 4.0)]:
             recs = bloch_and_leakage(code, logicals, theta, phi, model, ts)
             for t, rec in zip(ts, recs):
-                want = _point_values(square_damping_forms(frame, model, t), theta, phi)
+                want = _point_values(square_damping_forms(frame, blocks, model, t), theta, phi)
                 for got, ref in zip(rec.values(), want):
                     assert abs(got - ref) < 1e-12
+
+
+@pytest.mark.parametrize("target", ["unit", "two_vertical", "grid_2x2", "lshape:1,1"])
+def test_frame_rows_are_the_nonzero_block_entries(target):
+    """Each block row cr[2j + k] is nonzero only at coset c = k, j = k ^ flip:
+    coefs scattered there give the blocks exactly, Xbar and Ybar flip the
+    coset and Zbar keeps it, and weight is cg summed over its rows."""
+    code, logicals = target_and_logicals(target)
+    frame = _Frame(code, logicals)
+    terms, cg = block_coefficients(code, logicals)
+    assert frame.flips.tolist() == [1, 1, 0]
+    columns = np.arange(len(frame.support))
+    for o, (perm, cr) in enumerate(terms):
+        assert np.array_equal(frame.perms[o], perm)
+        scattered = np.zeros_like(cr)
+        scattered[2 * frame.coset[perm] + frame.coset, columns] = frame.coefs[o]
+        assert np.array_equal(scattered, cr)
+        assert np.array_equal(frame.coset[perm], frame.coset ^ frame.flips[o])
+    assert np.array_equal(frame.weight, cg.sum(axis=0))
 
 
 # --- Monte Carlo oracle ----------------------------------------------------------
@@ -291,6 +337,28 @@ def test_mc_exact_at_gamma_zero():
     rec_en = bloch_and_leakage(code, logicals, 1.1, 0.9, model, [0.6])[0]
     for a, b in zip(rec_mc.values(), rec_en.values()):
         assert abs(a - b) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["global", "local"])
+def test_mc_draws_no_sample_at_phase_scale_zero(kind):
+    """At t = 0 and at gamma = 0 every phase is 1, so the kernel is not run
+    after it is built and each record is v_ref with standard errors 0; at
+    t > 0 it is run."""
+    code, logicals = target_and_logicals("grid_2x2")
+    kernel = _CosetKernel(_Frame(code, logicals), kind)
+    calls, moments = [], kernel.moments
+    kernel.moments = lambda *args: calls.append(args) or moments(*args)
+    points = [(1.1, 0.3), (2.5, 4.0)]
+    for model, t in ((NoiseModel(kind, 0.9), 0.0), (NoiseModel(kind, 0.0), 0.7)):
+        recs = monte_carlo_grid(code, logicals, points, model, t, 4097, 3, threads=2, kernel=kernel)
+        engine = [bloch_and_leakage(code, logicals, *p, model, [t])[0] for p in points]
+        for point, rec, want in zip(points, recs, engine):
+            assert rec.values() == tuple(_point_sums(np.zeros((6, 3)), kernel, *point)[:, 0])
+            assert rec.errors() == (0.0,) * 6
+            assert np.abs(np.subtract(rec.values(), want.values())).max() < 1e-12
+    assert calls == []
+    monte_carlo_grid(code, logicals, points, NoiseModel(kind, 0.9), 0.7, 10, 3, kernel=kernel)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("kind", ["global", "local"])
@@ -333,9 +401,10 @@ def test_mc_grid_matches_pointwise():
 def per_sample_reference(code, logicals, points, model, t, samples, seed):
     """Monte Carlo means and SEs from the per-sample estimator the coset
     kernel replaces: each batch's phases exp(-i normals . spins) from the same
-    Philox offsets, dense (6, 2, 2) forms from frame.terms and frame.cg, then
+    Philox offsets, dense (6, 2, 2) forms from the block_coefficients, then
     _point_values per sample, and the two-pass mean and variance of v."""
-    frame = _Frame(code, logicals, 0)
+    frame = _Frame(code, logicals)
+    terms, cg = block_coefficients(code, logicals)
     spins = frame.spins(model.kind)
     batch = max(1, min(MC_BATCH, (MC_BATCH << 5) // len(frame.support)))
     scale = math.sqrt(model.convention * model.gamma * t)
@@ -348,9 +417,9 @@ def per_sample_reference(code, logicals, points, model, t, samples, seed):
         normals = ndtri(np.clip(uniforms, 1e-300, 1.0 - 1e-16)) * scale
         u = np.exp(-1j * (normals @ spins)).T
         uc = np.conj(u)
-        right = (frame.cg @ u).reshape(2, 2, -1)
+        right = (cg @ u).reshape(2, 2, -1)
         forms = np.empty((6, 2, 2, count), dtype=np.complex128)
-        for o, (perm, cr) in enumerate(frame.terms):
+        for o, (perm, cr) in enumerate(terms):
             forms[o] = (cr @ (uc[perm] * u)).reshape(2, 2, -1)
             left = (cr @ uc[perm]).reshape(2, 2, -1)
             forms[3 + o] = frame.pc * (left[:, :1] * right[0] + left[:, 1:] * right[1])
@@ -372,11 +441,7 @@ def test_mc_moments_match_per_sample_reference(target, samples, kind):
     estimator: means to 1e-14, SEs to 1e-9 relative. r_z is constant per
     sample, so both SEs of it are round-off (below 1e-8), checked to 1e-10
     absolute."""
-    code = _parse_target(target)
-    if code.logical_pairs is not None:
-        logicals = LogicalSet(code.logical_pairs)
-    else:
-        logicals = find_logical_set(code)
+    code, logicals = target_and_logicals(target)
     model = NoiseModel(kind, 0.9)
     points = [(0.4, 0.3), (1.7, 2.2), (2.9, 5.1)]
     recs = monte_carlo_grid(code, logicals, points, model, 0.7, samples, seed=31, threads=2)
@@ -429,18 +494,14 @@ def test_mc_thread_and_batch_invariant_beyond_unit_cell():
 def test_mc_sweep_shares_one_kernel_across_t(target, kind):
     """A sweep over t (one frame and kernel) equals a fresh single-t call at
     every t, bit for bit; a kernel of the other noise kind is refused."""
-    code = _parse_target(target)
-    if code.logical_pairs is not None:
-        logicals = LogicalSet(code.logical_pairs)
-    else:
-        logicals = find_logical_set(code)
+    code, logicals = target_and_logicals(target)
     model = NoiseModel(kind, 0.7)
     t_grid = [0.0, 0.35, 1.2]
     sweep = monte_carlo_sweep(code, logicals, 1.1, 0.3, model, t_grid, 5001, seed=9, threads=2)
     assert sweep == [
         monte_carlo_oracle(code, logicals, 1.1, 0.3, model, t, 5001, seed=9) for t in t_grid
     ]
-    other = _CosetKernel(_Frame(code, logicals, 0), "local" if kind == "global" else "global")
+    other = _CosetKernel(_Frame(code, logicals), "local" if kind == "global" else "global")
     with pytest.raises(ValueError, match="kernel built for"):
         monte_carlo_grid(code, logicals, [(1.1, 0.3)], model, 0.5, 10, 9, kernel=other)
 

@@ -320,17 +320,17 @@ def frame_codewords(target):
 @pytest.mark.parametrize("target", LAYOUT_TARGETS)
 def test_support_in_coordinate_order(target):
     """support[p] is the XOR of the generator x-masks (X-stabilizers, then
-    Xbar) chosen by the bits of p, and label[p] = p >> m_x."""
+    Xbar) chosen by the bits of p, so codeword p >> m_x holds position p."""
     code, logicals, words = frame_codewords(target)
     masks = [s.x_mask for s in code.stabilizers if s.x_mask] + [logicals.pairs[0][0].x_mask]
     assert len(words.support) == 1 << len(masks)
+    assert words.m_x == len(masks) - 1
     for p, state in enumerate(words.support.tolist()):
         want = 0
         for j, mask in enumerate(masks):
             if p >> j & 1:
                 want ^= mask
         assert state == want
-        assert words.label[p] == p >> (len(masks) - 1)
 
 
 def searchsorted_signed_permutation(words, op):
