@@ -16,7 +16,10 @@ Both must agree; verification never trusts declared parameters.
 One sparse codeword type, _SparseCodewords, holds the codeword support
 (codeword_orbit shifted by the X-logicals) in coordinate order, so codeword
 p >> m_x owns position p, the amplitudes and a Pauli's signed permutation.
-It serves the codeword-matrix oracle here and both dephasing methods.
+It serves the codeword-matrix oracle here and both dephasing methods. The
+oracle still evaluates M from the explicit amplitudes, but reads each column
+from a Walsh-Hadamard spectrum of the amplitude products, computed once per
+X-shift and cached: a candidate costs O(2^k) after its shift's first O(S m_x).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gf2, pauli
+from .gf2 import _set_bits
 from .lattice import CodeSpec
 from .pauli import PauliOperator, apply, basis_action, commutes, multiply, to_string
 from .states import PureState
@@ -36,6 +40,7 @@ from .states import PureState
 KL_TOL = 1e-10
 EXHAUSTIVE_COSET_CAP = 1 << 20
 KL_MAX_QUBITS = 20  # largest n the codeword-matrix oracle accepts
+SPECTRUM_CACHE_BYTES = 64 << 20  # bound on the spectra one _SparseCodewords keeps
 SYNTHESIS_MAX_QUBITS = 24  # largest n verify synthesizes logicals for and family checks
 
 
@@ -369,7 +374,8 @@ class _SparseCodewords:
             images, phases = basis_action(xbar, indices)
             indices = np.concatenate([indices, images])
             amps = np.concatenate([amps, phases * amps])
-        masks = [s.x_mask for s in code.stabilizers if s.x_mask] + [x.x_mask for x in xbars]
+        generators = [s for s in code.stabilizers if s.x_mask] + list(xbars)
+        masks = [g.x_mask for g in generators]
         # bit n + j tags generator j, so a reduced x-mask keeps its coordinates there
         tagged = [mask | 1 << (code.n + j) for j, mask in enumerate(masks)]
         self._echelon = gf2.row_reduce(tagged, code.n + len(masks))
@@ -379,7 +385,9 @@ class _SparseCodewords:
         self.position = np.arange(len(indices))
         self.m_x = len(masks) - len(xbars)
         self.count = 1 << len(xbars)
+        self._columns = pauli.qubit_columns(generators, code.n)[0]  # per qubit, its generators
         self._coordinates = {}  # x-mask -> coordinates, or None outside the span
+        self._spectra = {}  # coordinates a -> _spectrum(a), oldest first
 
     def coordinate(self, x_mask: int) -> Optional[int]:
         """a with support[p] ^ x_mask = support[p ^ a] for all p; None off the span."""
@@ -388,26 +396,67 @@ class _SparseCodewords:
             self._coordinates[x_mask] = None if rem & ((1 << self.n) - 1) else rem >> self.n
         return self._coordinates[x_mask]
 
+    def parity(self, z_mask: int) -> int:
+        """t with popcount(support[p] & z_mask) = popcount(p & t) mod 2 for all
+        p: bit j set when generator j meets z_mask on an odd number of qubits."""
+        t = 0
+        for low in _set_bits(z_mask):
+            t ^= self._columns[low.bit_length() - 1]
+        return t
+
     def signed_permutation(self, op: PauliOperator) -> Tuple[np.ndarray, np.ndarray]:
         """(perm, sign) with op|support[p]> = sign[p] |support[perm[p]]>,
-        perm[p] = p ^ a; sign is 0 (perm the identity) if op leaves it."""
+        perm[p] = p ^ a and sign[p] = i^phase (-1)^popcount(p & t), t =
+        parity(op.z_mask); sign is 0 (perm the identity) if op leaves the support."""
         a = self.coordinate(op.x_mask)
         if a is None:
             return self.position, np.zeros(len(self.support), dtype=np.complex128)
-        return self.position ^ a, basis_action(op, self.support)[1]
+        odd = np.bitwise_count(self.position & self.parity(op.z_mask)) & 1
+        return self.position ^ a, (1j) ** op.phase * (1.0 - 2.0 * odd)
+
+    def _spectrum(self, a: int) -> np.ndarray:
+        """F[j, s] = sum_r conj(amps[p ^ a]) amps[p] (-1)^popcount(r & s), p =
+        j 2^m_x + r: the unnormalised Walsh-Hadamard transform of each block,
+        cached per a up to SPECTRUM_CACHE_BYTES, oldest evicted first."""
+        f = self._spectra.get(a)
+        if f is None:
+            f = self.amps[self.position ^ a]
+            np.conj(f, out=f)
+            f *= self.amps
+            f = f.reshape(self.count, -1)
+            g, half = np.empty_like(f), f.shape[1] // 2
+            for _ in range(self.m_x):  # butterfly on bit 0 of r, which moves to the top
+                np.add(f[:, 0::2], f[:, 1::2], out=g[:, :half])
+                np.subtract(f[:, 0::2], f[:, 1::2], out=g[:, half:])
+                f, g = g, f
+            if f.nbytes <= SPECTRUM_CACHE_BYTES:
+                while (len(self._spectra) + 1) * f.nbytes > SPECTRUM_CACHE_BYTES:
+                    del self._spectra[next(iter(self._spectra))]
+                self._spectra[a] = f
+        return f
+
+    def column(self, op: PauliOperator) -> Optional[np.ndarray]:
+        """c[j] = <psi_(j ^ (a >> m_x))|op|psi_j> = i^phase (-1)^popcount(j & t_hi)
+        F_a[j, t_lo], t = parity(op.z_mask) split at bit m_x; None off the span."""
+        a = self.coordinate(op.x_mask)
+        if a is None:
+            return None
+        t = self.parity(op.z_mask)
+        t_lo, t_hi = t & ((1 << self.m_x) - 1), t >> self.m_x
+        odd = np.bitwise_count(self.position[: self.count] & t_hi) & 1
+        return (1j) ** op.phase * (1.0 - 2.0 * odd) * self._spectrum(a)[:, t_lo]
 
     def violates_kl(self, op: PauliOperator, tol: float = KL_TOL) -> bool:
         """True iff M_ij = <psi_i|op|psi_j> is not a scalar multiple of I.
 
-        op maps codeword j (a block of the support) onto j ^ (a >> m_x), so
-        column j has one entry, a sum over block j; M = 0 off the span.
+        op maps codeword j onto j ^ (a >> m_x), so column j of M has one
+        entry, column(op)[j], read from the spectrum of the shift a (M is
+        still evaluated from the explicit amplitudes); M = 0 off the span.
         """
-        a = self.coordinate(op.x_mask)
-        if a is None:
+        column = self.column(op)
+        if column is None:
             return False
-        perm, sign = self.signed_permutation(op)
-        column = (np.conj(self.amps[perm]) * sign * self.amps).reshape(self.count, -1).sum(1)
-        scalar = 0.0 if a >> self.m_x else column[0]
+        scalar = 0.0 if self.coordinate(op.x_mask) >> self.m_x else column[0]
         return bool(np.max(np.abs(column - scalar)) > tol)
 
 

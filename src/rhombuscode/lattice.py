@@ -13,8 +13,9 @@ Coordinates use scaled integers ``(sx, sy)`` meaning the point
 Construction, validation and serialization are linear in the total
 stabilizer weight: the pairwise commutation check transposes the
 generators once (pauli.first_anticommuting_pair), each ancilla looks up its
-six unit-distance offsets, and operator strings visit only the support.
-``build grid:20`` (n = 1640, 840 generators) takes about 50 ms in process
+six unit-distance offsets, stabilizers are assembled as bit masks, and
+operator strings visit only the support.
+``build grid:20`` (n = 1640, 840 generators) takes about 40 ms in process
 on a 2-core Xeon, Python 3.11.
 """
 
@@ -222,40 +223,39 @@ def _assemble(
     ordering, which reproduces the two_vertical listing exactly).
     """
     npairs = len(pair_rows)
-    qubit: Dict[Tuple[int, int], int] = {}
-    nq = 0
+    bit: Dict[Tuple[int, int], int] = {}  # (row, column) -> the qubit's mask bit
     for c, rows in enumerate(pair_rows, start=1):
         for r in rows:
             for col in (2 * c - 1, 2 * c):
-                nq += 1
-                qubit[(r, col)] = nq
+                bit[(r, col)] = 1 << len(bit)
+    nq = len(bit)
 
-    stab_texts: List[Tuple[Tuple[int, int], str]] = []  # (sort key, text)
+    # a block's qubits are distinct, so the sum of their bits is its mask
+    x_entries: List[Tuple[Tuple[int, int], int]] = []  # (sort key, x-mask)
     for c, rows in enumerate(pair_rows, start=1):
         for j, block in enumerate(_x_blocks(rows)):
-            qs = sorted(qubit[(r, col)] for r in block for col in (2 * c - 1, 2 * c))
-            stab_texts.append(((c, j), "".join(f"X{q}" for q in qs)))
-    x_stabs = [t for _, t in sorted(stab_texts, key=lambda kv: kv[0])]
+            mask = sum(bit[(r, col)] for r in block for col in (2 * c - 1, 2 * c))
+            x_entries.append(((c, j), mask))
 
-    z_entries: List[Tuple[Tuple[int, int], str]] = []
+    z_entries: List[Tuple[Tuple[int, int], int]] = []  # (sort key, z-mask)
     for b in range(npairs + 1):
         left_rows = pair_rows[b - 1] if b >= 1 else ()
         right_rows = pair_rows[b] if b < npairs else ()
         # blocks are laid out per adjacent column and merged only when the
         # two columns produce the same row block (interior weight-6 plaquettes)
-        blocks: Dict[Tuple[int, ...], List[int]] = {}
+        blocks: Dict[Tuple[int, ...], int] = {}
         for rows, col in ((left_rows, 2 * b), (right_rows, 2 * b + 1)):
             if not rows:
                 continue
             for block in _z_blocks(rows):
-                qs = blocks.setdefault(tuple(block), [])
-                qs.extend(qubit[(r, col)] for r in block)
+                key = tuple(block)
+                blocks[key] = blocks.get(key, 0) | sum(bit[(r, col)] for r in block)
         for i, key in enumerate(sorted(blocks)):
-            z_entries.append(((i, b) if z_order_block_major else (b, i),
-                              "".join(f"Z{q}" for q in sorted(blocks[key]))))
-    z_stabs = [t for _, t in sorted(z_entries, key=lambda kv: kv[0])]
+            z_entries.append(((i, b) if z_order_block_major else (b, i), blocks[key]))
 
-    stabs = tuple(parse_pauli(t, nq) for t in x_stabs + z_stabs)
+    stabs = tuple(PauliOperator(nq, x_mask=x) for _, x in sorted(x_entries)) + tuple(
+        PauliOperator(nq, z_mask=z) for _, z in sorted(z_entries)
+    )
     return CodeSpec(nq, stabs, logical_pairs=logical_pairs, layout=layout,
                     declared=declared)
 
@@ -386,7 +386,9 @@ def code_to_json(code: CodeSpec) -> str:
 
 def code_from_json(text: str) -> CodeSpec:
     doc = json.loads(text)
-    n = int(doc["n"])
+    n = doc["n"]
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
     stabs = tuple(parse_pauli(s, n) for s in doc["stabilizers"])
     pairs = doc.get("logical_pairs")
     logical_pairs = (

@@ -107,6 +107,17 @@ def test_verify_missing_file_usage_error(capsys, tmp_path):
     assert code == 64
 
 
+@pytest.mark.parametrize("n", [6.5, "6", True], ids=["float", "string", "bool"])
+def test_verify_rejects_non_integer_qubit_count(capsys, tmp_path, n):
+    path = write_code(capsys, tmp_path, "unit")
+    doc = json.loads(path.read_text())
+    doc["n"] = n
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (64, "")
+    assert err == f"verify: cannot load code: n must be an integer, got {n!r}\n"
+
+
 # --- dephase -----------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rhombuscode import engine
 from rhombuscode.cli import _parse_target
 from rhombuscode.engine import (
     KL_TOL,
@@ -207,15 +208,42 @@ def y_dressed(code, logicals):
     return LogicalSet(tuple(pairs))
 
 
-def dense_violates_kl(psi, op):
-    """M_ij = <psi_i|op|psi_j> on the dense codeword states (the rows of psi)
-    is not a scalar * I. Only basis states y where some psi_i is nonzero
-    contribute, and op maps x = y ^ op.x_mask onto y."""
+def dense_matrix(psi, op):
+    """M_ij = <psi_i|op|psi_j> on the dense codeword states (the rows of psi).
+    Only basis states y where some psi_i is nonzero contribute, and op maps
+    x = y ^ op.x_mask onto y."""
     cols = np.flatnonzero(np.any(psi, axis=0)).astype(np.uint64)
     sources = cols ^ np.uint64(op.x_mask)
     _, phases = basis_action(op, sources)
-    m = np.conj(psi[:, cols]) @ (phases * psi[:, sources]).T
+    return np.conj(psi[:, cols]) @ (phases * psi[:, sources]).T
+
+
+def dense_violates_kl(psi, op):
+    """The dense codeword matrix is not a scalar * I."""
+    m = dense_matrix(psi, op)
     return bool(np.max(np.abs(m - m[0, 0] * np.eye(len(psi)))) > KL_TOL)
+
+
+def assert_column_is_dense_matrix(words, psi, op):
+    """M[j ^ (a >> m_x), j] = column(op)[j], and M is 0 elsewhere (everywhere
+    when op moves the support off itself)."""
+    m = dense_matrix(psi, op)
+    want = np.zeros_like(m)
+    column = words.column(op)
+    if column is not None:
+        j = np.arange(words.count)
+        want[j ^ (words.coordinate(op.x_mask) >> words.m_x), j] = column
+    np.testing.assert_allclose(m, want, rtol=0, atol=1e-12, err_msg=to_string(op))
+
+
+def weight_two_paulis(n):
+    """Every weight 1 and 2 candidate, in scan order."""
+    return [
+        _pauli_of(support, letters, n)
+        for w in (1, 2)
+        for support in itertools.combinations(range(n), w)
+        for letters in itertools.product("XYZ", repeat=w)
+    ]
 
 
 def paulis(code, words, extra):
@@ -255,19 +283,19 @@ def dense_codewords(name, dressed):
 
 @pytest.mark.parametrize("name,dressed", KL_CASES, ids=KL_IDS)
 def test_violates_kl_matches_dense_codeword_matrix(name, dressed):
+    """Weight <= 2 Paulis with phases 0-3 in turn, the same times each Xbar
+    (X-parts carrying coset bits), the stabilizers (M = I) and the logicals
+    (a nonzero M, which weight <= 2 misses)."""
     code, logicals, words, psi = dense_codewords(name, dressed)
-    ops = [
-        _pauli_of(support, letters, code.n)
-        for w in (1, 2)
-        for support in itertools.combinations(range(code.n), w)
-        for letters in itertools.product("XYZ", repeat=w)
-    ]
-    # stabilizers give M = I and logicals a nonzero M, which weight <= 2 misses
+    ops = weight_two_paulis(code.n)
+    ops = [PauliOperator(code.n, op.x_mask, op.z_mask, i % 4) for i, op in enumerate(ops)]
+    ops += [multiply(xbar, op) for xbar, _ in logicals.pairs for op in ops[: 3 * code.n]]
     ops += list(code.stabilizers) + [op for pair in logicals.pairs for op in pair]
     verdicts = []
     for op in ops:
         got = words.violates_kl(op)
         assert got == dense_violates_kl(psi, op), to_string(op)
+        assert_column_is_dense_matrix(words, psi, op)
         verdicts.append(got)
     assert any(verdicts) and not all(verdicts)
 
@@ -279,6 +307,48 @@ def test_violates_kl_matches_dense_codeword_matrix_on_any_pauli(name, dressed, d
     code, logicals, words, psi = dense_codewords(name, dressed)
     op = data.draw(paulis(code, words, [op for pair in logicals.pairs for op in pair]))
     assert words.violates_kl(op) == dense_violates_kl(psi, op), to_string(op)
+    assert_column_is_dense_matrix(words, psi, op)
+
+
+SPECTRUM_CASES = [(t, own) for t in ("unit", "two_vertical", "grid_2x2") for own in (True, False)]
+SPECTRUM_CASES += [("lshape:1,0", False)]
+
+
+@pytest.mark.parametrize("target,own", SPECTRUM_CASES)
+def test_spectrum_is_the_blockwise_walsh_hadamard_sum(target, own):
+    """_spectrum(a)[j, s] = sum_r conj(amps[p ^ a]) amps[p] (-1)^popcount(r & s)
+    with p = j 2^m_x + r, at every s, for shifts inside and across cosets."""
+    code = _parse_target(target)
+    logicals = LogicalSet(code.logical_pairs) if own else find_logical_set(code)
+    words = _SparseCodewords(code, [xbar for xbar, _ in logicals.pairs])
+    r = np.arange(1 << words.m_x)
+    hadamard = 1.0 - 2.0 * (np.bitwise_count(r[:, None] & r) & 1)
+    last = len(words.support) - 1
+    for a in (0, 1, last >> 1, 1 << words.m_x, (1 << words.m_x) | 1, last):
+        blocks = (np.conj(words.amps[words.position ^ a]) * words.amps).reshape(words.count, -1)
+        np.testing.assert_allclose(words._spectrum(a), blocks @ hadamard, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("target", ["two_vertical", "grid_2x2"])
+@pytest.mark.parametrize("slots", [0, 1])
+def test_spectrum_cache_bound_leaves_verdicts_unchanged(target, slots, monkeypatch):
+    """Over every weight <= 2 candidate, a cache bound of one spectrum (or
+    less) evicts, never holds more bytes than the bound, and changes no verdict."""
+    code = _parse_target(target)
+    xbars = [xbar for xbar, _ in find_logical_set(code).pairs]
+    ops = weight_two_paulis(code.n)
+    unbounded = _SparseCodewords(code, xbars)
+    want = [unbounded.violates_kl(op) for op in ops]
+    words = _SparseCodewords(code, xbars)
+    bound = slots * 16 * len(words.support) + 8
+    monkeypatch.setattr(engine, "SPECTRUM_CACHE_BYTES", bound)
+    got = []
+    for op in ops:
+        got.append(words.violates_kl(op))
+        assert len(words._spectra) <= slots
+        assert sum(f.nbytes for f in words._spectra.values()) <= bound
+    assert got == want
+    assert len(unbounded._spectra) > 1 and any(want)
 
 
 def test_sparse_codewords_reject_coset_collision():

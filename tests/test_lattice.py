@@ -9,6 +9,8 @@ from rhombuscode.lattice import (
     NAMED_CODES,
     CodeSpec,
     _adjacency,
+    _x_blocks,
+    _z_blocks,
     build_named,
     build_unit,
     code_from_json,
@@ -212,6 +214,53 @@ def test_json_round_trip_generated():
 def test_json_rejects_garbage():
     with pytest.raises((ValueError, KeyError)):
         code_from_json("{}")
+
+
+def text_rule_stabilizers(pair_rows, z_order_block_major):
+    """The stabilizer strings by the text rule _assemble used before it built
+    masks: sorted qubit labels joined per block, then parsed."""
+    qubit, nq = {}, 0
+    for c, rows in enumerate(pair_rows, start=1):
+        for r in rows:
+            for col in (2 * c - 1, 2 * c):
+                nq += 1
+                qubit[(r, col)] = nq
+    x_texts = []
+    for c, rows in enumerate(pair_rows, start=1):
+        for j, block in enumerate(_x_blocks(rows)):
+            qs = sorted(qubit[(r, col)] for r in block for col in (2 * c - 1, 2 * c))
+            x_texts.append(((c, j), "".join(f"X{q}" for q in qs)))
+    z_texts = []
+    npairs = len(pair_rows)
+    for b in range(npairs + 1):
+        left_rows = pair_rows[b - 1] if b >= 1 else ()
+        right_rows = pair_rows[b] if b < npairs else ()
+        blocks = {}
+        for rows, col in ((left_rows, 2 * b), (right_rows, 2 * b + 1)):
+            if not rows:
+                continue
+            for block in _z_blocks(rows):
+                blocks.setdefault(tuple(block), []).extend(qubit[(r, col)] for r in block)
+        for i, key in enumerate(sorted(blocks)):
+            z_texts.append(((i, b) if z_order_block_major else (b, i),
+                            "".join(f"Z{q}" for q in sorted(blocks[key]))))
+    texts = [t for _, t in sorted(x_texts)] + [t for _, t in sorted(z_texts)]
+    return tuple(parse_pauli(t, nq) for t in texts)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+def test_grid_masks_match_text_rule(p):
+    rows = tuple(range(1, 2 * p + 2))
+    assert stack_grid(p).stabilizers == text_rule_stabilizers([rows] * p, False)
+
+
+@pytest.mark.parametrize("v,h", [(v, h) for v in range(3) for h in range(3)])
+@pytest.mark.parametrize("fill", [False, True])
+def test_l_shape_masks_match_text_rule(v, h, fill):
+    full = tuple(range(1, 4 * v + 6))
+    short = tuple(range(4 * v + 1, 4 * v + 6))
+    pair_rows = [full] + [full if fill else short] * h
+    assert stack_l_shape(v, h, fill).stabilizers == text_rule_stabilizers(pair_rows, True)
 
 
 # --- validation and scale -------------------------------------------------------
