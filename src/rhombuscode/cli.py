@@ -225,28 +225,25 @@ def cmd_dephase(args: argparse.Namespace) -> int:
     else:
         logicals = engine.find_logical_set(code)
     model = dephasing.NoiseModel(args.kind, args.gamma)
-    frame = dephasing._Frame(code, logicals)  # shared by the engine and MC
+    try:
+        frame = dephasing._Frame(code, logicals)  # shared by the engine and MC
+    except ValueError as exc:
+        print(f"dephase: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     lines = [dephasing.SWEEP_COLUMNS]
     engine_records = dephasing.bloch_and_leakage(
         code, logicals, args.theta, args.phi, model, t_grid, frame=frame
     )
-    mc_records = (
-        dephasing.monte_carlo_sweep(
-            code,
-            logicals,
-            args.theta,
-            args.phi,
-            model,
-            t_grid,
-            args.mc_samples,
-            args.seed,
-            threads=args.threads,
-            frame=frame,
-        )
-        if args.mc_samples > 0
-        else [None] * len(t_grid)
-    )
+    mc_records = [None] * len(t_grid)
+    if args.mc_samples > 0:
+        mc_records = [
+            dephasing.monte_carlo_grid(
+                code, logicals, [(args.theta, args.phi)], model, t, args.mc_samples,
+                args.seed, threads=args.threads, frame=frame,
+            )[0]
+            for t in t_grid
+        ]
     for t, rec, mc in zip(t_grid, engine_records, mc_records):
         lines.append(
             dephasing.sweep_row(rec, args.gamma, args.theta, args.phi, args.kind, "engine")

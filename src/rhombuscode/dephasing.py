@@ -1,11 +1,12 @@
 """Logical-qubit observables under global and local Gaussian dephasing.
 
 Everything is computed on one sparse frame: the codeword support of the
-designated logical pair, built by engine._SparseCodewords (the type the
-codeword-matrix oracle also uses) from the orbit of |0_L> and its shift by
-Xbar. Dephasing multiplies each support state by a phase u[a], and
-every observable is a quadratic form in u with fixed coefficients, one
-row per logical Pauli (Xbar, Ybar, Zbar).
+designated logical pair (the first one, checked by
+engine.verify_logical_set), built by engine._SparseCodewords (the type the
+codeword-matrix oracle also uses) in one doubling pass over the
+X-stabilizers and Xbar. Dephasing multiplies each support state by a phase
+u[a], and every observable is a quadratic form in u with fixed
+coefficients, one row per logical Pauli (Xbar, Ybar, Zbar).
 
 The Monte Carlo oracle samples u (the phase accumulated over time t is
 Normal(0, gamma*t)). Each logical Pauli L_o maps coset k of the support
@@ -21,9 +22,10 @@ Xbar last) the cosets are the halves of the support, and u is built
 support-major without BLAS from cos + i sin of small tables (the distinct
 magnetizations; or the first MC_DIRECT states, then each generator's
 distinct spin changes), in sub-chunks of MC_CHUNK phase factors. Time
-enters only as the scale of the normals, so one kernel serves every t of a
-sweep. Batches read a counter-based stream at offsets set by their first
-sample, so any thread count reproduces the serial result bit for bit. The
+enters only as the scale of the normals, so the frame builds one kernel per
+noise kind and every t reuses it. Batches read a counter-based stream at
+offsets set by their first sample, so any thread count reproduces the
+serial result bit for bit. The
 analytic engine is the exact expectation of that estimator: E[conj(u_p) u_q]
 is decoherence_factor of the two basis states (magnetization difference for
 global noise, Hamming distance for local), summed per codeword coset or
@@ -44,7 +46,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import pauli
-from .engine import LogicalSet, _SparseCodewords
+from .engine import LogicalSet, _SparseCodewords, verify_logical_set
 from .engine import codeword_zero  # noqa: F401  perfbench/test_perfbench.py needs it
 from .lattice import CodeSpec
 from .pauli import PauliOperator, basis_action, multiply
@@ -204,9 +206,20 @@ class _Frame:
 
       <j|U' L U|k>    = sum_c coefs[o, c] conj(u[perms[o, c]]) u[c]
       <j|U' L Pc U|k> = pc (sum_c coefs[o, c] conj(u[perms[o, c]])) (sum_c weight[c] u[c])
+
+    The designated pair is logicals.pairs[0]; ValueError when there is none
+    or when engine.verify_logical_set reports a violation on it.
     """
 
     def __init__(self, code: CodeSpec, logicals: LogicalSet):
+        if not logicals.pairs:
+            raise ValueError("no logical pair to dephase (k = 0)")
+        report = verify_logical_set(code, LogicalSet(logicals.pairs[:1]))
+        if not report.logicals_ok:
+            raise ValueError(
+                "logical pair 1 fails verification: "
+                + "; ".join(report.logical_violations + report.degenerate)
+            )
         xbar, zbar = logicals.pairs[0]
         prod = multiply(zbar, xbar)
         ybar = PauliOperator(prod.n, prod.x_mask, prod.z_mask, prod.phase + 1)
@@ -221,6 +234,13 @@ class _Frame:
         self.perms = np.array(perms)
         self.coefs = np.conj(amps[self.perms]) * np.array(signs) * amps
         self.flips = self.coset[self.perms[:, 0]]
+        self._kernels = {}  # noise kind -> _CosetKernel
+
+    def kernel(self, kind: str) -> "_CosetKernel":
+        """The Monte Carlo kernel of this frame for noise kind, built on first use."""
+        if kind not in self._kernels:
+            self._kernels[kind] = _CosetKernel(self, kind)
+        return self._kernels[kind]
 
     def expected_forms(self, model: NoiseModel, t: float) -> np.ndarray:
         """(6, 2, 2) forms with conj(u_p) u_q replaced by its expectation
@@ -272,7 +292,6 @@ class _CosetKernel:
         from scipy.special import ndtri  # the MC oracle's only scipy use
 
         self.ndtri = ndtri
-        self.kind = kind
         self.pc, self.g = frame.pc, frame.weight[:, None]
         self.perms, self.coefs = frame.perms, frame.coefs[:, :, None]
         self.flips = np.tile(frame.flips != 0, 2)
@@ -417,7 +436,7 @@ def monte_carlo_grid(
     samples: int,
     seed: int,
     threads: int = 1,
-    kernel: Optional[_CosetKernel] = None,
+    frame: Optional[_Frame] = None,
 ) -> List[ObservableRecord]:
     """Monte Carlo means and standard errors for several (theta, phi) points.
 
@@ -428,19 +447,19 @@ def monte_carlo_grid(
     samples for S <= 32) and read disjoint Philox counter ranges, so results
     are bit-identical for any thread count. Threads run whole batches (those
     beyond ceil(samples / batch) sit idle) and need no OPENBLAS_NUM_THREADS
-    setting: the kernel calls no BLAS. kernel, the _CosetKernel of (code,
-    logicals, model.kind), is built here when None; monte_carlo_sweep passes
-    one so that every t point shares it. At phase scale 0 (t = 0 or gamma = 0)
-    no sample is drawn: each record is v_ref with standard errors 0.
+    setting: the kernel calls no BLAS. frame, the _Frame of (code, logicals),
+    is built here when None; it builds its kernel for model.kind on first
+    use, so calls at several t on one frame share that kernel. At phase
+    scale 0 (t = 0 or gamma = 0) no sample is drawn: each record is v_ref
+    with standard errors 0.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if kernel is None:
-        kernel = _CosetKernel(_Frame(code, logicals), model.kind)
-    elif kernel.kind != model.kind:
-        raise ValueError(f"kernel built for {kernel.kind} noise, model is {model.kind}")
+    if frame is None:
+        frame = _Frame(code, logicals)
+    kernel = frame.kernel(model.kind)
     scale = math.sqrt(model.convention * model.gamma * t) if t > 0 else 0.0
     batch = max(1, min(MC_BATCH, (MC_BATCH << 5) // kernel.size))
 
@@ -475,28 +494,6 @@ def monte_carlo_oracle(
     """Trajectory-averaged observables with standard errors at one point."""
     args = (model, t, samples, seed, threads)
     return monte_carlo_grid(code, logicals, [(theta, phi)], *args)[0]
-
-
-def monte_carlo_sweep(
-    code: CodeSpec,
-    logicals: LogicalSet,
-    theta: float,
-    phi: float,
-    model: NoiseModel,
-    t_grid: Sequence[float],
-    samples: int,
-    seed: int,
-    threads: int = 1,
-    frame: Optional[_Frame] = None,
-) -> List[ObservableRecord]:
-    """monte_carlo_oracle at every t of t_grid, with the frame and the kernel
-    tables built once; each record equals the single-t call. frame, the
-    _Frame of (code, logicals), is built here when None."""
-    if frame is None:
-        frame = _Frame(code, logicals)
-    kernel = _CosetKernel(frame, model.kind)
-    args = (samples, seed, threads, kernel)
-    return [monte_carlo_grid(code, logicals, [(theta, phi)], model, t, *args)[0] for t in t_grid]
 
 
 # --- sweep CSV ----------------------------------------------------------------

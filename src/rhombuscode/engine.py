@@ -13,10 +13,12 @@ w = 1, 2, ..., supports in itertools.combinations(range(n), w) order,
 letters in itertools.product("XYZ", repeat=w) order, first hit wins.
 Both must agree; verification never trusts declared parameters.
 
-One sparse codeword type, _SparseCodewords, holds the codeword support
-(codeword_orbit shifted by the X-logicals) in coordinate order, so codeword
-p >> m_x owns position p, the amplitudes and a Pauli's signed permutation.
-It serves the codeword-matrix oracle here and both dephasing methods. The
+One sparse codeword type, _SparseCodewords, builds the codeword support and
+amplitudes in one pass, doubling over the X-stabilizers and then the
+X-logicals (each Z-stabilizer only rescales the orbit), so in this
+coordinate order codeword p >> m_x owns position p. It also gives a Pauli's
+signed permutation, serves the codeword-matrix oracle here and both
+dephasing methods, and codeword_zero is its dense embedding. The
 oracle still evaluates M from the explicit amplitudes, but reads each column
 from a Walsh-Hadamard spectrum of the amplitude products, computed once per
 X-shift and cached: a candidate costs O(2^k) after its shift's first O(S m_x).
@@ -109,35 +111,11 @@ def require_independent(code: CodeSpec) -> int:
 # --- codewords --------------------------------------------------------------
 
 
-def codeword_orbit(code: CodeSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Basis indices and exact amplitudes of |0_L>, the normalized
-    projection prod_i (I + S_i)|0...0> with stabilizer phases included.
-
-    With independent CSS generators each X-type factor doubles the orbit
-    onto new indices and each Z-type factor only rescales it; index p (not
-    sorted) is the XOR of the X-type x-masks chosen by the bits of p."""
-    require_independent(code)
-    indices = np.zeros(1, dtype=np.uint64)
-    amps = np.ones(1, dtype=np.complex128)
-    for s in code.stabilizers:
-        images, phases = basis_action(s, indices)
-        if s.x_mask:
-            indices = np.concatenate([indices, images])
-            amps = np.concatenate([amps, phases * amps])
-        else:
-            amps = amps + phases * amps
-        if np.linalg.norm(amps) < 1e-9:
-            raise ValueError(
-                f"projector (I + {to_string(s)}) annihilates the seed state"
-            )
-    return indices, amps / np.linalg.norm(amps)
-
-
 def codeword_zero(code: CodeSpec) -> PureState:
-    """|0_L> as a dense 2^n vector: the embedding of codeword_orbit."""
-    indices, amps = codeword_orbit(code)
+    """|0_L> as a dense 2^n vector: the embedding of _SparseCodewords(code, ())."""
+    words = _SparseCodewords(code, ())
     dense = np.zeros(1 << code.n, dtype=np.complex128)
-    dense[indices] = amps
+    dense[words.support] = words.amps
     return PureState(code.n, dense)
 
 
@@ -228,7 +206,7 @@ def _min_weight_coset_rep(mask: int, group_rows: List[int]) -> int:
     return best
 
 
-def find_logical_set(code: CodeSpec, minimize: bool = True) -> LogicalSet:
+def find_logical_set(code: CodeSpec) -> LogicalSet:
     """Deterministic CSS logical-pair synthesis.
 
     X representatives come from ker(H_Z) modulo rowspace(H_X) and Z
@@ -259,13 +237,10 @@ def find_logical_set(code: CodeSpec, minimize: bool = True) -> LogicalSet:
                 v ^= lz[j]
         lz_paired.append(v)
 
-    certified = True
-    if minimize:
-        if (1 << len(h_x)) * k <= EXHAUSTIVE_COSET_CAP:
-            lx = [_min_weight_coset_rep(v, h_x) for v in lx]
-            lz_paired = [_min_weight_coset_rep(v, h_z) for v in lz_paired]
-        else:
-            certified = False
+    certified = (1 << len(h_x)) * k <= EXHAUSTIVE_COSET_CAP
+    if certified:
+        lx = [_min_weight_coset_rep(v, h_x) for v in lx]
+        lz_paired = [_min_weight_coset_rep(v, h_z) for v in lz_paired]
 
     pairs = tuple(
         (PauliOperator(code.n, x_mask=x), PauliOperator(code.n, z_mask=z))
@@ -310,10 +285,11 @@ def _scan_weight(
 def _first_accepted(
     n: int, w_max: int, accept: Callable[[Tuple[int, ...], Tuple[str, ...]], bool]
 ) -> Tuple[Optional[int], Optional[PauliOperator]]:
-    """(weight, Pauli) of the first candidate accept takes, weights 1..w_max."""
+    """(weight, Pauli) of the first candidate accept takes, weights 1..w_max;
+    no n-qubit Pauli has weight above n, so the scan stops there."""
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
-    for w in range(1, w_max + 1):
+    for w in range(1, min(w_max, n) + 1):
         hit = _scan_weight(n, w, accept)
         if hit is not None:
             return w, _pauli_of(*hit, n)
@@ -358,12 +334,20 @@ class _SparseCodewords:
 
     support[p] is the XOR of the generator x-masks (the m_x X-stabilizers,
     then the xbars) chosen by the bits of p, with amplitude amps[p], in
-    codeword p >> m_x (bit i set: xbars[i] applied). Independent
-    generators (dependent ones raise) make the codewords orthonormal cosets.
+    codeword p >> m_x (bit i set: xbars[i] applied); the first 2^m_x states
+    hold |0_L> = prod_i (I + S_i)|0...0>, normalized, stabilizer phases
+    included. Independent generators (dependent ones raise) make the
+    codewords orthonormal cosets.
     """
 
     def __init__(self, code: CodeSpec, xbars: Sequence[PauliOperator]):
-        indices, amps = codeword_orbit(code)
+        require_independent(code)
+        seed = 1.0 + 0.0j
+        for s in code.stabilizers:
+            if not s.x_mask:  # S commutes with every X-type generator: (I + S) scales the orbit
+                seed *= 1 + (1j) ** s.phase
+                if seed == 0:
+                    raise ValueError(f"projector (I + {to_string(s)}) annihilates the seed state")
         for xbar in xbars:
             for s in code.stabilizers:
                 if not commutes(xbar, s):
@@ -371,9 +355,6 @@ class _SparseCodewords:
                         f"Xbar {to_string(xbar)} anticommutes with stabilizer "
                         f"{to_string(s)}: its shifted orbit is not a codeword"
                     )
-            images, phases = basis_action(xbar, indices)
-            indices = np.concatenate([indices, images])
-            amps = np.concatenate([amps, phases * amps])
         generators = [s for s in code.stabilizers if s.x_mask] + list(xbars)
         masks = [g.x_mask for g in generators]
         # bit n + j tags generator j, so a reduced x-mask keeps its coordinates there
@@ -381,10 +362,20 @@ class _SparseCodewords:
         self._echelon = gf2.row_reduce(tagged, code.n + len(masks))
         if any(col >= code.n for col in self._echelon[1]):
             raise ValueError("codeword basis not orthonormal (coset collision)")
-        self.n, self.support, self.amps = code.n, indices, amps
-        self.position = np.arange(len(indices))
-        self.m_x = len(masks) - len(xbars)
-        self.count = 1 << len(xbars)
+        self.n, self.m_x, self.count = code.n, len(masks) - len(xbars), 1 << len(xbars)
+        self.support = np.zeros(1 << len(masks), dtype=np.uint64)
+        self.amps = np.empty(len(self.support), dtype=np.complex128)
+        self.amps[0] = seed
+        for j, g in enumerate(generators):  # state 2^j + p is g applied to state p
+            lo, hi = slice(0, 1 << j), slice(1 << j, 2 << j)
+            if j == self.m_x:  # normalize |0_L> before the xbars shift it: complex
+                # division sets the signs of zero parts, and this order fixes them
+                self.amps[lo] /= np.linalg.norm(self.amps[lo])
+            self.support[hi], phases = basis_action(g, self.support[lo])
+            np.multiply(phases, self.amps[lo], out=self.amps[hi])
+        if not xbars:
+            self.amps /= np.linalg.norm(self.amps)
+        self.position = np.arange(len(self.support))
         self._columns = pauli.qubit_columns(generators, code.n)[0]  # per qubit, its generators
         self._coordinates = {}  # x-mask -> coordinates, or None outside the span
         self._spectra = {}  # coordinates a -> _spectrum(a), oldest first
@@ -446,7 +437,7 @@ class _SparseCodewords:
         odd = np.bitwise_count(self.position[: self.count] & t_hi) & 1
         return (1j) ** op.phase * (1.0 - 2.0 * odd) * self._spectrum(a)[:, t_lo]
 
-    def violates_kl(self, op: PauliOperator, tol: float = KL_TOL) -> bool:
+    def violates_kl(self, op: PauliOperator) -> bool:
         """True iff M_ij = <psi_i|op|psi_j> is not a scalar multiple of I.
 
         op maps codeword j onto j ^ (a >> m_x), so column j of M has one
@@ -457,7 +448,7 @@ class _SparseCodewords:
         if column is None:
             return False
         scalar = 0.0 if self.coordinate(op.x_mask) >> self.m_x else column[0]
-        return bool(np.max(np.abs(column - scalar)) > tol)
+        return bool(np.max(np.abs(column - scalar)) > KL_TOL)
 
 
 def distance_kl_oracle(

@@ -264,12 +264,18 @@ def test_dephase_bad_grid_usage_error(capsys):
 
 
 DEPHASE_ARGS = ("--kind", "local", "--theta", "1", "--phi", "1", "--gamma", "1")
-# edits of the unit code's JSON that make it unloadable
+# edits of the unit code's JSON that make it unloadable, or (the last four)
+# leave dephase no usable designated logical pair
 BAD_CODES = {
     "DECLARED_PAIR": {"declared": [6, 2]},
     "DECLARED_TEXT": {"declared": ["a", "b", "c"]},
     "DECLARED_SCALAR": {"declared": 5},
     "DEPENDENT": {"stabilizers": ["X1X2X3X4", "X3X4X5X6", "Z1Z3Z5", "Z2Z4Z6", "Z1Z3Z5"]},
+    "NO_PAIR": {"n": 2, "stabilizers": ["X1X2", "Z1Z2"], "logical_pairs": None,
+                "declared": None, "layout": None},
+    "BAD_XBAR": {"logical_pairs": [["X1", "Z1Z4Z6"], ["X4X6", "Z2Z4Z5"]]},
+    "BAD_ZBAR": {"logical_pairs": [["X1X3", "Z1"], ["X4X6", "Z2Z4Z5"]]},
+    "COMMUTING_PAIR": {"logical_pairs": [["X1X3", "Z2Z4Z5"]]},
 }
 
 
@@ -290,11 +296,16 @@ BAD_CODES = {
         ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2", "--code", "DECLARED_PAIR"),
         ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2", "--code", "DECLARED_TEXT"),
         ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2", "--code", "DEPENDENT"),
+        ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2", "--code", "NO_PAIR"),
+        ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2", "--code", "BAD_XBAR"),
+        ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2", "--code", "BAD_ZBAR"),
+        ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2", "--code", "COMMUTING_PAIR"),
     ],
     ids=["gamma", "seed", "theta", "t-grid", "dephase-threads", "mc-samples", "w-max",
          "verify-declared-pair", "verify-declared-text", "verify-declared-scalar",
          "verify-dependent",
-         "dephase-declared-pair", "dephase-declared-text", "dephase-dependent"],
+         "dephase-declared-pair", "dephase-declared-text", "dephase-dependent",
+         "dephase-no-pair", "dephase-bad-xbar", "dephase-bad-zbar", "dephase-commuting-pair"],
 )
 def test_bad_input_is_a_one_line_usage_error(capsys, tmp_path, argv):
     paths = {"CODE": str(write_code(capsys, tmp_path, "unit"))}
@@ -310,21 +321,28 @@ def test_bad_input_is_a_one_line_usage_error(capsys, tmp_path, argv):
 
 
 def test_dephase_builds_one_frame(capsys, monkeypatch):
-    """The engine and the MC sweep share one codeword frame per call."""
-    built = []
+    """The engine and the MC at every t share one codeword frame and one MC
+    kernel per call."""
+    built, kernels = [], []
 
     class CountedFrame(dephasing._Frame):
         def __init__(self, *args):
             built.append(args)
             super().__init__(*args)
 
+    class CountedKernel(dephasing._CosetKernel):
+        def __init__(self, *args):
+            kernels.append(args)
+            super().__init__(*args)
+
     monkeypatch.setattr(dephasing, "_Frame", CountedFrame)
+    monkeypatch.setattr(dephasing, "_CosetKernel", CountedKernel)
     code, out, _ = run(
         capsys, "dephase", *DEPHASE_ARGS, "--t-grid", "0:1:3",
         "--mc-samples", "1000", "--seed", "5",
     )
     assert code == 0
-    assert len(built) == 1
+    assert len(built) == len(kernels) == 1
     assert sum(r["source"] == "monte_carlo" for r in parse_csv(out)) == 3
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from rhombuscode import dephasing
 from rhombuscode.cli import _parse_target
 from rhombuscode.dephasing import (
     MC_BATCH,
@@ -23,7 +24,6 @@ from rhombuscode.dephasing import (
     magnetization,
     monte_carlo_grid,
     monte_carlo_oracle,
-    monte_carlo_sweep,
     prepare_logical_state,
     sweep_row,
 )
@@ -345,19 +345,20 @@ def test_mc_draws_no_sample_at_phase_scale_zero(kind):
     after it is built and each record is v_ref with standard errors 0; at
     t > 0 it is run."""
     code, logicals = target_and_logicals("grid_2x2")
-    kernel = _CosetKernel(_Frame(code, logicals), kind)
+    frame = _Frame(code, logicals)
+    kernel = frame.kernel(kind)
     calls, moments = [], kernel.moments
     kernel.moments = lambda *args: calls.append(args) or moments(*args)
     points = [(1.1, 0.3), (2.5, 4.0)]
     for model, t in ((NoiseModel(kind, 0.9), 0.0), (NoiseModel(kind, 0.0), 0.7)):
-        recs = monte_carlo_grid(code, logicals, points, model, t, 4097, 3, threads=2, kernel=kernel)
+        recs = monte_carlo_grid(code, logicals, points, model, t, 4097, 3, threads=2, frame=frame)
         engine = [bloch_and_leakage(code, logicals, *p, model, [t])[0] for p in points]
         for point, rec, want in zip(points, recs, engine):
             assert rec.values() == tuple(_point_sums(np.zeros((6, 3)), kernel, *point)[:, 0])
             assert rec.errors() == (0.0,) * 6
             assert np.abs(np.subtract(rec.values(), want.values())).max() < 1e-12
     assert calls == []
-    monte_carlo_grid(code, logicals, points, NoiseModel(kind, 0.9), 0.7, 10, 3, kernel=kernel)
+    monte_carlo_grid(code, logicals, points, NoiseModel(kind, 0.9), 0.7, 10, 3, frame=frame)
     assert len(calls) == 1
 
 
@@ -491,19 +492,33 @@ def test_mc_thread_and_batch_invariant_beyond_unit_cell():
 
 @pytest.mark.parametrize("target", ["unit", "grid_2x2", "lshape:1,1"])
 @pytest.mark.parametrize("kind", ["global", "local"])
-def test_mc_sweep_shares_one_kernel_across_t(target, kind):
-    """A sweep over t (one frame and kernel) equals a fresh single-t call at
-    every t, bit for bit; a kernel of the other noise kind is refused."""
+def test_mc_sweep_shares_one_kernel_across_t(target, kind, monkeypatch):
+    """Calls at several t on one frame equal fresh single-t calls bit for
+    bit, and the frame builds one _CosetKernel per noise kind."""
+    built = []
+
+    class CountedKernel(_CosetKernel):
+        def __init__(self, frame, kind):
+            built.append(kind)
+            super().__init__(frame, kind)
+
+    monkeypatch.setattr(dephasing, "_CosetKernel", CountedKernel)
     code, logicals = target_and_logicals(target)
+    frame = _Frame(code, logicals)
     model = NoiseModel(kind, 0.7)
     t_grid = [0.0, 0.35, 1.2]
-    sweep = monte_carlo_sweep(code, logicals, 1.1, 0.3, model, t_grid, 5001, seed=9, threads=2)
+    point = [(1.1, 0.3)]
+    sweep = [
+        monte_carlo_grid(code, logicals, point, model, t, 5001, 9, threads=2, frame=frame)[0]
+        for t in t_grid
+    ]
+    other = "local" if kind == "global" else "global"
+    monte_carlo_grid(code, logicals, point, NoiseModel(other, 0.7), 0.5, 10, 9, frame=frame)
+    assert frame.kernel(kind) is frame.kernel(kind)
+    assert built == [kind, other]
     assert sweep == [
         monte_carlo_oracle(code, logicals, 1.1, 0.3, model, t, 5001, seed=9) for t in t_grid
     ]
-    other = _CosetKernel(_Frame(code, logicals), "local" if kind == "global" else "global")
-    with pytest.raises(ValueError, match="kernel built for"):
-        monte_carlo_grid(code, logicals, [(1.1, 0.3)], model, 0.5, 10, 9, kernel=other)
 
 
 # --- CSV formatting ---------------------------------------------------------------

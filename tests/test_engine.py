@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import random
 import re
 
 import numpy as np
@@ -74,6 +75,82 @@ def test_logical_basis_orthonormal():
     for i, a in enumerate(states):
         for j, b in enumerate(states):
             assert a.inner(b) == pytest.approx(1.0 if i == j else 0.0, abs=1e-14)
+
+
+def orbit_reference(code):
+    """|0_L> by the rule _SparseCodewords replaced: (I + S) per stabilizer in
+    code order, an X-type one doubling the orbit onto new indices, a Z-type
+    one adding its phased image to every state, then normalized."""
+    require_independent(code)
+    indices = np.zeros(1, dtype=np.uint64)
+    amps = np.ones(1, dtype=np.complex128)
+    for s in code.stabilizers:
+        images, phases = basis_action(s, indices)
+        if s.x_mask:
+            indices = np.concatenate([indices, images])
+            amps = np.concatenate([amps, phases * amps])
+        else:
+            amps = amps + phases * amps
+        if np.linalg.norm(amps) < 1e-9:
+            raise ValueError(f"projector (I + {to_string(s)}) annihilates the seed state")
+    return indices, amps / np.linalg.norm(amps)
+
+
+def codewords_reference(code, xbars):
+    """orbit_reference doubled by each Xbar in turn."""
+    indices, amps = orbit_reference(code)
+    for xbar in xbars:
+        images, phases = basis_action(xbar, indices)
+        indices = np.concatenate([indices, images])
+        amps = np.concatenate([amps, phases * amps])
+    return indices, amps
+
+
+def with_phases(code, phase_of):
+    """code with stabilizer s carrying phase phase_of(s)."""
+    stabs = tuple(PauliOperator(s.n, s.x_mask, s.z_mask, phase_of(s)) for s in code.stabilizers)
+    return CodeSpec(code.n, stabs, code.logical_pairs)
+
+
+REFERENCE_TARGETS = ["unit", "two_horizontal", "two_vertical", "grid_2x2", "grid:1", "grid:2",
+                     "lshape:0,0", "lshape:0,1", "lshape:1,0", "lshape:1,1"]
+
+
+@pytest.mark.parametrize("target", REFERENCE_TARGETS)
+def test_sparse_codewords_equal_the_orbit_reference(target):
+    """Support and amplitudes bit for bit, on the code, the code with its
+    first X-stabilizer negated and three draws of Z-stabilizer phases 1 and
+    3; with all and with the first of its own (when they verify),
+    synthesized, Y-dressed and phase-2 Xbars, and with none."""
+    code = _parse_target(target)
+    first_x = next(s for s in code.stabilizers if s.x_mask)
+    rng = random.Random(target)
+    variants = [code, with_phases(code, lambda s: 2 if s is first_x else 0)]
+    variants += [with_phases(code, lambda s: 0 if s.x_mask else rng.choice([1, 3]))
+                 for _ in range(3)]
+    for variant in variants:
+        synthesized = find_logical_set(variant)
+        sets = [synthesized, y_dressed(variant, synthesized), LogicalSet(tuple(
+            (PauliOperator(x.n, x.x_mask, x.z_mask, x.phase + 2), z) for x, z in synthesized.pairs
+        ))]
+        own = LogicalSet(variant.logical_pairs or ())
+        if own.k and verify_logical_set(variant, own).logicals_ok:
+            sets.append(own)
+        for logicals in sets:
+            xbars = [xbar for xbar, _ in logicals.pairs]
+            for chosen in (xbars, xbars[:1], []):
+                words = _SparseCodewords(variant, chosen)
+                support, amps = codewords_reference(variant, chosen)
+                assert words.support.tobytes() == support.tobytes()
+                assert words.amps.tobytes() == amps.tobytes()
+
+
+def test_negated_z_stabilizer_annihilates_the_seed_state():
+    code = with_phases(build_unit(), lambda s: 2 if s.z_mask == 0b10101 else 0)
+    message = re.escape("projector (I + -Z1Z3Z5) annihilates the seed state")
+    for build in (orbit_reference, codeword_zero, lambda c: _SparseCodewords(c, ())):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(code)
 
 
 def test_codeword_requires_independent_generators():
@@ -164,6 +241,19 @@ def test_distance_not_found_below_cutoff():
     assert d is None and w is None
 
 
+def test_distance_scans_stop_at_n(monkeypatch):
+    """No 2-qubit Pauli has weight 3: with w_max = 10^4 both scans of the
+    k = 0 code X1X2, Z1Z2 visit weights 1 and 2 only and find nothing."""
+    code = CodeSpec(2, (parse_pauli("X1X2", 2), parse_pauli("Z1Z2", 2)))
+    weights, scan = [], engine._scan_weight
+    monkeypatch.setattr(
+        engine, "_scan_weight", lambda n, w, accept: weights.append(w) or scan(n, w, accept)
+    )
+    assert distance_symplectic(code, w_max=10**4) == (None, None)
+    assert distance_kl_oracle(code, LogicalSet(()), w_max=10**4) == (None, None)
+    assert weights == [1, 2, 1, 2]
+
+
 def test_distance_witness_is_undetectable_logical():
     code = build_unit()
     _, w = distance_symplectic(code, w_max=4)
@@ -199,12 +289,13 @@ def test_kl_oracle_rejects_logicals_outside_code_space():
 
 
 def y_dressed(code, logicals):
-    """Each Xbar times a Z stabilizer it overlaps: same codewords, Y letters."""
+    """Each Xbar times a Z stabilizer it overlaps, where one does: same
+    codewords, Y letters."""
     pairs = []
     for xbar, zbar in logicals.pairs:
-        s = next(s for s in code.stabilizers
-                 if s.is_z_type() and s.z_mask & xbar.x_mask)
-        pairs.append((multiply(xbar, s), zbar))
+        s = next((s for s in code.stabilizers
+                  if s.is_z_type() and s.z_mask & xbar.x_mask), None)
+        pairs.append((xbar if s is None else multiply(xbar, s), zbar))
     return LogicalSet(tuple(pairs))
 
 
