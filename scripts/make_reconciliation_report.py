@@ -33,6 +33,12 @@ SAMPLES = 1_000_000
 SEED = 20260823
 
 
+def row(gt: float, theta: float, phi: float, source: str, record) -> str:
+    """One artifact line: the grid point, the source and its six observables."""
+    values = [format_float(v) for v in record.values()]
+    return ",".join([format_float(gt), format_float(theta), format_float(phi), source] + values)
+
+
 def main() -> None:
     code = build_unit()
     logicals = LogicalSet(code.logical_pairs)
@@ -51,13 +57,7 @@ def main() -> None:
                 ("monte_carlo", rec),
                 ("closed_form", closed_form("local", theta, phi, 1.0, gt)),
             ]
-            for source, r in rows:
-                lines.append(
-                    ",".join(
-                        [format_float(gt), format_float(theta), format_float(phi), source]
-                        + [format_float(v) for v in r.values()]
-                    )
-                )
+            lines += [row(gt, theta, phi, source, r) for source, r in rows]
     out = pathlib.Path(__file__).resolve().parent.parent / "artifacts"
     out.mkdir(exist_ok=True)
     (out / "local_closed_form_comparison.csv").write_text("\n".join(lines) + "\n")

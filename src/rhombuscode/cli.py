@@ -54,14 +54,21 @@ class RunManifest:
             fh.write("\n")
 
 
-def _emit(text: str, out: Optional[str], manifest: RunManifest) -> None:
+def _emit(text: str, out: Optional[str], manifest: RunManifest) -> bool:
+    """Write text to out (stdout when None) and its manifest sidecar; False
+    after a one-line "cannot write" message on stderr when that fails."""
     if out is None:
         sys.stdout.write(text)
-        return
-    with open(out, "w") as fh:
-        fh.write(text)
-    manifest.outputs.append(out)
-    manifest.write(out)
+        return True
+    try:
+        with open(out, "w") as fh:
+            fh.write(text)
+        manifest.outputs.append(out)
+        manifest.write(out)
+    except OSError as exc:
+        print(f"{manifest.command}: cannot write output: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _parse_target(target: str) -> lattice.CodeSpec:
@@ -117,8 +124,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     text = lattice.code_to_json(code)
     manifest.duration_seconds = time.monotonic() - started
-    _emit(text, args.out, manifest)
-    return EXIT_OK
+    return EXIT_OK if _emit(text, args.out, manifest) else EXIT_USAGE
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -145,7 +151,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_INFEASIBLE
     report = engine.verify_code(code, w_max=args.w_max, use_kl=args.kl)
     manifest.duration_seconds = time.monotonic() - started
-    _emit(report.to_json(), args.out, manifest)
+    if not _emit(report.to_json(), args.out, manifest):
+        return EXIT_USAGE
 
     status = EXIT_OK
     if not report.commuting or not report.logicals_ok:
@@ -261,8 +268,7 @@ def cmd_dephase(args: argparse.Namespace) -> int:
                 )
             )
     manifest.duration_seconds = time.monotonic() - started
-    _emit("\n".join(lines) + "\n", args.out, manifest)
-    return EXIT_OK
+    return EXIT_OK if _emit("\n".join(lines) + "\n", args.out, manifest) else EXIT_USAGE
 
 
 def cmd_family(args: argparse.Namespace) -> int:

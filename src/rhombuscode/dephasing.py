@@ -8,32 +8,32 @@ X-stabilizers and Xbar. Dephasing multiplies each support state by a phase
 u[a], and every observable is a quadratic form in u with fixed
 coefficients, one row per logical Pauli (Xbar, Ybar, Zbar).
 
-The Monte Carlo oracle samples u (the phase accumulated over time t is
-Normal(0, gamma*t)). Each logical Pauli L_o maps coset k of the support
-to coset k ^ flips_o and the code-space operator is diagonal there, so each
-form has two nonzero entries per sample, F_k at (k ^ flips_o, k): Bloch
-F_k = sum_{c in k} coefs_o[c] conj(u[perms_o c]) u[c], leakage F_k = pc
-(sum_{c in k} coefs_o[c] conj(u[perms_o c])) (sum_{c in k} weight[c] u[c]). A
-point (theta, phi) sees v = Re(y G), G = F_0 + conj(F_1) for coset-flipping
-forms (else Re F_0 + i Re F_1), so batches keep the sums of D, D^2 and
-|D|^2, D = G - G_ref (G at u = 1), and every point follows in closed form.
-In the frame's coordinate order (state p ^ 2^j is p shifted by generator j,
-Xbar last) the cosets are the halves of the support, and u is built
-support-major without BLAS from cos + i sin of small tables (the distinct
-magnetizations; or the first MC_DIRECT states, then each generator's
-distinct spin changes), in sub-chunks of MC_CHUNK phase factors. Time
-enters only as the scale of the normals, so the frame builds one kernel per
-noise kind and every t reuses it. Batches read a counter-based stream at
-offsets set by their first sample, so any thread count reproduces the
-serial result bit for bit. The
-analytic engine is the exact expectation of that estimator: E[conj(u_p) u_q]
-is decoherence_factor of the two basis states (magnetization difference for
-global noise, Hamming distance for local), summed per codeword coset or
-popcount level, never as an S x S matrix.
-The dense O(2^n) references prepare_logical_state,
-dephased_pauli_expectation and code_space_operator serve the tests.
-scipy (for ndtri) and the thread pool load on the first _CosetKernel and
-monte_carlo_grid call, so importing this module loads neither.
+Each logical Pauli maps coset k of the support onto coset k ^ 1 (Xbar, Ybar:
+coset-flipping) or onto itself (Zbar), and the code-space operator is diagonal
+there, so each form has two nonzero entries F_k, k the column: Bloch F_k =
+sum_{c in k} coefs_o[c] conj(u[perms_o c]) u[c], leakage F_k = pc (sum_{c in
+k} coefs_o[c] conj(u[perms_o c])) (sum_{c in k} weight[c] u[c]). _combine
+makes them G = F_0 + conj(F_1) (coset-flipping) or Re F_0 + i Re F_1, and a
+point (theta, phi) reads v = Re(y G), y from _point_weights. The Monte Carlo
+oracle samples u (the phase accumulated over time t is Normal(0, gamma*t));
+batches keep the sums of D, D^2 and |D|^2, D = G - G_ref (G at u = 1), so
+every point follows in closed form. In the frame's coordinate order (state p ^
+2^j is p shifted by generator j, Xbar last) the cosets are the halves of the
+support, and u is built support-major without BLAS from cos + i sin of small
+tables (the distinct magnetizations; or the first MC_DIRECT states, then each
+generator's distinct spin changes), in sub-chunks of MC_CHUNK phase factors.
+Time enters only as the scale of the normals, so the frame builds one kernel
+per noise kind and every t reuses it. Batches read a counter-based stream at
+offsets set by their first sample, so any thread count reproduces the serial
+result bit for bit. The analytic engine, _Frame.expected, returns E[G] (G_ref
+at t = 0), the exact expectation of that estimator, and checks that the part G
+drops (F_1 - conj(F_0), Im F_k) is zero, as the forms are Hermitian.
+E[conj(u_p) u_q] is decoherence_factor of the two basis states (magnetization
+difference for global noise, Hamming distance for local), summed per codeword
+coset or popcount level, never as an S x S matrix. The dense O(2^n) references
+prepare_logical_state, dephased_pauli_expectation and code_space_operator
+serve the tests. scipy (for ndtri) and the thread pool load on the first
+_CosetKernel and monte_carlo_grid call, not on import.
 """
 
 from __future__ import annotations
@@ -75,10 +75,10 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
-        if self.convention <= 0:
-            raise ValueError("convention must be positive")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and nonnegative")
+        if not 0 < self.convention < math.inf:
+            raise ValueError("convention must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,8 @@ def decoherence_factor(a, b, model: NoiseModel, t: float, n: int):
     """Damping of the (a, b) density-matrix element after time t, elementwise
     over basis indices (ints or uint64 arrays). This is the one place the
     damping formula is written; the engine and the dense reference call it."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be finite and nonnegative")
     gt = model.convention * model.gamma * t
     if model.kind == "global":
         dm = magnetization(a, n) - magnetization(b, n)
@@ -200,7 +200,7 @@ class _Frame:
     L in (Xbar, Ybar = i*Zbar*Xbar, Zbar): L|support[c]> = sign[c]
     |support[perms[o, c]]> (_SparseCodewords' signed_permutation), coefs[o, c]
     = conj(amps[perms[o, c]]) sign[c] amps[c], and L maps coset k onto
-    j = k ^ flips[o]. With Pc = pc (|0_L><0_L| + |1_L><1_L|) on the support,
+    j = k ^ flipping[o]. With Pc = pc (|0_L><0_L| + |1_L><1_L|) on the support,
     pc = 2^(m-n), a phase vector u gives (sums over the states c of coset k;
     every other (j, k) entry is 0)
 
@@ -233,7 +233,7 @@ class _Frame:
         perms, signs = zip(*map(words.signed_permutation, (xbar, ybar, zbar)))
         self.perms = np.array(perms)
         self.coefs = np.conj(amps[self.perms]) * np.array(signs) * amps
-        self.flips = self.coset[self.perms[:, 0]]
+        self.flipping = np.tile(self.coset[self.perms[:, 0]] != 0, 2)  # per form
         self._kernels = {}  # noise kind -> _CosetKernel
 
     def kernel(self, kind: str) -> "_CosetKernel":
@@ -242,9 +242,9 @@ class _Frame:
             self._kernels[kind] = _CosetKernel(self, kind)
         return self._kernels[kind]
 
-    def expected_forms(self, model: NoiseModel, t: float) -> np.ndarray:
-        """(6, 2, 2) forms with conj(u_p) u_q replaced by its expectation
-        K(p, q) = decoherence_factor(support[p], support[q]), in O(S + n^2).
+    def expected(self, model: NoiseModel, t: float) -> np.ndarray:
+        """(6,) E[G] at t: _combine of the per-coset sums F_k with conj(u_p) u_q
+        replaced by K(p, q) = decoherence_factor(support[p], support[q]), in O(S + n^2).
 
         The support is the linear code O + {0, Xbar} (O: the X-stabilizer
         orbit) and |k_L> lives on coset k. The code is CSS with independent
@@ -252,7 +252,11 @@ class _Frame:
         R[p, k] = (2/S) sum_{coset q = k} K(p, q): under local noise a function
         of coset[p] ^ k (support[p] ^ support[q] runs over it), under global
         noise of popcount(support[p]). One pass sums coefs times K(perms c, c)
-        (Bloch) or R[perms c, coset c] (leakage) per coset k: entry (k ^ flip, k).
+        (Bloch) or R[perms c, coset c] (leakage) per coset k.
+
+        ValueError when the sums are not Hermitian within REALNESS_TOL (F_1 =
+        conj(F_0) on coset-flipping rows, F_k real on the others): G drops that
+        part, so |Im v| at every (theta, phi) is then within the tolerance too.
         """
         n, support, coset, perms = self.n, self.support, self.coset, self.perms
         if model.kind == "local":
@@ -269,10 +273,11 @@ class _Frame:
         factors = np.stack([diag, table[level[perms], coset]])  # (2, 3, S)
         sums = (self.coefs * factors).reshape(6, 2, -1).sum(axis=-1)
         sums[3:] *= 2.0 * self.pc / len(support)
-        forms = np.zeros((6, 2, 2), dtype=np.complex128)
-        k = np.arange(2)
-        forms[np.arange(6)[:, None], k ^ np.tile(self.flips, 2)[:, None], k] = sums
-        return forms
+        flip = self.flipping
+        error = np.where(flip, abs(sums[:, 1] - np.conj(sums[:, 0])), abs(sums.imag).max(1))
+        if error.max() > REALNESS_TOL:
+            raise ValueError(f"forms are not Hermitian: deviation {error.max():.3e}")
+        return _combine(sums, flip)
 
     def spins(self, kind: str) -> np.ndarray:
         """spins[k, p] couples noise field k to support state p: one field, half
@@ -294,7 +299,7 @@ class _CosetKernel:
         self.ndtri = ndtri
         self.pc, self.g = frame.pc, frame.weight[:, None]
         self.perms, self.coefs = frame.perms, frame.coefs[:, :, None]
-        self.flips = np.tile(frame.flips != 0, 2)
+        self.flipping = frame.flipping
         spins = -frame.spins(kind)  # u = exp(i normals . spins)
         self.fields, self.size = spins.shape
         self.chunk = max(1, MC_CHUNK // self.size)
@@ -306,8 +311,7 @@ class _CosetKernel:
             table, index = np.unique(change[fields].T, axis=0, return_inverse=True)
             self.steps.append((lo, hi, fields, table, index.ravel()))
             lo, hi = hi, 2 * hi
-        self.reference = np.zeros(6, dtype=np.complex128)
-        self.reference = self.moments(0, 0, 1, 0.0)[:, 0]  # zero phases: G at u = 1
+        self.reference = frame.expected(NoiseModel(kind, 0.0), 0.0)  # G at u = 1
 
     def moments(self, seed: int, start: int, count: int, scale: float) -> np.ndarray:
         """(6, 3) sums of D, D^2 and |D|^2, D = G - reference, over samples
@@ -338,33 +342,32 @@ class _CosetKernel:
             np.multiply(left, u, out=diag)
             sums = np.einsum("kqhc->kqc", parts.reshape(7, 2, -1, width))
             forms = np.concatenate([sums[4:], self.pc * sums[1:4] * sums[0]])
-            g = forms[:, 0] + np.conj(forms[:, 1])
-            g[~self.flips] = forms[~self.flips, 0].real + 1j * forms[~self.flips, 1].real
-            g -= self.reference[:, None]  # D = G - G_ref
+            g = _combine(forms, self.flipping) - self.reference[:, None]  # D = G - G_ref
             total += np.stack([g.sum(-1), (g * g).sum(-1), (g * np.conj(g)).sum(-1)], 1)
         return total
+
+
+def _combine(forms: np.ndarray, flipping: np.ndarray) -> np.ndarray:
+    """G from the (6, 2, ...) per-coset forms F_k: F_0 + conj(F_1) on the
+    coset-flipping rows, Re F_0 + i Re F_1 on the others."""
+    g = forms[:, 0] + np.conj(forms[:, 1])
+    g[~flipping] = forms[~flipping, 0].real + 1j * forms[~flipping, 1].real
+    return g
+
+
+def _point_weights(flipping: np.ndarray, theta: float, phi: float) -> np.ndarray:
+    """(6,) y, value Re(y G), of c_0|0_L> + c_1|1_L>, c = (cos(theta/2), e^{i phi}
+    sin(theta/2)): conj(c_1) c_0 on coset-flipping rows, c_0^2 - i |c_1|^2 else."""
+    c0, c1 = math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)
+    return np.where(flipping, np.conj(c1) * c0, c0 * c0 - 1j * abs(c1) ** 2)
 
 
 def _point_sums(moments: np.ndarray, kernel: _CosetKernel, theta: float, phi: float) -> np.ndarray:
     """(6, 3) v_ref = Re(y G_ref) and the sums of v - v_ref = Re(y D) and its
     square (Re(y^2 D^2) + |y D|^2) / 2 for the state c_0|0_L> + c_1|1_L>."""
-    c0, c1 = math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)
-    y = np.where(kernel.flips, np.conj(c1) * c0, c0 * c0 - 1j * abs(c1) ** 2)
+    y = _point_weights(kernel.flipping, theta, phi)
     square = (y * y * moments[:, 1] + abs(y) ** 2 * moments[:, 2]).real
     return np.stack([(y * kernel.reference).real, (y * moments[:, 0]).real, 0.5 * square], 1)
-
-
-def _point_values(forms: np.ndarray, theta: float, phi: float) -> np.ndarray:
-    """sum_jk conj(c_j) c_k forms[:, j, k] for the state c_0|0_L> + c_1|1_L>,
-    c = (cos(theta/2), e^{i phi} sin(theta/2))."""
-    c = np.array([math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)])
-    return np.einsum("jk,ojk...->o...", np.outer(np.conj(c), c), forms)
-
-
-def _real_or_raise(value: complex, what: str) -> float:
-    if abs(value.imag) > REALNESS_TOL:
-        raise ValueError(f"{what} has imaginary part {value.imag:.3e}")
-    return value.real
 
 
 def bloch_and_leakage(
@@ -378,19 +381,13 @@ def bloch_and_leakage(
 ) -> List[ObservableRecord]:
     """Analytic-factor engine: Bloch coordinates and leakage on a time grid.
 
-    This is the exact expectation of the Monte Carlo estimator. frame, the
-    _Frame of (code, logicals), is built here when None.
+    Each record is Re(y E[G]), the exact expectation of the Monte Carlo
+    estimator; frame, the _Frame of (code, logicals), is built here when None.
     """
     if frame is None:
         frame = _Frame(code, logicals)
-    names = ("r_x", "r_y", "r_z", "p_x", "p_y", "p_z")
-    records = []
-    for t in t_grid:
-        values = _point_values(frame.expected_forms(model, t), theta, phi)
-        records.append(
-            ObservableRecord(t, *map(_real_or_raise, values.tolist(), names))
-        )
-    return records
+    y = _point_weights(frame.flipping, theta, phi)
+    return [ObservableRecord(t, *(y * frame.expected(model, t)).real.tolist()) for t in t_grid]
 
 
 def closed_form(
@@ -457,10 +454,12 @@ def monte_carlo_grid(
 
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be finite and nonnegative")
     if frame is None:
         frame = _Frame(code, logicals)
     kernel = frame.kernel(model.kind)
-    scale = math.sqrt(model.convention * model.gamma * t) if t > 0 else 0.0
+    scale = math.sqrt(model.convention * model.gamma * t)
     batch = max(1, min(MC_BATCH, (MC_BATCH << 5) // kernel.size))
 
     def run(start: int) -> np.ndarray:

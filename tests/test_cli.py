@@ -300,15 +300,20 @@ BAD_CODES = {
         ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2", "--code", "BAD_XBAR"),
         ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2", "--code", "BAD_ZBAR"),
         ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2", "--code", "COMMUTING_PAIR"),
+        ("build", "unit", "--out", "UNWRITABLE"),
+        ("verify", "CODE", "--out", "UNWRITABLE"),
+        ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2", "--out", "UNWRITABLE"),
     ],
     ids=["gamma", "seed", "theta", "t-grid", "dephase-threads", "mc-samples", "w-max",
          "verify-declared-pair", "verify-declared-text", "verify-declared-scalar",
          "verify-dependent",
          "dephase-declared-pair", "dephase-declared-text", "dephase-dependent",
-         "dephase-no-pair", "dephase-bad-xbar", "dephase-bad-zbar", "dephase-commuting-pair"],
+         "dephase-no-pair", "dephase-bad-xbar", "dephase-bad-zbar", "dephase-commuting-pair",
+         "build-out", "verify-out", "dephase-out"],
 )
 def test_bad_input_is_a_one_line_usage_error(capsys, tmp_path, argv):
-    paths = {"CODE": str(write_code(capsys, tmp_path, "unit"))}
+    paths = {"CODE": str(write_code(capsys, tmp_path, "unit")),
+             "UNWRITABLE": str(tmp_path / "missing" / "out.csv")}
     for name, edit in BAD_CODES.items():
         doc = json.loads((tmp_path / "code.json").read_text())
         doc.update(edit)

@@ -13,8 +13,6 @@ from rhombuscode.dephasing import (
     NoiseModel,
     _CosetKernel,
     _Frame,
-    _point_sums,
-    _point_values,
     bloch_and_leakage,
     closed_form,
     code_space_operator,
@@ -74,6 +72,14 @@ def block_coefficients(code, logicals):
     return terms, (np.conj(b)[:, None] * b).reshape(4, -1)
 
 
+def point_values(forms, theta, phi):
+    """sum_jk conj(c_j) c_k forms[:, j, k] for (6, 2, 2, ...) dense forms and
+    the state c_0|0_L> + c_1|1_L>, c = (cos(theta/2), e^{i phi} sin(theta/2)):
+    the contraction the engine's Re(y G) replaces, kept as its reference."""
+    c = np.array([math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)])
+    return np.einsum("jk,ojk...->o...", np.outer(np.conj(c), c), forms)
+
+
 # --- building blocks ----------------------------------------------------------
 
 
@@ -116,6 +122,28 @@ def test_noise_model_validation():
         NoiseModel("global", -0.1)
     with pytest.raises(ValueError):
         NoiseModel("global", 1.0, convention=0.0)
+
+
+@pytest.mark.parametrize(
+    "t, gamma, convention",
+    [(-1.0, 0.9, 1.0), (math.nan, 0.9, 1.0), (math.inf, 0.9, 1.0), (0.7, math.nan, 1.0),
+     (0.7, math.inf, 1.0), (0.7, 0.9, math.nan), (0.7, 0.9, math.inf)],
+    ids=["t-negative", "t-nan", "t-inf", "gamma-nan", "gamma-inf", "convention-nan",
+         "convention-inf"],
+)
+def test_bad_time_or_noise_is_rejected(t, gamma, convention):
+    """Both methods raise ValueError for t outside [0, inf), and NoiseModel
+    for gamma outside [0, inf) or convention outside (0, inf). The Monte Carlo
+    oracle used to return the t = 0 values with standard errors 0 for a
+    negative or NaN t or a NaN gamma, and NaN for an infinite gamma."""
+    code, logicals = unit_and_logicals()
+    methods = (
+        lambda model: bloch_and_leakage(code, logicals, 1.0, 0.5, model, [t]),
+        lambda model: monte_carlo_oracle(code, logicals, 1.0, 0.5, model, t, 100, seed=1),
+    )
+    for method in methods:
+        with pytest.raises(ValueError):
+            method(NoiseModel("local", gamma, convention))
 
 
 def test_prepare_logical_state_bloch():
@@ -252,11 +280,24 @@ def dense_reference(code, logicals, theta, phi, model, t):
     return bloch + leakage
 
 
-@pytest.mark.parametrize("name", ["unit", "two_vertical", "two_horizontal"])
+# the unit code with its first pair dressed by a stabilizer: Xbar times
+# Z1Z3Z5, or Zbar times X1X2X3X4 (its coset-keeping row permutes the support)
+DRESSED_UNIT = {"unit-xbar-y-dressed": ("Y1Y3Z5", "Z1Z4Z6"),
+                "unit-zbar-x-dressed": ("X1X3", "Y1X2X3Y4Z6")}
+
+
+@pytest.mark.parametrize("name", ["unit", "two_vertical", "two_horizontal", *DRESSED_UNIT])
 @pytest.mark.parametrize("kind", ["global", "local"])
 def test_engine_equals_dense_reference(name, kind):
-    code = build_named(name)
-    logicals = LogicalSet(code.logical_pairs)
+    if name in DRESSED_UNIT:
+        code = build_unit()
+        pair = tuple(parse_pauli(text, code.n) for text in DRESSED_UNIT[name])
+        logicals = LogicalSet([pair, *code.logical_pairs[1:]])
+        perms = _Frame(code, logicals).perms
+        assert (perms[2] != np.arange(perms.shape[1])).any() == ("zbar" in name)
+    else:
+        code = build_named(name)
+        logicals = LogicalSet(code.logical_pairs)
     ts = [0.0, 0.3, 1.1, 2.7]
     for convention in (1.0, 2.0):
         model = NoiseModel(kind, 0.9, convention)
@@ -269,9 +310,9 @@ def test_engine_equals_dense_reference(name, kind):
 
 
 def square_damping_forms(frame, blocks, model, t):
-    """_Frame.expected_forms through the full S x S damping matrix
-    exp(-gt |spins_p - spins_q|^2 / 2), its kernel written out here, and the
-    block_coefficients of the frame's code and logicals."""
+    """The dense (6, 2, 2) forms behind _Frame.expected, through the full S x S
+    damping matrix exp(-gt |spins_p - spins_q|^2 / 2), its kernel written out
+    here, and the block_coefficients of the frame's code and logicals."""
     terms, cg = blocks
     bits = (frame.support[None, :] >> np.arange(frame.n, dtype=np.uint64)[:, None]) & 1
     spins = 0.5 - bits.astype(np.float64)
@@ -303,7 +344,7 @@ def test_engine_equals_square_damping_reference(target, kind):
         for theta, phi in [(0.0, 0.0), (1.1, 0.8), (2.5, 4.0)]:
             recs = bloch_and_leakage(code, logicals, theta, phi, model, ts)
             for t, rec in zip(ts, recs):
-                want = _point_values(square_damping_forms(frame, blocks, model, t), theta, phi)
+                want = point_values(square_damping_forms(frame, blocks, model, t), theta, phi)
                 for got, ref in zip(rec.values(), want):
                     assert abs(got - ref) < 1e-12
 
@@ -316,15 +357,33 @@ def test_frame_rows_are_the_nonzero_block_entries(target):
     code, logicals = target_and_logicals(target)
     frame = _Frame(code, logicals)
     terms, cg = block_coefficients(code, logicals)
-    assert frame.flips.tolist() == [1, 1, 0]
+    assert frame.flipping.tolist() == [True, True, False] * 2
     columns = np.arange(len(frame.support))
     for o, (perm, cr) in enumerate(terms):
         assert np.array_equal(frame.perms[o], perm)
         scattered = np.zeros_like(cr)
         scattered[2 * frame.coset[perm] + frame.coset, columns] = frame.coefs[o]
         assert np.array_equal(scattered, cr)
-        assert np.array_equal(frame.coset[perm], frame.coset ^ frame.flips[o])
+        assert np.array_equal(frame.coset[perm], frame.coset ^ frame.flipping[o])
     assert np.array_equal(frame.weight, cg.sum(axis=0))
+
+
+@pytest.mark.parametrize("pauli, delta", [(0, 1e-6), (1, 1e-6), (2, 1e-6j)])
+def test_expected_raises_on_non_hermitian_forms(pauli, delta):
+    """expected checks the part of the forms that G discards: coefficients
+    perturbed on one coset break F_1 = conj(F_0) on the coset-flipping rows
+    (Xbar, Ybar) or the realness of F_0 on the coset-keeping rows (Zbar). The
+    engine raises even at theta = 0, where y is 0 on the flipping rows, and
+    so does building the Monte Carlo kernel, whose G_ref is expected at t = 0."""
+    code, logicals = unit_and_logicals()
+    model = NoiseModel("local", 0.9)
+    frame = _Frame(code, logicals)
+    frame.expected(model, 0.3)
+    frame.coefs[pauli, frame.coset == 0] += delta
+    with pytest.raises(ValueError, match="not Hermitian"):
+        bloch_and_leakage(code, logicals, 0.0, 0.0, model, [0.3], frame=frame)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        frame.kernel("local")
 
 
 # --- Monte Carlo oracle ----------------------------------------------------------
@@ -342,8 +401,8 @@ def test_mc_exact_at_gamma_zero():
 @pytest.mark.parametrize("kind", ["global", "local"])
 def test_mc_draws_no_sample_at_phase_scale_zero(kind):
     """At t = 0 and at gamma = 0 every phase is 1, so the kernel is not run
-    after it is built and each record is v_ref with standard errors 0; at
-    t > 0 it is run."""
+    and each record is v_ref with standard errors 0, bit for bit the
+    engine's value (G_ref is the engine's E[G] there); at t > 0 it is run."""
     code, logicals = target_and_logicals("grid_2x2")
     frame = _Frame(code, logicals)
     kernel = frame.kernel(kind)
@@ -353,10 +412,9 @@ def test_mc_draws_no_sample_at_phase_scale_zero(kind):
     for model, t in ((NoiseModel(kind, 0.9), 0.0), (NoiseModel(kind, 0.0), 0.7)):
         recs = monte_carlo_grid(code, logicals, points, model, t, 4097, 3, threads=2, frame=frame)
         engine = [bloch_and_leakage(code, logicals, *p, model, [t])[0] for p in points]
-        for point, rec, want in zip(points, recs, engine):
-            assert rec.values() == tuple(_point_sums(np.zeros((6, 3)), kernel, *point)[:, 0])
+        for rec, want in zip(recs, engine):
+            assert list(map(format_float, rec.values())) == list(map(format_float, want.values()))
             assert rec.errors() == (0.0,) * 6
-            assert np.abs(np.subtract(rec.values(), want.values())).max() < 1e-12
     assert calls == []
     monte_carlo_grid(code, logicals, points, NoiseModel(kind, 0.9), 0.7, 10, 3, frame=frame)
     assert len(calls) == 1
@@ -403,7 +461,7 @@ def per_sample_reference(code, logicals, points, model, t, samples, seed):
     """Monte Carlo means and SEs from the per-sample estimator the coset
     kernel replaces: each batch's phases exp(-i normals . spins) from the same
     Philox offsets, dense (6, 2, 2) forms from the block_coefficients, then
-    _point_values per sample, and the two-pass mean and variance of v."""
+    point_values per sample, and the two-pass mean and variance of v."""
     frame = _Frame(code, logicals)
     terms, cg = block_coefficients(code, logicals)
     spins = frame.spins(model.kind)
@@ -424,7 +482,7 @@ def per_sample_reference(code, logicals, points, model, t, samples, seed):
             forms[o] = (cr @ (uc[perm] * u)).reshape(2, 2, -1)
             left = (cr @ uc[perm]).reshape(2, 2, -1)
             forms[3 + o] = frame.pc * (left[:, :1] * right[0] + left[:, 1:] * right[1])
-        values.append([_point_values(forms, theta, phi).real for theta, phi in points])
+        values.append([point_values(forms, theta, phi).real for theta, phi in points])
     v = np.concatenate(values, axis=-1)  # (points, 6, samples)
     means = v.sum(axis=-1) / samples
     var = ((v - means[:, :, None]) ** 2).sum(axis=-1) / (samples - 1)
