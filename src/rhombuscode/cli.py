@@ -5,11 +5,14 @@ Exit codes: 0 all checks pass, 1 claim mismatch, 2 infeasible request
 Carlo work --mc-samples x S x t points above DEPHASE_MAX_MC_WORK), 64
 usage error. Data outputs (CSV/JSON) are byte-identical across reruns
 with the same flags; each --out file gets an <out>.manifest.json sidecar.
+main builds its argument parser on the first call and reuses it for every
+later call in the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -104,10 +107,9 @@ def _load_code(path: str, command: str) -> Optional[lattice.CodeSpec]:
     return code
 
 
-def _manifest(args: argparse.Namespace, skip=("func",)) -> RunManifest:
-    params = {k: v for k, v in vars(args).items() if k not in skip}
+def _manifest(args: argparse.Namespace) -> RunManifest:
     return RunManifest(
-        command=args.command, parameters=params, version=__version__
+        command=args.command, parameters=dict(vars(args)), version=__version__
     )
 
 
@@ -210,6 +212,9 @@ def cmd_dephase(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"dephase: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if not math.isfinite(args.gamma * t_grid[-1]):
+        print("dephase: --gamma x largest t must be finite", file=sys.stderr)
+        return EXIT_USAGE
     if args.code is None:
         code = lattice.build_unit()
     else:
@@ -309,7 +314,6 @@ def build_parser() -> _Parser:
         "grid:<p> | lshape:<v>,<h>[,matrix]",
     )
     p_build.add_argument("--out", default=None)
-    p_build.set_defaults(func=cmd_build)
 
     p_verify = sub.add_parser("verify", help="verify a CodeSpec JSON file")
     p_verify.add_argument("code", help="path to CodeSpec JSON")
@@ -317,7 +321,6 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--kl", action="store_true",
                           help="cross-check with the codeword-matrix oracle")
     p_verify.add_argument("--out", default=None)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_deph = sub.add_parser("dephase", help="run a dephasing sweep to CSV")
     p_deph.add_argument("--code", default=None, help="CodeSpec JSON path (default: unit)")
@@ -330,21 +333,28 @@ def build_parser() -> _Parser:
     p_deph.add_argument("--seed", type=int, default=None)
     p_deph.add_argument("--threads", type=int, default=1)
     p_deph.add_argument("--out", default=None)
-    p_deph.set_defaults(func=cmd_dephase)
 
     p_family = sub.add_parser("family", help="tabulate grid-family parameters")
     p_family.add_argument("--p-max", type=int, required=True)
-    p_family.set_defaults(func=cmd_family)
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser every main call uses, built on the first call, not at import."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    # looked up per call, so a handler rebound on this module (a test's
+    # monkeypatch, a tracing wrapper) runs even though the parser is shared
+    handlers = {"build": cmd_build, "verify": cmd_verify, "dephase": cmd_dephase,
+                "family": cmd_family}
+    return handlers[args.command](args)
 
 
 if __name__ == "__main__":

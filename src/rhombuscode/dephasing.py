@@ -130,6 +130,8 @@ def decoherence_factor(a, b, model: NoiseModel, t: float, n: int):
     if not 0 <= t < math.inf:
         raise ValueError("t must be finite and nonnegative")
     gt = model.convention * model.gamma * t
+    if not math.isfinite(gt):
+        raise ValueError("convention * gamma * t must be finite")
     if model.kind == "global":
         dm = magnetization(a, n) - magnetization(b, n)
         return np.exp(-(dm * dm) * gt / 8.0)
@@ -456,10 +458,13 @@ def monte_carlo_grid(
         raise ValueError("samples must be >= 1")
     if not 0 <= t < math.inf:
         raise ValueError("t must be finite and nonnegative")
+    gt = model.convention * model.gamma * t
+    if not math.isfinite(gt):
+        raise ValueError("convention * gamma * t must be finite")
     if frame is None:
         frame = _Frame(code, logicals)
     kernel = frame.kernel(model.kind)
-    scale = math.sqrt(model.convention * model.gamma * t)
+    scale = math.sqrt(gt)
     batch = max(1, min(MC_BATCH, (MC_BATCH << 5) // kernel.size))
 
     def run(start: int) -> np.ndarray:

@@ -1,6 +1,8 @@
 """CLI workbench: exit codes, output formats, and byte-level determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -8,8 +10,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rhombuscode import dephasing
+from rhombuscode import cli, dephasing
 from rhombuscode.cli import main
 
 
@@ -303,13 +307,17 @@ BAD_CODES = {
         ("build", "unit", "--out", "UNWRITABLE"),
         ("verify", "CODE", "--out", "UNWRITABLE"),
         ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2", "--out", "UNWRITABLE"),
+        ("dephase", *DEPHASE_ARGS, "--gamma", "1e300", "--t-grid", "0:1e300:2"),
+        ("dephase", *DEPHASE_ARGS, "--kind", "global", "--gamma", "1e300",
+         "--t-grid", "0:1e300:2"),
     ],
     ids=["gamma", "seed", "theta", "t-grid", "dephase-threads", "mc-samples", "w-max",
          "verify-declared-pair", "verify-declared-text", "verify-declared-scalar",
          "verify-dependent",
          "dephase-declared-pair", "dephase-declared-text", "dephase-dependent",
          "dephase-no-pair", "dephase-bad-xbar", "dephase-bad-zbar", "dephase-commuting-pair",
-         "build-out", "verify-out", "dephase-out"],
+         "build-out", "verify-out", "dephase-out", "gamma-t-overflow-local",
+         "gamma-t-overflow-global"],
 )
 def test_bad_input_is_a_one_line_usage_error(capsys, tmp_path, argv):
     paths = {"CODE": str(write_code(capsys, tmp_path, "unit")),
@@ -366,6 +374,104 @@ def test_family_table(capsys):
 
 def test_unknown_subcommand_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 64
+
+
+# --- one parser per process -------------------------------------------------------
+
+
+def reference_main(argv):
+    """main as it was before the parser was shared: a fresh parser per call."""
+    parser = cli.build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    handlers = {"build": cli.cmd_build, "verify": cli.cmd_verify,
+                "dephase": cli.cmd_dephase, "family": cli.cmd_family}
+    return handlers[args.command](args)
+
+
+def captured(entry, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = entry(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def captured_with_manifest(entry, argv, out):
+    """captured(entry, argv) plus the manifest written for out, without its
+    duration, and the manifest removed; None when none was written."""
+    manifest = pathlib.Path(out + ".manifest.json")
+    result = captured(entry, argv)
+    if not manifest.exists():
+        return result + (None,)
+    doc = json.loads(manifest.read_text())
+    manifest.unlink()
+    del doc["duration_seconds"]
+    return result + (doc,)
+
+
+@pytest.fixture(scope="module")
+def shared_parser_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("shared-parser")
+    code = str(root / "unit.json")
+    assert captured(main, ["build", "unit", "--out", code])[0] == 0
+    return {"CODE": code, "OUT": str(root / "out.txt")}
+
+
+PARSER_ARGVS = [
+    ("build", "unit"),
+    ("build", "grid:1"),
+    ("build", "unit", "--out", "OUT"),
+    ("family", "--p-max", "2"),
+    ("verify", "CODE"),
+    ("verify", "CODE", "--w-max", "1", "--out", "OUT"),
+    ("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:2"),
+    ("frobnicate",),
+    ("build",),
+    ("build", "unit", "--bogus"),
+    ("family", "--p-max", "two"),
+    ("dephase", "--kind", "radial"),
+    ("--version",),
+    ("--help",),
+    ("verify", "--help"),
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(PARSER_ARGVS), min_size=1, max_size=6))
+def test_shared_parser_behaves_like_a_fresh_one(shared_parser_paths, argvs):
+    """The same calls in the same order give the same exit code, stdout,
+    stderr and manifest (which records every parsed argument) through main
+    and through a parser built per call."""
+    out = shared_parser_paths["OUT"]
+    for argv in argvs:
+        argv = [shared_parser_paths.get(a, a) for a in argv]
+        assert captured_with_manifest(main, argv, out) == captured_with_manifest(
+            reference_main, argv, out)
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    built = []
+    build_parser = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._shared_parser.cache_clear()
+    for _ in range(20):
+        assert captured(main, ["family", "--p-max", "1"])[0] == 0
+    assert len(built) == 1
+
+
+def test_handler_rebound_after_the_parser_is_built_runs(monkeypatch):
+    assert captured(main, ["family", "--p-max", "1"])[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_family", lambda args: seen.append(args.p_max) or 7)
+    assert captured(main, ["family", "--p-max", "3"]) == (7, "", "")
+    assert seen == [3]
 
 
 # --- determinism across reruns ----------------------------------------------------

@@ -127,15 +127,18 @@ def test_noise_model_validation():
 @pytest.mark.parametrize(
     "t, gamma, convention",
     [(-1.0, 0.9, 1.0), (math.nan, 0.9, 1.0), (math.inf, 0.9, 1.0), (0.7, math.nan, 1.0),
-     (0.7, math.inf, 1.0), (0.7, 0.9, math.nan), (0.7, 0.9, math.inf)],
+     (0.7, math.inf, 1.0), (0.7, 0.9, math.nan), (0.7, 0.9, math.inf),
+     (1e300, 1e300, 1.0)],
     ids=["t-negative", "t-nan", "t-inf", "gamma-nan", "gamma-inf", "convention-nan",
-         "convention-inf"],
+         "convention-inf", "gamma-t-overflow"],
 )
 def test_bad_time_or_noise_is_rejected(t, gamma, convention):
-    """Both methods raise ValueError for t outside [0, inf), and NoiseModel
-    for gamma outside [0, inf) or convention outside (0, inf). The Monte Carlo
-    oracle used to return the t = 0 values with standard errors 0 for a
-    negative or NaN t or a NaN gamma, and NaN for an infinite gamma."""
+    """Both methods raise ValueError for t outside [0, inf) or a product
+    convention * gamma * t that is not finite, and NoiseModel for gamma
+    outside [0, inf) or convention outside (0, inf). The Monte Carlo oracle
+    used to return the t = 0 values with standard errors 0 for a negative or
+    NaN t or a NaN gamma, and NaN for an infinite gamma; both methods returned
+    NaN when gamma * t overflowed."""
     code, logicals = unit_and_logicals()
     methods = (
         lambda model: bloch_and_leakage(code, logicals, 1.0, 0.5, model, [t]),

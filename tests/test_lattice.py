@@ -1,5 +1,7 @@
 """Lattice construction: golden listings, family counting, layout, JSON."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from rhombuscode.engine import require_independent, stabilizer_rank
 from rhombuscode.lattice import (
     NAMED_CODES,
     CodeSpec,
+    LatticeLayout,
     _adjacency,
     _x_blocks,
     _z_blocks,
@@ -20,7 +23,7 @@ from rhombuscode.lattice import (
     stack_grid,
     stack_l_shape,
 )
-from rhombuscode.pauli import parse_pauli, to_string
+from rhombuscode.pauli import PauliOperator, parse_pauli, to_string
 
 UNIT_STABILIZERS = ("X1X2X3X4", "X3X4X5X6", "Z1Z3Z5", "Z2Z4Z6")
 
@@ -214,6 +217,79 @@ def test_json_round_trip_generated():
 def test_json_rejects_garbage():
     with pytest.raises((ValueError, KeyError)):
         code_from_json("{}")
+
+
+def reference_code_to_json(code):
+    """The document through json.dumps(..., indent=2), as code_to_json built it
+    before it wrote the fixed shape directly."""
+    doc = {
+        "n": code.n,
+        "stabilizers": [to_string(s) for s in code.stabilizers],
+        "logical_pairs": (
+            [[to_string(x), to_string(z)] for x, z in code.logical_pairs]
+            if code.logical_pairs is not None
+            else None
+        ),
+        "declared": list(code.declared) if code.declared is not None else None,
+        "layout": (
+            {
+                "data": [list(c) for c in code.layout.data_coords],
+                "x_ancilla": [list(c) for c in code.layout.x_ancilla_coords],
+                "z_ancilla": [list(c) for c in code.layout.z_ancilla_coords],
+            }
+            if code.layout is not None
+            else None
+        ),
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def odd_layout():
+    """Negative, float and integral-float coordinates, each ancilla at unit
+    distance from a data qubit; adjacency derived as code_from_json derives it."""
+    data = ((-3, -1), (-2.5, 0.5), (1, -0.5), (2.0, 10**20))
+    x_anc = ((-1, -1), (0, 0.5))
+    z_anc = ((-0.5, 0.5), (4.0, 10**20))
+    return LatticeLayout(data, x_anc, z_anc, _adjacency(data, x_anc), _adjacency(data, z_anc))
+
+
+def sparse_code(**fields):
+    stabs = tuple(parse_pauli(t, 3) for t in ("X1X2", "Z1Z2"))
+    return CodeSpec(3, stabs, **fields)
+
+
+JSON_CODES = (
+    [pytest.param(build_named(name), id=name) for name in NAMED_CODES]
+    + [pytest.param(stack_grid(p), id=f"grid:{p}") for p in (1, 2, 3, 4, 5, 6, 12)]
+    + [pytest.param(stack_l_shape(v, h, fill), id=f"lshape:{v},{h}" + (",matrix" * fill))
+       for v in range(4) for h in range(4) for fill in (False, True)]
+    + [
+        pytest.param(sparse_code(), id="bare"),
+        pytest.param(sparse_code(layout=odd_layout(), declared=(3, 1, 1)), id="odd-layout"),
+        pytest.param(sparse_code(logical_pairs=(
+            (parse_pauli("X3", 3), parse_pauli("Y3", 3)),
+            (parse_pauli("X1Y2Y3", 3), parse_pauli("Z1Z2", 3)),
+        )), id="y-logicals"),
+    ]
+)
+
+
+@pytest.mark.parametrize("code", JSON_CODES)
+def test_code_to_json_matches_indenting_encoder(code):
+    text = code_to_json(code)
+    assert text == reference_code_to_json(code)
+    assert code_from_json(text) == code
+
+
+def test_code_to_json_writes_phase_prefixes_as_the_encoder_does():
+    """Every phase of X3 and of Y3. parse_pauli reads no +i, - or -i prefix,
+    so this document is compared by bytes only."""
+    ops = [PauliOperator(3, 0b100, z, phase) for z in (0, 0b100) for phase in range(4)]
+    code = sparse_code(logical_pairs=tuple(zip(ops[0::2], ops[1::2])), layout=odd_layout())
+    text = code_to_json(code)
+    assert text == reference_code_to_json(code)
+    assert sorted(sum(json.loads(text)["logical_pairs"], [])) == sorted(
+        ["X3", "+iX3", "-X3", "-iX3", "Y3", "+iY3", "-Y3", "-iY3"])
 
 
 def text_rule_stabilizers(pair_rows, z_order_block_major):
