@@ -3,7 +3,7 @@
 Usage, from the root of a checkout:
 
     python3 scripts/ab_pairs.py <parent-rev> --workload verify-family --pairs 10 \\
-        --seconds 10 --seed 7
+        --seconds 10 --seed 7 [--out BENCH.json]
 
 The parent revision is exported with ``git archive`` into a temporary
 directory, which is removed afterwards. Each pair runs
@@ -15,7 +15,10 @@ prints both sides per pair, each side's median and quartiles, the wins of
 each side (a tie counts for neither) and whether a gain may be claimed: at
 least ten pairs, the change wins at least nine tenths of them, and the
 parent's median exceeds the change's by more than the distance between the
-parent's quartiles.
+parent's quartiles. --out PATH also writes every pair's metrics, each
+metric's summary (medians, quartiles, wins, whether the gain rule holds),
+the rule itself, the core count and the Python, numpy and scipy versions
+as JSON.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -79,6 +83,45 @@ def summarize(parent: Sequence[float], change: Sequence[float]) -> Summary:
     )
 
 
+def summary_json(summary: Summary) -> Dict[str, object]:
+    def side(q):
+        return {"q1": q[0], "median": q[1], "q3": q[2]}
+
+    return {
+        "parent": side(summary.parent_quartiles),
+        "change": side(summary.change_quartiles),
+        "change_over_parent_median": summary.change_quartiles[1] / summary.parent_quartiles[1],
+        "change_wins": summary.change_wins,
+        "parent_wins": summary.parent_wins,
+        "pairs": summary.pairs,
+        "parent_spread": summary.parent_spread,
+        "gain_holds": summary.gain_holds,
+    }
+
+
+def report_json(args: argparse.Namespace, runs: Dict[str, List[Dict[str, float]]],
+                summaries: Dict[str, Summary]) -> Dict:
+    """The --out document: the run settings, the machine, every pair and the
+    per-metric summaries."""
+    import numpy
+    import scipy
+
+    return {
+        "workload": args.workload,
+        "parent_rev": args.parent_rev,
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "cores": os.cpu_count(),
+        "versions": {"python": platform.python_version(), "numpy": numpy.__version__,
+                     "scipy": scipy.__version__},
+        "gain_rule": {"min_pairs": MIN_PAIRS, "min_change_win_share": WIN_SHARE,
+                      "median_gap_exceeds": "parent q3 - q1"},
+        "pairs": [{"first": "parent" if i % 2 == 0 else "change", "parent": p, "change": c}
+                  for i, (p, c) in enumerate(zip(runs["parent"], runs["change"]))],
+        "summary": {name: summary_json(summary) for name, summary in summaries.items()},
+    }
+
+
 def format_summary(name: str, summary: Summary) -> str:
     def side(label, q):
         return f"  {label:<6} median {q[1]:.6f}  q1 {q[0]:.6f}  q3 {q[2]:.6f}"
@@ -127,6 +170,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--out", help="also write the pairs and summaries as JSON here")
     args = parser.parse_args(argv)
 
     runs = {"parent": [], "change": []}
@@ -145,10 +189,14 @@ def main(argv=None) -> int:
                 f"{name} parent {p[name]:.6f} change {c[name]:.6f}" for name in METRICS)
                 + f"  failed parent {p['failed_frac']:.4f} change {c['failed_frac']:.4f}",
                 flush=True)
-    for name in METRICS:
-        summary = summarize([r[name] for r in runs["parent"]],
-                            [r[name] for r in runs["change"]])
+    summaries = {name: summarize([r[name] for r in runs["parent"]],
+                                 [r[name] for r in runs["change"]]) for name in METRICS}
+    for name, summary in summaries.items():
         print(format_summary(name, summary))
+    if args.out:
+        with open(args.out, "w") as handle:
+            json.dump(report_json(args, runs, summaries), handle, indent=2)
+            handle.write("\n")
     return 0
 
 

@@ -28,7 +28,10 @@ EXIT_INFEASIBLE = 2
 EXIT_USAGE = 64
 
 DEPHASE_MAX_SUPPORT = 1 << 18  # largest codeword support S = 2^(m_x + 1)
-DEPHASE_MAX_MC_WORK = 1 << 32  # samples * S * t points: ~5 min at the MC kernel's 75 ns each
+# samples * S * t points: ~5 min at the local-noise MC kernel's 75 ns per
+# sample and support state. The global-noise kernel costs O(K) per sample, K
+# <= n, with no S-sized work, so the same cap is conservative there.
+DEPHASE_MAX_MC_WORK = 1 << 32
 
 
 class _Parser(argparse.ArgumentParser):

@@ -17,11 +17,15 @@ makes them G = F_0 + conj(F_1) (coset-flipping) or Re F_0 + i Re F_1, and a
 point (theta, phi) reads v = Re(y G), y from _point_weights. The Monte Carlo
 oracle samples u (the phase accumulated over time t is Normal(0, gamma*t));
 batches keep the sums of D, D^2 and |D|^2, D = G - G_ref (G at u = 1), so
-every point follows in closed form. In the frame's coordinate order (state p ^
-2^j is p shifted by generator j, Xbar last) the cosets are the halves of the
-support, and u is built support-major without BLAS from cos + i sin of small
-tables (the distinct magnetizations; or the first MC_DIRECT states, then each
-generator's distinct spin changes), in sub-chunks of MC_CHUNK phase factors.
+every point follows in closed form. Under local noise _CosetKernel builds u
+per sample, at a cost of samples x S: in the frame's coordinate order (state
+p ^ 2^j is p shifted by generator j, Xbar last) the cosets are the halves of
+the support, and u is built support-major from cos + i sin of small tables
+(the first MC_DIRECT states, then each generator's distinct spin changes), in
+sub-chunks of MC_CHUNK phase factors. Under global noise one normal drives
+every phase, each form is a trigonometric polynomial of degree K in it, and
+_PhasorKernel builds only K phasors and D from them per sample, a cost of
+samples x K with no S-sized array. Neither kernel calls BLAS.
 Time enters only as the scale of the normals, so the frame builds one kernel
 per noise kind and every t reuses it. Batches read a counter-based stream at
 offsets set by their first sample, so any thread count reproduces the serial
@@ -33,7 +37,7 @@ difference for global noise, Hamming distance for local), summed per codeword
 coset or popcount level, never as an S x S matrix. The dense O(2^n) references
 prepare_logical_state, dephased_pauli_expectation and code_space_operator
 serve the tests. scipy (for ndtri) and the thread pool load on the first
-_CosetKernel and monte_carlo_grid call, not on import.
+kernel and monte_carlo_grid call, not on import.
 """
 
 from __future__ import annotations
@@ -236,12 +240,15 @@ class _Frame:
         self.perms = np.array(perms)
         self.coefs = np.conj(amps[self.perms]) * np.array(signs) * amps
         self.flipping = np.tile(self.coset[self.perms[:, 0]] != 0, 2)  # per form
-        self._kernels = {}  # noise kind -> _CosetKernel
+        self._kernels = {}  # noise kind -> its Monte Carlo kernel
 
-    def kernel(self, kind: str) -> "_CosetKernel":
-        """The Monte Carlo kernel of this frame for noise kind, built on first use."""
+    def kernel(self, kind: str):
+        """The Monte Carlo kernel of this frame for noise kind, built on first
+        use: _PhasorKernel for global noise, _CosetKernel for local."""
         if kind not in self._kernels:
-            self._kernels[kind] = _CosetKernel(self, kind)
+            self._kernels[kind] = (
+                _PhasorKernel(self) if kind == "global" else _CosetKernel(self, kind)
+            )
         return self._kernels[kind]
 
     def expected(self, model: NoiseModel, t: float) -> np.ndarray:
@@ -293,7 +300,10 @@ class _Frame:
 class _CosetKernel:
     """Per-batch Monte Carlo moments of a frame's forms (see the module
     docstring), on the support in the frame's coordinate order. Time enters
-    only as the scale of the normals, so one kernel serves every t."""
+    only as the scale of the normals, so one kernel serves every t. The
+    oracle runs it under local noise; under global noise (u from the
+    distinct magnetizations) it is the per-sample reference of
+    _PhasorKernel."""
 
     def __init__(self, frame: _Frame, kind: str):
         from scipy.special import ndtri  # the MC oracle's only scipy use
@@ -347,6 +357,91 @@ class _CosetKernel:
             g = _combine(forms, self.flipping) - self.reference[:, None]  # D = G - G_ref
             total += np.stack([g.sum(-1), (g * g).sum(-1), (g * np.conj(g)).sum(-1)], 1)
         return total
+
+
+class _PhasorKernel:
+    """_CosetKernel's moments under global noise, from one phasor per sample.
+
+    One normal x drives every support state, u[p] = e^{i x l_p} with l_p =
+    popcount(support[p]) - n/2, so each per-coset form is a trigonometric
+    polynomial in x whose frequencies are popcount differences: multiples of
+    step (their gcd, 2 when every support state has the same parity) up to
+    K step, the largest popcount on the support (which holds state 0, so
+    K >= 1). _combine is real-linear, so
+    D = G - G_ref = M v with v = (Re w_f, Im w_f), w_f = e^{i f step x} - 1
+    for f = 1..K, and a complex (6, 2K) matrix M folded from the frame here.
+    A sample costs two trig calls, K - 1 steps of the centred recurrence
+    w_{f+1} = (1 + w_1) w_f + w_1, which keeps w_f accurate relative to its
+    size at small x, and D = M v (np.einsum, no BLAS): O(K) work and no
+    array of the support size S. D is squared per sample; the Gram matrix of
+    v would cost O(K^2) and lose ~eps / x^2 of D^2 on rows whose leading
+    orders cancel between frequencies (p_x, p_y of the unit cell). The draws
+    are _CosetKernel's, and size = S sets the same batch split."""
+
+    def __init__(self, frame: _Frame):
+        from scipy.special import ndtri  # the MC oracle's only scipy use
+
+        self.ndtri = ndtri
+        self.flipping = frame.flipping
+        self.size = len(frame.support)
+        level = _popcount(frame.support)
+        self.step = int(np.gcd.reduce(level))
+        level //= self.step
+        self.degree = top = int(level.max())
+        self.chunk = MC_CHUNK // top
+        # forms[o, k, top + f]: coefficient of e^{i f step x} in F_k of row o
+        coset, perms, width = frame.coset, frame.perms, 2 * top + 1
+        rows = np.arange(3)[:, None]
+        forms = np.empty((6, 2, width), dtype=np.complex128)
+        forms[:3] = _bincount((rows * 2 + coset) * width + level - level[perms] + top,
+                              frame.coefs, 6 * width).reshape(3, 2, -1)
+        left = _bincount((rows * 2 + coset) * (top + 1) + level[perms], frame.coefs,
+                         6 * (top + 1)).reshape(3, 2, -1)  # powers of e^{-i step x}
+        right = _bincount(coset * (top + 1) + level, frame.weight, 2 * (top + 1)).reshape(2, -1)
+        for o, k in itertools.product(range(3), range(2)):
+            forms[3 + o, k] = frame.pc * np.convolve(right[k], left[o, k, ::-1])
+        self.reference = frame.expected(NoiseModel("global", 0.0), 0.0)  # G at u = 1
+        error = abs(_combine(forms.sum(-1), self.flipping) - self.reference).max()
+        if error > REALNESS_TOL:
+            raise ValueError(f"folded forms miss G at u = 1 by {error:.3e}")
+        up, down = forms[..., top + 1:], forms[..., top - 1::-1]  # frequencies f and -f
+        matrix = _combine(np.concatenate([up + down, 1j * (up - down)], -1), self.flipping)
+        self.matrix = np.concatenate([matrix.real, matrix.imag])  # (12, 2K): Re M over Im M
+
+    def moments(self, seed: int, start: int, count: int, scale: float) -> np.ndarray:
+        """_CosetKernel.moments: (6, 3) sums of D, D^2 and |D|^2 over samples
+        start .. start + count - 1 at phase scale scale."""
+        gen = np.random.Generator(np.random.Philox(key=seed).advance(start))
+        top, width = self.degree, min(self.chunk, count)
+        phasors = np.empty((top, width), dtype=np.complex128)  # w_1 .. w_K per sample
+        parts = np.empty((2 * top, width))  # v per sample
+        total = np.zeros((4, 6))  # sums of Re D, Im D, (Re D)^2 - (Im D)^2, |D|^2
+        cross = np.zeros(6)  # sum of Re D Im D
+        for lo in range(0, count, self.chunk):
+            uniforms = gen.random(min(self.chunk, count - lo))
+            np.clip(uniforms, 1e-300, 1.0 - 1e-16, out=uniforms)
+            half = self.ndtri(uniforms) * (0.5 * self.step * scale)  # step x / 2
+            w, v = phasors[:, : len(half)], parts[:, : len(half)]
+            sin, cos = np.sin(half), np.cos(half)
+            first = w[0]
+            np.multiply(-2.0 * sin, sin, out=first.real)  # cos(step x) - 1
+            np.multiply(2.0 * sin, cos, out=first.imag)  # sin(step x)
+            turn = first + 1.0  # e^{i step x}
+            for f in range(1, top):
+                np.multiply(turn, w[f - 1], out=w[f])
+                w[f] += first
+            v[:top], v[top:] = w.real, w.imag
+            d = np.einsum("oi,iw->ow", self.matrix, v)  # Re D over Im D
+            squares = np.einsum("ow,ow->o", d, d).reshape(2, 6)
+            total += [d[:6].sum(1), d[6:].sum(1), squares[0] - squares[1], squares.sum(0)]
+            cross += np.einsum("ow,ow->o", d[:6], d[6:])
+        return np.stack([total[0] + 1j * total[1], total[2] + 2j * cross, total[3]], 1)
+
+
+def _bincount(index: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
+    """np.bincount of complex weights, shaped as index."""
+    index, weights = index.ravel(), weights.ravel()
+    return np.bincount(index, weights.real, length) + 1j * np.bincount(index, weights.imag, length)
 
 
 def _combine(forms: np.ndarray, flipping: np.ndarray) -> np.ndarray:
@@ -442,11 +537,13 @@ def monte_carlo_grid(
     One common set of phase trajectories serves every point: batches return
     the sums of D, D^2 and |D|^2 (see the module docstring) and each point
     follows from their total. The cost grows as samples * S for the support
-    size S; batches hold MC_BATCH * 32 phase factors at most (MC_BATCH
-    samples for S <= 32) and read disjoint Philox counter ranges, so results
-    are bit-identical for any thread count. Threads run whole batches (those
-    beyond ceil(samples / batch) sit idle) and need no OPENBLAS_NUM_THREADS
-    setting: the kernel calls no BLAS. frame, the _Frame of (code, logicals),
+    size S under local noise and as samples * K under global noise (K the
+    degree of _PhasorKernel's polynomial); batches span MC_BATCH * 32 / S
+    samples (MC_BATCH for S <= 32) under either kind and read disjoint
+    Philox counter ranges, so results are bit-identical for any thread
+    count. Threads run whole batches (those beyond ceil(samples / batch) sit
+    idle) and need no OPENBLAS_NUM_THREADS setting: neither kernel calls
+    BLAS. frame, the _Frame of (code, logicals),
     is built here when None; it builds its kernel for model.kind on first
     use, so calls at several t on one frame share that kernel. At phase
     scale 0 (t = 0 or gamma = 0) no sample is drawn: each record is v_ref

@@ -427,7 +427,7 @@ def code_from_json(text: str) -> CodeSpec:
     pairs = doc.get("logical_pairs")
     logical_pairs = (
         tuple((parse_pauli(x, n), parse_pauli(z, n)) for x, z in pairs)
-        if pairs
+        if pairs is not None
         else None
     )
     declared = tuple(doc["declared"]) if doc.get("declared") else None

@@ -20,6 +20,7 @@ from .gf2 import _set_bits
 from .states import PureState
 
 _TOKEN = re.compile(r"([XYZ])([0-9]+)")
+_PREFIXES = (("+i", 1), ("-i", 3), ("-", 2))  # to_string's overall phases
 
 
 @dataclass(frozen=True)
@@ -57,12 +58,14 @@ def identity(n: int) -> PauliOperator:
 def parse_pauli(text: str, n: int) -> PauliOperator:
     """Parse an operator string like ``"X1X2X3X4"`` on n qubits.
 
-    The empty string is the identity. Raises ValueError on an unknown
-    letter, an out-of-range index, a duplicate index, or trailing junk.
+    An optional ``+i``/``-``/``-i`` prefix is the overall phase, as
+    to_string writes it, so ``parse_pauli(to_string(a), a.n) == a``. The
+    empty string is the identity. Raises ValueError on an unknown letter, an
+    out-of-range index, a duplicate index, or trailing junk.
     """
-    x = z = 0
-    phase = 0
-    pos = 0
+    x = z = phase = pos = 0
+    if text[:1] in "+-":
+        phase, pos = next(((shown, len(p)) for p, shown in _PREFIXES if text.startswith(p)), (0, 0))
     seen = set()
     for m in _TOKEN.finditer(text):
         if m.start() != pos:

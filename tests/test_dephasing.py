@@ -13,6 +13,9 @@ from rhombuscode.dephasing import (
     NoiseModel,
     _CosetKernel,
     _Frame,
+    _PhasorKernel,
+    _combine,
+    _popcount,
     bloch_and_leakage,
     closed_form,
     code_space_operator,
@@ -551,21 +554,125 @@ def test_mc_thread_and_batch_invariant_beyond_unit_cell():
         assert rec == monte_carlo_oracle(code, logicals, theta, phi, model, 0.4, 70_001, seed=6)
 
 
+def named_frame(name):
+    """The _Frame of a CLI target or of a DRESSED_UNIT pair on the unit code."""
+    if name in DRESSED_UNIT:
+        code = build_unit()
+        pair = tuple(parse_pauli(text, code.n) for text in DRESSED_UNIT[name])
+        return _Frame(code, LogicalSet([pair, *code.logical_pairs[1:]]))
+    return _Frame(*target_and_logicals(name))
+
+
+PHASOR_CODES = ["unit", "two_horizontal", "two_vertical", "grid_2x2", *DRESSED_UNIT,
+                "grid:1", "grid:2", "lshape:0,0", "lshape:1,1"]
+
+
+@pytest.mark.parametrize("name", PHASOR_CODES)
+@pytest.mark.parametrize("scale", [0.8, 1e-2])
+def test_phasor_kernel_matches_coset_kernel(name, scale):
+    """Global noise: on the same draws, the phasor kernel's moments equal the
+    coset kernel's, over two full sub-chunks and a ragged third. The coset
+    kernel rounds D = G - G_ref at the size of G, so the sums of D are
+    compared relative to count * max |G_ref| and the second moments relative
+    to count * max |G_ref| * rms(D), to 1e-13."""
+    frame = named_frame(name)
+    new, old = _PhasorKernel(frame), _CosetKernel(frame, "global")
+    assert old.fields == 1 and new.size == old.size  # same draws, same batch split
+    count = 2 * new.chunk + 37
+    got, want = new.moments(5, 12345, count, scale), old.moments(5, 12345, count, scale)
+    size = abs(old.reference).max() * count
+    rms = math.sqrt(want[:, 2].real.max() / count)
+    assert abs(got[:, 0] - want[:, 0]).max() <= 1e-13 * size
+    assert abs(got[:, 1:] - want[:, 1:]).max() <= 1e-13 * size * rms
+
+
+def test_phasor_kernel_checks_its_folded_forms_at_u_one():
+    """The folded polynomials at x = 0 must give G_ref, which the engine
+    computes without the weights: weights off by 1e-3 are refused."""
+    frame = named_frame("grid_2x2")
+    frame.weight = frame.weight * (1 + 1e-3)
+    with pytest.raises(ValueError, match="folded forms miss G at u = 1"):
+        _PhasorKernel(frame)
+
+
+def long_double_moments(frame, seed, start, count, scale):
+    """(6, 3) sums of D, D^2 and |D|^2 from the per-sample forms in long
+    double, on the kernels' draws: every phase difference enters as
+    e^{i theta} - 1 = -2 sin^2(theta / 2) + i sin(theta), so D carries no
+    cancellation against G_ref."""
+    gen = np.random.Generator(np.random.Philox(key=seed).advance(start))
+    x = ndtri(np.clip(gen.random(count), 1e-300, 1.0 - 1e-16)) * scale
+    x = x.astype(np.longdouble)[:, None]
+    level = _popcount(frame.support)
+
+    def phase_minus_one(theta):
+        half = np.sin(theta / 2)
+        return -2 * half * half + 1j * np.sin(theta)
+
+    coefs = frame.coefs.astype(np.clongdouble)
+    weight = frame.weight.astype(np.clongdouble)
+    forms = np.zeros((6, 2, count), dtype=np.clongdouble)
+    for o, perm in enumerate(frame.perms):
+        bloch = coefs[o] * phase_minus_one(x * (level - level[perm]))
+        left = coefs[o] * phase_minus_one(-x * level[perm])
+        right = weight * phase_minus_one(x * level)
+        for k in range(2):
+            cell = frame.coset == k
+            left0, right0 = coefs[o, cell].sum(), weight[cell].sum()
+            dleft, dright = left[:, cell].sum(1), right[:, cell].sum(1)
+            forms[o, k] = bloch[:, cell].sum(1)
+            forms[3 + o, k] = frame.pc * (dleft * (right0 + dright) + left0 * dright)
+    d = _combine(forms, frame.flipping)
+    return np.stack([d.sum(-1), (d * d).sum(-1), (d * np.conj(d)).sum(-1)], 1)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs 80-bit long double")
+@pytest.mark.parametrize("name, count", [("unit", 20_000), ("two_vertical", 20_000),
+                                         ("grid_2x2", 3_000)])
+@pytest.mark.parametrize("scale", [1e-3, 1e-5])
+def test_phasor_kernel_is_as_accurate_as_coset_kernel(name, count, scale):
+    """At small phase scales the coset kernel's D = G - G_ref cancels to
+    eps / D, while the phasor kernel builds D from centred phasors. Against a
+    long-double reference, each moment column's worst relative error over
+    the rows is no larger for the phasor kernel; a row that is 0 (r_z) is 0."""
+    frame = named_frame(name)
+    want = long_double_moments(frame, 3, 777, count, scale)
+    zero = want == 0
+
+    def run(kernel):
+        got = kernel.moments(3, 777, count, scale)
+        relative = abs(got - want) / np.where(zero, 1, abs(want))
+        return got, np.where(zero, 0, relative).astype(float).max(0)
+
+    got, error = run(_PhasorKernel(frame))
+    _, coset_error = run(_CosetKernel(frame, "global"))
+    assert (got[zero] == 0).all()
+    assert (error <= coset_error).all()
+
+
 @pytest.mark.parametrize("target", ["unit", "grid_2x2", "lshape:1,1"])
 @pytest.mark.parametrize("kind", ["global", "local"])
 def test_mc_sweep_shares_one_kernel_across_t(target, kind, monkeypatch):
     """Calls at several t on one frame equal fresh single-t calls bit for
-    bit, and the frame builds one _CosetKernel per noise kind."""
+    bit, and the frame builds one kernel per noise kind, on first use: a
+    _PhasorKernel for global noise and a _CosetKernel for local."""
     built = []
 
-    class CountedKernel(_CosetKernel):
-        def __init__(self, frame, kind):
-            built.append(kind)
-            super().__init__(frame, kind)
+    def counted(name):
+        class Counted(getattr(dephasing, name)):
+            def __init__(self, *args):
+                built.append(name)
+                super().__init__(*args)
 
-    monkeypatch.setattr(dephasing, "_CosetKernel", CountedKernel)
+        return Counted
+
+    for name in ("_CosetKernel", "_PhasorKernel"):
+        monkeypatch.setattr(dephasing, name, counted(name))
+    classes = {"global": "_PhasorKernel", "local": "_CosetKernel"}
+    other = "local" if kind == "global" else "global"
     code, logicals = target_and_logicals(target)
     frame = _Frame(code, logicals)
+    assert built == []
     model = NoiseModel(kind, 0.7)
     t_grid = [0.0, 0.35, 1.2]
     point = [(1.1, 0.3)]
@@ -573,10 +680,10 @@ def test_mc_sweep_shares_one_kernel_across_t(target, kind, monkeypatch):
         monte_carlo_grid(code, logicals, point, model, t, 5001, 9, threads=2, frame=frame)[0]
         for t in t_grid
     ]
-    other = "local" if kind == "global" else "global"
+    assert built == [classes[kind]]
     monte_carlo_grid(code, logicals, point, NoiseModel(other, 0.7), 0.5, 10, 9, frame=frame)
     assert frame.kernel(kind) is frame.kernel(kind)
-    assert built == [kind, other]
+    assert built == [classes[kind], classes[other]]
     assert sweep == [
         monte_carlo_oracle(code, logicals, 1.1, 0.3, model, t, 5001, seed=9) for t in t_grid
     ]

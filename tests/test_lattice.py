@@ -265,6 +265,7 @@ JSON_CODES = (
        for v in range(4) for h in range(4) for fill in (False, True)]
     + [
         pytest.param(sparse_code(), id="bare"),
+        pytest.param(sparse_code(logical_pairs=()), id="no-logicals"),
         pytest.param(sparse_code(layout=odd_layout(), declared=(3, 1, 1)), id="odd-layout"),
         pytest.param(sparse_code(logical_pairs=(
             (parse_pauli("X3", 3), parse_pauli("Y3", 3)),
@@ -281,13 +282,24 @@ def test_code_to_json_matches_indenting_encoder(code):
     assert code_from_json(text) == code
 
 
+def test_json_empty_logical_pairs_differ_from_missing_ones():
+    """"logical_pairs": [] states that the code file has no logicals; only a
+    missing key (or null) leaves them to be synthesized."""
+    text = code_to_json(sparse_code(logical_pairs=()))
+    assert code_from_json(text).logical_pairs == ()
+    doc = json.loads(text)
+    del doc["logical_pairs"]
+    assert code_from_json(json.dumps(doc)).logical_pairs is None
+
+
 def test_code_to_json_writes_phase_prefixes_as_the_encoder_does():
-    """Every phase of X3 and of Y3. parse_pauli reads no +i, - or -i prefix,
-    so this document is compared by bytes only."""
+    """Every phase of X3 and of Y3, written with to_string's prefixes and
+    read back by code_from_json."""
     ops = [PauliOperator(3, 0b100, z, phase) for z in (0, 0b100) for phase in range(4)]
     code = sparse_code(logical_pairs=tuple(zip(ops[0::2], ops[1::2])), layout=odd_layout())
     text = code_to_json(code)
     assert text == reference_code_to_json(code)
+    assert code_from_json(text) == code
     assert sorted(sum(json.loads(text)["logical_pairs"], [])) == sorted(
         ["X3", "+iX3", "-X3", "-iX3", "Y3", "+iY3", "-Y3", "-iY3"])
 

@@ -71,7 +71,8 @@ def test_parse_y_carries_phase():
 
 
 @pytest.mark.parametrize(
-    "bad", ["X0", "X7", "X1X1", "Q1", "X1 Z2", "x1", "X", "X1Z"]
+    "bad", ["X0", "X7", "X1X1", "Q1", "X1 Z2", "x1", "X", "X1Z",
+            "+X1", "iX1", "--X1", "-i-X1", "X1-Z2", "+i+iX1", "-iiX1"]
 )
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
@@ -257,6 +258,23 @@ def test_to_string_covers_every_phase():
     ops = [PauliOperator(5, op.x_mask, op.z_mask, op.phase + k) for k in range(4)]
     texts = ["X1Y2Z4", "+iX1Y2Z4", "-X1Y2Z4", "-iX1Y2Z4"]
     assert [to_string(a) for a in ops] == [reference_to_string(a) for a in ops] == texts
+    assert [parse_pauli(text, 5) for text in texts] == ops
+
+
+@st.composite
+def y_ops(draw):
+    """Operators on up to 80 qubits with at least one Y factor, any phase."""
+    n = draw(st.integers(1, 80))
+    x, z = (draw(st.integers(0, (1 << n) - 1)) for _ in range(2))
+    y = 1 << draw(st.integers(0, n - 1))
+    return PauliOperator(n, x | y, z | y, draw(phases))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(wide_ops(), y_ops()))
+def test_parse_reads_what_to_string_writes(op):
+    """Every phase prefix to_string writes, on operators with and without Y."""
+    assert parse_pauli(to_string(op), op.n) == op
 
 
 def brute_first_pair(ops):

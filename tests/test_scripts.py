@@ -2,6 +2,7 @@
 artifacts they wrote match what the package computes today."""
 
 import importlib.util
+import json
 import pathlib
 import sys
 
@@ -82,3 +83,37 @@ def test_ab_summary_claims_a_gain_only_by_the_pair_rule():
     assert not ab.summarize(parent[:9], change[:9]).gain_holds
     with pytest.raises(ValueError):
         ab.summarize(parent, change[:9])
+
+
+def test_ab_out_writes_every_pair_and_the_summaries(tmp_path, monkeypatch, capsys):
+    """main with --out, its git export and benchmark runs replaced by fixed
+    numbers: the JSON holds each pair in run order and the printed summary."""
+    ab = load_script("ab_pairs")
+    walls = iter([0.30, 0.20, 0.21, 0.31, 0.32, 0.22])  # parent first, then change first
+    calls = []
+
+    def run_bench(tree, workload, seconds, seed):
+        calls.append((tree == ab.ROOT, workload, seconds, seed))
+        return {"wall_s": next(walls), "setup_s": 0.1, "failed_frac": 0.0}
+
+    monkeypatch.setattr(ab, "export", lambda rev, into: None)
+    monkeypatch.setattr(ab, "run_bench", run_bench)
+    out = tmp_path / "bench.json"
+    assert ab.main(["HEAD", "--workload", "mc-unit", "--pairs", "3", "--seconds", "2",
+                    "--seed", "7", "--out", str(out)]) == 0
+    assert [c[0] for c in calls] == [False, True, True, False, False, True]
+    assert {c[1:] for c in calls} == {("mc-unit", 2.0, 7)}
+    doc = json.loads(out.read_text())
+    assert (doc["workload"], doc["parent_rev"], doc["seed"], doc["seconds"]) == (
+        "mc-unit", "HEAD", 7, 2.0)
+    assert doc["cores"] >= 1 and set(doc["versions"]) == {"python", "numpy", "scipy"}
+    assert [(p["first"], p["parent"]["wall_s"], p["change"]["wall_s"]) for p in doc["pairs"]] == [
+        ("parent", 0.30, 0.20), ("change", 0.31, 0.21), ("parent", 0.32, 0.22)]
+    wall = doc["summary"]["wall_s"]
+    assert wall["parent"]["median"] == pytest.approx(0.31)
+    assert wall["change"] == pytest.approx({"q1": 0.205, "median": 0.21, "q3": 0.215})
+    assert (wall["change_wins"], wall["parent_wins"], wall["pairs"]) == (3, 0, 3)
+    assert wall["gain_holds"] is False  # three pairs are too few
+    assert doc["summary"]["setup_s"]["change_wins"] == 0  # ties count for neither side
+    assert doc["gain_rule"]["min_pairs"] == ab.MIN_PAIRS
+    assert "wins change 3, parent 0, of 3 pairs" in capsys.readouterr().out
