@@ -20,12 +20,14 @@ batches keep the sums of D, D^2 and |D|^2, D = G - G_ref (G at u = 1), so
 every point follows in closed form. Under local noise _CosetKernel builds u
 per sample, at a cost of samples x S: in the frame's coordinate order (state
 p ^ 2^j is p shifted by generator j, Xbar last) the cosets are the halves of
-the support, and u is built support-major from cos + i sin of small tables
-(the first MC_DIRECT states, then each generator's distinct spin changes), in
+the support, and u is built support-major from small tables of phases (the
+first MC_DIRECT states, then each generator's distinct spin changes), in
 sub-chunks of MC_CHUNK phase factors. Under global noise one normal drives
 every phase, each form is a trigonometric polynomial of degree K in it, and
 _PhasorKernel builds only K phasors and D from them per sample, a cost of
-samples x K with no S-sized array. Neither kernel calls BLAS.
+samples x K with no S-sized array. Both kernels get their phases as e^{2ih} -
+1 from one SIMD tan of each half-angle h (_phase_minus_one); no per-sample
+sin or cos remains. Neither kernel calls BLAS.
 Time enters only as the scale of the normals, so the frame builds one kernel
 per noise kind and every t reuses it. Batches read a counter-based stream at
 offsets set by their first sample, so any thread count reproduces the serial
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -300,9 +303,11 @@ class _Frame:
 class _CosetKernel:
     """Per-batch Monte Carlo moments of a frame's forms (see the module
     docstring), on the support in the frame's coordinate order. Time enters
-    only as the scale of the normals, so one kernel serves every t. The
-    oracle runs it under local noise; under global noise (u from the
-    distinct magnetizations) it is the per-sample reference of
+    only as the scale of the normals, so one kernel serves every t. The step
+    tables hold half the spin changes, so each table phase is 1 + (e^{2ih} -
+    1) from the tan of its half-angle h (_phase_minus_one): no per-sample
+    sin or cos. The oracle runs it under local noise; under global noise (u
+    from the distinct magnetizations) it is the per-sample reference of
     _PhasorKernel."""
 
     def __init__(self, frame: _Frame, kind: str):
@@ -321,8 +326,9 @@ class _CosetKernel:
             change = spins[:, lo:hi] - (spins[:, : hi - lo] if lo else 0.0)
             fields = np.flatnonzero(np.any(change, axis=1))
             table, index = np.unique(change[fields].T, axis=0, return_inverse=True)
-            self.steps.append((lo, hi, fields, table, index.ravel()))
+            self.steps.append((lo, hi, fields, 0.5 * table, index.ravel()))  # half-angles
             lo, hi = hi, 2 * hi
+        self.rows = max(len(step[3]) for step in self.steps)
         self.reference = frame.expected(NoiseModel(kind, 0.0), 0.0)  # G at u = 1
 
     def moments(self, seed: int, start: int, count: int, scale: float) -> np.ndarray:
@@ -331,7 +337,10 @@ class _CosetKernel:
         deviation scale. D of a form constant per sample (r_z) is round-off."""
         gen = np.random.Generator(np.random.Philox(key=seed).advance(start * self.fields))
         total = np.zeros((6, 3), dtype=np.complex128)
-        buffer = np.empty((9, self.size, min(self.chunk, count)), dtype=np.complex128)
+        width = min(self.chunk, count)
+        buffer = np.empty((9, self.size, width), dtype=np.complex128)
+        halves, scratch = np.empty((2, self.rows * width))  # shared by the steps
+        phases = np.empty(self.rows * width, dtype=np.complex128)
         for lo in range(0, count, self.chunk):
             uniforms = gen.random((min(self.chunk, count - lo), self.fields))
             np.clip(uniforms, 1e-300, 1.0 - 1e-16, out=uniforms)
@@ -339,11 +348,12 @@ class _CosetKernel:
             width = normals.shape[1]
             u, uc, parts = buffer[0, :, :width], buffer[1, :, :width], buffer[2:, :, :width]
             for lo_, hi, fields, table, index in self.steps:
-                angles = np.einsum("tw,wc->tc", table, normals[fields])
-                phases = np.empty(angles.shape, dtype=np.complex128)
-                np.cos(angles, out=phases.real)
-                np.sin(angles, out=phases.imag)
-                np.take(phases, index, axis=0, out=u[lo_:hi], mode="clip")
+                shape, size = (len(table), width), len(table) * width
+                half = np.einsum("tw,wc->tc", table, normals[fields],
+                                 out=halves[:size].reshape(shape))
+                phase = phases[:size].reshape(shape)
+                _phase_minus_one(half, phase, scratch[:size].reshape(shape), 1.0)  # e^{2ih}
+                np.take(phase, index, axis=0, out=u[lo_:hi], mode="clip")
                 if lo_:
                     u[lo_:hi] *= u[: hi - lo_]
             np.conj(u, out=uc)
@@ -370,7 +380,8 @@ class _PhasorKernel:
     K >= 1). _combine is real-linear, so
     D = G - G_ref = M v with v = (Re w_f, Im w_f), w_f = e^{i f step x} - 1
     for f = 1..K, and a complex (6, 2K) matrix M folded from the frame here.
-    A sample costs two trig calls, K - 1 steps of the centred recurrence
+    A sample costs one tan (w_1 from _phase_minus_one, with no sin or cos),
+    K - 1 steps of the centred recurrence
     w_{f+1} = (1 + w_1) w_f + w_1, which keeps w_f accurate relative to its
     size at small x, and D = M v (np.einsum, no BLAS): O(K) work and no
     array of the support size S. D is squared per sample; the Gram matrix of
@@ -415,6 +426,7 @@ class _PhasorKernel:
         top, width = self.degree, min(self.chunk, count)
         phasors = np.empty((top, width), dtype=np.complex128)  # w_1 .. w_K per sample
         parts = np.empty((2 * top, width))  # v per sample
+        scratch = np.empty(width)
         total = np.zeros((4, 6))  # sums of Re D, Im D, (Re D)^2 - (Im D)^2, |D|^2
         cross = np.zeros(6)  # sum of Re D Im D
         for lo in range(0, count, self.chunk):
@@ -422,10 +434,8 @@ class _PhasorKernel:
             np.clip(uniforms, 1e-300, 1.0 - 1e-16, out=uniforms)
             half = self.ndtri(uniforms) * (0.5 * self.step * scale)  # step x / 2
             w, v = phasors[:, : len(half)], parts[:, : len(half)]
-            sin, cos = np.sin(half), np.cos(half)
             first = w[0]
-            np.multiply(-2.0 * sin, sin, out=first.real)  # cos(step x) - 1
-            np.multiply(2.0 * sin, cos, out=first.imag)  # sin(step x)
+            _phase_minus_one(half, first, scratch[: len(half)])  # e^{i step x} - 1
             turn = first + 1.0  # e^{i step x}
             for f in range(1, top):
                 np.multiply(turn, w[f - 1], out=w[f])
@@ -436,6 +446,22 @@ class _PhasorKernel:
             total += [d[:6].sum(1), d[6:].sum(1), squares[0] - squares[1], squares.sum(0)]
             cross += np.einsum("ow,ow->o", d[:6], d[6:])
         return np.stack([total[0] + 1j * total[1], total[2] + 2j * cross, total[3]], 1)
+
+
+def _phase_minus_one(half: np.ndarray, out: np.ndarray, scratch: np.ndarray, offset: float = 0.0):
+    """out = offset + e^{2ih} - 1 for half-angles h, with e^{2ih} - 1 = q (-t^2, t),
+    t = tan h and q = 2 / (1 + t^2): one SIMD tan and no sin or cos, and each
+    part of e^{2ih} - 1 is accurate relative to its own size, also at small h
+    where cos 2h - 1 would cancel. half is overwritten with t; scratch is a
+    real array of its shape."""
+    t = np.tan(half, out=half)
+    q = np.multiply(t, t, out=scratch)
+    q += 1.0
+    np.divide(2.0, q, out=q)
+    q *= t
+    out.imag = q  # sin 2h
+    q *= t
+    np.subtract(offset, q, out=out.real)  # offset + cos 2h - 1
 
 
 def _bincount(index: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
@@ -541,9 +567,10 @@ def monte_carlo_grid(
     degree of _PhasorKernel's polynomial); batches span MC_BATCH * 32 / S
     samples (MC_BATCH for S <= 32) under either kind and read disjoint
     Philox counter ranges, so results are bit-identical for any thread
-    count. Threads run whole batches (those beyond ceil(samples / batch) sit
-    idle) and need no OPENBLAS_NUM_THREADS setting: neither kernel calls
-    BLAS. frame, the _Frame of (code, logicals),
+    count. Threads run whole batches, in a pool of min(threads, batches,
+    usable cores) threads (more threads than cores only pass the
+    interpreter lock around), and need no OPENBLAS_NUM_THREADS setting:
+    neither kernel calls BLAS. frame, the _Frame of (code, logicals),
     is built here when None; it builds its kernel for model.kind on first
     use, so calls at several t on one frame share that kernel. At phase
     scale 0 (t = 0 or gamma = 0) no sample is drawn: each record is v_ref
@@ -567,10 +594,12 @@ def monte_carlo_grid(
     def run(start: int) -> np.ndarray:
         return kernel.moments(seed, start, min(batch, samples - start), scale)
 
+    starts = range(0, samples, batch)
     moments = np.zeros((6, 3), dtype=np.complex128)  # scale 0: every u is 1, D = 0
     if scale > 0.0:
-        with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-            moments = sum(pool.map(run, range(0, samples, batch)))  # in batch order
+        workers = max(1, min(threads, len(starts), len(os.sched_getaffinity(0))))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            moments = sum(pool.map(run, starts))  # in batch order
     total = np.stack([_point_sums(moments, kernel, *p) for p in points])
     means = total[:, :, 0] + total[:, :, 1] / samples
     if samples > 1:

@@ -477,8 +477,10 @@ def verify_code(
     """Full report: commutativity, rank/k, logical set, distance.
 
     Uses the code's own logical pairs when present, otherwise synthesizes
-    a set when n permits. The codeword-matrix oracle, when requested,
-    must agree exactly with the symplectic search.
+    a set when n permits; a set of other than k pairs is a violation. The
+    codeword-matrix oracle, when requested, runs on the code's pairs when
+    they are k X-type pairs, else on a synthesized set, and must agree
+    exactly with the symplectic search.
     """
     logicals = None
     if code.logical_pairs is not None:
@@ -486,14 +488,18 @@ def verify_code(
     elif code.n <= SYNTHESIS_MAX_QUBITS:
         logicals = find_logical_set(code)
     report = verify_logical_set(code, logicals or LogicalSet(()))
+    complete = logicals is not None and len(logicals.pairs) == report.k
+    if logicals is not None and not complete:
+        count = len(logicals.pairs)
+        report.logical_violations.append(
+            f"{count} logical pair{'' if count == 1 else 's'} given, k = {report.k}"
+        )
     d, witness = distance_symplectic(code, w_max)
     report.distance = d
     report.witness = to_string(witness) if witness is not None else None
     if use_kl:
         kl_logicals = logicals
-        if kl_logicals is None or not all(
-            x.is_x_type() for x, _ in kl_logicals.pairs
-        ):
+        if not complete or not all(x.is_x_type() for x, _ in logicals.pairs):
             kl_logicals = find_logical_set(code)
         d_kl, _ = distance_kl_oracle(code, kl_logicals, w_max)
         if d_kl != d:

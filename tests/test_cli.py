@@ -99,6 +99,22 @@ def test_verify_injected_distance_claim_fails(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("pairs, message", [(0, "0 logical pairs given, k = 2"),
+                                            (1, "1 logical pair given, k = 2")])
+@pytest.mark.parametrize("kl", [[], ["--kl"]], ids=["symplectic", "kl"])
+def test_verify_flags_a_logical_set_of_other_than_k_pairs(capsys, tmp_path, pairs, message, kl):
+    """A set of other than k pairs is a claim mismatch; the codeword-matrix
+    oracle then runs on a synthesized set and agrees (d = 2)."""
+    path = write_code(capsys, tmp_path, "unit")
+    doc = json.loads(path.read_text())
+    doc["logical_pairs"] = doc["logical_pairs"][:pairs]
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(path), *kl)
+    assert code == 1
+    report = json.loads(out)
+    assert (report["logical_violations"], report["distance"]) == ([message], 2)
+
+
 def test_verify_kl_infeasible_for_large_code(capsys, tmp_path):
     path = write_code(capsys, tmp_path, "grid:3")
     code, _, err = run(capsys, "verify", str(path), "--kl")

@@ -1,6 +1,7 @@
 """Dephasing engine vs closed forms and the trajectory Monte Carlo oracle."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from rhombuscode.dephasing import (
     _Frame,
     _PhasorKernel,
     _combine,
+    _phase_minus_one,
     _popcount,
     bloch_and_leakage,
     closed_form,
@@ -597,25 +599,42 @@ def test_phasor_kernel_checks_its_folded_forms_at_u_one():
 
 def long_double_moments(frame, seed, start, count, scale):
     """(6, 3) sums of D, D^2 and |D|^2 from the per-sample forms in long
-    double, on the kernels' draws: every phase difference enters as
-    e^{i theta} - 1 = -2 sin^2(theta / 2) + i sin(theta), so D carries no
-    cancellation against G_ref."""
+    double, on the phasor kernel's draws: one normal x per sample, u[p] =
+    e^{i x popcount(support[p])} (the common phase e^{-i x n / 2} cancels)."""
     gen = np.random.Generator(np.random.Philox(key=seed).advance(start))
     x = ndtri(np.clip(gen.random(count), 1e-300, 1.0 - 1e-16)) * scale
-    x = x.astype(np.longdouble)[:, None]
-    level = _popcount(frame.support)
+    return long_double_d_moments(frame, x[:, None], _popcount(frame.support)[None, :])
 
-    def phase_minus_one(theta):
+
+def long_double_local_moments(frame, seed, start, count, scale):
+    """long_double_moments under local noise, on the coset kernel's draws:
+    one normal per qubit and u = e^{-i normals . spins} with spins from
+    frame.spins("local")."""
+    spins = frame.spins("local")
+    gen = np.random.Generator(np.random.Philox(key=seed).advance(start * len(spins)))
+    x = ndtri(np.clip(gen.random((count, len(spins))), 1e-300, 1.0 - 1e-16)) * scale
+    return long_double_d_moments(frame, x, -spins)
+
+
+def long_double_d_moments(frame, x, spins):
+    """The moments of D in long double for u[p] = e^{i x . spins[:, p]}, x the
+    (samples, fields) normals: every phase difference enters as e^{i theta} -
+    1 = -2 sin^2(theta / 2) + i sin(theta), theta summed over the fields on
+    which its two states differ, so D carries no cancellation against G_ref."""
+    x, spins = x.astype(np.longdouble), spins.astype(np.longdouble)
+
+    def phase_minus_one(change):
+        theta = x @ change
         half = np.sin(theta / 2)
         return -2 * half * half + 1j * np.sin(theta)
 
     coefs = frame.coefs.astype(np.clongdouble)
     weight = frame.weight.astype(np.clongdouble)
-    forms = np.zeros((6, 2, count), dtype=np.clongdouble)
+    forms = np.zeros((6, 2, len(x)), dtype=np.clongdouble)
+    right = weight * phase_minus_one(spins)
     for o, perm in enumerate(frame.perms):
-        bloch = coefs[o] * phase_minus_one(x * (level - level[perm]))
-        left = coefs[o] * phase_minus_one(-x * level[perm])
-        right = weight * phase_minus_one(x * level)
+        bloch = coefs[o] * phase_minus_one(spins - spins[:, perm])
+        left = coefs[o] * phase_minus_one(-spins[:, perm])
         for k in range(2):
             cell = frame.coset == k
             left0, right0 = coefs[o, cell].sum(), weight[cell].sum()
@@ -648,6 +667,75 @@ def test_phasor_kernel_is_as_accurate_as_coset_kernel(name, count, scale):
     _, coset_error = run(_CosetKernel(frame, "global"))
     assert (got[zero] == 0).all()
     assert (error <= coset_error).all()
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs 80-bit long double")
+def test_phase_minus_one_is_accurate_relative_to_its_size():
+    """e^{2ih} - 1 from tan h: each part's error is within a few eps of
+    |e^{2ih} - 1| = 2 |sin h|, from h ~ 1e-8 (where cos 2h - 1 cancels) to
+    h ~ 1e7; offset 1 adds 1 to the real part, exactly."""
+    h = np.random.default_rng(0).normal(size=(7, 1000)) * np.logspace(-8, 7, 7)[:, None]
+    out = [np.empty(h.shape, dtype=np.complex128) for _ in range(2)]
+    for offset, w in enumerate(out):
+        _phase_minus_one(h.copy(), w, np.empty(h.shape), float(offset))
+    exact = h.astype(np.longdouble)
+    want = -2 * np.sin(exact) ** 2 + 1j * np.sin(2 * exact)
+    assert (abs(out[0] - want) / (2 * abs(np.sin(exact)))).astype(float).max() < 4e-16
+    assert (out[1] == out[0] + 1).all()
+
+
+# (sample count, {scale: worst relative error of the three moment columns})
+# of the coset kernel when it built its phases from sin and cos of the full
+# angles, against long_double_local_moments on the draws (seed 3, start 777)
+LOCAL_ERRORS = {
+    "unit": (20_000, {0.8: 2.0e-16, 1e-3: 1.6e-12, 1e-5: 1.1e-8}),
+    "two_vertical": (20_000, {0.8: 6.0e-16, 1e-3: 1.5e-10, 1e-5: 1.5e-6}),
+    "grid_2x2": (3_000, {0.8: 2.3e-16, 1e-3: 1.4e-11, 1e-5: 1.5e-7}),
+    "unit-zbar-x-dressed": (20_000, {0.8: 2.1e-16, 1e-3: 1.4e-12, 1e-5: 8.8e-9}),
+}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs 80-bit long double")
+@pytest.mark.parametrize("name", LOCAL_ERRORS)
+@pytest.mark.parametrize("scale", [0.8, 1e-3, 1e-5])
+def test_coset_kernel_tan_phases_keep_sin_cos_accuracy(name, scale):
+    """Local noise: phases from tan half-angles leave each moment column's
+    worst relative error against a long-double reference within twice that
+    of sin and cos; at small scales both are set by D = G - G_ref cancelling
+    to eps / D. Entries that are 0 in the reference (r_z when Zbar is
+    diagonal) hold round-off only and are not compared."""
+    frame = named_frame(name)
+    count, errors = LOCAL_ERRORS[name]
+    want = long_double_local_moments(frame, 3, 777, count, scale)
+    got = _CosetKernel(frame, "local").moments(3, 777, count, scale)
+    zero = want == 0
+    relative = np.where(zero, 0, abs(got - want) / np.where(zero, 1, abs(want)))
+    assert relative.astype(float).max() <= 2 * errors[scale]
+
+
+def test_mc_thread_pool_is_capped_by_batches_and_cores(monkeypatch):
+    """The pool runs min(threads, batches, usable cores) threads, and the
+    records stay the same for every pool size."""
+    import concurrent.futures
+
+    sizes = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    code, logicals = unit_and_logicals()
+    args = (code, logicals, [(1.1, 0.3)], NoiseModel("global", 0.9), 0.7)
+    records = {}
+    for cores, threads, batches in ((1, 4, 4), (3, 8, 4), (8, 8, 4), (8, 2, 4), (8, 8, 2)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+        samples = (batches - 1) * MC_BATCH + 5
+        records.setdefault(batches, []).append(
+            monte_carlo_grid(*args, samples, 13, threads=threads))
+    assert sizes == [1, 3, 4, 2, 2]
+    assert records[4] == [records[4][0]] * 4
 
 
 @pytest.mark.parametrize("target", ["unit", "grid_2x2", "lshape:1,1"])
