@@ -1,0 +1,87 @@
+"""Monte Carlo kernel time per sample: the production kernel against the S-sized reference.
+
+Usage, from the root of a checkout:
+
+    PYTHONPATH=src python3 scripts/kernel_ns.py [--codes unit two_vertical ...] \\
+        [--kinds local global] [--runs 15] [--seed 7] [--scale 0.8] [--samples N]
+
+For each code (a CLI target) and noise kind the script builds the code's
+dephasing frame once and times ``moments`` over one batch of samples at
+phase scale --scale: --samples, else the batch monte_carlo_grid runs
+(MC_BATCH * 32 / S samples, at most MC_BATCH). The production kernel is
+``frame.kernel(kind)``: the component-factored _CosetKernel under local
+noise, _PhasorKernel under global noise. The reference is the S-sized
+``_CosetKernel(frame, kind)``. The two run alternately in one process, each
+--runs times on the same draws, after one untimed call each; the script
+prints each one's median nanoseconds per sample, with the settings, the
+core count and the Python, numpy and scipy versions.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import platform
+import statistics
+import time
+from typing import List, Optional
+
+import numpy as np
+
+from rhombuscode import dephasing
+from rhombuscode.cli import _parse_target
+from rhombuscode.engine import LogicalSet, find_logical_set
+
+CODES = ("unit", "two_vertical", "two_horizontal", "grid_2x2", "lshape:1,1")
+
+
+def frame_of(target: str) -> dephasing._Frame:
+    """The dephasing frame of a CLI target, on its own logicals, else synthesized ones."""
+    code = _parse_target(target)
+    if code.logical_pairs is not None:
+        return dephasing._Frame(code, LogicalSet(code.logical_pairs))
+    return dephasing._Frame(code, find_logical_set(code))
+
+
+def median_ns(kernels, seed: int, samples: int, scale: float, runs: int) -> List[float]:
+    """Median ns per sample of each kernel's moments, the kernels taking turns."""
+    times = [[] for _ in kernels]
+    for kernel in kernels:
+        kernel.moments(seed, 0, samples, scale)
+    for _ in range(runs):
+        for kernel, spent in zip(kernels, times):
+            begin = time.perf_counter()
+            kernel.moments(seed, 0, samples, scale)
+            spent.append(time.perf_counter() - begin)
+    return [statistics.median(spent) / samples * 1e9 for spent in times]
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--codes", nargs="+", default=CODES)
+    parser.add_argument("--kinds", nargs="+", default=dephasing.KINDS[::-1])
+    parser.add_argument("--runs", type=int, default=15)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--scale", type=float, default=0.8)
+    parser.add_argument("--samples", type=int, help="samples per call (default: one batch)")
+    args = parser.parse_args(argv)
+    import scipy
+
+    print(f"seed {args.seed}, scale {args.scale:g}, median of {args.runs} runs, "
+          f"{os.cpu_count()} cores, python {platform.python_version()}, "
+          f"numpy {np.__version__}, scipy {scipy.__version__}")
+    print("code,S,component_states,kind,samples,production_ns,reference_ns")
+    for target in args.codes:
+        frame = frame_of(target)
+        size = len(frame.support)
+        samples = args.samples or max(1, min(dephasing.MC_BATCH, (dephasing.MC_BATCH << 5) // size))
+        parts = "+".join(str(1 << len(part)) for part in frame.components)
+        for kind in args.kinds:
+            kernels = (frame.kernel(kind), dephasing._CosetKernel(frame, kind))
+            ns = median_ns(kernels, args.seed, samples, args.scale, args.runs)
+            print(f"{target},{size},{parts},{kind},{samples},{ns[0]:.0f},{ns[1]:.0f}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

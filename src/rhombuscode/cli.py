@@ -28,9 +28,11 @@ EXIT_INFEASIBLE = 2
 EXIT_USAGE = 64
 
 DEPHASE_MAX_SUPPORT = 1 << 18  # largest codeword support S = 2^(m_x + 1)
-# samples * S * t points: ~5 min at the local-noise MC kernel's 75 ns per
-# sample and support state. The global-noise kernel costs O(K) per sample, K
-# <= n, with no S-sized work, so the same cap is conservative there.
+# samples * S * t points, set at ~5 min when a local-noise sample cost about
+# 75 ns per support state. A local-noise sample now costs sum_c 2^m_c
+# states over the X-components (dephasing._CosetKernel) and a global-noise
+# sample O(K), K <= n, so the cap is conservative under both kinds; it stays
+# in S terms while dephase still builds the S-sized frame.
 DEPHASE_MAX_MC_WORK = 1 << 32
 
 

@@ -18,9 +18,14 @@ point (theta, phi) reads v = Re(y G), y from _point_weights. The Monte Carlo
 oracle samples u (the phase accumulated over time t is Normal(0, gamma*t));
 batches keep the sums of D, D^2 and |D|^2, D = G - G_ref (G at u = 1), so
 every point follows in closed form. Under local noise _CosetKernel builds u
-per sample, at a cost of samples x S: in the frame's coordinate order (state
-p ^ 2^j is p shifted by generator j, Xbar last) the cosets are the halves of
-the support, and u is built support-major from small tables of phases (the
+per sample on the components of the frame's generators (_components: the
+X-type stabilizers and Xbar, joined where x-masks overlap or a z-mask meets
+an x-mask). A support state is the XOR of one state per component, and u,
+the coefficients and the weights are products over the components, so each
+per-coset sum is a product of per-component sums: a sample costs sum_c
+2^m_c states, not S. In the frame's coordinate order (state p ^ 2^j is p
+shifted by generator j, Xbar last) the cosets are the halves of Xbar's
+component, and each component's u is built from small tables of phases (its
 first MC_DIRECT states, then each generator's distinct spin changes), in
 sub-chunks of MC_CHUNK phase factors. Under global noise one normal drives
 every phase, each form is a trigonometric polynomial of degree K in it, and
@@ -216,6 +221,10 @@ class _Frame:
       <j|U' L U|k>    = sum_c coefs[o, c] conj(u[perms[o, c]]) u[c]
       <j|U' L Pc U|k> = pc (sum_c coefs[o, c] conj(u[perms[o, c]])) (sum_c weight[c] u[c])
 
+    components partitions the generators (the X-type stabilizers, then Xbar,
+    in coordinate order) as _components does, Xbar's component first; the
+    local-noise kernel factors over it.
+
     The designated pair is logicals.pairs[0]; ValueError when there is none
     or when engine.verify_logical_set reports a violation on it.
     """
@@ -243,14 +252,17 @@ class _Frame:
         self.perms = np.array(perms)
         self.coefs = np.conj(amps[self.perms]) * np.array(signs) * amps
         self.flipping = np.tile(self.coset[self.perms[:, 0]] != 0, 2)  # per form
+        self.components = _components([s for s in code.stabilizers if s.x_mask] + [xbar])
         self._kernels = {}  # noise kind -> its Monte Carlo kernel
 
     def kernel(self, kind: str):
         """The Monte Carlo kernel of this frame for noise kind, built on first
-        use: _PhasorKernel for global noise, _CosetKernel for local."""
+        use: _PhasorKernel for global noise, _CosetKernel on the components
+        for local."""
         if kind not in self._kernels:
             self._kernels[kind] = (
-                _PhasorKernel(self) if kind == "global" else _CosetKernel(self, kind)
+                _PhasorKernel(self) if kind == "global"
+                else _CosetKernel(self, kind, self.components)
             )
         return self._kernels[kind]
 
@@ -291,35 +303,149 @@ class _Frame:
             raise ValueError(f"forms are not Hermitian: deviation {error.max():.3e}")
         return _combine(sums, flip)
 
-    def spins(self, kind: str) -> np.ndarray:
-        """spins[k, p] couples noise field k to support state p: one field, half
-        the magnetization (global), or one per qubit, its z-spin/2 (local)."""
+    def spins(self, kind: str, states: Optional[np.ndarray] = None) -> np.ndarray:
+        """spins[k, i] couples noise field k to support state states[i] (every
+        state when None): one field, half the magnetization (global), or one
+        per qubit, its z-spin/2 (local)."""
+        support = self.support if states is None else self.support[states]
         if kind == "global":
-            return magnetization(self.support, self.n)[None, :] / 2.0
-        bytes_ = self.support.astype("<u8").view(np.uint8).reshape(-1, 8)
+            return magnetization(support, self.n)[None, :] / 2.0
+        bytes_ = support.astype("<u8").view(np.uint8).reshape(-1, 8)
         return 0.5 - np.unpackbits(bytes_, axis=1, bitorder="little")[:, : self.n].T
 
 
 class _CosetKernel:
     """Per-batch Monte Carlo moments of a frame's forms (see the module
-    docstring), on the support in the frame's coordinate order. Time enters
-    only as the scale of the normals, so one kernel serves every t. The step
-    tables hold half the spin changes, so each table phase is 1 + (e^{2ih} -
-    1) from the tan of its half-angle h (_phase_minus_one): no per-sample
-    sin or cos. The oracle runs it under local noise; under global noise (u
-    from the distinct magnetizations) it is the per-sample reference of
-    _PhasorKernel."""
+    docstring). Time enters only as the scale of the normals, so one kernel
+    serves every t.
 
-    def __init__(self, frame: _Frame, kind: str):
+    components partitions the frame's generators (its X-type stabilizers,
+    then Xbar; _Frame.components), Xbar's component first. A support state
+    is the XOR of one state per component, and u, the coefficients and the
+    weights are products over the components (checked here to REALNESS_TOL
+    relative: ValueError otherwise), so each per-coset sum is the product of
+    one sum per component over its 2^m_c states: a sample costs the sum of
+    the 2^m_c, not S. Without components the kernel runs on all S states as
+    one component, the reference the tests hold it to; so does a code whose
+    generators form one component, operation for operation. The draws (n
+    normals per sample under local noise) and the batch split (size = S)
+    do not depend on the partition.
+
+    The step tables hold half the spin changes, so each table phase is 1 +
+    (e^{2ih} - 1) from the tan of its half-angle h (_phase_minus_one): no
+    per-sample sin or cos. The oracle runs it under local noise; under
+    global noise (u from the distinct magnetizations, one component) it is
+    the per-sample reference of _PhasorKernel."""
+
+    def __init__(self, frame: _Frame, kind: str,
+                 components: Optional[Sequence[Sequence[int]]] = None):
         from scipy.special import ndtri  # the MC oracle's only scipy use
 
         self.ndtri = ndtri
-        self.pc, self.g = frame.pc, frame.weight[:, None]
-        self.perms, self.coefs = frame.perms, frame.coefs[:, :, None]
-        self.flipping = frame.flipping
-        spins = -frame.spins(kind)  # u = exp(i normals . spins)
-        self.fields, self.size = spins.shape
-        self.chunk = max(1, MC_CHUNK // self.size)
+        self.pc, self.flipping = frame.pc, frame.flipping
+        self.size = len(frame.support)
+        count = self.size.bit_length() - 1  # generators
+        if components is None:
+            components = [range(count)]
+        if sorted(g for part in components for g in part) != list(range(count)):
+            raise ValueError("components must partition the frame's generators")
+        self.parts = [_Component(frame, kind, part, c == 0) for c, part in enumerate(components)]
+        self.fields = 1 if kind == "global" else frame.n
+        self.chunk = max(1, MC_CHUNK // sum(part.size for part in self.parts))
+        self.rows = max(len(step[3]) for part in self.parts for step in part.steps)
+        position, error = np.arange(self.size), 0.0
+        local = [_compress(position, part.generators) for part in self.parts]
+        for row, want in enumerate([*frame.coefs, frame.weight]):
+            got = 1.0
+            for part, index in zip(self.parts, local):
+                got = got * part.factors[row, index]
+            error = max(error, abs(got - want).max())
+        if error > REALNESS_TOL * abs(frame.weight).max():
+            raise ValueError(f"component factors miss the frame's coefficients by {error:.3e}")
+        self.reference = frame.expected(NoiseModel(kind, 0.0), 0.0)  # G at u = 1
+
+    def moments(self, seed: int, start: int, count: int, scale: float) -> np.ndarray:
+        """(6, 3) sums of D, D^2 and |D|^2, D = G - reference, over samples
+        start .. start + count - 1, whose phases are normals of standard
+        deviation scale. D of a form constant per sample (r_z) is round-off.
+        Every array of a sub-chunk is allocated once per call."""
+        gen = np.random.Generator(np.random.Philox(key=seed).advance(start * self.fields))
+        total = np.zeros((6, 3), dtype=np.complex128)
+        width = min(self.chunk, count)
+        uniforms, normals, picked = np.empty((3, self.fields * width))  # flat: each view contiguous
+        buffers = [np.empty((9, part.size, width), dtype=np.complex128) for part in self.parts]
+        # component sums: weight u, coef conj(u[perm]) and that times u per
+        # Pauli; component 0 also holds the leakage forms, so rows 4: are F
+        sums = [np.empty((7 if c else 10, part.cosets, width), dtype=np.complex128)
+                for c, part in enumerate(self.parts)]
+        d, square, norm = np.empty((3, 6, width), dtype=np.complex128)  # D, D^2, |D|^2
+        halves, scratch = np.empty((2, self.rows * width))  # shared by the steps
+        phases = np.empty(self.rows * width, dtype=np.complex128)
+        for lo in range(0, count, self.chunk):
+            w = min(self.chunk, count - lo)
+            draws = gen.random(out=uniforms[: w * self.fields].reshape(w, -1))
+            np.clip(draws, 1e-300, 1.0 - 1e-16, out=draws)
+            x = np.multiply(self.ndtri(draws, out=draws).T, scale,
+                            out=normals[: w * self.fields].reshape(-1, w))
+            for part, buffer, out in zip(self.parts, buffers, sums):
+                u, uc, terms = buffer[0, :, :w], buffer[1, :, :w], buffer[2:, :, :w]
+                for lo_, hi, fields, table, index in part.steps:
+                    shape, size = (len(table), w), len(table) * w
+                    chosen = picked[: len(fields) * w].reshape(-1, w)
+                    np.take(x, fields, axis=0, out=chosen, mode="clip")
+                    half = np.einsum("tw,wc->tc", table, chosen, out=halves[:size].reshape(shape))
+                    phase = phases[:size].reshape(shape)
+                    _phase_minus_one(half, phase, scratch[:size].reshape(shape), 1.0)  # e^{2ih}
+                    np.take(phase, index, axis=0, out=u[lo_:hi], mode="clip")
+                    if lo_:
+                        u[lo_:hi] *= u[: hi - lo_]
+                np.conj(u, out=uc)
+                np.multiply(part.weight, u, out=terms[0])
+                left, diag = terms[1:4], terms[4:]  # per Pauli: coef conj(u[perm]), times u
+                np.take(uc, part.perms, axis=0, out=left, mode="clip")
+                left *= part.coefs
+                np.multiply(left, u, out=diag)
+                np.einsum("kqhc->kqc", terms.reshape(7, part.cosets, -1, w), out=out[:7, :, :w])
+            product = sums[0][:, :, :w]
+            for other in sums[1:]:
+                product[:7] *= other[:, :, :w]  # the same factor for both cosets
+            np.multiply(self.pc, product[1:4], out=product[7:])
+            product[7:] *= product[0]
+            g = _combine(product[4:], self.flipping, out=d[:, :w])
+            g -= self.reference[:, None]  # D = G - G_ref
+            np.multiply(g, g, out=square[:, :w])
+            np.multiply(g, np.conj(g, out=norm[:, :w]), out=norm[:, :w])
+            total += np.stack([g.sum(-1), square[:, :w].sum(-1), norm[:, :w].sum(-1)], 1)
+        return total
+
+
+class _Component:
+    """One component of a _CosetKernel: states[i] is the frame coordinate of
+    the XOR of the generators chosen by the bits of i (bit b: generators[b],
+    ascending, so Xbar, the frame's last generator, is the top bit of the
+    component that holds it and its two halves are the cosets). It holds the
+    step tables (lo, hi, fields, half-angle table, index) that build u on its
+    states, and per logical Pauli the permutation perms (3, size) and the
+    coefficients there, with the weights: factors (4, size), viewed as coefs
+    (3, size, 1) and weight (size, 1). The first
+    component takes the frame's own spins, coefs and weight at its states;
+    any other takes each relative to its state 0 (spins minus, coefs and
+    weight over, those at state 0), so its u, coefs and weight are 1 there
+    and its sums run over both cosets."""
+
+    def __init__(self, frame: _Frame, kind: str, generators: Sequence[int], first: bool):
+        self.generators = list(generators)
+        self.states = _embed(np.arange(1 << len(self.generators)), self.generators)
+        self.size, self.cosets = len(self.states), 2 if first else 1
+        spins = frame.spins(kind, self.states)
+        self.factors = np.vstack([frame.coefs[:, self.states], frame.weight[self.states]])
+        if not first:
+            spins -= spins[:, :1]
+            self.factors /= self.factors[:, :1]
+        self.coefs, self.weight = self.factors[:3, :, None], self.factors[3, :, None]
+        shifts = _compress(frame.perms[:, 0], self.generators)  # perms[o, p] = p ^ perms[o, 0]
+        self.perms = np.arange(self.size) ^ shifts[:, None]
+        spins = -spins  # u = exp(i normals . spins)
         hi = self.size if kind == "global" else min(self.size, MC_DIRECT)
         self.steps, lo = [], 0
         while lo < self.size:  # u[lo:hi] = u[:hi - lo] * exp(i normals . change)
@@ -328,45 +454,41 @@ class _CosetKernel:
             table, index = np.unique(change[fields].T, axis=0, return_inverse=True)
             self.steps.append((lo, hi, fields, 0.5 * table, index.ravel()))  # half-angles
             lo, hi = hi, 2 * hi
-        self.rows = max(len(step[3]) for step in self.steps)
-        self.reference = frame.expected(NoiseModel(kind, 0.0), 0.0)  # G at u = 1
 
-    def moments(self, seed: int, start: int, count: int, scale: float) -> np.ndarray:
-        """(6, 3) sums of D, D^2 and |D|^2, D = G - reference, over samples
-        start .. start + count - 1, whose phases are normals of standard
-        deviation scale. D of a form constant per sample (r_z) is round-off."""
-        gen = np.random.Generator(np.random.Philox(key=seed).advance(start * self.fields))
-        total = np.zeros((6, 3), dtype=np.complex128)
-        width = min(self.chunk, count)
-        buffer = np.empty((9, self.size, width), dtype=np.complex128)
-        halves, scratch = np.empty((2, self.rows * width))  # shared by the steps
-        phases = np.empty(self.rows * width, dtype=np.complex128)
-        for lo in range(0, count, self.chunk):
-            uniforms = gen.random((min(self.chunk, count - lo), self.fields))
-            np.clip(uniforms, 1e-300, 1.0 - 1e-16, out=uniforms)
-            normals = np.ascontiguousarray(self.ndtri(uniforms).T) * scale
-            width = normals.shape[1]
-            u, uc, parts = buffer[0, :, :width], buffer[1, :, :width], buffer[2:, :, :width]
-            for lo_, hi, fields, table, index in self.steps:
-                shape, size = (len(table), width), len(table) * width
-                half = np.einsum("tw,wc->tc", table, normals[fields],
-                                 out=halves[:size].reshape(shape))
-                phase = phases[:size].reshape(shape)
-                _phase_minus_one(half, phase, scratch[:size].reshape(shape), 1.0)  # e^{2ih}
-                np.take(phase, index, axis=0, out=u[lo_:hi], mode="clip")
-                if lo_:
-                    u[lo_:hi] *= u[: hi - lo_]
-            np.conj(u, out=uc)
-            np.multiply(self.g, u, out=parts[0])
-            left, diag = parts[1:4], parts[4:]  # per Pauli: coef conj(u[perm]), times u
-            np.take(uc, self.perms, axis=0, out=left, mode="clip")
-            left *= self.coefs
-            np.multiply(left, u, out=diag)
-            sums = np.einsum("kqhc->kqc", parts.reshape(7, 2, -1, width))
-            forms = np.concatenate([sums[4:], self.pc * sums[1:4] * sums[0]])
-            g = _combine(forms, self.flipping) - self.reference[:, None]  # D = G - G_ref
-            total += np.stack([g.sum(-1), (g * g).sum(-1), (g * np.conj(g)).sum(-1)], 1)
-        return total
+
+def _embed(index: np.ndarray, generators: Sequence[int]) -> np.ndarray:
+    """Frame coordinates of component indices: bit b of index moves to bit generators[b]."""
+    return sum(((index >> b) & 1) << g for b, g in enumerate(generators))
+
+
+def _compress(position: np.ndarray, generators: Sequence[int]) -> np.ndarray:
+    """Component indices of frame coordinates: bit generators[b] of position moves to bit b."""
+    return sum(((position >> g) & 1) << b for b, g in enumerate(generators))
+
+
+def _components(generators: Sequence[PauliOperator]) -> List[List[int]]:
+    """The classes of generator indices (each ascending) under the joins of
+    one union-find: two generators whose x-masks overlap, or where the z-mask
+    of one meets the x-mask of the other. Across classes the generators act
+    on disjoint qubits and each one's sign on a basis state ignores the
+    other classes' flips, so codeword amplitudes and dephasing phases factor
+    over the classes. The class holding the last generator comes first,
+    then the others by descending last index."""
+    parent = list(range(len(generators)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, a in enumerate(generators):
+        for j, b in enumerate(generators[:i]):
+            if a.x_mask & (b.x_mask | b.z_mask) or a.z_mask & b.x_mask:
+                parent[find(i)] = find(j)
+    classes = {}
+    for i in range(len(generators)):
+        classes.setdefault(find(i), []).append(i)
+    return sorted(classes.values(), key=lambda part: -part[-1])
 
 
 class _PhasorKernel:
@@ -470,11 +592,15 @@ def _bincount(index: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray
     return np.bincount(index, weights.real, length) + 1j * np.bincount(index, weights.imag, length)
 
 
-def _combine(forms: np.ndarray, flipping: np.ndarray) -> np.ndarray:
+def _combine(forms: np.ndarray, flipping: np.ndarray,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
     """G from the (6, 2, ...) per-coset forms F_k: F_0 + conj(F_1) on the
-    coset-flipping rows, Re F_0 + i Re F_1 on the others."""
-    g = forms[:, 0] + np.conj(forms[:, 1])
-    g[~flipping] = forms[~flipping, 0].real + 1j * forms[~flipping, 1].real
+    coset-flipping rows, Re F_0 + i Re F_1 on the others; written into out
+    (a complex (6, ...) array) when given."""
+    g = np.add(forms[:, 0], np.conj(forms[:, 1], out=out), out=out)
+    for row in np.flatnonzero(~flipping):
+        keep = g[row, ...]  # a view, also where forms has no trailing axes
+        np.add(forms[row, 0].real, np.multiply(1j, forms[row, 1].real, out=keep), out=keep)
     return g
 
 
@@ -562,19 +688,19 @@ def monte_carlo_grid(
 
     One common set of phase trajectories serves every point: batches return
     the sums of D, D^2 and |D|^2 (see the module docstring) and each point
-    follows from their total. The cost grows as samples * S for the support
-    size S under local noise and as samples * K under global noise (K the
-    degree of _PhasorKernel's polynomial); batches span MC_BATCH * 32 / S
-    samples (MC_BATCH for S <= 32) under either kind and read disjoint
-    Philox counter ranges, so results are bit-identical for any thread
-    count. Threads run whole batches, in a pool of min(threads, batches,
-    usable cores) threads (more threads than cores only pass the
-    interpreter lock around), and need no OPENBLAS_NUM_THREADS setting:
-    neither kernel calls BLAS. frame, the _Frame of (code, logicals),
-    is built here when None; it builds its kernel for model.kind on first
-    use, so calls at several t on one frame share that kernel. At phase
-    scale 0 (t = 0 or gamma = 0) no sample is drawn: each record is v_ref
-    with standard errors 0.
+    follows from their total. The cost grows as samples * sum_c 2^m_c over
+    the frame's components under local noise and as samples * K under
+    global noise (K the degree of _PhasorKernel's polynomial). Batches span
+    MC_BATCH * 32 / S samples (MC_BATCH for S <= 32), S the support size,
+    under either kind and read disjoint Philox counter ranges, so results
+    are bit-identical for any thread count. Threads run whole batches, in
+    a pool of min(threads, batches, usable cores) threads (more threads
+    than cores only pass the interpreter lock around), and need no
+    OPENBLAS_NUM_THREADS setting: neither kernel calls BLAS. frame, the
+    _Frame of (code, logicals), is built here when None; it builds its
+    kernel for model.kind on first use, so calls at several t on one frame
+    share that kernel. At phase scale 0 (t = 0 or gamma = 0) no sample is
+    drawn: each record is v_ref with standard errors 0.
     """
     from concurrent.futures import ThreadPoolExecutor
 

@@ -89,26 +89,36 @@ def parse_pauli(text: str, n: int) -> PauliOperator:
     return PauliOperator(n, x, z, phase)
 
 
+_LABELS: Tuple[List[str], List[str], List[str]] = ([], [], [])  # X, Z, Y; index q: qubit q + 1
+
+
 def to_string(a: PauliOperator) -> str:
     """Serialize with factors in ascending qubit order, identity sites omitted.
 
     A nontrivial overall phase is emitted as a ``+i``/``-``/``-i`` prefix.
-    Only the support is visited, so the cost is linear in the weight.
+    Only the support is visited, so the cost is linear in the weight: the
+    masks are shifted down to their lowest support qubit (small ints), and
+    each factor is read from per-qubit label tables, grown on first need.
     """
+    x, z = a.x_mask, a.z_mask
+    both = x | z
+    x_labels, z_labels, y_labels = _LABELS
+    if len(y_labels) < both.bit_length():  # Y grows last, so all three are long enough
+        for letter, table in zip("XZY", _LABELS):
+            table.extend(f"{letter}{q}" for q in range(len(table) + 1, both.bit_length() + 1))
     parts = []
-    n_y = 0
-    for low in _set_bits(a.x_mask | a.z_mask):
-        label = low.bit_length()
-        if not a.z_mask & low:
-            parts.append(f"X{label}")
-        elif not a.x_mask & low:
-            parts.append(f"Z{label}")
-        else:
-            parts.append(f"Y{label}")
-            n_y += 1
-    shown = (a.phase - n_y) % 4
-    prefix = ("", "+i", "-", "-i")[shown]
-    return prefix + "".join(parts)
+    if both:
+        base = (both & -both).bit_length() - 1
+        rest, x, z = both >> base, x >> base, z >> base
+        pure = z_labels if not x else x_labels if not z else None
+        base -= 1
+        while rest:
+            low = rest & -rest
+            table = pure or (z_labels if not x & low else y_labels if z & low else x_labels)
+            parts.append(table[base + low.bit_length()])
+            rest ^= low
+    shown = (a.phase - (a.x_mask & a.z_mask).bit_count()) % 4
+    return ("", "+i", "-", "-i")[shown] + "".join(parts)
 
 
 def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:

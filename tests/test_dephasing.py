@@ -16,6 +16,7 @@ from rhombuscode.dephasing import (
     _Frame,
     _PhasorKernel,
     _combine,
+    _components,
     _phase_minus_one,
     _popcount,
     bloch_and_leakage,
@@ -711,6 +712,140 @@ def test_coset_kernel_tan_phases_keep_sin_cos_accuracy(name, scale):
     zero = want == 0
     relative = np.where(zero, 0, abs(got - want) / np.where(zero, 1, abs(want)))
     assert relative.astype(float).max() <= 2 * errors[scale]
+
+
+# sorted component sizes of the frame (X-type stabilizers, then Xbar) and of
+# the X-type stabilizers alone, from one union-find over the generators
+FRAME_COMPONENTS = {"unit": [3], "two_vertical": [4], "two_horizontal": [2, 3],
+                    "grid_2x2": [3, 4], "grid:2": [3, 4], "lshape:1,1": [3, 6],
+                    "lshape:1,4": [3, 3, 3, 3, 6]}
+X_COMPONENTS = {"grid:1": [2], "grid:2": [3, 3], "grid:3": [4, 4, 4],
+                "lshape:0,5": [3] * 6, "lshape:6,6": [3] * 6 + [15]}
+
+
+def x_stabilizers(code):
+    return [s for s in code.stabilizers if s.x_mask]
+
+
+@pytest.mark.parametrize("name", FRAME_COMPONENTS)
+def test_frame_components_put_xbar_first(name):
+    """The frame's components partition its generators, each ascending;
+    Xbar, the last generator, is the top bit of the first component."""
+    frame = named_frame(name)
+    parts = frame.components
+    assert sorted(map(len, parts)) == FRAME_COMPONENTS[name]
+    generators = len(frame.support).bit_length() - 1
+    assert sorted(g for part in parts for g in part) == list(range(generators))
+    assert all(part == sorted(part) for part in parts)
+    assert parts[0][-1] == generators - 1
+
+
+@pytest.mark.parametrize("name", X_COMPONENTS)
+def test_x_stabilizer_components(name):
+    code = _parse_target(name)
+    assert sorted(map(len, _components(x_stabilizers(code)))) == X_COMPONENTS[name]
+
+
+def test_components_join_on_z_meeting_x():
+    """A Y-dressed Xbar whose z-part stays on its own component keeps the
+    two_horizontal split; one whose z-part meets the other component's
+    x-masks joins the two."""
+    code = build_named("two_horizontal")
+    xbar = code.logical_pairs[0][0]
+    kept, joined = (multiply(xbar, parse_pauli(text, code.n)) for text in ("Z2Z4Z6", "Z8Z10Z12"))
+    assert kept.x_mask & kept.z_mask  # Y factors
+    assert _components(x_stabilizers(code) + [kept]) == [[0, 1, 4], [2, 3]]
+    assert _components(x_stabilizers(code) + [joined]) == [[0, 1, 2, 3, 4]]
+
+
+def two_horizontal_frame(xbar_dressing, zbar_dressing):
+    """two_horizontal's first pair with Xbar and Zbar times the given stabilizers."""
+    code = build_named("two_horizontal")
+    xbar, zbar = code.logical_pairs[0]
+    xbar = multiply(xbar, parse_pauli(xbar_dressing, code.n)) if xbar_dressing else xbar
+    zbar = multiply(zbar, parse_pauli(zbar_dressing, code.n))
+    return _Frame(code, LogicalSet([(xbar, zbar), *code.logical_pairs[1:]]))
+
+
+# two_horizontal pairs whose logical shifts span both components: Zbar times
+# an X-stabilizer of the component without Xbar, and the same with Xbar
+# carrying Y factors
+SPANNING = {"two_horizontal-zbar-x-dressed": (None, "X7X8X9X10"),
+            "two_horizontal-xbar-y-dressed": ("Z2Z4Z6", "X9X10X11X12")}
+
+
+def component_frame(name):
+    return two_horizontal_frame(*SPANNING[name]) if name in SPANNING else named_frame(name)
+
+
+@pytest.mark.parametrize("name", ["unit", "two_vertical"])
+@pytest.mark.parametrize("kind", ["global", "local"])
+def test_one_component_kernel_is_the_reference_bit_for_bit(name, kind):
+    """A code whose generators form one component runs the S-sized kernel's
+    operations one for one: the moments are equal bit for bit over two full
+    sub-chunks and a ragged third."""
+    frame = named_frame(name)
+    assert len(frame.components) == 1
+    new, old = _CosetKernel(frame, kind, frame.components), _CosetKernel(frame, kind)
+    count = 2 * new.chunk + 37
+    for scale in (0.8, 1e-3):
+        got, want = new.moments(5, 12345, count, scale), old.moments(5, 12345, count, scale)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["two_horizontal", "grid_2x2", "grid:2", "lshape:1,1", *SPANNING])
+@pytest.mark.parametrize("kind", ["global", "local"])
+def test_component_kernel_matches_reference(name, kind):
+    """On the same draws the component product gives the S-sized kernel's
+    moments to 1e-12 of each column's largest entry, at scale 0.8, over two
+    full sub-chunks and a ragged third; the draws and batch split match."""
+    frame = component_frame(name)
+    assert len(frame.components) == 2
+    new, old = _CosetKernel(frame, kind, frame.components), _CosetKernel(frame, kind)
+    assert (new.fields, new.size) == (old.fields, old.size)
+    assert new.chunk > old.chunk
+    count = 2 * new.chunk + 37
+    got, want = new.moments(5, 12345, count, 0.8), old.moments(5, 12345, count, 0.8)
+    assert (abs(got - want) / abs(want).max(0)).max() <= 1e-12
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs 80-bit long double")
+@pytest.mark.parametrize("name, count", [("two_horizontal", 5_000), ("grid_2x2", 3_000),
+                                         ("grid:2", 3_000), ("lshape:1,1", 1_000),
+                                         *((name, 5_000) for name in SPANNING)])
+@pytest.mark.parametrize("scale", [1e-3, 1e-5])
+def test_component_kernel_keeps_the_reference_accuracy(name, count, scale):
+    """Local noise at small scales: against the long-double reference, the
+    component kernel's worst relative moment error stays within twice the
+    S-sized kernel's on the same draws, and within twice LOCAL_ERRORS where
+    that records the code (grid_2x2). Entries that are 0 in the reference
+    are not compared."""
+    frame = component_frame(name)
+    want = long_double_local_moments(frame, 3, 777, count, scale)
+    zero = want == 0
+
+    def error(kernel):
+        got = kernel.moments(3, 777, count, scale)
+        return np.where(zero, 0, abs(got - want) / np.where(zero, 1, abs(want))).astype(float).max()
+
+    got = error(frame.kernel("local"))
+    assert got <= 2 * error(_CosetKernel(frame, "local"))
+    if name in LOCAL_ERRORS:
+        assert got <= 2 * LOCAL_ERRORS[name][1][scale]
+
+
+def test_component_kernel_checks_its_factors():
+    """One coefficient of a state mixing both two_horizontal components, off
+    by 1e-6 relative, no longer factors, and the kernel refuses the
+    partition; so it does a partition that misses generators."""
+    frame = named_frame("two_horizontal")
+    mixed = 1 << frame.components[0][0] | 1 << frame.components[1][0]
+    frame.coefs = frame.coefs.copy()
+    frame.coefs[1, mixed] *= 1 + 1e-6
+    with pytest.raises(ValueError, match="component factors miss"):
+        _CosetKernel(frame, "local", frame.components)
+    with pytest.raises(ValueError, match="partition"):
+        _CosetKernel(frame, "local", frame.components[:1])
 
 
 def test_mc_thread_pool_is_capped_by_batches_and_cores(monkeypatch):

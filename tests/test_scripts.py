@@ -117,3 +117,20 @@ def test_ab_out_writes_every_pair_and_the_summaries(tmp_path, monkeypatch, capsy
     assert doc["summary"]["setup_s"]["change_wins"] == 0  # ties count for neither side
     assert doc["gain_rule"]["min_pairs"] == ab.MIN_PAIRS
     assert "wins change 3, parent 0, of 3 pairs" in capsys.readouterr().out
+
+
+def test_kernel_ns_times_both_kernels_per_code_and_kind(capsys):
+    """A tiny run: the settings line, then one row per code and kind with
+    the component states and both kernels' ns per sample."""
+    script = load_script("kernel_ns")
+    argv = ["--codes", "unit", "two_horizontal", "--runs", "1", "--samples", "16", "--seed", "3"]
+    assert script.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("seed 3, scale 0.8, median of 1 runs, ")
+    assert lines[1] == "code,S,component_states,kind,samples,production_ns,reference_ns"
+    rows = [line.split(",") for line in lines[2:]]
+    assert [row[:5] for row in rows] == [
+        ["unit", "8", "8", "local", "16"], ["unit", "8", "8", "global", "16"],
+        ["two_horizontal", "32", "8+4", "local", "16"],
+        ["two_horizontal", "32", "8+4", "global", "16"]]
+    assert all(float(value) > 0 for row in rows for value in row[5:])
