@@ -7,8 +7,9 @@ Usage, from the root of a checkout:
 
 For each code (a CLI target) and noise kind the script builds the code's
 dephasing frame once and times ``moments`` over one batch of samples at
-phase scale --scale: --samples, else the batch monte_carlo_grid runs
-(MC_BATCH * 32 / S samples, at most MC_BATCH). The production kernel is
+one phase scale, --scale (a one-element scale list, as a single-t sweep
+runs): --samples, else the batch monte_carlo_grid runs (MC_BATCH * 32 / S
+samples, at most MC_BATCH). The production kernel is
 ``frame.kernel(kind)``: the component-factored _CosetKernel under local
 noise, _PhasorKernel under global noise. The reference is the S-sized
 ``_CosetKernel(frame, kind)``. The two run alternately in one process, each
@@ -47,11 +48,11 @@ def median_ns(kernels, seed: int, samples: int, scale: float, runs: int) -> List
     """Median ns per sample of each kernel's moments, the kernels taking turns."""
     times = [[] for _ in kernels]
     for kernel in kernels:
-        kernel.moments(seed, 0, samples, scale)
+        kernel.moments(seed, 0, samples, [scale])
     for _ in range(runs):
         for kernel, spent in zip(kernels, times):
             begin = time.perf_counter()
-            kernel.moments(seed, 0, samples, scale)
+            kernel.moments(seed, 0, samples, [scale])
             spent.append(time.perf_counter() - begin)
     return [statistics.median(spent) / samples * 1e9 for spent in times]
 

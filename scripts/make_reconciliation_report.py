@@ -6,7 +6,7 @@ code on the acceptance (theta, phi, gamma*t) grid:
 
   engine        analytic per-qubit damping factors (convention = 1)
   engine_conv2  same engine with the decay exponent doubled
-  monte_carlo   10^6 phase trajectories, fixed seed
+  monte_carlo   10^6 phase trajectories, fixed seed, shared by every gamma*t
   closed_form   the published local-dephasing expressions
 
 The doubled-exponent trial reproduces the published Bloch vector exactly
@@ -44,12 +44,12 @@ def main() -> None:
     logicals = LogicalSet(code.logical_pairs)
     points = [(th, ph) for th in THETAS for ph in PHIS]
     lines = ["gamma_t,theta,phi,source,r_x,r_y,r_z,p_x,p_y,p_z"]
-    for gt in GAMMA_TS:
-        model = NoiseModel("local", 1.0)
-        model2 = NoiseModel("local", 1.0, convention=2.0)
-        mc = monte_carlo_grid(
-            code, logicals, points, model, gt, SAMPLES, seed=SEED, threads=4
-        )
+    model = NoiseModel("local", 1.0)
+    model2 = NoiseModel("local", 1.0, convention=2.0)
+    mc_grid = monte_carlo_grid(
+        code, logicals, points, model, GAMMA_TS, SAMPLES, seed=SEED, threads=4
+    )
+    for gt, mc in zip(GAMMA_TS, mc_grid):
         for (theta, phi), rec in zip(points, mc):
             rows = [
                 ("engine", bloch_and_leakage(code, logicals, theta, phi, model, [gt])[0]),

@@ -255,11 +255,11 @@ def cmd_dephase(args: argparse.Namespace) -> int:
     mc_records = [None] * len(t_grid)
     if args.mc_samples > 0:
         mc_records = [
-            dephasing.monte_carlo_grid(
-                code, logicals, [(args.theta, args.phi)], model, t, args.mc_samples,
+            records[0]
+            for records in dephasing.monte_carlo_grid(
+                code, logicals, [(args.theta, args.phi)], model, t_grid, args.mc_samples,
                 args.seed, threads=args.threads, frame=frame,
-            )[0]
-            for t in t_grid
+            )
         ]
     for t, rec, mc in zip(t_grid, engine_records, mc_records):
         lines.append(

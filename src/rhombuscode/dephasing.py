@@ -34,11 +34,15 @@ samples x K with no S-sized array. Both kernels get their phases as e^{2ih} -
 1 from one SIMD tan of each half-angle h (_phase_minus_one); no per-sample
 sin or cos remains. Neither kernel calls BLAS.
 Time enters only as the scale of the normals, so the frame builds one kernel
-per noise kind and every t reuses it. Batches read a counter-based stream at
-offsets set by their first sample, so any thread count reproduces the serial
-result bit for bit. The analytic engine, _Frame.expected, returns E[G] (G_ref
-at t = 0), the exact expectation of that estimator, and checks that the part G
-drops (F_1 - conj(F_0), Im F_k) is zero, as the forms are Hermitian.
+per noise kind, and monte_carlo_grid runs a whole t grid in one pass with one
+thread pool: each sub-chunk draws its standard normals once and every t
+scales the same draws, so the draws are shared across the t grid and each t
+gets the records a one-element grid would. Batches read a counter-based
+stream at offsets set by their first sample, so any thread count reproduces
+the serial result bit for bit. The analytic engine, _Frame.expected, returns
+E[G] (G_ref at t = 0), the exact expectation of that estimator, and checks
+that the part G drops (F_1 - conj(F_0), Im F_k) is zero, as the forms are
+Hermitian.
 E[conj(u_p) u_q] is decoherence_factor of the two basis states (magnetization
 difference for global noise, Hamming distance for local), summed per codeword
 coset or popcount level, never as an S x S matrix. The dense O(2^n) references
@@ -53,7 +57,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -364,13 +368,16 @@ class _CosetKernel:
             raise ValueError(f"component factors miss the frame's coefficients by {error:.3e}")
         self.reference = frame.expected(NoiseModel(kind, 0.0), 0.0)  # G at u = 1
 
-    def moments(self, seed: int, start: int, count: int, scale: float) -> np.ndarray:
-        """(6, 3) sums of D, D^2 and |D|^2, D = G - reference, over samples
-        start .. start + count - 1, whose phases are normals of standard
-        deviation scale. D of a form constant per sample (r_z) is round-off.
-        Every array of a sub-chunk is allocated once per call."""
+    def moments(self, seed: int, start: int, count: int, scales: Sequence[float]) -> np.ndarray:
+        """(len(scales), 6, 3) sums of D, D^2 and |D|^2, D = G - reference,
+        over samples start .. start + count - 1, whose phases are normals of
+        standard deviation scales[i]. Each sub-chunk draws its standard
+        normals once and every scale reuses them, so a row equals the call
+        with that scale alone bit for bit. D of a form constant per sample
+        (r_z) is round-off. Every array of a sub-chunk is allocated once per
+        call, none per scale."""
         gen = np.random.Generator(np.random.Philox(key=seed).advance(start * self.fields))
-        total = np.zeros((6, 3), dtype=np.complex128)
+        total = np.zeros((len(scales), 6, 3), dtype=np.complex128)
         width = min(self.chunk, count)
         uniforms, normals, picked = np.empty((3, self.fields * width))  # flat: each view contiguous
         buffers = [np.empty((9, part.size, width), dtype=np.complex128) for part in self.parts]
@@ -385,37 +392,39 @@ class _CosetKernel:
             w = min(self.chunk, count - lo)
             draws = gen.random(out=uniforms[: w * self.fields].reshape(w, -1))
             np.clip(draws, 1e-300, 1.0 - 1e-16, out=draws)
-            x = np.multiply(self.ndtri(draws, out=draws).T, scale,
-                            out=normals[: w * self.fields].reshape(-1, w))
-            for part, buffer, out in zip(self.parts, buffers, sums):
-                u, uc, terms = buffer[0, :, :w], buffer[1, :, :w], buffer[2:, :, :w]
-                for lo_, hi, fields, table, index in part.steps:
-                    shape, size = (len(table), w), len(table) * w
-                    chosen = picked[: len(fields) * w].reshape(-1, w)
-                    np.take(x, fields, axis=0, out=chosen, mode="clip")
-                    half = np.einsum("tw,wc->tc", table, chosen, out=halves[:size].reshape(shape))
-                    phase = phases[:size].reshape(shape)
-                    _phase_minus_one(half, phase, scratch[:size].reshape(shape), 1.0)  # e^{2ih}
-                    np.take(phase, index, axis=0, out=u[lo_:hi], mode="clip")
-                    if lo_:
-                        u[lo_:hi] *= u[: hi - lo_]
-                np.conj(u, out=uc)
-                np.multiply(part.weight, u, out=terms[0])
-                left, diag = terms[1:4], terms[4:]  # per Pauli: coef conj(u[perm]), times u
-                np.take(uc, part.perms, axis=0, out=left, mode="clip")
-                left *= part.coefs
-                np.multiply(left, u, out=diag)
-                np.einsum("kqhc->kqc", terms.reshape(7, part.cosets, -1, w), out=out[:7, :, :w])
-            product = sums[0][:, :, :w]
-            for other in sums[1:]:
-                product[:7] *= other[:, :, :w]  # the same factor for both cosets
-            np.multiply(self.pc, product[1:4], out=product[7:])
-            product[7:] *= product[0]
-            g = _combine(product[4:], self.flipping, out=d[:, :w])
-            g -= self.reference[:, None]  # D = G - G_ref
-            np.multiply(g, g, out=square[:, :w])
-            np.multiply(g, np.conj(g, out=norm[:, :w]), out=norm[:, :w])
-            total += np.stack([g.sum(-1), square[:, :w].sum(-1), norm[:, :w].sum(-1)], 1)
+            z = self.ndtri(draws, out=draws).T  # standard normals, (fields, w)
+            for scale, running in zip(scales, total):  # running: this scale's (6, 3) sums
+                x = np.multiply(z, scale, out=normals[: w * self.fields].reshape(-1, w))
+                for part, buffer, out in zip(self.parts, buffers, sums):
+                    u, uc, terms = buffer[0, :, :w], buffer[1, :, :w], buffer[2:, :, :w]
+                    for lo_, hi, fields, table, index in part.steps:
+                        shape, size = (len(table), w), len(table) * w
+                        chosen = picked[: len(fields) * w].reshape(-1, w)
+                        np.take(x, fields, axis=0, out=chosen, mode="clip")
+                        half = np.einsum("tw,wc->tc", table, chosen,
+                                         out=halves[:size].reshape(shape))
+                        phase = phases[:size].reshape(shape)
+                        _phase_minus_one(half, phase, scratch[:size].reshape(shape), 1.0)  # e^{2ih}
+                        np.take(phase, index, axis=0, out=u[lo_:hi], mode="clip")
+                        if lo_:
+                            u[lo_:hi] *= u[: hi - lo_]
+                    np.conj(u, out=uc)
+                    np.multiply(part.weight, u, out=terms[0])
+                    left, diag = terms[1:4], terms[4:]  # per Pauli: coef conj(u[perm]), times u
+                    np.take(uc, part.perms, axis=0, out=left, mode="clip")
+                    left *= part.coefs
+                    np.multiply(left, u, out=diag)
+                    np.einsum("kqhc->kqc", terms.reshape(7, part.cosets, -1, w), out=out[:7, :, :w])
+                product = sums[0][:, :, :w]
+                for other in sums[1:]:
+                    product[:7] *= other[:, :, :w]  # the same factor for both cosets
+                np.multiply(self.pc, product[1:4], out=product[7:])
+                product[7:] *= product[0]
+                g = _combine(product[4:], self.flipping, out=d[:, :w])
+                g -= self.reference[:, None]  # D = G - G_ref
+                np.multiply(g, g, out=square[:, :w])
+                np.multiply(g, np.conj(g, out=norm[:, :w]), out=norm[:, :w])
+                running += np.stack([g.sum(-1), square[:, :w].sum(-1), norm[:, :w].sum(-1)], 1)
         return total
 
 
@@ -541,33 +550,36 @@ class _PhasorKernel:
         matrix = _combine(np.concatenate([up + down, 1j * (up - down)], -1), self.flipping)
         self.matrix = np.concatenate([matrix.real, matrix.imag])  # (12, 2K): Re M over Im M
 
-    def moments(self, seed: int, start: int, count: int, scale: float) -> np.ndarray:
-        """_CosetKernel.moments: (6, 3) sums of D, D^2 and |D|^2 over samples
-        start .. start + count - 1 at phase scale scale."""
+    def moments(self, seed: int, start: int, count: int, scales: Sequence[float]) -> np.ndarray:
+        """_CosetKernel.moments: (len(scales), 6, 3) sums of D, D^2 and |D|^2
+        over samples start .. start + count - 1, one row per phase scale,
+        every scale on the same normals, drawn once per sub-chunk."""
         gen = np.random.Generator(np.random.Philox(key=seed).advance(start))
         top, width = self.degree, min(self.chunk, count)
         phasors = np.empty((top, width), dtype=np.complex128)  # w_1 .. w_K per sample
         parts = np.empty((2 * top, width))  # v per sample
-        scratch = np.empty(width)
-        total = np.zeros((4, 6))  # sums of Re D, Im D, (Re D)^2 - (Im D)^2, |D|^2
-        cross = np.zeros(6)  # sum of Re D Im D
+        halves, scratch = np.empty((2, width))
+        total = np.zeros((len(scales), 4, 6))  # sums of Re D, Im D, (Re D)^2 - (Im D)^2, |D|^2
+        cross = np.zeros((len(scales), 6))  # sum of Re D Im D
         for lo in range(0, count, self.chunk):
             uniforms = gen.random(min(self.chunk, count - lo))
             np.clip(uniforms, 1e-300, 1.0 - 1e-16, out=uniforms)
-            half = self.ndtri(uniforms) * (0.5 * self.step * scale)  # step x / 2
-            w, v = phasors[:, : len(half)], parts[:, : len(half)]
+            z = self.ndtri(uniforms)  # standard normals
+            w, v = phasors[:, : len(z)], parts[:, : len(z)]
             first = w[0]
-            _phase_minus_one(half, first, scratch[: len(half)])  # e^{i step x} - 1
-            turn = first + 1.0  # e^{i step x}
-            for f in range(1, top):
-                np.multiply(turn, w[f - 1], out=w[f])
-                w[f] += first
-            v[:top], v[top:] = w.real, w.imag
-            d = np.einsum("oi,iw->ow", self.matrix, v)  # Re D over Im D
-            squares = np.einsum("ow,ow->o", d, d).reshape(2, 6)
-            total += [d[:6].sum(1), d[6:].sum(1), squares[0] - squares[1], squares.sum(0)]
-            cross += np.einsum("ow,ow->o", d[:6], d[6:])
-        return np.stack([total[0] + 1j * total[1], total[2] + 2j * cross, total[3]], 1)
+            for scale, running, running_cross in zip(scales, total, cross):
+                half = np.multiply(z, 0.5 * self.step * scale, out=halves[: len(z)])  # step x / 2
+                _phase_minus_one(half, first, scratch[: len(z)])  # e^{i step x} - 1
+                turn = first + 1.0  # e^{i step x}
+                for f in range(1, top):
+                    np.multiply(turn, w[f - 1], out=w[f])
+                    w[f] += first
+                v[:top], v[top:] = w.real, w.imag
+                d = np.einsum("oi,iw->ow", self.matrix, v)  # Re D over Im D
+                squares = np.einsum("ow,ow->o", d, d).reshape(2, 6)
+                running += [d[:6].sum(1), d[6:].sum(1), squares[0] - squares[1], squares.sum(0)]
+                running_cross += np.einsum("ow,ow->o", d[:6], d[6:])
+        return np.stack([total[:, 0] + 1j * total[:, 1], total[:, 2] + 2j * cross, total[:, 3]], -1)
 
 
 def _phase_minus_one(half: np.ndarray, out: np.ndarray, scratch: np.ndarray, offset: float = 0.0):
@@ -611,7 +623,8 @@ def _point_weights(flipping: np.ndarray, theta: float, phi: float) -> np.ndarray
     return np.where(flipping, np.conj(c1) * c0, c0 * c0 - 1j * abs(c1) ** 2)
 
 
-def _point_sums(moments: np.ndarray, kernel: _CosetKernel, theta: float, phi: float) -> np.ndarray:
+def _point_sums(moments: np.ndarray, kernel: Union[_CosetKernel, _PhasorKernel],
+                theta: float, phi: float) -> np.ndarray:
     """(6, 3) v_ref = Re(y G_ref) and the sums of v - v_ref = Re(y D) and its
     square (Re(y^2 D^2) + |y D|^2) / 2 for the state c_0|0_L> + c_1|1_L>."""
     y = _point_weights(kernel.flipping, theta, phi)
@@ -678,62 +691,81 @@ def monte_carlo_grid(
     logicals: LogicalSet,
     points: Sequence[Tuple[float, float]],
     model: NoiseModel,
-    t: float,
+    t_grid: Sequence[float],
     samples: int,
     seed: int,
     threads: int = 1,
     frame: Optional[_Frame] = None,
-) -> List[ObservableRecord]:
-    """Monte Carlo means and standard errors for several (theta, phi) points.
+) -> List[List[ObservableRecord]]:
+    """Monte Carlo means and standard errors for several (theta, phi) points
+    at every t of t_grid: records[i][j] belongs to t_grid[i] and points[j].
 
-    One common set of phase trajectories serves every point: batches return
-    the sums of D, D^2 and |D|^2 (see the module docstring) and each point
-    follows from their total. The cost grows as samples * sum_c 2^m_c over
-    the frame's components under local noise and as samples * K under
-    global noise (K the degree of _PhasorKernel's polynomial). Batches span
-    MC_BATCH * 32 / S samples (MC_BATCH for S <= 32), S the support size,
-    under either kind and read disjoint Philox counter ranges, so results
-    are bit-identical for any thread count. Threads run whole batches, in
-    a pool of min(threads, batches, usable cores) threads (more threads
-    than cores only pass the interpreter lock around), and need no
+    One common set of phase trajectories serves every point and every t:
+    time enters only as the scale of the normals, so each batch draws its
+    normals once and returns, per t, the sums of D, D^2 and |D|^2 (see the
+    module docstring), and each point follows from their total. The cost
+    grows as samples * sum_c 2^m_c over the frame's components per t under
+    local noise and as samples * K under global noise (K the degree of
+    _PhasorKernel's polynomial), plus one draw of the normals per sample.
+    Batches span MC_BATCH * 32 / S samples (MC_BATCH for S <= 32), S the
+    support size, under either kind and read disjoint Philox counter ranges,
+    so results are bit-identical for any thread count, and each t's records
+    equal those of a one-element grid. Threads run whole batches, in one
+    pool per call of min(threads, batches, usable cores) threads (more
+    threads than cores only pass the interpreter lock around), and need no
     OPENBLAS_NUM_THREADS setting: neither kernel calls BLAS. frame, the
     _Frame of (code, logicals), is built here when None; it builds its
-    kernel for model.kind on first use, so calls at several t on one frame
-    share that kernel. At phase scale 0 (t = 0 or gamma = 0) no sample is
-    drawn: each record is v_ref with standard errors 0.
+    kernel for model.kind on first use, so calls on one frame share that
+    kernel. Every t is checked before the first draw (ValueError for one
+    outside [0, inf) or a product convention * gamma * t that is not
+    finite). At phase scale 0 (t = 0 or gamma = 0) no sample is drawn for
+    that t: each record is v_ref with standard errors 0.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if not 0 <= t < math.inf:
-        raise ValueError("t must be finite and nonnegative")
-    gt = model.convention * model.gamma * t
-    if not math.isfinite(gt):
-        raise ValueError("convention * gamma * t must be finite")
+    scales = []
+    for t in t_grid:
+        if not 0 <= t < math.inf:
+            raise ValueError("t must be finite and nonnegative")
+        gt = model.convention * model.gamma * t
+        if not math.isfinite(gt):
+            raise ValueError("convention * gamma * t must be finite")
+        scales.append(math.sqrt(gt))
     if frame is None:
         frame = _Frame(code, logicals)
     kernel = frame.kernel(model.kind)
-    scale = math.sqrt(gt)
     batch = max(1, min(MC_BATCH, (MC_BATCH << 5) // kernel.size))
+    drawn = [scale for scale in scales if scale > 0.0]
+    moments = np.zeros((len(scales), 6, 3), dtype=np.complex128)  # scale 0: every u is 1, D = 0
 
     def run(start: int) -> np.ndarray:
-        return kernel.moments(seed, start, min(batch, samples - start), scale)
+        return kernel.moments(seed, start, min(batch, samples - start), drawn)
 
     starts = range(0, samples, batch)
-    moments = np.zeros((6, 3), dtype=np.complex128)  # scale 0: every u is 1, D = 0
-    if scale > 0.0:
-        workers = max(1, min(threads, len(starts), len(os.sched_getaffinity(0))))
+    if drawn:
+        workers = max(1, min(threads, len(starts), _usable_cores()))
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            moments = sum(pool.map(run, starts))  # in batch order
-    total = np.stack([_point_sums(moments, kernel, *p) for p in points])
-    means = total[:, :, 0] + total[:, :, 1] / samples
-    if samples > 1:
-        var = (total[:, :, 2] - total[:, :, 1] ** 2 / samples) / (samples - 1)
-        ses = np.sqrt(np.maximum(var, 0.0) / samples)
-    else:
-        ses = np.zeros_like(means)
-    return [ObservableRecord(t, *m.tolist(), *e.tolist()) for m, e in zip(means, ses)]
+            moments[[scale > 0.0 for scale in scales]] = sum(pool.map(run, starts))  # batch order
+    records = []
+    for t, sums in zip(t_grid, moments):
+        total = np.stack([_point_sums(sums, kernel, *p) for p in points])
+        means = total[:, :, 0] + total[:, :, 1] / samples
+        if samples > 1:
+            var = (total[:, :, 2] - total[:, :, 1] ** 2 / samples) / (samples - 1)
+            ses = np.sqrt(np.maximum(var, 0.0) / samples)
+        else:
+            ses = np.zeros_like(means)
+        records.append([ObservableRecord(t, *m.tolist(), *e.tolist()) for m, e in zip(means, ses)])
+    return records
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity set where the
+    platform has one (Linux), else os.cpu_count()."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
 
 
 def monte_carlo_oracle(
@@ -747,9 +779,10 @@ def monte_carlo_oracle(
     seed: int,
     threads: int = 1,
 ) -> ObservableRecord:
-    """Trajectory-averaged observables with standard errors at one point."""
-    args = (model, t, samples, seed, threads)
-    return monte_carlo_grid(code, logicals, [(theta, phi)], *args)[0]
+    """Trajectory-averaged observables with standard errors at one point:
+    monte_carlo_grid on one point and a one-element t grid."""
+    args = (model, [t], samples, seed, threads)
+    return monte_carlo_grid(code, logicals, [(theta, phi)], *args)[0][0]
 
 
 # --- sweep CSV ----------------------------------------------------------------

@@ -173,12 +173,12 @@ def test_criterion5_t0_leakage_prefactor():
 
 
 def test_criterion6_local_mc_agreement_and_report(tmp_path):
-    """10^6 trajectories per gamma*t, shared across the 25 (theta, phi)
-    points; gate is engine/MC agreement within 4 SE (with a 1e-12 floor
-    for observables whose estimator is numerically constant, where the
-    SE underestimates float roundoff). The published local closed form
-    is archived alongside for the reconciliation report; matching it is
-    not the gate."""
+    """10^6 trajectories, shared across the 25 (theta, phi) points and, in
+    one monte_carlo_grid call, across the gamma*t grid; gate is engine/MC
+    agreement within 4 SE (with a 1e-12 floor for observables whose
+    estimator is numerically constant, where the SE underestimates float
+    roundoff). The published local closed form is archived alongside for
+    the reconciliation report; matching it is not the gate."""
     code = build_unit()
     logicals = LogicalSet(code.logical_pairs)
     points = [(th, ph) for th in THETAS for ph in PHIS]
@@ -186,11 +186,11 @@ def test_criterion6_local_mc_agreement_and_report(tmp_path):
     report_lines = [
         "gamma_t,theta,phi,source,r_x,r_y,r_z,p_x,p_y,p_z"
     ]
-    for gt in GAMMA_TS:
-        model = NoiseModel("local", 1.0)
-        mc = monte_carlo_grid(
-            code, logicals, points, model, gt, 1_000_000, seed=20260823, threads=4
-        )
+    model = NoiseModel("local", 1.0)
+    mc_grid = monte_carlo_grid(
+        code, logicals, points, model, GAMMA_TS, 1_000_000, seed=20260823, threads=4
+    )
+    for gt, mc in zip(GAMMA_TS, mc_grid):
         for (theta, phi), rec in zip(points, mc):
             eng = bloch_and_leakage(code, logicals, theta, phi, model, [gt])[0]
             for a, b, se in zip(eng.values(), rec.values(), rec.errors()):

@@ -419,13 +419,14 @@ def test_mc_draws_no_sample_at_phase_scale_zero(kind):
     kernel.moments = lambda *args: calls.append(args) or moments(*args)
     points = [(1.1, 0.3), (2.5, 4.0)]
     for model, t in ((NoiseModel(kind, 0.9), 0.0), (NoiseModel(kind, 0.0), 0.7)):
-        recs = monte_carlo_grid(code, logicals, points, model, t, 4097, 3, threads=2, frame=frame)
+        recs = monte_carlo_grid(code, logicals, points, model, [t], 4097, 3, threads=2,
+                                frame=frame)[0]
         engine = [bloch_and_leakage(code, logicals, *p, model, [t])[0] for p in points]
         for rec, want in zip(recs, engine):
             assert list(map(format_float, rec.values())) == list(map(format_float, want.values()))
             assert rec.errors() == (0.0,) * 6
     assert calls == []
-    monte_carlo_grid(code, logicals, points, NoiseModel(kind, 0.9), 0.7, 10, 3, frame=frame)
+    monte_carlo_grid(code, logicals, points, NoiseModel(kind, 0.9), [0.7], 10, 3, frame=frame)
     assert len(calls) == 1
 
 
@@ -458,7 +459,7 @@ def test_mc_grid_matches_pointwise():
     code, logicals = unit_and_logicals()
     model = NoiseModel("global", 1.0)
     points = [(0.9, 0.2), (2.0, 4.1)]
-    grid = monte_carlo_grid(code, logicals, points, model, 0.5, 20_000, seed=5)
+    grid = monte_carlo_grid(code, logicals, points, model, [0.5], 20_000, seed=5)[0]
     for (theta, phi), rec in zip(points, grid):
         single = monte_carlo_oracle(
             code, logicals, theta, phi, model, 0.5, 20_000, seed=5
@@ -512,7 +513,7 @@ def test_mc_moments_match_per_sample_reference(target, samples, kind):
     code, logicals = target_and_logicals(target)
     model = NoiseModel(kind, 0.9)
     points = [(0.4, 0.3), (1.7, 2.2), (2.9, 5.1)]
-    recs = monte_carlo_grid(code, logicals, points, model, 0.7, samples, seed=31, threads=2)
+    recs = monte_carlo_grid(code, logicals, points, model, [0.7], samples, seed=31, threads=2)[0]
     means, ses = per_sample_reference(code, logicals, points, model, 0.7, samples, 31)
     for rec, mean, se in zip(recs, means, ses):
         assert np.abs(np.array(rec.values()) - mean).max() < 1e-14
@@ -534,7 +535,7 @@ def test_mc_se_of_constant_form_is_round_off_free(target, kind):
     logicals = LogicalSet(code.logical_pairs)
     points = [(1.1, 0.3), (2.5, 4.0)]
     model = NoiseModel(kind, 0.9)
-    recs = monte_carlo_grid(code, logicals, points, model, 0.7, 1 << 17, seed=3, threads=2)
+    recs = monte_carlo_grid(code, logicals, points, model, [0.7], 1 << 17, seed=3, threads=2)[0]
     assert all(rec.se_r_z <= 1e-15 for rec in recs)
 
 
@@ -552,7 +553,7 @@ def test_mc_thread_and_batch_invariant_beyond_unit_cell():
     logicals = LogicalSet(code.logical_pairs)
     points = [(0.5, 0.1), (2.2, 3.3), (1.0, 5.9)]
     model = NoiseModel("global", 1.1)
-    grid = monte_carlo_grid(code, logicals, points, model, 0.4, 70_001, seed=6, threads=2)
+    grid = monte_carlo_grid(code, logicals, points, model, [0.4], 70_001, seed=6, threads=2)[0]
     for (theta, phi), rec in zip(points, grid):
         assert rec == monte_carlo_oracle(code, logicals, theta, phi, model, 0.4, 70_001, seed=6)
 
@@ -582,7 +583,8 @@ def test_phasor_kernel_matches_coset_kernel(name, scale):
     new, old = _PhasorKernel(frame), _CosetKernel(frame, "global")
     assert old.fields == 1 and new.size == old.size  # same draws, same batch split
     count = 2 * new.chunk + 37
-    got, want = new.moments(5, 12345, count, scale), old.moments(5, 12345, count, scale)
+    got = new.moments(5, 12345, count, [scale])[0]
+    want = old.moments(5, 12345, count, [scale])[0]
     size = abs(old.reference).max() * count
     rms = math.sqrt(want[:, 2].real.max() / count)
     assert abs(got[:, 0] - want[:, 0]).max() <= 1e-13 * size
@@ -660,7 +662,7 @@ def test_phasor_kernel_is_as_accurate_as_coset_kernel(name, count, scale):
     zero = want == 0
 
     def run(kernel):
-        got = kernel.moments(3, 777, count, scale)
+        got = kernel.moments(3, 777, count, [scale])[0]
         relative = abs(got - want) / np.where(zero, 1, abs(want))
         return got, np.where(zero, 0, relative).astype(float).max(0)
 
@@ -708,7 +710,7 @@ def test_coset_kernel_tan_phases_keep_sin_cos_accuracy(name, scale):
     frame = named_frame(name)
     count, errors = LOCAL_ERRORS[name]
     want = long_double_local_moments(frame, 3, 777, count, scale)
-    got = _CosetKernel(frame, "local").moments(3, 777, count, scale)
+    got = _CosetKernel(frame, "local").moments(3, 777, count, [scale])[0]
     zero = want == 0
     relative = np.where(zero, 0, abs(got - want) / np.where(zero, 1, abs(want)))
     assert relative.astype(float).max() <= 2 * errors[scale]
@@ -789,7 +791,8 @@ def test_one_component_kernel_is_the_reference_bit_for_bit(name, kind):
     new, old = _CosetKernel(frame, kind, frame.components), _CosetKernel(frame, kind)
     count = 2 * new.chunk + 37
     for scale in (0.8, 1e-3):
-        got, want = new.moments(5, 12345, count, scale), old.moments(5, 12345, count, scale)
+        got = new.moments(5, 12345, count, [scale])[0]
+        want = old.moments(5, 12345, count, [scale])[0]
         assert np.array_equal(got, want)
 
 
@@ -805,7 +808,8 @@ def test_component_kernel_matches_reference(name, kind):
     assert (new.fields, new.size) == (old.fields, old.size)
     assert new.chunk > old.chunk
     count = 2 * new.chunk + 37
-    got, want = new.moments(5, 12345, count, 0.8), old.moments(5, 12345, count, 0.8)
+    got = new.moments(5, 12345, count, [0.8])[0]
+    want = old.moments(5, 12345, count, [0.8])[0]
     assert (abs(got - want) / abs(want).max(0)).max() <= 1e-12
 
 
@@ -825,7 +829,7 @@ def test_component_kernel_keeps_the_reference_accuracy(name, count, scale):
     zero = want == 0
 
     def error(kernel):
-        got = kernel.moments(3, 777, count, scale)
+        got = kernel.moments(3, 777, count, [scale])[0]
         return np.where(zero, 0, abs(got - want) / np.where(zero, 1, abs(want))).astype(float).max()
 
     got = error(frame.kernel("local"))
@@ -862,7 +866,7 @@ def test_mc_thread_pool_is_capped_by_batches_and_cores(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
     code, logicals = unit_and_logicals()
-    args = (code, logicals, [(1.1, 0.3)], NoiseModel("global", 0.9), 0.7)
+    args = (code, logicals, [(1.1, 0.3)], NoiseModel("global", 0.9), [0.7])
     records = {}
     for cores, threads, batches in ((1, 4, 4), (3, 8, 4), (8, 8, 4), (8, 2, 4), (8, 8, 2)):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
@@ -900,16 +904,82 @@ def test_mc_sweep_shares_one_kernel_across_t(target, kind, monkeypatch):
     t_grid = [0.0, 0.35, 1.2]
     point = [(1.1, 0.3)]
     sweep = [
-        monte_carlo_grid(code, logicals, point, model, t, 5001, 9, threads=2, frame=frame)[0]
+        monte_carlo_grid(code, logicals, point, model, [t], 5001, 9, threads=2, frame=frame)[0][0]
         for t in t_grid
     ]
     assert built == [classes[kind]]
-    monte_carlo_grid(code, logicals, point, NoiseModel(other, 0.7), 0.5, 10, 9, frame=frame)
+    monte_carlo_grid(code, logicals, point, NoiseModel(other, 0.7), [0.5], 10, 9, frame=frame)
     assert frame.kernel(kind) is frame.kernel(kind)
     assert built == [classes[kind], classes[other]]
     assert sweep == [
         monte_carlo_oracle(code, logicals, 1.1, 0.3, model, t, 5001, seed=9) for t in t_grid
     ]
+
+
+@pytest.mark.parametrize("target", ["unit", "two_horizontal", "lshape:1,1"])
+@pytest.mark.parametrize("kind", ["global", "local"])
+def test_moments_over_scales_equal_single_scale_calls(target, kind):
+    """One call over several scales reuses each sub-chunk's normals and
+    returns, row for row, the single-scale calls bit for bit, over two full
+    sub-chunks and a ragged third, with a repeated scale."""
+    kernel = _Frame(*target_and_logicals(target)).kernel(kind)
+    scales = [0.8, 1e-3, 2.5, 0.8]
+    count = 2 * kernel.chunk + 37
+    got = kernel.moments(5, 12345, count, scales)
+    assert got.shape == (len(scales), 6, 3)
+    assert np.array_equal(got, np.stack([kernel.moments(5, 12345, count, [s])[0] for s in scales]))
+
+
+@pytest.mark.parametrize("kind", ["global", "local"])
+def test_mc_grid_over_t_equals_one_element_grids(kind):
+    """A grid over several t, one of them 0, gives each t the records of a
+    one-element grid and of monte_carlo_oracle bit for bit, for threads 1, 2
+    and 3 over batches of which the last is ragged; so it does at gamma = 0,
+    where no t draws a sample."""
+    code, logicals = target_and_logicals("grid_2x2")
+    frame = _Frame(code, logicals)
+    points = [(1.1, 0.3), (2.5, 4.0)]
+    t_grid = [0.4, 0.0, 1.3, 0.4]
+    samples = 2 * (MC_BATCH >> 2) + 77  # grid_2x2: S = 128, batches of MC_BATCH / 4
+    for gamma in (0.8, 0.0):
+        model = NoiseModel(kind, gamma)
+        single = [monte_carlo_grid(code, logicals, points, model, [t], samples, 6, frame=frame)[0]
+                  for t in t_grid]
+        for threads in (1, 2, 3):
+            assert monte_carlo_grid(code, logicals, points, model, t_grid, samples, 6,
+                                    threads=threads, frame=frame) == single
+        assert single == [[monte_carlo_oracle(code, logicals, *p, model, t, samples, seed=6)
+                           for p in points] for t in t_grid]
+
+
+@pytest.mark.parametrize(
+    "gamma, t_grid",
+    [(0.7, [0.5, -0.1]), (0.7, [0.0, math.nan, 0.5]), (0.7, [0.5, math.inf]),
+     (1e300, [0.0, 1e10])],
+)
+def test_mc_grid_checks_every_t_before_sampling(gamma, t_grid):
+    """A negative or non-finite t, or a gamma * t that overflows, anywhere in
+    the grid raises ValueError before the kernel draws a sample."""
+    code, logicals = unit_and_logicals()
+    frame = _Frame(code, logicals)
+    kernel = frame.kernel("local")
+    calls, moments = [], kernel.moments
+    kernel.moments = lambda *args: calls.append(args) or moments(*args)
+    with pytest.raises(ValueError):
+        monte_carlo_grid(code, logicals, [(1.1, 0.3)], NoiseModel("local", gamma), t_grid, 100, 3,
+                         frame=frame)
+    assert calls == []
+
+
+def test_mc_runs_without_sched_getaffinity(monkeypatch):
+    """Where os has no sched_getaffinity (macOS, Windows) the pool is capped
+    by os.cpu_count() instead, and the records are unchanged."""
+    code, logicals = unit_and_logicals()
+    args = (code, logicals, [(1.1, 0.3)], NoiseModel("local", 0.9), [0.0, 0.7])
+    want = monte_carlo_grid(*args, 2 * MC_BATCH + 5, 13, threads=2)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert dephasing._usable_cores() == (os.cpu_count() or 1)
+    assert monte_carlo_grid(*args, 2 * MC_BATCH + 5, 13, threads=2) == want
 
 
 # --- CSV formatting ---------------------------------------------------------------
