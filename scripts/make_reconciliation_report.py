@@ -18,6 +18,7 @@ import pathlib
 
 from rhombuscode.dephasing import (
     NoiseModel,
+    _Frame,
     bloch_and_leakage,
     closed_form,
     format_float,
@@ -46,14 +47,19 @@ def main() -> None:
     lines = ["gamma_t,theta,phi,source,r_x,r_y,r_z,p_x,p_y,p_z"]
     model = NoiseModel("local", 1.0)
     model2 = NoiseModel("local", 1.0, convention=2.0)
+    frame = _Frame(code, logicals)  # one codeword frame serves every call
+    engine_records = {
+        (point, m): bloch_and_leakage(code, logicals, *point, m, GAMMA_TS, frame=frame)
+        for point in points for m in (model, model2)
+    }
     mc_grid = monte_carlo_grid(
-        code, logicals, points, model, GAMMA_TS, SAMPLES, seed=SEED, threads=4
+        code, logicals, points, model, GAMMA_TS, SAMPLES, seed=SEED, threads=4, frame=frame
     )
-    for gt, mc in zip(GAMMA_TS, mc_grid):
+    for i, (gt, mc) in enumerate(zip(GAMMA_TS, mc_grid)):
         for (theta, phi), rec in zip(points, mc):
             rows = [
-                ("engine", bloch_and_leakage(code, logicals, theta, phi, model, [gt])[0]),
-                ("engine_conv2", bloch_and_leakage(code, logicals, theta, phi, model2, [gt])[0]),
+                ("engine", engine_records[(theta, phi), model][i]),
+                ("engine_conv2", engine_records[(theta, phi), model2][i]),
                 ("monte_carlo", rec),
                 ("closed_form", closed_form("local", theta, phi, 1.0, gt)),
             ]

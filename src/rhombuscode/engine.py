@@ -13,6 +13,14 @@ w = 1, 2, ..., supports in itertools.combinations(range(n), w) order,
 letters in itertools.product("XYZ", repeat=w) order, first hit wins.
 Both must agree; verification never trusts declared parameters.
 
+Every method reads one GF(2) tableau per code (lattice._Tableau, built on
+first use and kept on the CodeSpec): the echelon of the stabilizer rows in
+symplectic form, and the per-qubit check columns, whose XOR over an
+operator's support is its syndrome. Pivots are lowest bits and the codes are
+CSS, so that one echelon is the X-type echelon followed by the Z-type one
+shifted by n, and logical synthesis reads both blocks from it: the stabilizer
+rows are reduced once per code.
+
 One sparse codeword type, _SparseCodewords, builds the codeword support and
 amplitudes in one pass, doubling over the X-stabilizers and then the
 X-logicals (each Z-stabilizer only rescales the orbit), so in this
@@ -84,28 +92,17 @@ class VerificationReport:
         return json.dumps(doc, indent=2) + "\n"
 
 
-def _symplectic_rows(code: CodeSpec) -> List[int]:
-    return [pauli.symplectic_vector(s) for s in code.stabilizers]
-
-
 def stabilizer_rank(code: CodeSpec) -> int:
     """GF(2) rank of the stabilizer generators in symplectic form."""
-    return gf2.rank(_symplectic_rows(code), 2 * code.n)
-
-
-def _stabilizer_echelon(code: CodeSpec) -> Tuple[List[int], List[int]]:
-    """Reduced echelon form of the stabilizer rows, raising when dependent."""
-    reduced, pivots = gf2.row_reduce(_symplectic_rows(code), 2 * code.n)
-    if len(reduced) != code.m:
-        raise ValueError(
-            f"dependent stabilizer generators: rank {len(reduced)} < count {code.m}"
-        )
-    return reduced, pivots
+    return code._tableau.rank
 
 
 def require_independent(code: CodeSpec) -> int:
     """Return k = n - m, raising when the generators are dependent."""
-    return code.n - len(_stabilizer_echelon(code)[0])
+    rank = code._tableau.rank
+    if rank != code.m:
+        raise ValueError(f"dependent stabilizer generators: rank {rank} < count {code.m}")
+    return code.n - rank
 
 
 # --- codewords --------------------------------------------------------------
@@ -140,22 +137,21 @@ def logical_basis_state(
 def verify_logical_set(code: CodeSpec, logicals: LogicalSet) -> VerificationReport:
     """Check commutation with stabilizers, pairwise anticommutation, and
     flag representatives lying inside the stabilizer group."""
-    reduced, pivots = gf2.row_reduce(_symplectic_rows(code), 2 * code.n)
-    rank = len(reduced)
+    tableau = code._tableau
     report = VerificationReport(
-        commuting=pauli.first_anticommuting_pair(code.stabilizers) is None,
-        rank=rank,
-        k=code.n - rank,
+        commuting=not any(map(tableau.syndrome, code.stabilizers)),
+        rank=tableau.rank,
+        k=code.n - tableau.rank,
     )
     pairs = logicals.pairs
     for i, (xbar, zbar) in enumerate(pairs, start=1):
         for name, op in (("Xbar", xbar), ("Zbar", zbar)):
-            for s in code.stabilizers:
-                if not commutes(op, s):
-                    report.logical_violations.append(
-                        f"{name}{i}={to_string(op)} anticommutes with stabilizer {to_string(s)}"
-                    )
-            if not gf2.reduce_against(pauli.symplectic_vector(op), reduced, pivots):
+            for low in _set_bits(tableau.syndrome(op)):
+                report.logical_violations.append(
+                    f"{name}{i}={to_string(op)} anticommutes with stabilizer "
+                    f"{to_string(code.stabilizers[low.bit_length() - 1])}"
+                )
+            if not gf2.reduce_against(pauli.symplectic_vector(op), *tableau.echelon):
                 report.degenerate.append(
                     f"{name}{i}={to_string(op)} lies in the stabilizer group"
                 )
@@ -180,10 +176,10 @@ def verify_logical_set(code: CodeSpec, logicals: LogicalSet) -> VerificationRepo
     return report
 
 
-def _quotient_basis(kernel: List[int], modulus: List[int], n_cols: int) -> List[int]:
-    """Basis vectors of kernel that are independent modulo span(modulus)."""
-    reduced, pivots = gf2.row_reduce(modulus, n_cols)
-    out = []
+def _quotient_basis(kernel: List[int], reduced: List[int], pivots: List[int]) -> List[int]:
+    """Basis vectors of kernel that are independent modulo the span of the
+    echelon (reduced, pivots); a copy of the echelon grows as they are found."""
+    reduced, pivots, out = list(reduced), list(pivots), []
     for v in kernel:
         rem = gf2.reduce_against(v, reduced, pivots)
         if rem:
@@ -210,17 +206,18 @@ def find_logical_set(code: CodeSpec) -> LogicalSet:
     """Deterministic CSS logical-pair synthesis.
 
     X representatives come from ker(H_Z) modulo rowspace(H_X) and Z
-    representatives from ker(H_X) modulo rowspace(H_Z); the Z basis is
-    then re-mixed over GF(2) so the pairing matrix is the identity.
+    representatives from ker(H_X) modulo rowspace(H_Z), H_X and H_Z the
+    blocks of the tableau's echelon; the Z basis is then re-mixed over
+    GF(2) so the pairing matrix is the identity.
     Representatives are weight-minimized over their stabilizer coset when
     the exhaustive scan is affordable.
     """
-    k = require_independent(code)
-    h_x = [s.x_mask for s in code.stabilizers if s.is_x_type() and not s.is_identity()]
-    h_z = [s.z_mask for s in code.stabilizers if s.is_z_type() and not s.is_identity()]
-
-    lx = _quotient_basis(gf2.nullspace(h_z, code.n), h_x, code.n)
-    lz = _quotient_basis(gf2.nullspace(h_x, code.n), h_z, code.n)
+    k, n = require_independent(code), code.n
+    reduced, pivots = code._tableau.echelon
+    split = sum(p < n for p in pivots)
+    h_x, h_z = reduced[:split], [r >> n for r in reduced[split:]]
+    lx = _quotient_basis(gf2.nullspace(h_z, n), h_x, pivots[:split])
+    lz = _quotient_basis(gf2.nullspace(h_x, n), h_z, [p - n for p in pivots[split:]])
     if len(lx) != k or len(lz) != k:
         raise ValueError("logical space dimension mismatch (non-CSS input?)")
 
@@ -305,23 +302,19 @@ def distance_symplectic(
     <= w_max exists. Candidates are scanned serially in one order: by
     weight, then supports in itertools.combinations(range(n), w) order,
     then letters in itertools.product("XYZ", repeat=w) order; the witness
-    is the first hit. The syndrome table and the stabilizer echelon are
-    built once per code.
+    is the first hit. Syndromes and the group test read the code's tableau.
     """
-    reduced, pivots = _stabilizer_echelon(code)
-    n = code.n
-    # syndrome[letter][q]: stabilizers the single-qubit Pauli anticommutes with
-    x_cols, z_cols = pauli.qubit_columns(code.stabilizers, n)
-    syndrome = {"X": z_cols, "Y": [a ^ b for a, b in zip(x_cols, z_cols)], "Z": x_cols}
+    require_independent(code)
+    n, single, echelon = code.n, code._tableau.single, code._tableau.echelon
 
     def undetected_logical(support, letters) -> bool:
         syn = 0
         for q, letter in zip(support, letters):
-            syn ^= syndrome[letter][q]
+            syn ^= single[letter][q]
         if syn:
             return False
         vec = pauli.symplectic_vector(_pauli_of(support, letters, n))
-        return gf2.reduce_against(vec, reduced, pivots) != 0
+        return gf2.reduce_against(vec, *echelon) != 0
 
     return _first_accepted(n, w_max, undetected_logical)
 
@@ -341,6 +334,8 @@ class _SparseCodewords:
     """
 
     def __init__(self, code: CodeSpec, xbars: Sequence[PauliOperator]):
+        if code.n > 64:
+            raise ValueError(f"basis indices are uint64: codewords need n <= 64, got n = {code.n}")
         require_independent(code)
         seed = 1.0 + 0.0j
         for s in code.stabilizers:
@@ -349,12 +344,13 @@ class _SparseCodewords:
                 if seed == 0:
                     raise ValueError(f"projector (I + {to_string(s)}) annihilates the seed state")
         for xbar in xbars:
-            for s in code.stabilizers:
-                if not commutes(xbar, s):
-                    raise ValueError(
-                        f"Xbar {to_string(xbar)} anticommutes with stabilizer "
-                        f"{to_string(s)}: its shifted orbit is not a codeword"
-                    )
+            syndrome = code._tableau.syndrome(xbar)
+            if syndrome:
+                s = code.stabilizers[(syndrome & -syndrome).bit_length() - 1]
+                raise ValueError(
+                    f"Xbar {to_string(xbar)} anticommutes with stabilizer "
+                    f"{to_string(s)}: its shifted orbit is not a codeword"
+                )
         generators = [s for s in code.stabilizers if s.x_mask] + list(xbars)
         masks = [g.x_mask for g in generators]
         # bit n + j tags generator j, so a reduced x-mask keeps its coordinates there

@@ -21,11 +21,13 @@ about 17 ms in process on a 2-core Xeon, Python 3.11.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import pauli
+from . import gf2, pauli
+from .gf2 import _set_bits
 from .pauli import PauliOperator, parse_pauli, to_string
 
 Coord = Tuple[int, int]
@@ -99,6 +101,36 @@ class CodeSpec:
     @property
     def m(self) -> int:
         return len(self.stabilizers)
+
+    @functools.cached_property
+    def _tableau(self) -> _Tableau:
+        return _Tableau(self)
+
+
+class _Tableau:
+    """A code's GF(2) tableau, built once per CodeSpec (CodeSpec._tableau).
+
+    echelon: gf2.row_reduce of the generators in symplectic form (x | z << n),
+    of rank rows. single[letter][q]: the syndrome of letter (X, Y or Z) on
+    qubit q, bit g set when it anticommutes with generator g.
+    """
+
+    def __init__(self, code: CodeSpec):
+        self.n, rows = code.n, [pauli.symplectic_vector(s) for s in code.stabilizers]
+        self.echelon = gf2.row_reduce(rows, 2 * code.n)
+        self.rank = len(self.echelon[0])
+        x_cols, z_cols = pauli.qubit_columns(code.stabilizers, code.n)
+        self.single = {"X": z_cols, "Y": [a ^ b for a, b in zip(x_cols, z_cols)], "Z": x_cols}
+
+    def syndrome(self, op: PauliOperator) -> int:
+        """Bit g set when op anticommutes with generator g, in O(weight)."""
+        if op.n != self.n:
+            raise ValueError("qubit count mismatch")
+        syn = 0
+        for letter, mask in (("X", op.x_mask), ("Z", op.z_mask)):
+            for low in _set_bits(mask):
+                syn ^= self.single[letter][low.bit_length() - 1]
+        return syn
 
 
 # --- catalog of explicitly listed codes (golden data) ---------------------

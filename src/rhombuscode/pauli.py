@@ -38,9 +38,6 @@ class PauliOperator:
             raise ValueError("mask has bits set beyond the qubit count")
         object.__setattr__(self, "phase", self.phase % 4)
 
-    def is_identity(self) -> bool:
-        return self.x_mask == 0 and self.z_mask == 0 and self.phase == 0
-
     def is_x_type(self) -> bool:
         return self.z_mask == 0
 

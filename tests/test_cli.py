@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhombuscode import cli, dephasing
+from rhombuscode import cli, dephasing, gf2
 from rhombuscode.cli import main
 
 
@@ -136,6 +136,49 @@ def test_verify_rejects_non_integer_qubit_count(capsys, tmp_path, n):
     code, out, err = run(capsys, "verify", str(path))
     assert (code, out) == (64, "")
     assert err == f"verify: cannot load code: n must be an integer, got {n!r}\n"
+
+
+BAD_UNIT_PAIRS = [["Z3", "X1"], ["X4X6", "Z2Z4Z5"], ["Z1Z3Z5", "X2"]]
+
+
+@pytest.mark.parametrize("target, status, rank, k, distance, witness, violations", [
+    ("unit", 0, 4, 2, 2, "Z1Z2", []),
+    ("two_horizontal", 1, 7, 5, 1, "X7", [
+        "Xbar5=X2X7 anticommutes with stabilizer Z2Z4Z6",
+        "Zbar5=Z2Z4Z6 lies in the stabilizer group",
+    ]),
+    ("two_vertical", 1, 7, 3, 2, "Z1Z2", []),
+    ("grid_2x2", 1, 12, 8, 2, "Z1Z2", []),
+    ("grid:1", 0, 4, 2, 2, "Z1Z2", []),
+    ("grid:2", 1, 12, 8, 2, "Z1Z2", []),
+    ("lshape:0,0", 1, 7, 3, 2, "Z1Z2", []),
+    ("unit-bad-pairs", 1, 4, 2, 2, "Z1Z2", [
+        "Xbar1=Z3 anticommutes with stabilizer X1X2X3X4",
+        "Xbar1=Z3 anticommutes with stabilizer X3X4X5X6",
+        "Zbar1=X1 anticommutes with stabilizer Z1Z3Z5",
+        "Zbar3=X2 anticommutes with stabilizer Z2Z4Z6",
+        "Xbar1 commutes with Zbar1",
+        "Zbar2 anticommutes with Zbar3",
+        "Xbar3 anticommutes with Zbar1",
+        "Xbar3 commutes with Zbar3",
+        "3 logical pairs given, k = 2",
+        "Xbar3=Z1Z3Z5 lies in the stabilizer group",
+    ]),
+])
+def test_verify_output_pinned(capsys, tmp_path, target, status, rank, k, distance,
+                              witness, violations):
+    """The whole verify report, byte for byte: the violation texts and their
+    order (per pair: stabilizers in code order, then the group test; then
+    the pairing checks, the pair count and the degenerate representatives)."""
+    path = write_code(capsys, tmp_path, target.replace("-bad-pairs", ""))
+    if target.endswith("-bad-pairs"):
+        doc = json.loads(path.read_text())
+        doc["logical_pairs"] = BAD_UNIT_PAIRS
+        path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(path))
+    want = {"commuting": True, "rank": rank, "k": k, "distance": distance,
+            "witness": witness, "logical_violations": violations}
+    assert (code, out) == (status, json.dumps(want, indent=2) + "\n")
 
 
 # --- dephase -----------------------------------------------------------------
@@ -373,6 +416,30 @@ def test_dephase_builds_one_frame(capsys, monkeypatch):
     assert code == 0
     assert len(built) == len(kernels) == 1
     assert sum(r["source"] == "monte_carlo" for r in parse_csv(out)) == 3
+
+
+@pytest.mark.parametrize("argv, target, most", [
+    (("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:3"), None, 2),
+    (("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:3", "--code"), "grid:2", 4),
+    (("verify",), "unit", 1),
+    (("verify", "--kl"), "unit", 2),
+], ids=["dephase-unit", "dephase-grid2-synthesized", "verify-unit", "verify-kl-unit"])
+def test_one_stabilizer_echelon_per_code(capsys, tmp_path, monkeypatch, argv, target, most):
+    """The stabilizer rows are reduced once per code, by its tableau; the
+    other reductions are the codeword echelon (dephase, verify --kl) and the
+    two kernels of a logical synthesis (grid:2, whose file has no pairs)."""
+    path = [str(write_code(capsys, tmp_path, target))] if target else []
+    calls = []
+    row_reduce = gf2.row_reduce
+
+    def counted(*args):
+        calls.append(args)
+        return row_reduce(*args)
+
+    monkeypatch.setattr(gf2, "row_reduce", counted)
+    status, _, err = run(capsys, *argv, *path)
+    assert (status, err) == (0, "")
+    assert len(calls) <= most
 
 
 # --- family / usage -------------------------------------------------------------

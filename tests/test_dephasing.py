@@ -155,6 +155,20 @@ def test_bad_time_or_noise_is_rejected(t, gamma, convention):
             method(NoiseModel("local", gamma, convention))
 
 
+@pytest.mark.parametrize("target", ["grid:4", "lshape:1,5"])  # n = 72, 68
+def test_codewords_past_64_qubits_are_refused(target):
+    """The support holds basis indices as uint64, so a code on more than 64
+    qubits is refused with a ValueError naming the limit, not numpy's
+    OverflowError from deep inside the doubling pass."""
+    code = _parse_target(target)
+    logicals = find_logical_set(code)
+    message = f"basis indices are uint64: codewords need n <= 64, got n = {code.n}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bloch_and_leakage(code, logicals, 1.0, 0.5, NoiseModel("local", 1.0), [0.5])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _SparseCodewords(code, ())
+
+
 def test_prepare_logical_state_bloch():
     code, logicals = unit_and_logicals()
     zero_l = codeword_zero(code)

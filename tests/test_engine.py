@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhombuscode import engine
+from rhombuscode import engine, gf2
 from rhombuscode.cli import _parse_target
 from rhombuscode.engine import (
     KL_TOL,
@@ -28,7 +28,14 @@ from rhombuscode.engine import (
     verify_logical_set,
 )
 from rhombuscode.gf2 import in_span
-from rhombuscode.lattice import CodeSpec, build_named, build_unit, stack_grid, stack_l_shape
+from rhombuscode.lattice import (
+    NAMED_CODES,
+    CodeSpec,
+    build_named,
+    build_unit,
+    stack_grid,
+    stack_l_shape,
+)
 from rhombuscode.pauli import (
     PauliOperator,
     basis_action,
@@ -159,6 +166,79 @@ def test_codeword_requires_independent_generators():
     assert stabilizer_rank(doubled) == 4
     with pytest.raises(ValueError):
         require_independent(doubled)
+
+
+# --- the code's GF(2) tableau ---------------------------------------------------
+
+
+def dependent_unit():
+    base = build_unit()
+    return CodeSpec(base.n, base.stabilizers + (multiply(*base.stabilizers[:2]),))
+
+
+TABLEAU_CODES = {
+    **{name: build_named(name) for name in NAMED_CODES},
+    "grid:2": stack_grid(2),
+    "lshape:1,1": stack_l_shape(1, 1),
+    "dependent": dependent_unit(),
+}
+
+
+@st.composite
+def code_and_operator(draw):
+    """A tableau code and a Pauli on it: a random product of its generators
+    times, half the time, a random sign-free Pauli."""
+    name = draw(st.sampled_from(sorted(TABLEAU_CODES)))
+    code = TABLEAU_CODES[name]
+    op = PauliOperator(code.n)
+    for s, pick in zip(code.stabilizers, draw(st.lists(st.booleans(), min_size=code.m,
+                                                       max_size=code.m))):
+        if pick:
+            op = multiply(op, s)
+    if draw(st.booleans()):
+        full = (1 << code.n) - 1
+        noise = PauliOperator(code.n, draw(st.integers(0, full)), draw(st.integers(0, full)))
+        op = multiply(op, noise)
+    return code, op
+
+
+@settings(max_examples=300, deadline=None)
+@given(code_and_operator())
+def test_tableau_matches_brute_force(case):
+    """syndrome against the per-stabilizer commutes scan, the group test on
+    the echelon against in_span, and rank against gf2.rank of the symplectic
+    rows."""
+    code, op = case
+    tableau = code._tableau
+    rows = [symplectic_vector(s) for s in code.stabilizers]
+    want = sum(1 << g for g, s in enumerate(code.stabilizers) if not commutes(op, s))
+    assert tableau.syndrome(op) == want
+    in_group = not gf2.reduce_against(symplectic_vector(op), *tableau.echelon)
+    assert in_group == in_span(symplectic_vector(op), rows, 2 * code.n)
+    assert tableau.rank == stabilizer_rank(code) == gf2.rank(rows, 2 * code.n)
+
+
+def test_tableau_is_built_once_and_requires_independence():
+    code = dependent_unit()
+    assert code._tableau is code._tableau
+    assert stabilizer_rank(code) == 4 < code.m
+    with pytest.raises(ValueError, match="^dependent stabilizer generators: rank 4 < count 5$"):
+        require_independent(code)
+    with pytest.raises(ValueError, match="qubit count mismatch"):
+        build_unit()._tableau.syndrome(PauliOperator(5, 1))
+
+
+@pytest.mark.parametrize("target", [*NAMED_CODES, "grid:1", "grid:2", "grid:3", "grid:6",
+                                    "lshape:1,4", "lshape:2,2,matrix"])
+def test_one_echelon_is_both_css_blocks(target):
+    """With lowest-bit pivots the symplectic echelon is the X-type masks'
+    echelon followed by the Z-type masks' echelon shifted up by n."""
+    code = _parse_target(target)
+    n = code.n
+    x_rows, x_pivots = gf2.row_reduce([s.x_mask for s in code.stabilizers if s.x_mask], n)
+    z_rows, z_pivots = gf2.row_reduce([s.z_mask for s in code.stabilizers if s.z_mask], n)
+    assert code._tableau.echelon == (
+        x_rows + [r << n for r in z_rows], x_pivots + [p + n for p in z_pivots])
 
 
 # --- logical-set verification -------------------------------------------------

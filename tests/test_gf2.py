@@ -116,11 +116,11 @@ def test_row_reduce_matches_column_scan(case):
 
 def test_row_reduce_matches_column_scan_on_lattice_codes():
     from rhombuscode.cli import _parse_target
-    from rhombuscode.engine import _symplectic_rows
+    from rhombuscode.pauli import symplectic_vector
 
     for target in ("grid:1", "grid:4", "grid:7", "lshape:2,1,matrix", "lshape:2,2"):
         code = _parse_target(target)
-        rows = _symplectic_rows(code)
+        rows = [symplectic_vector(s) for s in code.stabilizers]
         assert gf2.row_reduce(rows, 2 * code.n) == reference_row_reduce(rows, 2 * code.n)
 
 
