@@ -11,8 +11,9 @@ one phase scale, --scale (a one-element scale list, as a single-t sweep
 runs): --samples, else the batch monte_carlo_grid runs (MC_BATCH * 32 / S
 samples, at most MC_BATCH). The production kernel is
 ``frame.kernel(kind)``: the component-factored _CosetKernel under local
-noise, _PhasorKernel under global noise. The reference is the S-sized
-``_CosetKernel(frame, kind)``. The two run alternately in one process, each
+noise, _PhasorKernel under global noise. The reference is
+``_CosetKernel(frame, kind)``: the same coset-sum kernel on all S support
+states as one component. The two run alternately in one process, each
 --runs times on the same draws, after one untimed call each; the script
 prints each one's median nanoseconds per sample, with the settings, the
 core count and the Python, numpy and scipy versions.

@@ -17,17 +17,23 @@ makes them G = F_0 + conj(F_1) (coset-flipping) or Re F_0 + i Re F_1, and a
 point (theta, phi) reads v = Re(y G), y from _point_weights. The Monte Carlo
 oracle samples u (the phase accumulated over time t is Normal(0, gamma*t));
 batches keep the sums of D, D^2 and |D|^2, D = G - G_ref (G at u = 1), so
-every point follows in closed form. Under local noise _CosetKernel builds u
+every point follows in closed form. A verified logical Pauli maps |k_L>
+onto a phase times |k'_L>, and every codeword amplitude has the modulus
+sqrt(2/S), so coefs_o is one constant per coset and weight is 2/S: the
+forms need only the coset sums P_k = sum_{c in k} u[c] (leakage) and, per
+distinct x-shift s of the Paulis (perms_o c = c ^ s), the quadratic sums
+sum_{c in k} conj(u[c ^ s]) u[c] (Bloch; shift 0, Zbar's unless it is
+dressed, gives the state count). Under local noise _CosetKernel builds u
 per sample on the components of the frame's generators (_components: the
 X-type stabilizers and Xbar, joined where x-masks overlap or a z-mask meets
-an x-mask). A support state is the XOR of one state per component, and u,
-the coefficients and the weights are products over the components, so each
-per-coset sum is a product of per-component sums: a sample costs sum_c
-2^m_c states, not S. In the frame's coordinate order (state p ^ 2^j is p
-shifted by generator j, Xbar last) the cosets are the halves of Xbar's
-component, and each component's u is built from small tables of phases (its
-first MC_DIRECT states, then each generator's distinct spin changes), in
-sub-chunks of MC_CHUNK phase factors. Under global noise one normal drives
+an x-mask). A support state is the XOR of one state per component and u is
+a product over the components, so each of those sums is a product of
+per-component sums: a sample costs sum_c 2^m_c states, not S. In the
+frame's coordinate order (state p ^ 2^j is p shifted by generator j, Xbar
+last) the cosets are the halves of Xbar's component, and each component's
+u is built from small tables of phases (its first MC_DIRECT states, then
+each generator's distinct spin changes), in sub-chunks of MC_CHUNK phase
+factors. Under global noise one normal drives
 every phase, each form is a trigonometric polynomial of degree K in it, and
 _PhasorKernel builds only K phasors and D from them per sample, a cost of
 samples x K with no S-sized array. Both kernels get their phases as e^{2ih} -
@@ -323,17 +329,28 @@ class _CosetKernel:
     docstring). Time enters only as the scale of the normals, so one kernel
     serves every t.
 
+    Every coefficient and weight of the frame is one constant per coset
+    (checked here to REALNESS_TOL relative: ValueError otherwise), so a
+    sample needs only two kinds of sum of u: the coset sums P_k = sum_{c in
+    k} u[c], which give the leakage forms (a constant times conj(P_{k ^ flip})
+    P_k), and per distinct x-shift s of the logical Paulis the quadratic sums
+    Q_k = sum_{c in k} conj(u[c ^ s]) u[c], which give the Bloch forms (a
+    constant times Q_k; shift 0 makes Q_k the state count). _combine is
+    folded into the constants: on a coset-flipping row c -> c ^ s swaps the
+    cosets, so Q_1 = conj(Q_0) and G = (lambda_0 + conj(lambda_1)) Q_0; on a
+    coset-keeping row Q_k is real and G = Re lambda_0 Q_0 + i Re lambda_1
+    Q_1, lambda_k the row's constant on coset k; the leakage rows likewise.
+
     components partitions the frame's generators (its X-type stabilizers,
     then Xbar; _Frame.components), Xbar's component first. A support state
-    is the XOR of one state per component, and u, the coefficients and the
-    weights are products over the components (checked here to REALNESS_TOL
-    relative: ValueError otherwise), so each per-coset sum is the product of
-    one sum per component over its 2^m_c states: a sample costs the sum of
-    the 2^m_c, not S. Without components the kernel runs on all S states as
-    one component, the reference the tests hold it to; so does a code whose
-    generators form one component, operation for operation. The draws (n
-    normals per sample under local noise) and the batch split (size = S)
-    do not depend on the partition.
+    is the XOR of one state per component and u is a product over the
+    components, so each sum is a product of one sum per component over its
+    2^m_c states: a sample costs the sum of the 2^m_c, not S. Without
+    components the kernel runs on all S states as one component, the
+    reference the tests hold it to; so does a code whose generators form one
+    component, operation for operation. The draws (n normals per sample
+    under local noise) and the batch split (size = S) do not depend on the
+    partition.
 
     The step tables hold half the spin changes, so each table phase is 1 +
     (e^{2ih} - 1) from the tan of its half-angle h (_phase_minus_one): no
@@ -353,19 +370,31 @@ class _CosetKernel:
             components = [range(count)]
         if sorted(g for part in components for g in part) != list(range(count)):
             raise ValueError("components must partition the frame's generators")
+        rows = np.vstack([frame.coefs, frame.weight])
+        level = rows[:, [np.argmax(frame.coset == k) for k in (0, 1)]]  # (4, 2): per coset
+        error = abs(rows - level[:, frame.coset]).max()
+        if error > REALNESS_TOL * abs(frame.weight).max():
+            raise ValueError(f"coefficients are not constant per coset: deviation {error:.3e}")
         self.parts = [_Component(frame, kind, part, c == 0) for c, part in enumerate(components)]
         self.fields = 1 if kind == "global" else frame.n
         self.chunk = max(1, MC_CHUNK // sum(part.size for part in self.parts))
         self.rows = max(len(step[3]) for part in self.parts for step in part.steps)
-        position, error = np.arange(self.size), 0.0
-        local = [_compress(position, part.generators) for part in self.parts]
-        for row, want in enumerate([*frame.coefs, frame.weight]):
-            got = 1.0
-            for part, index in zip(self.parts, local):
-                got = got * part.factors[row, index]
-            error = max(error, abs(got - want).max())
-        if error > REALNESS_TOL * abs(frame.weight).max():
-            raise ValueError(f"component factors miss the frame's coefficients by {error:.3e}")
+        # per row: one complex constant (coset-flipping) or two real ones,
+        # times the product of Q_0 (and Q_1) over the components that shift
+        coef, weight = level[:3], level[3].real
+
+        def folded(pair, flip):
+            return pair[0] + np.conj(pair[1]) if flip else pair.real
+
+        self.bloch = []  # per Pauli: ((component, shift index) of its Q, constant)
+        for o, flip in enumerate(self.flipping[:3]):
+            picks = tuple((c, part.pick[o]) for c, part in enumerate(self.parts)
+                          if part.pick[o] is not None)
+            states = math.prod(part.size // part.cosets for part in self.parts
+                               if part.pick[o] is None)  # Q_k at shift 0, |u| = 1
+            self.bloch.append((picks, folded(coef[o] * states, flip)))
+        self.leak = [folded(self.pc * coef[o] * weight, flip)  # of conj(P_{k ^ flip}) P_k
+                     for o, flip in enumerate(self.flipping[:3])]
         self.reference = frame.expected(NoiseModel(kind, 0.0), 0.0)  # G at u = 1
 
     def moments(self, seed: int, start: int, count: int, scales: Sequence[float]) -> np.ndarray:
@@ -380,14 +409,14 @@ class _CosetKernel:
         total = np.zeros((len(scales), 6, 3), dtype=np.complex128)
         width = min(self.chunk, count)
         uniforms, normals, picked = np.empty((3, self.fields * width))  # flat: each view contiguous
-        buffers = [np.empty((9, part.size, width), dtype=np.complex128) for part in self.parts]
-        # component sums: weight u, coef conj(u[perm]) and that times u per
-        # Pauli; component 0 also holds the leakage forms, so rows 4: are F
-        sums = [np.empty((7 if c else 10, part.cosets, width), dtype=np.complex128)
-                for c, part in enumerate(self.parts)]
+        work = [part.buffers(width) for part in self.parts]
+        # P_k, a Bloch row's product of Q_k over several components, |P_k|^2
+        coset_sums, chain, norms = np.empty((3, 2, width), dtype=np.complex128)
+        pair = np.empty((1, width), dtype=np.complex128)  # conj(P_1) P_0
         d, square, norm = np.empty((3, 6, width), dtype=np.complex128)  # D, D^2, |D|^2
         halves, scratch = np.empty((2, self.rows * width))  # shared by the steps
         phases = np.empty(self.rows * width, dtype=np.complex128)
+        shared = (picked, halves, scratch, phases)
         for lo in range(0, count, self.chunk):
             w = min(self.chunk, count - lo)
             draws = gen.random(out=uniforms[: w * self.fields].reshape(w, -1))
@@ -395,32 +424,19 @@ class _CosetKernel:
             z = self.ndtri(draws, out=draws).T  # standard normals, (fields, w)
             for scale, running in zip(scales, total):  # running: this scale's (6, 3) sums
                 x = np.multiply(z, scale, out=normals[: w * self.fields].reshape(-1, w))
-                for part, buffer, out in zip(self.parts, buffers, sums):
-                    u, uc, terms = buffer[0, :, :w], buffer[1, :, :w], buffer[2:, :, :w]
-                    for lo_, hi, fields, table, index in part.steps:
-                        shape, size = (len(table), w), len(table) * w
-                        chosen = picked[: len(fields) * w].reshape(-1, w)
-                        np.take(x, fields, axis=0, out=chosen, mode="clip")
-                        half = np.einsum("tw,wc->tc", table, chosen,
-                                         out=halves[:size].reshape(shape))
-                        phase = phases[:size].reshape(shape)
-                        _phase_minus_one(half, phase, scratch[:size].reshape(shape), 1.0)  # e^{2ih}
-                        np.take(phase, index, axis=0, out=u[lo_:hi], mode="clip")
-                        if lo_:
-                            u[lo_:hi] *= u[: hi - lo_]
-                    np.conj(u, out=uc)
-                    np.multiply(part.weight, u, out=terms[0])
-                    left, diag = terms[1:4], terms[4:]  # per Pauli: coef conj(u[perm]), times u
-                    np.take(uc, part.perms, axis=0, out=left, mode="clip")
-                    left *= part.coefs
-                    np.multiply(left, u, out=diag)
-                    np.einsum("kqhc->kqc", terms.reshape(7, part.cosets, -1, w), out=out[:7, :, :w])
-                product = sums[0][:, :, :w]
-                for other in sums[1:]:
-                    product[:7] *= other[:, :, :w]  # the same factor for both cosets
-                np.multiply(self.pc, product[1:4], out=product[7:])
-                product[7:] *= product[0]
-                g = _combine(product[4:], self.flipping, out=d[:, :w])
+                found = [part.sums(x, w, buffers, shared) for part, buffers in zip(self.parts, work)]
+                p = found[0][0]  # P_k, a product over the components
+                if len(found) > 1:
+                    p = np.multiply(p, found[1][0], out=coset_sums[:, :w])
+                    for other, _ in found[2:]:
+                        p *= other
+                cross = np.multiply(np.conj(p[1:], out=pair[:, :w]), p[:1], out=pair[:, :w])
+                size = np.multiply(p, np.conj(p, out=norms[:, :w]), out=norms[:, :w]).real
+                g = d[:, :w]
+                for o, (picks, const) in enumerate(self.bloch):
+                    _fill(g[o], const, _product(found, picks, chain[:, :w]), self.flipping[o])
+                for o, const in enumerate(self.leak):
+                    _fill(g[3 + o], const, cross if self.flipping[o] else size, self.flipping[o])
                 g -= self.reference[:, None]  # D = G - G_ref
                 np.multiply(g, g, out=square[:, :w])
                 np.multiply(g, np.conj(g, out=norm[:, :w]), out=norm[:, :w])
@@ -428,32 +444,67 @@ class _CosetKernel:
         return total
 
 
+def _product(found, picks, out: np.ndarray) -> Optional[np.ndarray]:
+    """The product of the quadratic sums picks names ((component, shift
+    index) pairs, the first component first) in found, the per-component
+    results of _Component.sums; out (2, w) complex holds it when it takes
+    more than one factor. None when picks is empty."""
+    if not picks:
+        return None
+    (c, s), *rest = picks
+    product = found[c][1][s]
+    for c, s in rest:
+        into = out[: len(product)]
+        product = np.multiply(product, found[c][1][s],
+                              out=into if np.iscomplexobj(product) else into.real)
+    return product
+
+
+def _fill(row: np.ndarray, const, product: Optional[np.ndarray], flip: bool):
+    """Write G of one row: const (complex) times product[0] on a coset-flipping
+    row, const[0] product[0] + i const[1] product[-1] (real product, one or
+    two cosets) on a coset-keeping one; product None stands for 1."""
+    if product is None:
+        row[...] = const if flip else const[0] + 1j * const[1]
+    elif flip:
+        np.multiply(const, product[0], out=row)
+    else:
+        np.multiply(const[0], product[0], out=row.real)
+        np.multiply(const[1], product[-1], out=row.imag)
+
+
 class _Component:
-    """One component of a _CosetKernel: states[i] is the frame coordinate of
-    the XOR of the generators chosen by the bits of i (bit b: generators[b],
+    """One component of a _CosetKernel: its state i is the frame coordinate
+    of the XOR of the generators chosen by the bits of i (bit b: generators[b],
     ascending, so Xbar, the frame's last generator, is the top bit of the
     component that holds it and its two halves are the cosets). It holds the
     step tables (lo, hi, fields, half-angle table, index) that build u on its
-    states, and per logical Pauli the permutation perms (3, size) and the
-    coefficients there, with the weights: factors (4, size), viewed as coefs
-    (3, size, 1) and weight (size, 1). The first
-    component takes the frame's own spins, coefs and weight at its states;
-    any other takes each relative to its state 0 (spins minus, coefs and
-    weight over, those at state 0), so its u, coefs and weight are 1 there
-    and its sums run over both cosets."""
+    states and the x-shifts of the logical Paulis there (Pauli o maps state i
+    to i ^ shift_o): shifts, the distinct nonzero ones, pick[o], the index
+    of Pauli o's in shifts (None for shift 0), and per shift s the states
+    the quadratic sum visits (pairs). No coefficient is kept per state. The
+    first component takes the frame's own spins at its states, any other
+    takes them relative to its state 0, so its u is 1 there and its sums run
+    over both cosets."""
 
     def __init__(self, frame: _Frame, kind: str, generators: Sequence[int], first: bool):
-        self.generators = list(generators)
-        self.states = _embed(np.arange(1 << len(self.generators)), self.generators)
-        self.size, self.cosets = len(self.states), 2 if first else 1
-        spins = frame.spins(kind, self.states)
-        self.factors = np.vstack([frame.coefs[:, self.states], frame.weight[self.states]])
+        states = _embed(np.arange(1 << len(generators)), generators)
+        self.size, self.cosets = len(states), 2 if first else 1
+        spins = frame.spins(kind, states)
         if not first:
             spins -= spins[:, :1]
-            self.factors /= self.factors[:, :1]
-        self.coefs, self.weight = self.factors[:3, :, None], self.factors[3, :, None]
-        shifts = _compress(frame.perms[:, 0], self.generators)  # perms[o, p] = p ^ perms[o, 0]
-        self.perms = np.arange(self.size) ^ shifts[:, None]
+        shifts = _compress(frame.perms[:, 0], generators).tolist()  # perms[o, p] = p ^ perms[o, 0]
+        self.shifts = sorted(set(shifts) - {0})
+        self.pick = [self.shifts.index(s) if s else None for s in shifts]
+        # per shift s with top bit b: whether it flips the coset, 2^b, and
+        # the partners c ^ s of the states c with bit b clear (one of each
+        # pair {c, c ^ s}), grouped by coset (one group, coset 0, when s flips
+        # it, as its b is then the coset bit)
+        self.pairs = []
+        for s in self.shifts:
+            flips, bit = first and 2 * s >= self.size, 1 << (s.bit_length() - 1)
+            index = np.arange(self.size).reshape(1 if flips else self.cosets, -1, 2, bit)[:, :, 0]
+            self.pairs.append((flips, bit, index ^ s))
         spins = -spins  # u = exp(i normals . spins)
         hi = self.size if kind == "global" else min(self.size, MC_DIRECT)
         self.steps, lo = [], 0
@@ -463,6 +514,44 @@ class _Component:
             table, index = np.unique(change[fields].T, axis=0, return_inverse=True)
             self.steps.append((lo, hi, fields, 0.5 * table, index.ravel()))  # half-angles
             lo, hi = hi, 2 * hi
+
+    def buffers(self, width: int):
+        """The arrays sums fills, for sub-chunks of up to width samples."""
+        u = np.empty((self.size, width), dtype=np.complex128)
+        partners = np.empty((self.size // 2, width), dtype=np.complex128)
+        cosets = np.empty((self.cosets, width), dtype=np.complex128)
+        quadratic = [np.empty((len(index), width), dtype=np.complex128) for _, _, index in self.pairs]
+        return u, partners, cosets, quadratic
+
+    def sums(self, x: np.ndarray, w: int, buffers, shared):
+        """(P (cosets, w), [Q per shift]): the coset sums and the quadratic
+        sums Q_k = sum_{c in k} conj(u[c ^ s]) u[c] of u on this component
+        for the normals x (fields, w). Each runs over one state c of every
+        pair {c, c ^ s}: a coset-flipping shift keeps Q_0, complex, (1, w)
+        (Q_1 is its conjugate); any other keeps Q_k = 2 Re of the half sum,
+        real, (cosets, w)."""
+        u, partners, cosets, quadratic = buffers
+        picked, halves, scratch, phases = shared
+        u = u[:, :w]
+        for lo, hi, fields, table, index in self.steps:
+            shape, size = (len(table), w), len(table) * w
+            chosen = picked[: len(fields) * w].reshape(-1, w)
+            np.take(x, fields, axis=0, out=chosen, mode="clip")
+            half = np.einsum("tw,wc->tc", table, chosen, out=halves[:size].reshape(shape))
+            phase = phases[:size].reshape(shape)
+            _phase_minus_one(half, phase, scratch[:size].reshape(shape), 1.0)  # e^{2ih}
+            np.take(phase, index, axis=0, out=u[lo:hi], mode="clip")
+            if lo:
+                u[lo:hi] *= u[: hi - lo]
+        found = []
+        for (flips, bit, index), out in zip(self.pairs, quadratic):
+            other = partners[: index.size, :w].reshape(*index.shape, w)
+            np.conj(np.take(u, index, axis=0, out=other, mode="clip"), out=other)
+            rows = u.reshape(len(index), -1, 2, bit, w)[:, :, 0]  # the states c
+            h = np.einsum("gabw,gabw->gw", other, rows, out=out[:, :w])
+            found.append(h if flips else np.multiply(2.0, h.real, out=h.real))
+        coset = np.einsum("kcw->kw", u.reshape(self.cosets, -1, w), out=cosets[:, :w])
+        return coset, found
 
 
 def _embed(index: np.ndarray, generators: Sequence[int]) -> np.ndarray:

@@ -210,7 +210,9 @@ def find_logical_set(code: CodeSpec) -> LogicalSet:
     blocks of the tableau's echelon; the Z basis is then re-mixed over
     GF(2) so the pairing matrix is the identity.
     Representatives are weight-minimized over their stabilizer coset when
-    the exhaustive scan is affordable.
+    the exhaustive scan is affordable: the X and Z walks together visit
+    (2^|H_X| + 2^|H_Z|) k cosets, at most EXHAUSTIVE_COSET_CAP, else no
+    representative is minimized and certified_minimal is False.
     """
     k, n = require_independent(code), code.n
     reduced, pivots = code._tableau.echelon
@@ -234,7 +236,7 @@ def find_logical_set(code: CodeSpec) -> LogicalSet:
                 v ^= lz[j]
         lz_paired.append(v)
 
-    certified = (1 << len(h_x)) * k <= EXHAUSTIVE_COSET_CAP
+    certified = ((1 << len(h_x)) + (1 << len(h_z))) * k <= EXHAUSTIVE_COSET_CAP
     if certified:
         lx = [_min_weight_coset_rep(v, h_x) for v in lx]
         lz_paired = [_min_weight_coset_rep(v, h_z) for v in lz_paired]

@@ -12,10 +12,10 @@ Coordinates use scaled integers ``(sx, sy)`` meaning the point
 
 Construction, validation and serialization are linear in the total
 stabilizer weight: the pairwise commutation check transposes the
-generators once (pauli.first_anticommuting_pair), each ancilla looks up its
-six unit-distance offsets, stabilizers are assembled as bit masks,
-operator strings visit only the support, and the JSON is written directly
-from its fixed shape. ``build grid:20`` (n = 1640, 840 generators) takes
+generators once (CodeSpec._columns, which the tableau reuses), each
+ancilla looks up its six unit-distance offsets, stabilizers are assembled
+as bit masks, operator strings visit only the support, and the JSON is
+written directly from its fixed shape. ``build grid:20`` (n = 1640, 840 generators) takes
 about 17 ms in process on a 2-core Xeon, Python 3.11.
 """
 
@@ -93,7 +93,7 @@ class CodeSpec:
                 raise ValueError("stabilizer qubit count differs from code size")
             if not (s.is_x_type() or s.is_z_type()):
                 raise ValueError(f"stabilizer {to_string(s)} is not CSS (pure X or Z)")
-        pair = pauli.first_anticommuting_pair(self.stabilizers)
+        pair = pauli.first_anticommuting_pair(self.stabilizers, self._columns)
         if pair is not None:
             a, b = (to_string(self.stabilizers[i]) for i in pair)
             raise ValueError(f"stabilizers {a} and {b} anticommute")
@@ -101,6 +101,12 @@ class CodeSpec:
     @property
     def m(self) -> int:
         return len(self.stabilizers)
+
+    @functools.cached_property
+    def _columns(self) -> Tuple[List[int], List[int]]:
+        """pauli.qubit_columns of the stabilizers: the commutation check above
+        and the tableau share this one transpose."""
+        return pauli.qubit_columns(self.stabilizers, self.n)
 
     @functools.cached_property
     def _tableau(self) -> _Tableau:
@@ -119,7 +125,7 @@ class _Tableau:
         self.n, rows = code.n, [pauli.symplectic_vector(s) for s in code.stabilizers]
         self.echelon = gf2.row_reduce(rows, 2 * code.n)
         self.rank = len(self.echelon[0])
-        x_cols, z_cols = pauli.qubit_columns(code.stabilizers, code.n)
+        x_cols, z_cols = code._columns
         self.single = {"X": z_cols, "Y": [a ^ b for a, b in zip(x_cols, z_cols)], "Z": x_cols}
 
     def syndrome(self, op: PauliOperator) -> int:

@@ -149,16 +149,21 @@ def qubit_columns(ops: Sequence[PauliOperator], n: int) -> Tuple[List[int], List
     return x_cols, z_cols
 
 
-def first_anticommuting_pair(ops: Sequence[PauliOperator]) -> Optional[Tuple[int, int]]:
+def first_anticommuting_pair(
+    ops: Sequence[PauliOperator], columns: Optional[Tuple[List[int], List[int]]] = None
+) -> Optional[Tuple[int, int]]:
     """(i, j) of the first anticommuting pair in itertools.combinations
     order, or None when all of ops commute.
 
     Bit j of the XOR of z_cols over the X-support of ops[i] and x_cols over
     its Z-support (see qubit_columns) is the symplectic product of ops[i]
     and ops[j], so the cost is O(total weight) big-int XORs, not O(m^2)
-    pair tests.
+    pair tests. columns, qubit_columns of ops when the caller has it, is
+    computed here when None.
     """
-    x_cols, z_cols = qubit_columns(ops, ops[0].n if ops else 0)
+    if columns is None:
+        columns = qubit_columns(ops, ops[0].n if ops else 0)
+    x_cols, z_cols = columns
     for i, a in enumerate(ops):
         odd = 0
         for cols, mask in ((z_cols, a.x_mask), (x_cols, a.z_mask)):

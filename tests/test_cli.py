@@ -298,6 +298,19 @@ def test_dephase_refuses_oversized_code(capsys, tmp_path, target):
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
+def test_dephase_synthesizes_past_the_coset_cap(capsys, tmp_path):
+    """An lshape:6,0 file (n = 58, S = 2^16) has no logicals, and its Z
+    cosets are too many to minimize over: synthesis skips the walk and the
+    engine-only sweep exits 0."""
+    path = write_code(capsys, tmp_path, "lshape:6,0")
+    code, out, err = run(
+        capsys, "dephase", "--code", str(path), "--kind", "local",
+        "--theta", "1", "--phi", "0.5", "--gamma", "1", "--t-grid", "0:1:2",
+    )
+    assert code == 0, err
+    assert sum(r["source"] == "engine" for r in parse_csv(out)) == 2
+
+
 def test_dephase_refuses_unbounded_monte_carlo(capsys, tmp_path):
     """lshape:1,4 (S = 2^18) is within the support cap, but 10^6 samples at
     3 t points exceed DEPHASE_MAX_MC_WORK: exit 2 before any frame is built."""

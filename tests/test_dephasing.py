@@ -572,13 +572,21 @@ def test_mc_thread_and_batch_invariant_beyond_unit_cell():
         assert rec == monte_carlo_oracle(code, logicals, theta, phi, model, 0.4, 70_001, seed=6)
 
 
-def named_frame(name):
-    """The _Frame of a CLI target or of a DRESSED_UNIT pair on the unit code."""
+def named_pair(name):
+    """(code, logicals) of a CLI target, of a DRESSED_UNIT pair on the unit
+    code or of a SPANNING pair on two_horizontal."""
     if name in DRESSED_UNIT:
         code = build_unit()
         pair = tuple(parse_pauli(text, code.n) for text in DRESSED_UNIT[name])
-        return _Frame(code, LogicalSet([pair, *code.logical_pairs[1:]]))
-    return _Frame(*target_and_logicals(name))
+        return code, LogicalSet([pair, *code.logical_pairs[1:]])
+    if name in SPANNING:
+        return two_horizontal_pair(*SPANNING[name])
+    return target_and_logicals(name)
+
+
+def named_frame(name):
+    """The _Frame of named_pair(name)."""
+    return _Frame(*named_pair(name))
 
 
 PHASOR_CODES = ["unit", "two_horizontal", "two_vertical", "grid_2x2", *DRESSED_UNIT,
@@ -774,13 +782,14 @@ def test_components_join_on_z_meeting_x():
     assert _components(x_stabilizers(code) + [joined]) == [[0, 1, 2, 3, 4]]
 
 
-def two_horizontal_frame(xbar_dressing, zbar_dressing):
-    """two_horizontal's first pair with Xbar and Zbar times the given stabilizers."""
+def two_horizontal_pair(xbar_dressing, zbar_dressing):
+    """two_horizontal with its first pair's Xbar and Zbar times the given
+    stabilizers: (code, logicals)."""
     code = build_named("two_horizontal")
     xbar, zbar = code.logical_pairs[0]
     xbar = multiply(xbar, parse_pauli(xbar_dressing, code.n)) if xbar_dressing else xbar
     zbar = multiply(zbar, parse_pauli(zbar_dressing, code.n))
-    return _Frame(code, LogicalSet([(xbar, zbar), *code.logical_pairs[1:]]))
+    return code, LogicalSet([(xbar, zbar), *code.logical_pairs[1:]])
 
 
 # two_horizontal pairs whose logical shifts span both components: Zbar times
@@ -788,10 +797,6 @@ def two_horizontal_frame(xbar_dressing, zbar_dressing):
 # carrying Y factors
 SPANNING = {"two_horizontal-zbar-x-dressed": (None, "X7X8X9X10"),
             "two_horizontal-xbar-y-dressed": ("Z2Z4Z6", "X9X10X11X12")}
-
-
-def component_frame(name):
-    return two_horizontal_frame(*SPANNING[name]) if name in SPANNING else named_frame(name)
 
 
 @pytest.mark.parametrize("name", ["unit", "two_vertical"])
@@ -816,7 +821,7 @@ def test_component_kernel_matches_reference(name, kind):
     """On the same draws the component product gives the S-sized kernel's
     moments to 1e-12 of each column's largest entry, at scale 0.8, over two
     full sub-chunks and a ragged third; the draws and batch split match."""
-    frame = component_frame(name)
+    frame = named_frame(name)
     assert len(frame.components) == 2
     new, old = _CosetKernel(frame, kind, frame.components), _CosetKernel(frame, kind)
     assert (new.fields, new.size) == (old.fields, old.size)
@@ -838,7 +843,7 @@ def test_component_kernel_keeps_the_reference_accuracy(name, count, scale):
     S-sized kernel's on the same draws, and within twice LOCAL_ERRORS where
     that records the code (grid_2x2). Entries that are 0 in the reference
     are not compared."""
-    frame = component_frame(name)
+    frame = named_frame(name)
     want = long_double_local_moments(frame, 3, 777, count, scale)
     zero = want == 0
 
@@ -852,15 +857,55 @@ def test_component_kernel_keeps_the_reference_accuracy(name, count, scale):
         assert got <= 2 * LOCAL_ERRORS[name][1][scale]
 
 
+@pytest.mark.parametrize("name", ["unit", "two_vertical", "grid_2x2", "grid:2", "grid:3",
+                                  "lshape:0,1", "lshape:1,0", "lshape:1,1", *DRESSED_UNIT,
+                                  *SPANNING])
+def test_coefficients_are_one_constant_per_coset(name):
+    """The fact the coset kernel rests on: a verified logical Pauli maps
+    |k_L> onto a phase times |k'_L>, and every codeword amplitude has the
+    modulus sqrt(2 / S), so each form's coefficient is one constant on each
+    coset, exactly, and so is the weight, 2 / S up to the rounding of the
+    amplitude's square. Transcribed (catalog), synthesized (grid, lshape),
+    Y-dressed Xbar and X-dressed Zbar pairs."""
+    frame = named_frame(name)
+    assert (frame.weight == frame.weight[0]).all()
+    assert abs(frame.weight[0] - 2.0 / len(frame.support)) <= 1e-15 * frame.weight[0].real
+    for k in (0, 1):
+        cell = frame.coefs[:, frame.coset == k]
+        assert (cell == cell[:, :1]).all()
+
+
+@pytest.mark.parametrize("name", ["unit-zbar-x-dressed", "two_horizontal-zbar-x-dressed"])
+def test_mc_matches_per_sample_reference_on_dressed_zbar(name):
+    """An X-dressed Zbar shifts the support without flipping the coset, so
+    the kernel forms quadratic sums at more than one nonzero shift (on the
+    first component, or on the other one): the means still match the
+    per-sample estimator to 1e-14 and the SEs to 1e-9 relative."""
+    code, logicals = named_pair(name)
+    frame = _Frame(code, logicals)
+    shifts = [len(part.shifts) for part in frame.kernel("local").parts]
+    assert sum(shifts) >= 2
+    model = NoiseModel("local", 0.9)
+    points = [(0.4, 0.3), (1.7, 2.2)]
+    samples = MC_BATCH + 999
+    recs = monte_carlo_grid(code, logicals, points, model, [0.7], samples, seed=17, threads=2)[0]
+    means, ses = per_sample_reference(code, logicals, points, model, 0.7, samples, 17)
+    for rec, mean, se in zip(recs, means, ses):
+        assert np.abs(np.array(rec.values()) - mean).max() < 1e-14
+        for got, want in zip(rec.errors(), se):
+            assert abs(got - want) <= (1e-9 * want if want > 1e-8 else 1e-10)
+
+
 def test_component_kernel_checks_its_factors():
     """One coefficient of a state mixing both two_horizontal components, off
-    by 1e-6 relative, no longer factors, and the kernel refuses the
-    partition; so it does a partition that misses generators."""
+    by 1e-6 relative, is no longer constant on its coset, and the kernel,
+    whose sums hold one constant per coset, refuses the frame; so it does a
+    partition that misses generators."""
     frame = named_frame("two_horizontal")
     mixed = 1 << frame.components[0][0] | 1 << frame.components[1][0]
     frame.coefs = frame.coefs.copy()
     frame.coefs[1, mixed] *= 1 + 1e-6
-    with pytest.raises(ValueError, match="component factors miss"):
+    with pytest.raises(ValueError, match="not constant per coset"):
         _CosetKernel(frame, "local", frame.components)
     with pytest.raises(ValueError, match="partition"):
         _CosetKernel(frame, "local", frame.components[:1])

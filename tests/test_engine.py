@@ -4,13 +4,14 @@ import functools
 import itertools
 import random
 import re
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhombuscode import engine, gf2
+from rhombuscode import engine, gf2, pauli
 from rhombuscode.cli import _parse_target
 from rhombuscode.engine import (
     KL_TOL,
@@ -228,6 +229,24 @@ def test_tableau_is_built_once_and_requires_independence():
         build_unit()._tableau.syndrome(PauliOperator(5, 1))
 
 
+@pytest.mark.parametrize("build", [lambda: find_logical_set(stack_grid(3)),
+                                   lambda: verify_code(build_unit())],
+                         ids=["find_logical_set-grid3", "verify_code-unit"])
+def test_one_qubit_transpose_per_code(build, monkeypatch):
+    """The commutation check of CodeSpec and the tableau share one
+    pauli.qubit_columns call."""
+    calls = []
+    transpose = pauli.qubit_columns
+
+    def counted(*args):
+        calls.append(args)
+        return transpose(*args)
+
+    monkeypatch.setattr(pauli, "qubit_columns", counted)
+    build()
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("target", [*NAMED_CODES, "grid:1", "grid:2", "grid:3", "grid:6",
                                     "lshape:1,4", "lshape:2,2,matrix"])
 def test_one_echelon_is_both_css_blocks(target):
@@ -284,6 +303,42 @@ def test_find_logical_set_minimizes_unit():
     assert logicals.certified_minimal
     assert {weight(x) for x, _ in logicals.pairs} == {2}
     assert {weight(z) for _, z in logicals.pairs} == {2}
+
+
+# every code target the suite builds, from the catalog to lshape:6,6
+SUITE_CODES = [*NAMED_CODES, "grid:1", "grid:2", "grid:3", "grid:4", "grid:6",
+               "lshape:0,0", "lshape:0,1", "lshape:1,0", "lshape:1,1", "lshape:0,5",
+               "lshape:1,4", "lshape:2,1", "lshape:2,2", "lshape:3,3", "lshape:4,0",
+               "lshape:6,0", "lshape:6,6", "lshape:1,1,matrix", "lshape:2,1,matrix",
+               "lshape:2,2,matrix"]
+
+
+@pytest.mark.parametrize("target", SUITE_CODES)
+def test_coset_walk_stays_within_the_cap(target, monkeypatch):
+    """The X and Z weight-minimizing walks together visit at most
+    EXHAUSTIVE_COSET_CAP cosets; a code past it gets no walk at all and
+    unminimized, uncertified logicals."""
+    walked = []
+    walk = engine._min_weight_coset_rep
+
+    def counted(mask, rows):
+        walked.append(1 << len(rows))
+        return walk(mask, rows)
+
+    monkeypatch.setattr(engine, "_min_weight_coset_rep", counted)
+    logicals = find_logical_set(_parse_target(target))
+    assert sum(walked) <= engine.EXHAUSTIVE_COSET_CAP
+    assert logicals.certified_minimal == bool(walked)
+
+
+def test_find_logical_set_returns_past_the_cap():
+    """lshape:6,0 (n = 58, k = 15) has 2^15 X and 2^28 Z cosets per
+    logical: a Z walk alone would take 4e9 steps. Both walks count against
+    the cap, so synthesis skips them and returns within a second."""
+    start = time.perf_counter()
+    logicals = find_logical_set(stack_l_shape(6, 0))
+    assert time.perf_counter() - start < 1.0
+    assert logicals.k == 15 and not logicals.certified_minimal
 
 
 # --- distance ------------------------------------------------------------------
