@@ -6,10 +6,14 @@ Usage, from the root of a checkout:
         --seconds 10 --seed 7 [--out BENCH.json]
 
 The parent revision is exported with ``git archive`` into a temporary
-directory, which is removed afterwards. Each pair runs
-``perfbench/run.py --workload W --seed K --seconds S --trace 0`` once in the
-parent's tree and once in this checkout, each with its own ``perfbench/``
-and ``src/``; the parent runs first in even pairs and second in odd ones.
+directory, and this checkout's working tree (its tracked files and the
+untracked ones git does not ignore, as ``git ls-files --cached --others
+--exclude-standard`` lists them) is copied into another, so both sides run
+from fresh copies with no build or run leftovers and no ``.git``; both
+directories are removed afterwards. Each pair runs
+``perfbench/run.py --workload W --seed K --seconds S --trace 0`` once in
+each copy, each with its own ``perfbench/`` and ``src/``; the parent runs
+first in even pairs and second in odd ones.
 For each end-to-end metric (wall_s, setup_s; lower is better) the script
 prints both sides per pair, each side's median and quartiles, the wins of
 each side (a tie counts for neither) and whether a gain may be claimed: at
@@ -27,6 +31,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -150,6 +155,21 @@ def export(rev: str, into: str) -> None:
         raise RuntimeError(f"cannot export {rev!r} with git archive")
 
 
+def snapshot(into: str) -> None:
+    """Copy this checkout's working tree into the directory into: the
+    tracked files (as they are on disk; one deleted there is skipped) and
+    the untracked ones git does not ignore."""
+    listed = subprocess.run(
+        ["git", "-C", ROOT, "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        capture_output=True, check=True).stdout
+    for name in filter(None, listed.decode().split("\0")):
+        source = os.path.join(ROOT, name)
+        if os.path.isfile(source):
+            target = os.path.join(into, name)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copy2(source, target)
+
+
 def run_bench(tree: str, workload: str, seconds: float, seed: int) -> Dict[str, float]:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -174,9 +194,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     runs = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="ab-parent-") as parent_tree:
+    with tempfile.TemporaryDirectory(prefix="ab-parent-") as parent_tree, \
+            tempfile.TemporaryDirectory(prefix="ab-change-") as change_tree:
         export(args.parent_rev, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
+        snapshot(change_tree)
+        trees = {"parent": parent_tree, "change": change_tree}
         print(f"workload {args.workload}, seed {args.seed}, {args.seconds:g} s per run, "
               f"parent {args.parent_rev}")
         for i in range(args.pairs):

@@ -32,29 +32,35 @@ per-component sums: a sample costs sum_c 2^m_c states, not S. In the
 frame's coordinate order (state p ^ 2^j is p shifted by generator j, Xbar
 last) the cosets are the halves of Xbar's component, and each component's
 u is built from small tables of phases (its first MC_DIRECT states, then
-each generator's distinct spin changes), in sub-chunks of MC_CHUNK phase
-factors. Under global noise one normal drives
+each generator's distinct spin changes), in sub-chunks of 2 MC_CHUNK phase
+factors (MC_CHUNK under global noise), rounded down to an even number of
+samples. Under global noise one normal drives
 every phase, each form is a trigonometric polynomial of degree K in it, and
 _PhasorKernel builds only K phasors and D from them per sample, a cost of
 samples x K with no S-sized array. Both kernels get their phases as e^{2ih} -
 1 from one SIMD tan of each half-angle h (_phase_minus_one); no per-sample
-sin or cos remains. Neither kernel calls BLAS.
+sin or cos remains. Both draw their standard normals by Box-Muller from
+Philox uniforms (_normals: SIMD log, sqrt and that tan). Neither kernel
+calls BLAS.
 Time enters only as the scale of the normals, so the frame builds one kernel
 per noise kind, and monte_carlo_grid runs a whole t grid in one pass with one
 thread pool: each sub-chunk draws its standard normals once and every t
 scales the same draws, so the draws are shared across the t grid and each t
 gets the records a one-element grid would. Batches read a counter-based
 stream at offsets set by their first sample, so any thread count reproduces
-the serial result bit for bit. The analytic engine, _Frame.expected, returns
-E[G] (G_ref at t = 0), the exact expectation of that estimator, and checks
-that the part G drops (F_1 - conj(F_0), Im F_k) is zero, as the forms are
-Hermitian.
+the serial result bit for bit. Philox's advance counts 4-word blocks, so a
+batch owns 4 x batch x fields words of the stream and draws a quarter of
+them, plus one uniform when its last sub-chunk draws an odd number of
+normals, which that headroom keeps inside the batch's range. The analytic
+engine, _Frame.expected, returns E[G] (G_ref at t = 0), the exact
+expectation of that estimator, and checks that the part G drops (F_1 -
+conj(F_0), Im F_k) is zero, as the forms are Hermitian.
 E[conj(u_p) u_q] is decoherence_factor of the two basis states (magnetization
 difference for global noise, Hamming distance for local), summed per codeword
 coset or popcount level, never as an S x S matrix. The dense O(2^n) references
 prepare_logical_state, dephased_pauli_expectation and code_space_operator
-serve the tests. scipy (for ndtri) and the thread pool load on the first
-kernel and monte_carlo_grid call, not on import.
+serve the tests. The thread pool loads on the first monte_carlo_grid call,
+not on import; nothing here needs scipy.
 """
 
 from __future__ import annotations
@@ -78,7 +84,7 @@ from .states import PureState
 KINDS = ("global", "local")
 REALNESS_TOL = 1e-10
 MC_BATCH = 1 << 16  # samples per Monte Carlo batch on supports S <= 32
-MC_CHUNK = 1 << 14  # phase factors per sub-chunk of a batch (stays in L2)
+MC_CHUNK = 1 << 14  # phase factors per global-noise sub-chunk, twice that under local (L2-sized)
 MC_DIRECT = 8  # support states whose local-noise phases need no doubling step
 
 
@@ -360,9 +366,6 @@ class _CosetKernel:
 
     def __init__(self, frame: _Frame, kind: str,
                  components: Optional[Sequence[Sequence[int]]] = None):
-        from scipy.special import ndtri  # the MC oracle's only scipy use
-
-        self.ndtri = ndtri
         self.pc, self.flipping = frame.pc, frame.flipping
         self.size = len(frame.support)
         count = self.size.bit_length() - 1  # generators
@@ -377,7 +380,7 @@ class _CosetKernel:
             raise ValueError(f"coefficients are not constant per coset: deviation {error:.3e}")
         self.parts = [_Component(frame, kind, part, c == 0) for c, part in enumerate(components)]
         self.fields = 1 if kind == "global" else frame.n
-        self.chunk = max(1, MC_CHUNK // sum(part.size for part in self.parts))
+        self.chunk = _even(2 * MC_CHUNK // sum(part.size for part in self.parts))
         self.rows = max(len(step[3]) for part in self.parts for step in part.steps)
         # per row: one complex constant (coset-flipping) or two real ones,
         # times the product of Q_0 (and Q_1) over the components that shift
@@ -408,7 +411,8 @@ class _CosetKernel:
         gen = np.random.Generator(np.random.Philox(key=seed).advance(start * self.fields))
         total = np.zeros((len(scales), 6, 3), dtype=np.complex128)
         width = min(self.chunk, count)
-        uniforms, normals, picked = np.empty((3, self.fields * width))  # flat: each view contiguous
+        # flat, each view contiguous; normals and picked are also the draws' scratch
+        draws, normals, picked = block = np.empty((3, self.fields * width))
         work = [part.buffers(width) for part in self.parts]
         # P_k, a Bloch row's product of Q_k over several components, |P_k|^2
         coset_sums, chain, norms = np.empty((3, 2, width), dtype=np.complex128)
@@ -419,9 +423,7 @@ class _CosetKernel:
         shared = (picked, halves, scratch, phases)
         for lo in range(0, count, self.chunk):
             w = min(self.chunk, count - lo)
-            draws = gen.random(out=uniforms[: w * self.fields].reshape(w, -1))
-            np.clip(draws, 1e-300, 1.0 - 1e-16, out=draws)
-            z = self.ndtri(draws, out=draws).T  # standard normals, (fields, w)
+            z = _normals(gen, draws[: w * self.fields], block[1:].ravel()).reshape(w, -1).T
             for scale, running in zip(scales, total):  # running: this scale's (6, 3) sums
                 x = np.multiply(z, scale, out=normals[: w * self.fields].reshape(-1, w))
                 found = [part.sums(x, w, buffers, shared) for part, buffers in zip(self.parts, work)]
@@ -610,16 +612,13 @@ class _PhasorKernel:
     are _CosetKernel's, and size = S sets the same batch split."""
 
     def __init__(self, frame: _Frame):
-        from scipy.special import ndtri  # the MC oracle's only scipy use
-
-        self.ndtri = ndtri
         self.flipping = frame.flipping
         self.size = len(frame.support)
         level = _popcount(frame.support)
         self.step = int(np.gcd.reduce(level))
         level //= self.step
         self.degree = top = int(level.max())
-        self.chunk = MC_CHUNK // top
+        self.chunk = _even(MC_CHUNK // top)
         # forms[o, k, top + f]: coefficient of e^{i f step x} in F_k of row o
         coset, perms, width = frame.coset, frame.perms, 2 * top + 1
         rows = np.arange(3)[:, None]
@@ -647,13 +646,12 @@ class _PhasorKernel:
         top, width = self.degree, min(self.chunk, count)
         phasors = np.empty((top, width), dtype=np.complex128)  # w_1 .. w_K per sample
         parts = np.empty((2 * top, width))  # v per sample
-        halves, scratch = np.empty((2, width))
+        draws = np.empty(width)
+        halves, scratch = spare = np.empty((2, width))  # spare: also the draws' scratch
         total = np.zeros((len(scales), 4, 6))  # sums of Re D, Im D, (Re D)^2 - (Im D)^2, |D|^2
         cross = np.zeros((len(scales), 6))  # sum of Re D Im D
         for lo in range(0, count, self.chunk):
-            uniforms = gen.random(min(self.chunk, count - lo))
-            np.clip(uniforms, 1e-300, 1.0 - 1e-16, out=uniforms)
-            z = self.ndtri(uniforms)  # standard normals
+            z = _normals(gen, draws[: min(self.chunk, count - lo)], spare.ravel())
             w, v = phasors[:, : len(z)], parts[:, : len(z)]
             first = w[0]
             for scale, running, running_cross in zip(scales, total, cross):
@@ -685,6 +683,38 @@ def _phase_minus_one(half: np.ndarray, out: np.ndarray, scratch: np.ndarray, off
     out.imag = q  # sin 2h
     q *= t
     np.subtract(offset, q, out=out.real)  # offset + cos 2h - 1
+
+
+def _normals(gen: np.random.Generator, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Fill out (1-D, contiguous) with standard normals and return it: each
+    two uniforms u_0, u_1 of gen, in stream order, give the pair r e^{2ih}
+    (Box-Muller), r = sqrt(-2 log(1 - u_0)) and h = pi (u_1 - 1/2), the
+    phase from _phase_minus_one, so the only transcendentals are SIMD log,
+    sqrt and tan. An odd length draws one more uniform and keeps the first
+    normal of the last pair. scratch is a real array of at least
+    3 (len(out) // 2) elements."""
+    even = len(out) & ~1
+    pairs = gen.random(out=out[:even]).view(np.complex128)  # (u_0, u_1)
+    m = len(pairs)
+    radius, half, spare = scratch[:m], scratch[m : 2 * m], scratch[2 * m : 3 * m]
+    np.subtract(1.0, pairs.real, out=radius)
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    np.subtract(pairs.imag, 0.5, out=half)
+    half *= math.pi
+    _phase_minus_one(half, pairs, spare, 1.0)  # e^{2ih}
+    pairs.real *= radius
+    pairs.imag *= radius
+    if even < len(out):
+        out[-1] = _normals(gen, np.empty(2), np.empty(3))[0]
+    return out
+
+
+def _even(width: int) -> int:
+    """A sub-chunk width rounded down to an even number, at least 2, so
+    every sub-chunk but a batch's last draws whole Box-Muller pairs."""
+    return max(2, width & ~1)
 
 
 def _bincount(index: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
@@ -797,8 +827,11 @@ def monte_carlo_grid(
     local noise and as samples * K under global noise (K the degree of
     _PhasorKernel's polynomial), plus one draw of the normals per sample.
     Batches span MC_BATCH * 32 / S samples (MC_BATCH for S <= 32), S the
-    support size, under either kind and read disjoint Philox counter ranges,
-    so results are bit-identical for any thread count, and each t's records
+    support size, under either kind and read disjoint Philox counter ranges
+    (advance counts 4-word blocks, so each batch owns 4 * batch * fields
+    words and draws about a quarter of them; the extra uniform of an odd
+    last sub-chunk stays inside that range), so results are bit-identical
+    for any thread count, and each t's records
     equal those of a one-element grid. Threads run whole batches, in one
     pool per call of min(threads, batches, usable cores) threads (more
     threads than cores only pass the interpreter lock around), and need no

@@ -5,7 +5,6 @@ import os
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from rhombuscode import dephasing
 from rhombuscode.cli import _parse_target
@@ -17,6 +16,7 @@ from rhombuscode.dephasing import (
     _PhasorKernel,
     _combine,
     _components,
+    _normals,
     _phase_minus_one,
     _popcount,
     bloch_and_leakage,
@@ -481,6 +481,16 @@ def test_mc_grid_matches_pointwise():
         assert single == rec  # same trajectories, same arithmetic
 
 
+def box_muller(gen, count):
+    """count standard normals from gen's uniforms as the kernels draw them
+    (dephasing._normals), here by numpy's log, cos and sin: each two
+    uniforms (u_0, u_1) give r (cos 2h, sin 2h) with r = sqrt(-2 log(1 -
+    u_0)) and h = pi (u_1 - 1/2); an odd count draws one more uniform."""
+    u = gen.random(count + count % 2)
+    r, angle = np.sqrt(-2.0 * np.log(1.0 - u[::2])), 2.0 * np.pi * (u[1::2] - 0.5)
+    return np.stack([r * np.cos(angle), r * np.sin(angle)], 1).ravel()[:count]
+
+
 def per_sample_reference(code, logicals, points, model, t, samples, seed):
     """Monte Carlo means and SEs from the per-sample estimator the coset
     kernel replaces: each batch's phases exp(-i normals . spins) from the same
@@ -494,10 +504,8 @@ def per_sample_reference(code, logicals, points, model, t, samples, seed):
     values = []
     for start in range(0, samples, batch):
         count = min(batch, samples - start)
-        bitgen = np.random.Philox(key=seed)
-        bitgen.advance(start * len(spins))
-        uniforms = np.random.Generator(bitgen).random((count, len(spins)))
-        normals = ndtri(np.clip(uniforms, 1e-300, 1.0 - 1e-16)) * scale
+        gen = np.random.Generator(np.random.Philox(key=seed).advance(start * len(spins)))
+        normals = box_muller(gen, count * len(spins)).reshape(count, -1) * scale
         u = np.exp(-1j * (normals @ spins)).T
         uc = np.conj(u)
         right = (cg @ u).reshape(2, 2, -1)
@@ -555,8 +563,8 @@ def test_mc_se_of_constant_form_is_round_off_free(target, kind):
 
 def test_mc_thread_and_batch_invariant_beyond_unit_cell():
     """grid_2x2 (S = 128) splits into batches of 2^14 samples and sub-chunks
-    of MC_CHUNK / S; a sample count that is no multiple of either gives the
-    same records for any thread count, and a grid equals its points run
+    of 2 MC_CHUNK / (16 + 8) component states, rounded down to even; a
+    sample count that is no multiple of either gives the same records for any thread count, and a grid equals its points run
     one at a time (two_vertical)."""
     code = build_named("grid_2x2")
     logicals = LogicalSet(code.logical_pairs)
@@ -627,7 +635,7 @@ def long_double_moments(frame, seed, start, count, scale):
     double, on the phasor kernel's draws: one normal x per sample, u[p] =
     e^{i x popcount(support[p])} (the common phase e^{-i x n / 2} cancels)."""
     gen = np.random.Generator(np.random.Philox(key=seed).advance(start))
-    x = ndtri(np.clip(gen.random(count), 1e-300, 1.0 - 1e-16)) * scale
+    x = box_muller(gen, count) * scale
     return long_double_d_moments(frame, x[:, None], _popcount(frame.support)[None, :])
 
 
@@ -637,7 +645,7 @@ def long_double_local_moments(frame, seed, start, count, scale):
     frame.spins("local")."""
     spins = frame.spins("local")
     gen = np.random.Generator(np.random.Philox(key=seed).advance(start * len(spins)))
-    x = ndtri(np.clip(gen.random((count, len(spins))), 1e-300, 1.0 - 1e-16)) * scale
+    x = box_muller(gen, count * len(spins)).reshape(count, -1) * scale
     return long_double_d_moments(frame, x, -spins)
 
 
@@ -707,6 +715,70 @@ def test_phase_minus_one_is_accurate_relative_to_its_size():
     want = -2 * np.sin(exact) ** 2 + 1j * np.sin(2 * exact)
     assert (abs(out[0] - want) / (2 * abs(np.sin(exact)))).astype(float).max() < 4e-16
     assert (out[1] == out[0] + 1).all()
+
+
+def draw_normals(seed, count, start=0):
+    """count normals of _normals from Philox(seed) advanced by start blocks."""
+    gen = np.random.Generator(np.random.Philox(key=seed).advance(start))
+    return _normals(gen, np.empty(count), np.empty(3 * (count // 2)))
+
+
+def test_normals_match_scalar_box_muller():
+    """Each pair of uniforms (u_0, u_1) gives r (cos 2h, sin 2h), r =
+    sqrt(-2 log(1 - u_0)), h = pi (u_1 - 1/2), to 1e-14 absolute against
+    math's log, cos and sin; an odd count keeps the first of the last pair."""
+    count = 4097
+    u = np.random.Generator(np.random.Philox(key=11).advance(5)).random(count + 1).tolist()
+    want = []
+    for u0, u1 in zip(u[::2], u[1::2]):
+        r, angle = math.sqrt(-2.0 * math.log(1.0 - u0)), 2.0 * math.pi * (u1 - 0.5)
+        want += [r * math.cos(angle), r * math.sin(angle)]
+    assert abs(draw_normals(11, count, 5) - want[:count]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("cuts", [[2], [4, 6, 1000], [2, 2, 2, 2], [998, 1000], [1500]])
+@pytest.mark.parametrize("count", [3001, 3000])
+def test_normals_split_at_even_boundaries(cuts, count):
+    """Draws cut at even boundaries, each into its own buffers, give the
+    one-call normals bit for bit: a normal depends on its position in the
+    stream only, also where the last piece is odd or a single pair."""
+    gen = np.random.Generator(np.random.Philox(key=4))
+    edges = [0, *np.cumsum(cuts), count]
+    pieces = [_normals(gen, np.empty(hi - lo), np.empty(3 * ((hi - lo) // 2)))
+              for lo, hi in zip(edges, edges[1:])]
+    assert np.array_equal(np.concatenate(pieces), draw_normals(4, count))
+
+
+def test_odd_normals_draw_one_extra_uniform_inside_the_batch():
+    """An odd count consumes count + 1 uniforms. A batch of the kernels
+    starts at advance(start * fields), which counts 4-word Philox blocks, so
+    its count * fields (+ 1) uniforms lie before the next batch's first."""
+    gen = np.random.Generator(np.random.Philox(key=9))
+    _normals(gen, np.empty(7), np.empty(9))
+    stream = np.random.Generator(np.random.Philox(key=9)).random(9)
+    assert gen.random() == stream[8]
+    fields, batch, count = 7, 5, 5  # the last batch is full and count * fields odd
+    words = np.random.Generator(np.random.Philox(key=9)).random(4 * 2 * batch * fields)
+    gen = np.random.Generator(np.random.Philox(key=9).advance(batch * fields))
+    drawn = gen.random(count * fields + 1)
+    begin = 4 * batch * fields
+    assert np.array_equal(drawn, words[begin : begin + count * fields + 1])
+    assert count * fields + 1 <= 4 * batch * fields  # the next batch starts past them
+
+
+def test_normals_are_standard_normal():
+    """2^20 fixed-seed normals: mean, variance and kurtosis within five
+    standard errors of 0, 1 and 3, and the Kolmogorov-Smirnov distance to
+    the normal CDF below its 1% critical value 1.63 / sqrt(N)."""
+    n = 1 << 20
+    x = draw_normals(2024, n)
+    assert abs(x.mean()) <= 5 * math.sqrt(1 / n)
+    assert abs(x.var() - 1) <= 5 * math.sqrt(2 / n)
+    assert abs((x**4).mean() / x.var() ** 2 - 3) <= 5 * math.sqrt(24 / n)
+    x.sort()
+    cdf = 0.5 * (1 + np.frompyfunc(math.erf, 1, 1)(x / math.sqrt(2)).astype(float))
+    ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+    assert ks < 1.63 / math.sqrt(n)
 
 
 # (sample count, {scale: worst relative error of the three moment columns})

@@ -4,6 +4,7 @@ artifacts they wrote match what the package computes today."""
 import importlib.util
 import json
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -86,22 +87,27 @@ def test_ab_summary_claims_a_gain_only_by_the_pair_rule():
 
 
 def test_ab_out_writes_every_pair_and_the_summaries(tmp_path, monkeypatch, capsys):
-    """main with --out, its git export and benchmark runs replaced by fixed
-    numbers: the JSON holds each pair in run order and the printed summary."""
+    """main with --out, its git export, working-tree copy and benchmark runs
+    replaced by fixed numbers: both sides run in their own temporary copy,
+    never in the checkout, and the JSON holds each pair in run order and the
+    printed summary."""
     ab = load_script("ab_pairs")
     walls = iter([0.30, 0.20, 0.21, 0.31, 0.32, 0.22])  # parent first, then change first
-    calls = []
+    calls, trees = [], {}
 
     def run_bench(tree, workload, seconds, seed):
-        calls.append((tree == ab.ROOT, workload, seconds, seed))
+        calls.append((tree, workload, seconds, seed))
         return {"wall_s": next(walls), "setup_s": 0.1, "failed_frac": 0.0}
 
-    monkeypatch.setattr(ab, "export", lambda rev, into: None)
+    monkeypatch.setattr(ab, "export", lambda rev, into: trees.setdefault(into, "parent"))
+    monkeypatch.setattr(ab, "snapshot", lambda into: trees.setdefault(into, "change"))
     monkeypatch.setattr(ab, "run_bench", run_bench)
     out = tmp_path / "bench.json"
     assert ab.main(["HEAD", "--workload", "mc-unit", "--pairs", "3", "--seconds", "2",
                     "--seed", "7", "--out", str(out)]) == 0
-    assert [c[0] for c in calls] == [False, True, True, False, False, True]
+    assert len(trees) == 2 and ab.ROOT not in trees
+    assert [trees[c[0]] for c in calls] == ["parent", "change", "change", "parent",
+                                            "parent", "change"]
     assert {c[1:] for c in calls} == {("mc-unit", 2.0, 7)}
     doc = json.loads(out.read_text())
     assert (doc["workload"], doc["parent_rev"], doc["seed"], doc["seconds"]) == (
@@ -117,6 +123,29 @@ def test_ab_out_writes_every_pair_and_the_summaries(tmp_path, monkeypatch, capsy
     assert doc["summary"]["setup_s"]["change_wins"] == 0  # ties count for neither side
     assert doc["gain_rule"]["min_pairs"] == ab.MIN_PAIRS
     assert "wins change 3, parent 0, of 3 pairs" in capsys.readouterr().out
+
+
+def test_ab_snapshot_copies_the_working_tree_without_ignored_files(tmp_path, monkeypatch):
+    """The change side's copy of a checkout holds its tracked files as they
+    are on disk and its untracked ones git does not ignore; ignored files
+    and tracked files deleted on disk are left out."""
+    ab = load_script("ab_pairs")
+    repo, copy = tmp_path / "repo", tmp_path / "copy"
+    (repo / "src").mkdir(parents=True)
+    copy.mkdir()
+    files = {".gitignore": "ignored.txt\n", "src/tracked.py": "x = 1\n", "src/gone.py": "",
+             "new.txt": "untracked\n", "ignored.txt": "leftover\n"}
+    for name, text in files.items():
+        (repo / name).write_text(text)
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    subprocess.run(["git", "-C", str(repo), "add", ".gitignore", "src"], check=True)
+    (repo / "src" / "gone.py").unlink()
+    (repo / "src" / "tracked.py").write_text("x = 2\n")  # edited after staging
+    monkeypatch.setattr(ab, "ROOT", str(repo))
+    ab.snapshot(str(copy))
+    copied = sorted(p.relative_to(copy).as_posix() for p in copy.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "new.txt", "src/tracked.py"]
+    assert (copy / "src" / "tracked.py").read_text() == "x = 2\n"
 
 
 def test_kernel_ns_times_both_kernels_per_code_and_kind(capsys):
