@@ -15,8 +15,10 @@ noise, _PhasorKernel under global noise. The reference is
 ``_CosetKernel(frame, kind)``: the same coset-sum kernel on all S support
 states as one component. The two run alternately in one process, each
 --runs times on the same draws, after one untimed call each; the script
-prints each one's median nanoseconds per sample, with the settings, the
-core count and the Python, numpy and scipy versions.
+prints each one's median nanoseconds per sample, with the production
+kernel's normals per sample (fields: one per qubit class under local
+noise, one under global), the settings, the core count and the Python,
+numpy and scipy versions.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"seed {args.seed}, scale {args.scale:g}, median of {args.runs} runs, "
           f"{os.cpu_count()} cores, python {platform.python_version()}, "
           f"numpy {np.__version__}, scipy {scipy.__version__}")
-    print("code,S,component_states,kind,samples,production_ns,reference_ns")
+    print("code,S,component_states,fields,kind,samples,production_ns,reference_ns")
     for target in args.codes:
         frame = frame_of(target)
         size = len(frame.support)
@@ -81,7 +83,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         for kind in args.kinds:
             kernels = (frame.kernel(kind), dephasing._CosetKernel(frame, kind))
             ns = median_ns(kernels, args.seed, samples, args.scale, args.runs)
-            print(f"{target},{size},{parts},{kind},{samples},{ns[0]:.0f},{ns[1]:.0f}", flush=True)
+            print(f"{target},{size},{parts},{kernels[0].fields},{kind},{samples},"
+                  f"{ns[0]:.0f},{ns[1]:.0f}", flush=True)
     return 0
 
 

@@ -28,12 +28,12 @@ EXIT_INFEASIBLE = 2
 EXIT_USAGE = 64
 
 DEPHASE_MAX_SUPPORT = 1 << 18  # largest codeword support S = 2^(m_x + 1)
-# samples * S * t points. A local-noise sample costs its n normals and
-# sum_c 2^m_c states over the X-components (dephasing._CosetKernel): about
-# 0.25-0.37 us on the unit code (S = 8, so 2^29 sample-t at the cap, ~2-3
-# min) and 1.2-1.8 us on lshape:1,1 (S = 512) on a 2-core Xeon; a
-# global-noise sample costs O(K), K <= n. The cap stays in S terms while
-# dephase still builds the S-sized frame.
+# samples * S * t points. A local-noise sample costs one normal per qubit
+# class (at most n) and sum_c 2^m_c states over the X-components
+# (dephasing._CosetKernel): about 0.2-0.3 us on the unit code (S = 8, so
+# 2^29 sample-t at the cap, ~2-3 min) and 1.1 us on lshape:1,1 (S = 512)
+# on a 2-core Xeon; a global-noise sample costs O(K), K <= n. The cap stays
+# in S terms while dephase still builds the S-sized frame.
 DEPHASE_MAX_MC_WORK = 1 << 32
 
 

@@ -28,7 +28,13 @@ per sample on the components of the frame's generators (_components: the
 X-type stabilizers and Xbar, joined where x-masks overlap or a z-mask meets
 an x-mask). A support state is the XOR of one state per component and u is
 a product over the components, so each of those sums is a product of
-per-component sums: a sample costs sum_c 2^m_c states, not S. In the
+per-component sums: a sample costs sum_c 2^m_c states, not S. A common
+phase cancels in every form, so each component takes its spins relative
+to its own state 0, where u is 1 and no phase is computed. Qubits touched
+by the same generators (the same spin row) enter the phases only through
+the sum of their normals, and a sum of m i.i.d. normals is one normal
+times sqrt(m): a sample draws one standard normal per such class of
+qubits, not n, and a qubit touched by no generator draws none. In the
 frame's coordinate order (state p ^ 2^j is p shifted by generator j, Xbar
 last) the cosets are the halves of Xbar's component, and each component's
 u is built from small tables of phases (its first MC_DIRECT states, then
@@ -37,21 +43,22 @@ factors (MC_CHUNK under global noise), rounded down to an even number of
 samples. Under global noise one normal drives
 every phase, each form is a trigonometric polynomial of degree K in it, and
 _PhasorKernel builds only K phasors and D from them per sample, a cost of
-samples x K with no S-sized array. Both kernels get their phases as e^{2ih} -
-1 from one SIMD tan of each half-angle h (_phase_minus_one); no per-sample
-sin or cos remains. Both draw their standard normals by Box-Muller from
-Philox uniforms (_normals: SIMD log, sqrt and that tan). Neither kernel
-calls BLAS.
+samples x K with no S-sized array; it multiplies only the rows of its
+matrix that are not identically zero. Both kernels get their phases as
+e^{2ih} - 1 from one SIMD tan of each half-angle h (_phase_minus_one); no
+per-sample sin or cos remains. Both draw their standard normals by
+Box-Muller from PCG64 uniforms (_normals: SIMD log, sqrt and that tan).
+Neither kernel calls BLAS.
 Time enters only as the scale of the normals, so the frame builds one kernel
 per noise kind, and monte_carlo_grid runs a whole t grid in one pass with one
 thread pool: each sub-chunk draws its standard normals once and every t
 scales the same draws, so the draws are shared across the t grid and each t
-gets the records a one-element grid would. Batches read a counter-based
-stream at offsets set by their first sample, so any thread count reproduces
-the serial result bit for bit. Philox's advance counts 4-word blocks, so a
-batch owns 4 x batch x fields words of the stream and draws a quarter of
-them, plus one uniform when its last sub-chunk draws an odd number of
-normals, which that headroom keeps inside the batch's range. The analytic
+gets the records a one-element grid would. Batches read the stream at
+offsets set by their first sample (_stream: PCG64's advance, which counts
+one 64-bit draw per double, times a stride of the normals per sample
+rounded up to even), so any thread count reproduces the serial result bit
+for bit; the even stride keeps the one extra uniform of an odd last
+sub-chunk inside the batch's range. The analytic
 engine, _Frame.expected, returns E[G] (G_ref at t = 0), the exact
 expectation of that estimator, and checks that the part G drops (F_1 -
 conj(F_0), Im F_k) is zero, as the forms are Hermitian.
@@ -354,9 +361,14 @@ class _CosetKernel:
     2^m_c states: a sample costs the sum of the 2^m_c, not S. Without
     components the kernel runs on all S states as one component, the
     reference the tests hold it to; so does a code whose generators form one
-    component, operation for operation. The draws (n normals per sample
-    under local noise) and the batch split (size = S) do not depend on the
-    partition.
+    component, operation for operation. The draws and the batch split (size
+    = S) do not depend on the partition: fields normals per sample, one per
+    class of qubits whose spin rows on the support, relative to state 0, are
+    equal (under local noise the qubits touched by the same generators; the
+    one magnetization row under global noise), ordered by lowest qubit. A
+    class of m qubits takes its normal times sqrt(m), folded into the step
+    tables; a qubit whose row is constant (touched by no generator) only
+    adds a common phase and draws nothing.
 
     The step tables hold half the spin changes, so each table phase is 1 +
     (e^{2ih} - 1) from the tan of its half-angle h (_phase_minus_one): no
@@ -378,10 +390,22 @@ class _CosetKernel:
         error = abs(rows - level[:, frame.coset]).max()
         if error > REALNESS_TOL * abs(frame.weight).max():
             raise ValueError(f"coefficients are not constant per coset: deviation {error:.3e}")
-        self.parts = [_Component(frame, kind, part, c == 0) for c, part in enumerate(components)]
-        self.fields = 1 if kind == "global" else frame.n
+        # the qubit classes: equal spin rows on the support relative to state
+        # 0, a constant row dropped; a local row is, up to sign, the parity
+        # of the chosen generators that touch the qubit, so the generator
+        # states decide
+        probe = frame.spins(kind, np.r_[0, 1 << np.arange(count)])
+        rows, qubits, sizes = np.unique(probe - probe[:, :1], axis=0,
+                                        return_index=True, return_counts=True)
+        keep = np.flatnonzero(rows.any(axis=1))
+        keep = keep[np.argsort(qubits[keep])]  # by lowest qubit
+        classes = qubits[keep], np.sqrt(sizes[keep])
+        self.fields = len(keep)
+        self.parts = [_Component(frame, kind, part, c == 0, classes)
+                      for c, part in enumerate(components)]
         self.chunk = _even(2 * MC_CHUNK // sum(part.size for part in self.parts))
         self.rows = max(len(step[3]) for part in self.parts for step in part.steps)
+        self.reference = frame.expected(NoiseModel(kind, 0.0), 0.0)  # G at u = 1
         # per row: one complex constant (coset-flipping) or two real ones,
         # times the product of Q_0 (and Q_1) over the components that shift
         coef, weight = level[:3], level[3].real
@@ -389,26 +413,29 @@ class _CosetKernel:
         def folded(pair, flip):
             return pair[0] + np.conj(pair[1]) if flip else pair.real
 
-        self.bloch = []  # per Pauli: ((component, shift index) of its Q, constant)
+        self.bloch = []  # per varying Pauli: (row, (component, shift index) of its Q, constant)
         for o, flip in enumerate(self.flipping[:3]):
             picks = tuple((c, part.pick[o]) for c, part in enumerate(self.parts)
                           if part.pick[o] is not None)
             states = math.prod(part.size // part.cosets for part in self.parts
                                if part.pick[o] is None)  # Q_k at shift 0, |u| = 1
-            self.bloch.append((picks, folded(coef[o] * states, flip)))
+            const = folded(coef[o] * states, flip)
+            if picks or const[0] + 1j * const[1] != self.reference[o]:  # else D is 0
+                self.bloch.append((o, picks, const))
         self.leak = [folded(self.pc * coef[o] * weight, flip)  # of conj(P_{k ^ flip}) P_k
                      for o, flip in enumerate(self.flipping[:3])]
-        self.reference = frame.expected(NoiseModel(kind, 0.0), 0.0)  # G at u = 1
+        self.varying = [o for o, _, _ in self.bloch] + [3, 4, 5]  # the rows of D computed
 
     def moments(self, seed: int, start: int, count: int, scales: Sequence[float]) -> np.ndarray:
         """(len(scales), 6, 3) sums of D, D^2 and |D|^2, D = G - reference,
         over samples start .. start + count - 1, whose phases are normals of
         standard deviation scales[i]. Each sub-chunk draws its standard
         normals once and every scale reuses them, so a row equals the call
-        with that scale alone bit for bit. D of a form constant per sample
-        (r_z) is round-off. Every array of a sub-chunk is allocated once per
-        call, none per scale."""
-        gen = np.random.Generator(np.random.Philox(key=seed).advance(start * self.fields))
+        with that scale alone bit for bit. A Bloch row with no quadratic sum
+        whose constant is G_ref's (r_z when Zbar is undressed) has D = 0 on
+        every sample and is not computed: its sums are exactly 0. Every
+        array of a sub-chunk is allocated once per call, none per scale."""
+        gen = _stream(seed, start, self.fields)
         total = np.zeros((len(scales), 6, 3), dtype=np.complex128)
         width = min(self.chunk, count)
         # flat, each view contiguous; normals and picked are also the draws' scratch
@@ -417,7 +444,9 @@ class _CosetKernel:
         # P_k, a Bloch row's product of Q_k over several components, |P_k|^2
         coset_sums, chain, norms = np.empty((3, 2, width), dtype=np.complex128)
         pair = np.empty((1, width), dtype=np.complex128)  # conj(P_1) P_0
-        d, square, norm = np.empty((3, 6, width), dtype=np.complex128)  # D, D^2, |D|^2
+        # D, D^2 and |D|^2 of the varying rows
+        d, square, norm = np.empty((3, len(self.varying), width), dtype=np.complex128)
+        centre = self.reference[self.varying, None]
         halves, scratch = np.empty((2, self.rows * width))  # shared by the steps
         phases = np.empty(self.rows * width, dtype=np.complex128)
         shared = (picked, halves, scratch, phases)
@@ -435,14 +464,15 @@ class _CosetKernel:
                 cross = np.multiply(np.conj(p[1:], out=pair[:, :w]), p[:1], out=pair[:, :w])
                 size = np.multiply(p, np.conj(p, out=norms[:, :w]), out=norms[:, :w]).real
                 g = d[:, :w]
-                for o, (picks, const) in enumerate(self.bloch):
-                    _fill(g[o], const, _product(found, picks, chain[:, :w]), self.flipping[o])
-                for o, const in enumerate(self.leak):
-                    _fill(g[3 + o], const, cross if self.flipping[o] else size, self.flipping[o])
-                g -= self.reference[:, None]  # D = G - G_ref
+                for i, (o, picks, const) in enumerate(self.bloch):
+                    _fill(g[i], const, _product(found, picks, chain[:, :w]), self.flipping[o])
+                for i, (const, flip) in enumerate(zip(self.leak, self.flipping), len(self.bloch)):
+                    _fill(g[i], const, cross if flip else size, flip)
+                g -= centre  # D = G - G_ref
                 np.multiply(g, g, out=square[:, :w])
                 np.multiply(g, np.conj(g, out=norm[:, :w]), out=norm[:, :w])
-                running += np.stack([g.sum(-1), square[:, :w].sum(-1), norm[:, :w].sum(-1)], 1)
+                running[self.varying] += np.stack(
+                    [g.sum(-1), square[:, :w].sum(-1), norm[:, :w].sum(-1)], 1)
         return total
 
 
@@ -484,17 +514,20 @@ class _Component:
     states and the x-shifts of the logical Paulis there (Pauli o maps state i
     to i ^ shift_o): shifts, the distinct nonzero ones, pick[o], the index
     of Pauli o's in shifts (None for shift 0), and per shift s the states
-    the quadratic sum visits (pairs). No coefficient is kept per state. The
-    first component takes the frame's own spins at its states, any other
-    takes them relative to its state 0, so its u is 1 there and its sums run
-    over both cosets."""
+    the quadratic sum visits (pairs). No coefficient is kept per state.
+    classes holds the kernel's (representative qubit, sqrt(size)) per
+    normal. Every component takes the class spins relative to its state 0,
+    so its u is 1 there and no step computes it: a direct step gives u on
+    states 1 .. hi - 1, then each doubling step gives u[lo:2 lo] as u[:lo]
+    times a generator's phase changes. The first component's sums run over
+    both cosets."""
 
-    def __init__(self, frame: _Frame, kind: str, generators: Sequence[int], first: bool):
+    def __init__(self, frame: _Frame, kind: str, generators: Sequence[int], first: bool,
+                 classes: Tuple[np.ndarray, np.ndarray]):
         states = _embed(np.arange(1 << len(generators)), generators)
         self.size, self.cosets = len(states), 2 if first else 1
-        spins = frame.spins(kind, states)
-        if not first:
-            spins -= spins[:, :1]
+        qubits, weights = classes
+        spins = frame.spins(kind, states)[qubits] * weights[:, None]
         shifts = _compress(frame.perms[:, 0], generators).tolist()  # perms[o, p] = p ^ perms[o, 0]
         self.shifts = sorted(set(shifts) - {0})
         self.pick = [self.shifts.index(s) if s else None for s in shifts]
@@ -507,11 +540,12 @@ class _Component:
             flips, bit = first and 2 * s >= self.size, 1 << (s.bit_length() - 1)
             index = np.arange(self.size).reshape(1 if flips else self.cosets, -1, 2, bit)[:, :, 0]
             self.pairs.append((flips, bit, index ^ s))
-        spins = -spins  # u = exp(i normals . spins)
+        spins = spins[:, :1] - spins  # u = exp(i normals . spins), 1 at state 0
         hi = self.size if kind == "global" else min(self.size, MC_DIRECT)
-        self.steps, lo = [], 0
-        while lo < self.size:  # u[lo:hi] = u[:hi - lo] * exp(i normals . change)
-            change = spins[:, lo:hi] - (spins[:, : hi - lo] if lo else 0.0)
+        self.steps, lo = [], 1
+        while lo < self.size:  # u[1:hi] = exp(i normals . spins), then doubling steps
+            # u[lo:hi] = u[:hi - lo] * exp(i normals . change)
+            change = spins[:, lo:hi] - (spins[:, : hi - lo] if lo > 1 else 0.0)
             fields = np.flatnonzero(np.any(change, axis=1))
             table, index = np.unique(change[fields].T, axis=0, return_inverse=True)
             self.steps.append((lo, hi, fields, 0.5 * table, index.ravel()))  # half-angles
@@ -520,6 +554,7 @@ class _Component:
     def buffers(self, width: int):
         """The arrays sums fills, for sub-chunks of up to width samples."""
         u = np.empty((self.size, width), dtype=np.complex128)
+        u[0] = 1.0  # no step writes state 0
         partners = np.empty((self.size // 2, width), dtype=np.complex128)
         cosets = np.empty((self.cosets, width), dtype=np.complex128)
         quadratic = [np.empty((len(index), width), dtype=np.complex128) for _, _, index in self.pairs]
@@ -543,7 +578,7 @@ class _Component:
             phase = phases[:size].reshape(shape)
             _phase_minus_one(half, phase, scratch[:size].reshape(shape), 1.0)  # e^{2ih}
             np.take(phase, index, axis=0, out=u[lo:hi], mode="clip")
-            if lo:
+            if lo > 1:  # a doubling step
                 u[lo:hi] *= u[: hi - lo]
         found = []
         for (flips, bit, index), out in zip(self.pairs, quadratic):
@@ -605,15 +640,18 @@ class _PhasorKernel:
     A sample costs one tan (w_1 from _phase_minus_one, with no sin or cos),
     K - 1 steps of the centred recurrence
     w_{f+1} = (1 + w_1) w_f + w_1, which keeps w_f accurate relative to its
-    size at small x, and D = M v (np.einsum, no BLAS): O(K) work and no
-    array of the support size S. D is squared per sample; the Gram matrix of
+    size at small x, and D = M v (np.einsum, no BLAS) on the rows of the
+    real (12, 2K) matrix (Re M over Im M) that are not identically zero, 8
+    of 12 on the catalog codes (order, found once here; the sums of the
+    other rows are exactly 0): O(K) work and no array of the support size
+    S. D is squared per sample; the Gram matrix of
     v would cost O(K^2) and lose ~eps / x^2 of D^2 on rows whose leading
     orders cancel between frequencies (p_x, p_y of the unit cell). The draws
-    are _CosetKernel's, and size = S sets the same batch split."""
+    are _CosetKernel's (fields = 1), and size = S sets the same batch split."""
 
     def __init__(self, frame: _Frame):
         self.flipping = frame.flipping
-        self.size = len(frame.support)
+        self.size, self.fields = len(frame.support), 1
         level = _popcount(frame.support)
         self.step = int(np.gcd.reduce(level))
         level //= self.step
@@ -636,20 +674,28 @@ class _PhasorKernel:
             raise ValueError(f"folded forms miss G at u = 1 by {error:.3e}")
         up, down = forms[..., top + 1:], forms[..., top - 1::-1]  # frequencies f and -f
         matrix = _combine(np.concatenate([up + down, 1j * (up - down)], -1), self.flipping)
-        self.matrix = np.concatenate([matrix.real, matrix.imag])  # (12, 2K): Re M over Im M
+        matrix = np.concatenate([matrix.real, matrix.imag])  # (12, 2K): Re M over Im M
+        # the nonzero rows: first the forms whose Re and Im rows are both
+        # nonzero (Re rows, then Im rows), then the other nonzero rows
+        nonzero = matrix.any(axis=1)
+        self.both = np.flatnonzero(nonzero[:6] & nonzero[6:])
+        single = [row for row in np.flatnonzero(nonzero) if row % 6 not in self.both]
+        self.order = np.concatenate([self.both, self.both + 6, single]).astype(int)
+        self.matrix = matrix[self.order]
 
     def moments(self, seed: int, start: int, count: int, scales: Sequence[float]) -> np.ndarray:
         """_CosetKernel.moments: (len(scales), 6, 3) sums of D, D^2 and |D|^2
         over samples start .. start + count - 1, one row per phase scale,
         every scale on the same normals, drawn once per sub-chunk."""
-        gen = np.random.Generator(np.random.Philox(key=seed).advance(start))
+        gen = _stream(seed, start, self.fields)
         top, width = self.degree, min(self.chunk, count)
         phasors = np.empty((top, width), dtype=np.complex128)  # w_1 .. w_K per sample
         parts = np.empty((2 * top, width))  # v per sample
         draws = np.empty(width)
         halves, scratch = spare = np.empty((2, width))  # spare: also the draws' scratch
-        total = np.zeros((len(scales), 4, 6))  # sums of Re D, Im D, (Re D)^2 - (Im D)^2, |D|^2
-        cross = np.zeros((len(scales), 6))  # sum of Re D Im D
+        pairs = len(self.both)
+        total = np.zeros((len(scales), 2, len(self.order)))  # per nonzero row: sums of d, d^2
+        cross = np.zeros((len(scales), pairs))  # sums of Re D Im D
         for lo in range(0, count, self.chunk):
             z = _normals(gen, draws[: min(self.chunk, count - lo)], spare.ravel())
             w, v = phasors[:, : len(z)], parts[:, : len(z)]
@@ -662,11 +708,16 @@ class _PhasorKernel:
                     np.multiply(turn, w[f - 1], out=w[f])
                     w[f] += first
                 v[:top], v[top:] = w.real, w.imag
-                d = np.einsum("oi,iw->ow", self.matrix, v)  # Re D over Im D
-                squares = np.einsum("ow,ow->o", d, d).reshape(2, 6)
-                running += [d[:6].sum(1), d[6:].sum(1), squares[0] - squares[1], squares.sum(0)]
-                running_cross += np.einsum("ow,ow->o", d[:6], d[6:])
-        return np.stack([total[:, 0] + 1j * total[:, 1], total[:, 2] + 2j * cross, total[:, 3]], -1)
+                d = np.einsum("oi,iw->ow", self.matrix, v)  # the nonzero rows of Re D over Im D
+                running[0] += d.sum(1)
+                running[1] += np.einsum("ow,ow->o", d, d)
+                running_cross += np.einsum("ow,ow->o", d[:pairs], d[pairs : 2 * pairs])
+        sums = np.zeros((len(scales), 2, 12))  # the skipped rows' sums are exactly 0
+        sums[:, :, self.order] = total
+        (re, im), (re2, im2) = sums.reshape(len(scales), 2, 2, 6).transpose(1, 2, 0, 3)
+        mixed = np.zeros((len(scales), 6))
+        mixed[:, self.both] = cross
+        return np.stack([re + 1j * im, re2 - im2 + 2j * mixed, re2 + im2], -1)
 
 
 def _phase_minus_one(half: np.ndarray, out: np.ndarray, scratch: np.ndarray, offset: float = 0.0):
@@ -709,6 +760,15 @@ def _normals(gen: np.random.Generator, out: np.ndarray, scratch: np.ndarray) -> 
     if even < len(out):
         out[-1] = _normals(gen, np.empty(2), np.empty(3))[0]
     return out
+
+
+def _stream(seed: int, start: int, fields: int) -> np.random.Generator:
+    """The uniforms of the batch whose first sample is start: PCG64(seed)
+    advanced by start x stride 64-bit draws (one per double), stride the
+    normals per sample rounded up to even. A batch of count samples draws
+    count x fields uniforms, plus one when that is odd (fields odd), at most
+    count x stride: inside its own range for every batch size."""
+    return np.random.Generator(np.random.PCG64(seed).advance(start * (fields + (fields & 1))))
 
 
 def _even(width: int) -> int:
@@ -825,11 +885,12 @@ def monte_carlo_grid(
     module docstring), and each point follows from their total. The cost
     grows as samples * sum_c 2^m_c over the frame's components per t under
     local noise and as samples * K under global noise (K the degree of
-    _PhasorKernel's polynomial), plus one draw of the normals per sample.
+    _PhasorKernel's polynomial), plus one draw of the normals per sample:
+    one per qubit class under local noise, one under global noise.
     Batches span MC_BATCH * 32 / S samples (MC_BATCH for S <= 32), S the
-    support size, under either kind and read disjoint Philox counter ranges
-    (advance counts 4-word blocks, so each batch owns 4 * batch * fields
-    words and draws about a quarter of them; the extra uniform of an odd
+    support size, under either kind and read disjoint ranges of one PCG64
+    stream (_stream: each batch owns batch * stride uniforms, stride the
+    normals per sample rounded up to even, so the extra uniform of an odd
     last sub-chunk stays inside that range), so results are bit-identical
     for any thread count, and each t's records
     equal those of a one-element grid. Threads run whole batches, in one

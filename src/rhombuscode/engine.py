@@ -218,8 +218,9 @@ def find_logical_set(code: CodeSpec) -> LogicalSet:
     reduced, pivots = code._tableau.echelon
     split = sum(p < n for p in pivots)
     h_x, h_z = reduced[:split], [r >> n for r in reduced[split:]]
-    lx = _quotient_basis(gf2.nullspace(h_z, n), h_x, pivots[:split])
-    lz = _quotient_basis(gf2.nullspace(h_x, n), h_z, [p - n for p in pivots[split:]])
+    x_pivots, z_pivots = pivots[:split], [p - n for p in pivots[split:]]
+    lx = _quotient_basis(gf2.nullspace(h_z, z_pivots, n), h_x, x_pivots)
+    lz = _quotient_basis(gf2.nullspace(h_x, x_pivots, n), h_z, z_pivots)
     if len(lx) != k or len(lz) != k:
         raise ValueError("logical space dimension mismatch (non-CSS input?)")
 

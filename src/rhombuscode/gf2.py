@@ -75,9 +75,10 @@ def reduce_against(vec: int, reduced: Sequence[int], pivots: Sequence[int]) -> i
     return v
 
 
-def nullspace(rows: Sequence[int], n_cols: int) -> List[int]:
-    """Basis of {v : parity(row & v) = 0 for every row}."""
-    reduced, pivots = row_reduce(rows, n_cols)
+def nullspace(reduced: Sequence[int], pivots: Sequence[int], n_cols: int) -> List[int]:
+    """Basis of {v : parity(row & v) = 0 for every row} of a reduced row
+    echelon form (reduced, pivots), as row_reduce returns it: one vector
+    per free column, lowest first."""
     pivot_set = set(pivots)
     free_cols = [c for c in range(n_cols) if c not in pivot_set]
     basis = []

@@ -433,14 +433,15 @@ def test_dephase_builds_one_frame(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv, target, most", [
     (("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:3"), None, 2),
-    (("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:3", "--code"), "grid:2", 4),
+    (("dephase", *DEPHASE_ARGS, "--t-grid", "0:1:3", "--code"), "grid:2", 2),
     (("verify",), "unit", 1),
     (("verify", "--kl"), "unit", 2),
 ], ids=["dephase-unit", "dephase-grid2-synthesized", "verify-unit", "verify-kl-unit"])
 def test_one_stabilizer_echelon_per_code(capsys, tmp_path, monkeypatch, argv, target, most):
     """The stabilizer rows are reduced once per code, by its tableau; the
-    other reductions are the codeword echelon (dephase, verify --kl) and the
-    two kernels of a logical synthesis (grid:2, whose file has no pairs)."""
+    other reduction is the codeword echelon (dephase, verify --kl). A
+    logical synthesis (grid:2, whose file has no pairs) takes both kernels
+    from the tableau's echelon and reduces nothing again."""
     path = [str(write_code(capsys, tmp_path, target))] if target else []
     calls = []
     row_reduce = gf2.row_reduce

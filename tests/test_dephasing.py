@@ -1,5 +1,6 @@
 """Dephasing engine vs closed forms and the trajectory Monte Carlo oracle."""
 
+import itertools
 import math
 import os
 
@@ -491,21 +492,49 @@ def box_muller(gen, count):
     return np.stack([r * np.cos(angle), r * np.sin(angle)], 1).ravel()[:count]
 
 
+def qubit_classes(frame, kind):
+    """The noise fields of the coset kernel, derived from frame.spins on
+    every support state: the qubits (spin rows; the one global row) whose
+    rows relative to state 0 are equal form a class, a constant row is left
+    out, and the classes are ordered by their lowest qubit."""
+    spins = frame.spins(kind)
+    classes = {}
+    for qubit, row in enumerate(spins - spins[:, :1]):
+        if row.any():
+            classes.setdefault(row.tobytes(), []).append(qubit)
+    return list(classes.values())
+
+
+def class_normals(frame, kind, seed, start, count):
+    """(count, fields) standard normals of the batch from sample start, one
+    per qubit class: PCG64(seed) advanced by start x stride, the stride the
+    class count rounded up to even."""
+    fields = len(qubit_classes(frame, kind))
+    gen = np.random.Generator(np.random.PCG64(seed).advance(start * (fields + fields % 2)))
+    return box_muller(gen, count * fields).reshape(count, -1)
+
+
 def per_sample_reference(code, logicals, points, model, t, samples, seed):
     """Monte Carlo means and SEs from the per-sample estimator the coset
-    kernel replaces: each batch's phases exp(-i normals . spins) from the same
-    Philox offsets, dense (6, 2, 2) forms from the block_coefficients, then
-    point_values per sample, and the two-pass mean and variance of v."""
+    kernel replaces, on the per-qubit model: each qubit of class c gets the
+    normal z_c / sqrt(m_c), z_c the class's normal from the kernel's stream
+    and m_c its size (a qubit in no class gets 0), and each batch's phases
+    are exp(-i normals . spins) over the qubits; then dense (6, 2, 2) forms
+    from the block_coefficients, point_values per sample, and the two-pass
+    mean and variance of v."""
     frame = _Frame(code, logicals)
     terms, cg = block_coefficients(code, logicals)
     spins = frame.spins(model.kind)
+    classes = qubit_classes(frame, model.kind)
+    spread = np.zeros((len(classes), len(spins)))  # class normal -> its qubits' normals
+    for c, qubits in enumerate(classes):
+        spread[c, qubits] = 1.0 / math.sqrt(len(qubits))
     batch = max(1, min(MC_BATCH, (MC_BATCH << 5) // len(frame.support)))
     scale = math.sqrt(model.convention * model.gamma * t)
     values = []
     for start in range(0, samples, batch):
         count = min(batch, samples - start)
-        gen = np.random.Generator(np.random.Philox(key=seed).advance(start * len(spins)))
-        normals = box_muller(gen, count * len(spins)).reshape(count, -1) * scale
+        normals = class_normals(frame, model.kind, seed, start, count) @ spread * scale
         u = np.exp(-1j * (normals @ spins)).T
         uc = np.conj(u)
         right = (cg @ u).reshape(2, 2, -1)
@@ -531,7 +560,10 @@ def test_mc_moments_match_per_sample_reference(target, samples, kind):
     """The point-independent coset moments reproduce the per-sample
     estimator: means to 1e-14, SEs to 1e-9 relative. r_z is constant per
     sample, so both SEs of it are round-off (below 1e-8), checked to 1e-10
-    absolute."""
+    absolute. The reference sums the phases qubit by qubit, each qubit of a
+    class of m taking z / sqrt(m) of the class's normal z, so on grid_2x2
+    and lshape:1,1, whose classes hold several qubits, this also checks that
+    one normal times sqrt(m) per class is the per-qubit model."""
     code, logicals = target_and_logicals(target)
     model = NoiseModel(kind, 0.9)
     points = [(0.4, 0.3), (1.7, 2.2), (2.9, 5.1)]
@@ -544,6 +576,51 @@ def test_mc_moments_match_per_sample_reference(target, samples, kind):
                 assert abs(got - want) <= 1e-9 * want
             else:
                 assert abs(got - want) <= 1e-10
+
+
+# normals per local-noise sample: one per class of qubits touched by the
+# same generators (the X-type stabilizers and Xbar), qubits touched by none left out
+CLASS_COUNTS = {"unit": 5, "two_vertical": 8, "two_horizontal": 8, "grid_2x2": 13,
+                "grid:2": 12, "lshape:1,1": 16}
+
+
+@pytest.mark.parametrize("name", CLASS_COUNTS)
+def test_one_normal_per_qubit_class(name):
+    """The local kernels draw one normal per qubit class, the classes
+    qubit_classes derives from the spins on every support state, for any
+    partition; both global kernels draw one."""
+    frame = named_frame(name)
+    assert len(qubit_classes(frame, "local")) == CLASS_COUNTS[name] < frame.n
+    assert frame.kernel("local").fields == _CosetKernel(frame, "local").fields == CLASS_COUNTS[name]
+    assert frame.kernel("global").fields == _CosetKernel(frame, "global").fields == 1
+
+
+@pytest.mark.parametrize("name", ["unit", "two_vertical", "two_horizontal", "grid_2x2",
+                                  "unit-zbar-x-dressed"])
+def test_skipped_rows_give_sums_of_exactly_zero(name):
+    """The phasor kernel multiplies only the nonzero rows of its (12 x 2K)
+    matrix, 8 of 12 on the catalog codes, and a skipped Re or Im row adds
+    exactly 0 to every moment. The coset kernel leaves out r_z when Zbar is
+    undressed, as its constant is G_ref's and D is 0: its moments are
+    exactly 0. A dressed Zbar, or a constant that misses G_ref, keeps r_z."""
+    frame = named_frame(name)
+    phasor = frame.kernel("global")
+    if name in CLASS_COUNTS:
+        assert len(phasor.order) == 8
+    got = phasor.moments(5, 0, 999, [0.8])[0]
+    skipped = np.ones(12, dtype=bool)
+    skipped[phasor.order] = False
+    re, im = skipped.reshape(2, 6)
+    assert (got[re & im] == 0).all()
+    assert (got[re, 0].real == 0).all() and (got[im, 0].imag == 0).all()
+    assert (got[re & ~im, 1].imag == 0).all() and (got[im & ~re, 1].imag == 0).all()
+    coset = frame.kernel("local")
+    assert (2 in coset.varying) == (name == "unit-zbar-x-dressed")
+    got = coset.moments(5, 0, 999, [0.8])[0]
+    assert (got[[o for o in range(6) if o not in coset.varying]] == 0).all()
+    shifted = frame.expected(NoiseModel("local", 0.0), 0.0) + 1e-3 * np.eye(6)[2]
+    frame.expected = lambda model, t: shifted
+    assert 2 in _CosetKernel(frame, "local", frame.components).varying
 
 
 @pytest.mark.parametrize("target", ["unit", "grid_2x2"])
@@ -634,19 +711,22 @@ def long_double_moments(frame, seed, start, count, scale):
     """(6, 3) sums of D, D^2 and |D|^2 from the per-sample forms in long
     double, on the phasor kernel's draws: one normal x per sample, u[p] =
     e^{i x popcount(support[p])} (the common phase e^{-i x n / 2} cancels)."""
-    gen = np.random.Generator(np.random.Philox(key=seed).advance(start))
+    gen = np.random.Generator(np.random.PCG64(seed).advance(start * 2))  # stride 2
     x = box_muller(gen, count) * scale
     return long_double_d_moments(frame, x[:, None], _popcount(frame.support)[None, :])
 
 
 def long_double_local_moments(frame, seed, start, count, scale):
     """long_double_moments under local noise, on the coset kernel's draws:
-    one normal per qubit and u = e^{-i normals . spins} with spins from
-    frame.spins("local")."""
+    one normal per qubit class (qubit_classes) and u = e^{-i normals .
+    spins}, a class's row of spins its qubits' common row from
+    frame.spins("local"), relative to state 0, times sqrt(class size)."""
     spins = frame.spins("local")
-    gen = np.random.Generator(np.random.Philox(key=seed).advance(start * len(spins)))
-    x = box_muller(gen, count * len(spins)).reshape(count, -1) * scale
-    return long_double_d_moments(frame, x, -spins)
+    spins = (spins - spins[:, :1]).astype(np.longdouble)
+    classes = qubit_classes(frame, "local")
+    rows = np.array([spins[c[0]] * np.sqrt(np.longdouble(len(c))) for c in classes])
+    x = class_normals(frame, "local", seed, start, count) * scale
+    return long_double_d_moments(frame, x, -rows)
 
 
 def long_double_d_moments(frame, x, spins):
@@ -718,8 +798,8 @@ def test_phase_minus_one_is_accurate_relative_to_its_size():
 
 
 def draw_normals(seed, count, start=0):
-    """count normals of _normals from Philox(seed) advanced by start blocks."""
-    gen = np.random.Generator(np.random.Philox(key=seed).advance(start))
+    """count normals of _normals from PCG64(seed) advanced by start draws."""
+    gen = np.random.Generator(np.random.PCG64(seed).advance(start))
     return _normals(gen, np.empty(count), np.empty(3 * (count // 2)))
 
 
@@ -728,7 +808,7 @@ def test_normals_match_scalar_box_muller():
     sqrt(-2 log(1 - u_0)), h = pi (u_1 - 1/2), to 1e-14 absolute against
     math's log, cos and sin; an odd count keeps the first of the last pair."""
     count = 4097
-    u = np.random.Generator(np.random.Philox(key=11).advance(5)).random(count + 1).tolist()
+    u = np.random.Generator(np.random.PCG64(11).advance(5)).random(count + 1).tolist()
     want = []
     for u0, u1 in zip(u[::2], u[1::2]):
         r, angle = math.sqrt(-2.0 * math.log(1.0 - u0)), 2.0 * math.pi * (u1 - 0.5)
@@ -742,7 +822,7 @@ def test_normals_split_at_even_boundaries(cuts, count):
     """Draws cut at even boundaries, each into its own buffers, give the
     one-call normals bit for bit: a normal depends on its position in the
     stream only, also where the last piece is odd or a single pair."""
-    gen = np.random.Generator(np.random.Philox(key=4))
+    gen = np.random.Generator(np.random.PCG64(4))
     edges = [0, *np.cumsum(cuts), count]
     pieces = [_normals(gen, np.empty(hi - lo), np.empty(3 * ((hi - lo) // 2)))
               for lo, hi in zip(edges, edges[1:])]
@@ -751,19 +831,23 @@ def test_normals_split_at_even_boundaries(cuts, count):
 
 def test_odd_normals_draw_one_extra_uniform_inside_the_batch():
     """An odd count consumes count + 1 uniforms. A batch of the kernels
-    starts at advance(start * fields), which counts 4-word Philox blocks, so
-    its count * fields (+ 1) uniforms lie before the next batch's first."""
-    gen = np.random.Generator(np.random.Philox(key=9))
+    starts at advance(start * stride), one 64-bit draw per double, stride
+    the field count rounded up to even, so with odd fields (1, 7) and batch
+    sizes 1, 3 and 5 each count * fields (+ 1) uniforms of a batch, full or
+    a shorter last one, end before the next batch's first."""
+    gen = np.random.Generator(np.random.PCG64(9))
     _normals(gen, np.empty(7), np.empty(9))
-    stream = np.random.Generator(np.random.Philox(key=9)).random(9)
+    stream = np.random.Generator(np.random.PCG64(9)).random(9)
     assert gen.random() == stream[8]
-    fields, batch, count = 7, 5, 5  # the last batch is full and count * fields odd
-    words = np.random.Generator(np.random.Philox(key=9)).random(4 * 2 * batch * fields)
-    gen = np.random.Generator(np.random.Philox(key=9).advance(batch * fields))
-    drawn = gen.random(count * fields + 1)
-    begin = 4 * batch * fields
-    assert np.array_equal(drawn, words[begin : begin + count * fields + 1])
-    assert count * fields + 1 <= 4 * batch * fields  # the next batch starts past them
+    for fields, batch in itertools.product((1, 7), (1, 3, 5)):
+        stride = fields + 1
+        words = np.random.Generator(np.random.PCG64(9)).random(3 * batch * stride)
+        for count in range(1, batch + 1):
+            gen = dephasing._stream(9, batch, fields)  # the second batch
+            _normals(gen, np.empty(count * fields), np.empty(3 * (count * fields // 2)))
+            end = batch * stride + count * fields + count * fields % 2  # its next uniform
+            assert gen.random() == words[end]
+            assert end <= 2 * batch * stride  # the third batch's first
 
 
 def test_normals_are_standard_normal():
