@@ -1,4 +1,5 @@
-"""Monte Carlo kernel time per sample: the production kernel against the S-sized reference.
+"""Monte Carlo kernel time per sample, production kernel against the S-sized reference,
+and the time to build the frame, to run the engine once and to build the kernel.
 
 Usage, from the root of a checkout:
 
@@ -18,7 +19,10 @@ states as one component. The two run alternately in one process, each
 prints each one's median nanoseconds per sample, with the production
 kernel's normals per sample (fields: one per qubit class under local
 noise, one under global), the settings, the core count and the Python,
-numpy and scipy versions.
+numpy and scipy versions. Three more columns hold medians over --runs
+calls, in milliseconds: frame_ms builds the code's _Frame (the same in
+both of its rows), engine_ms runs one ``frame.expected`` at phase
+variance --scale squared, and build_ms builds the production kernel.
 """
 
 from __future__ import annotations
@@ -39,12 +43,28 @@ from rhombuscode.engine import LogicalSet, find_logical_set
 CODES = ("unit", "two_vertical", "two_horizontal", "grid_2x2", "lshape:1,1")
 
 
-def frame_of(target: str) -> dephasing._Frame:
-    """The dephasing frame of a CLI target, on its own logicals, else synthesized ones."""
+def pair_of(target: str):
+    """(code, logicals) of a CLI target: its own logicals, else synthesized ones."""
     code = _parse_target(target)
     if code.logical_pairs is not None:
-        return dephasing._Frame(code, LogicalSet(code.logical_pairs))
-    return dephasing._Frame(code, find_logical_set(code))
+        return code, LogicalSet(code.logical_pairs)
+    return code, find_logical_set(code)
+
+
+def median_ms(call, runs: int) -> float:
+    """Median milliseconds of runs calls of call()."""
+    spent = []
+    for _ in range(runs):
+        begin = time.perf_counter()
+        call()
+        spent.append(time.perf_counter() - begin)
+    return statistics.median(spent) * 1e3
+
+
+def rebuild(frame: dephasing._Frame, kind: str):
+    """The frame's production kernel for kind, built anew."""
+    frame._kernels.pop(kind, None)
+    return frame.kernel(kind)
 
 
 def median_ns(kernels, seed: int, samples: int, scale: float, runs: int) -> List[float]:
@@ -74,17 +94,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"seed {args.seed}, scale {args.scale:g}, median of {args.runs} runs, "
           f"{os.cpu_count()} cores, python {platform.python_version()}, "
           f"numpy {np.__version__}, scipy {scipy.__version__}")
-    print("code,S,component_states,fields,kind,samples,production_ns,reference_ns")
+    print("code,S,component_states,fields,kind,samples,production_ns,reference_ns,"
+          "frame_ms,engine_ms,build_ms")
     for target in args.codes:
-        frame = frame_of(target)
+        code, logicals = pair_of(target)
+        frame_ms = median_ms(lambda: dephasing._Frame(code, logicals), args.runs)
+        frame = dephasing._Frame(code, logicals)
         size = len(frame.support)
         samples = args.samples or max(1, min(dephasing.MC_BATCH, (dephasing.MC_BATCH << 5) // size))
         parts = "+".join(str(1 << len(part)) for part in frame.components)
         for kind in args.kinds:
+            model = dephasing.NoiseModel(kind, 1.0)
+            engine_ms = median_ms(lambda: frame.expected(model, args.scale**2), args.runs)
+            build_ms = median_ms(lambda: rebuild(frame, kind), args.runs)
             kernels = (frame.kernel(kind), dephasing._CosetKernel(frame, kind))
             ns = median_ns(kernels, args.seed, samples, args.scale, args.runs)
             print(f"{target},{size},{parts},{kernels[0].fields},{kind},{samples},"
-                  f"{ns[0]:.0f},{ns[1]:.0f}", flush=True)
+                  f"{ns[0]:.0f},{ns[1]:.0f},{frame_ms:.3f},{engine_ms:.3f},{build_ms:.3f}",
+                  flush=True)
     return 0
 
 

@@ -206,7 +206,7 @@ def cmd_dephase(args: argparse.Namespace) -> int:
         (math.isfinite(args.theta), "--theta must be finite"),
         (math.isfinite(args.phi), "--phi must be finite"),
         (0.0 <= args.gamma < math.inf, "--gamma must be finite and >= 0"),
-        (args.seed is None or 0 <= args.seed < 2**128, "--seed must be in [0, 2^128)"),
+        (args.seed is None or args.seed >= 0, "--seed must be >= 0"),
         (args.threads >= 1, "--threads must be >= 1"),
         (args.mc_samples >= 0, "--mc-samples must be >= 0"),
     ):

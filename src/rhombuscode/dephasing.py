@@ -10,20 +10,20 @@ coefficients, one row per logical Pauli (Xbar, Ybar, Zbar).
 
 Each logical Pauli maps coset k of the support onto coset k ^ 1 (Xbar, Ybar:
 coset-flipping) or onto itself (Zbar), and the code-space operator is diagonal
-there, so each form has two nonzero entries F_k, k the column: Bloch F_k =
-sum_{c in k} coefs_o[c] conj(u[perms_o c]) u[c], leakage F_k = pc (sum_{c in
-k} coefs_o[c] conj(u[perms_o c])) (sum_{c in k} weight[c] u[c]). _combine
-makes them G = F_0 + conj(F_1) (coset-flipping) or Re F_0 + i Re F_1, and a
-point (theta, phi) reads v = Re(y G), y from _point_weights. The Monte Carlo
-oracle samples u (the phase accumulated over time t is Normal(0, gamma*t));
-batches keep the sums of D, D^2 and |D|^2, D = G - G_ref (G at u = 1), so
-every point follows in closed form. A verified logical Pauli maps |k_L>
-onto a phase times |k'_L>, and every codeword amplitude has the modulus
-sqrt(2/S), so coefs_o is one constant per coset and weight is 2/S: the
-forms need only the coset sums P_k = sum_{c in k} u[c] (leakage) and, per
-distinct x-shift s of the Paulis (perms_o c = c ^ s), the quadratic sums
-sum_{c in k} conj(u[c ^ s]) u[c] (Bloch; shift 0, Zbar's unless it is
-dressed, gives the state count). Under local noise _CosetKernel builds u
+there, so each form has two nonzero entries F_k, k the column. A verified
+logical Pauli maps |k_L> onto a phase times |k'_L>, and every codeword
+amplitude has the modulus sqrt(2/S), so the frame keeps per Pauli o one
+x-shift s (state c goes to c ^ s) and one coefficient coef[o, k] per coset,
+and one weight, 2/S: Bloch F_k = coef[o, k] sum_{c in k} conj(u[c ^ s])
+u[c], leakage F_k = pc weight coef[o, k] conj(P_{k ^ flip}) P_k, with the
+coset sums P_k = sum_{c in k} u[c]. So the forms need only the P_k and, per
+distinct shift, the quadratic sums (shift 0, Zbar's unless it is dressed,
+gives the state count). _combine makes them G = F_0 + conj(F_1)
+(coset-flipping) or Re F_0 + i Re F_1, and a point (theta, phi) reads v =
+Re(y G), y from _point_weights. The Monte Carlo oracle samples u (the phase
+accumulated over time t is Normal(0, gamma*t)); batches keep the sums of D,
+D^2 and |D|^2, D = G - G_ref (G at u = 1), so every point follows in closed
+form. Under local noise _CosetKernel builds u
 per sample on the components of the frame's generators (_components: the
 X-type stabilizers and Xbar, joined where x-masks overlap or a z-mask meets
 an x-mask). A support state is the XOR of one state per component and u is
@@ -60,11 +60,13 @@ rounded up to even), so any thread count reproduces the serial result bit
 for bit; the even stride keeps the one extra uniform of an odd last
 sub-chunk inside the batch's range. The analytic
 engine, _Frame.expected, returns E[G] (G_ref at t = 0), the exact
-expectation of that estimator, and checks that the part G drops (F_1 -
-conj(F_0), Im F_k) is zero, as the forms are Hermitian.
-E[conj(u_p) u_q] is decoherence_factor of the two basis states (magnetization
-difference for global noise, Hamming distance for local), summed per codeword
-coset or popcount level, never as an S x S matrix. The dense O(2^n) references
+expectation of that estimator: E[conj(u_p) u_q] is decoherence_factor of
+the two basis states (magnetization difference for global noise, Hamming
+distance for local), summed per codeword coset or popcount level, never as
+an S x S matrix, and multiplied by the per-coset constants. The frame
+checks at build, once for the engine and both kernels, that the
+coefficients are constant per coset and that the part G drops (F_1 -
+conj(F_0), Im F_k) is zero, as the forms are Hermitian. The dense O(2^n) references
 prepare_logical_state, dephased_pauli_expectation and code_space_operator
 serve the tests. The thread pool loads on the first monte_carlo_grid call,
 not on import; nothing here needs scipy.
@@ -232,17 +234,27 @@ class _Frame:
     """The codeword support of the designated logical pair and its forms.
 
     support holds the S basis states of |0_L> and |1_L> in coordinate order;
-    state c lies in coset[c] (the half holding |coset[c]_L>) with amplitude
-    amps[c] and weight[c] = |amps[c]|^2. Row o of perms and coefs belongs to
-    L in (Xbar, Ybar = i*Zbar*Xbar, Zbar): L|support[c]> = sign[c]
-    |support[perms[o, c]]> (_SparseCodewords' signed_permutation), coefs[o, c]
-    = conj(amps[perms[o, c]]) sign[c] amps[c], and L maps coset k onto
-    j = k ^ flipping[o]. With Pc = pc (|0_L><0_L| + |1_L><1_L|) on the support,
-    pc = 2^(m-n), a phase vector u gives (sums over the states c of coset k;
-    every other (j, k) entry is 0)
+    state c lies in coset c >> (log2 S - 1) (the half holding that |k_L>)
+    with amplitude amps[c]. For L in (Xbar, Ybar = i*Zbar*Xbar, Zbar), index
+    o, L|support[c]> = sign[c] |support[c ^ shift[o]]> (_SparseCodewords'
+    signed_permutation) and L maps coset k onto j = k ^ flipping[o],
+    flipping[o] = shift[o] >= S/2. The frame keeps no per-state row but
+    support: conj(amps[c ^ shift[o]]) sign[c] amps[c] is one constant
+    coef[o, k] on each coset k, and |amps[c]|^2 one float, weight (2/S).
+    With Pc = pc (|0_L><0_L| + |1_L><1_L|) on the support, pc = 2^(m-n), a
+    phase vector u gives (sums over the states c of coset k; every other
+    (j, k) entry is 0)
 
-      <j|U' L U|k>    = sum_c coefs[o, c] conj(u[perms[o, c]]) u[c]
-      <j|U' L Pc U|k> = pc (sum_c coefs[o, c] conj(u[perms[o, c]])) (sum_c weight[c] u[c])
+      <j|U' L U|k>    = coef[o, k] sum_c conj(u[c ^ shift[o]]) u[c]
+      <j|U' L Pc U|k> = pc weight coef[o, k] (sum_c conj(u[c ^ shift[o]])) (sum_c u[c])
+
+    The build checks both facts the kernels and the engine rest on, once:
+    ValueError when a coefficient or the weight is not constant per coset
+    (to REALNESS_TOL times the weight), or when the forms are not Hermitian
+    (coef[o, 1] = conj(coef[o, 0]) on coset-flipping rows, coef real on the
+    others, to REALNESS_TOL after scaling by S/2, the largest damping sum;
+    G drops that part, so |Im v| at every (theta, phi) and t is then within
+    the tolerance too).
 
     components partitions the generators (the X-type stabilizers, then Xbar,
     in coordinate order) as _components does, Xbar's component first; the
@@ -269,12 +281,21 @@ class _Frame:
         self.n = code.n
         self.pc = 2.0 ** (code.m - code.n)
         self.support = words.support
-        self.coset = words.position >> words.m_x
-        self.weight = np.conj(amps) * amps
         perms, signs = zip(*map(words.signed_permutation, (xbar, ybar, zbar)))
-        self.perms = np.array(perms)
-        self.coefs = np.conj(amps[self.perms]) * np.array(signs) * amps
-        self.flipping = np.tile(self.coset[self.perms[:, 0]] != 0, 2)  # per form
+        self.shift = np.array([perm[0] for perm in perms])  # perm[c] = c ^ shift
+        rows = (np.conj(amps[np.array(perms)]) * signs * amps).reshape(3, 2, -1)  # per coset
+        weights = (np.conj(amps) * amps).real
+        self.coef, self.weight = rows[:, :, 0].copy(), weights[0]
+        rows -= self.coef[..., None]
+        error = max(abs(rows).max(), abs(weights - self.weight).max())
+        if error > REALNESS_TOL * self.weight:
+            raise ValueError(f"coefficients are not constant per coset: deviation {error:.3e}")
+        half = len(self.support) // 2
+        self.flipping = np.tile(self.shift >= half, 2)  # per form
+        error = half * np.where(self.flipping[:3], abs(self.coef[:, 1] - np.conj(self.coef[:, 0])),
+                                abs(self.coef.imag).max(1)).max()
+        if error > REALNESS_TOL:
+            raise ValueError(f"forms are not Hermitian: deviation {error:.3e}")
         self.components = _components([s for s in code.stabilizers if s.x_mask] + [xbar])
         self._kernels = {}  # noise kind -> its Monte Carlo kernel
 
@@ -290,41 +311,32 @@ class _Frame:
         return self._kernels[kind]
 
     def expected(self, model: NoiseModel, t: float) -> np.ndarray:
-        """(6,) E[G] at t: _combine of the per-coset sums F_k with conj(u_p) u_q
+        """(6,) E[G] at t: _combine of the per-coset forms F_k with conj(u_p) u_q
         replaced by K(p, q) = decoherence_factor(support[p], support[q]), in O(S + n^2).
 
         The support is the linear code O + {0, Xbar} (O: the X-stabilizer
-        orbit) and |k_L> lives on coset k. The code is CSS with independent
-        generators, so weight = 2/S there and the leakage forms need only
-        R[p, k] = (2/S) sum_{coset q = k} K(p, q): under local noise a function
-        of coset[p] ^ k (support[p] ^ support[q] runs over it), under global
-        noise of popcount(support[p]). One pass sums coefs times K(perms c, c)
-        (Bloch) or R[perms c, coset c] (leakage) per coset k.
-
-        ValueError when the sums are not Hermitian within REALNESS_TOL (F_1 =
-        conj(F_0) on coset-flipping rows, F_k real on the others): G drops that
-        part, so |Im v| at every (theta, phi) is then within the tolerance too.
+        orbit), so support[c ^ s] = support[c] ^ support[s], and |k_L> lives
+        on coset k. Bloch F_k is coef[o, k] times the sum of K(c ^ s, c) over
+        coset k. Leakage F_k is pc (2/S) coef[o, k] T[k ^ flip, k], T[j, k] the
+        sum of K(p, q) over p in coset j and q in coset k: under local noise
+        (S/2) times the coset sums of K(., 0) at coset j ^ k (support[p] ^
+        support[q] runs over it), under global noise hist K hist^T, hist the
+        per-coset popcount histograms and K taken between popcounts.
         """
-        n, support, coset, perms = self.n, self.support, self.coset, self.perms
+        n, support = self.n, self.support
+        half = len(support) // 2
         if model.kind == "local":
-            level = coset
-            sums = np.bincount(coset, decoherence_factor(support, 0, model, t, n), 2)
-            table = np.array([sums, sums[::-1]])  # [level, k] -> sums[level ^ k]
+            sums = decoherence_factor(support, 0, model, t, n).reshape(2, -1).sum(-1)
+            table = half * np.array([sums, sums[::-1]])  # [j, k] -> (S/2) sums[j ^ k]
         else:
-            level = _popcount(support)
-            hist = np.bincount(coset * (n + 1) + level, minlength=2 * (n + 1))
+            hist = np.array([np.bincount(w, minlength=n + 1)
+                             for w in _popcount(support).reshape(2, -1)])
             reps = np.array([(1 << w) - 1 for w in range(n + 1)], dtype=np.uint64)
-            kernel = decoherence_factor(reps[:, None], reps, model, t, n)
-            table = kernel @ hist.reshape(2, n + 1).T
-        diag = decoherence_factor(support[perms], support, model, t, n)
-        factors = np.stack([diag, table[level[perms], coset]])  # (2, 3, S)
-        sums = (self.coefs * factors).reshape(6, 2, -1).sum(axis=-1)
-        sums[3:] *= 2.0 * self.pc / len(support)
-        flip = self.flipping
-        error = np.where(flip, abs(sums[:, 1] - np.conj(sums[:, 0])), abs(sums.imag).max(1))
-        if error.max() > REALNESS_TOL:
-            raise ValueError(f"forms are not Hermitian: deviation {error.max():.3e}")
-        return _combine(sums, flip)
+            table = hist @ decoherence_factor(reps[:, None], reps, model, t, n) @ hist.T
+        damped = decoherence_factor(support ^ support[self.shift, None], support, model, t, n)
+        pairs = table[np.arange(2) ^ self.flipping[:3, None], np.arange(2)]  # T[k ^ flip, k]
+        sums = np.vstack([damped.reshape(3, 2, -1).sum(-1), self.pc / half * pairs])  # 2/S exact
+        return _combine(np.tile(self.coef, (2, 1)) * sums, self.flipping)
 
     def spins(self, kind: str, states: Optional[np.ndarray] = None) -> np.ndarray:
         """spins[k, i] couples noise field k to support state states[i] (every
@@ -342,17 +354,18 @@ class _CosetKernel:
     docstring). Time enters only as the scale of the normals, so one kernel
     serves every t.
 
-    Every coefficient and weight of the frame is one constant per coset
-    (checked here to REALNESS_TOL relative: ValueError otherwise), so a
-    sample needs only two kinds of sum of u: the coset sums P_k = sum_{c in
-    k} u[c], which give the leakage forms (a constant times conj(P_{k ^ flip})
-    P_k), and per distinct x-shift s of the logical Paulis the quadratic sums
-    Q_k = sum_{c in k} conj(u[c ^ s]) u[c], which give the Bloch forms (a
-    constant times Q_k; shift 0 makes Q_k the state count). _combine is
+    The frame keeps one coefficient per coset and row, frame.coef, and one
+    weight (checked there), so a sample needs only two kinds of sum of u:
+    the coset sums P_k = sum_{c in k} u[c], which give the leakage forms (a
+    constant times conj(P_{k ^ flip}) P_k), and per distinct x-shift s of the
+    logical Paulis (frame.shift) the quadratic sums Q_k = sum_{c in k}
+    conj(u[c ^ s]) u[c], which give the Bloch forms (a constant times Q_k;
+    shift 0 makes Q_k the state count). _combine is
     folded into the constants: on a coset-flipping row c -> c ^ s swaps the
     cosets, so Q_1 = conj(Q_0) and G = (lambda_0 + conj(lambda_1)) Q_0; on a
     coset-keeping row Q_k is real and G = Re lambda_0 Q_0 + i Re lambda_1
     Q_1, lambda_k the row's constant on coset k; the leakage rows likewise.
+    Nothing of the frame is read per state but its support.
 
     components partitions the frame's generators (its X-type stabilizers,
     then Xbar; _Frame.components), Xbar's component first. A support state
@@ -385,11 +398,6 @@ class _CosetKernel:
             components = [range(count)]
         if sorted(g for part in components for g in part) != list(range(count)):
             raise ValueError("components must partition the frame's generators")
-        rows = np.vstack([frame.coefs, frame.weight])
-        level = rows[:, [np.argmax(frame.coset == k) for k in (0, 1)]]  # (4, 2): per coset
-        error = abs(rows - level[:, frame.coset]).max()
-        if error > REALNESS_TOL * abs(frame.weight).max():
-            raise ValueError(f"coefficients are not constant per coset: deviation {error:.3e}")
         # the qubit classes: equal spin rows on the support relative to state
         # 0, a constant row dropped; a local row is, up to sign, the parity
         # of the chosen generators that touch the qubit, so the generator
@@ -408,7 +416,7 @@ class _CosetKernel:
         self.reference = frame.expected(NoiseModel(kind, 0.0), 0.0)  # G at u = 1
         # per row: one complex constant (coset-flipping) or two real ones,
         # times the product of Q_0 (and Q_1) over the components that shift
-        coef, weight = level[:3], level[3].real
+        coef, weight = frame.coef, frame.weight
 
         def folded(pair, flip):
             return pair[0] + np.conj(pair[1]) if flip else pair.real
@@ -528,7 +536,7 @@ class _Component:
         self.size, self.cosets = len(states), 2 if first else 1
         qubits, weights = classes
         spins = frame.spins(kind, states)[qubits] * weights[:, None]
-        shifts = _compress(frame.perms[:, 0], generators).tolist()  # perms[o, p] = p ^ perms[o, 0]
+        shifts = _compress(frame.shift, generators).tolist()
         self.shifts = sorted(set(shifts) - {0})
         self.pick = [self.shifts.index(s) if s else None for s in shifts]
         # per shift s with top bit b: whether it flips the coset, 2^b, and
@@ -636,7 +644,13 @@ class _PhasorKernel:
     K step, the largest popcount on the support (which holds state 0, so
     K >= 1). _combine is real-linear, so
     D = G - G_ref = M v with v = (Re w_f, Im w_f), w_f = e^{i f step x} - 1
-    for f = 1..K, and a complex (6, 2K) matrix M folded from the frame here.
+    for f = 1..K, and a complex (6, 2K) matrix M folded from the frame here,
+    in two parts. A Bloch form is its coset's constant times the count of
+    states c at each frequency l_c - l_{c ^ s}; a leakage form is pc, the
+    weight and the constant times the convolution of the popcount
+    histograms of its two cosets (q in coset k, p = c ^ s in coset k ^
+    flip). The folded forms at x = 0 must give G_ref, which the engine
+    computes with 2/S, not the frame's weight (ValueError otherwise).
     A sample costs one tan (w_1 from _phase_minus_one, with no sin or cos),
     K - 1 steps of the centred recurrence
     w_{f+1} = (1 + w_1) w_f + w_1, which keeps w_f accurate relative to its
@@ -658,16 +672,16 @@ class _PhasorKernel:
         self.degree = top = int(level.max())
         self.chunk = _even(MC_CHUNK // top)
         # forms[o, k, top + f]: coefficient of e^{i f step x} in F_k of row o
-        coset, perms, width = frame.coset, frame.perms, 2 * top + 1
-        rows = np.arange(3)[:, None]
+        width = 2 * top + 1
+        moved = _popcount(frame.support ^ frame.support[frame.shift, None]) // self.step  # at c ^ s
+        index = np.arange(6).reshape(3, 2, 1) * width + (level - moved).reshape(3, 2, -1) + top
+        counts = np.bincount(index.ravel(), minlength=6 * width).reshape(3, 2, width)
+        hist = [np.bincount(cell, minlength=top + 1) for cell in level.reshape(2, -1)]
         forms = np.empty((6, 2, width), dtype=np.complex128)
-        forms[:3] = _bincount((rows * 2 + coset) * width + level - level[perms] + top,
-                              frame.coefs, 6 * width).reshape(3, 2, -1)
-        left = _bincount((rows * 2 + coset) * (top + 1) + level[perms], frame.coefs,
-                         6 * (top + 1)).reshape(3, 2, -1)  # powers of e^{-i step x}
-        right = _bincount(coset * (top + 1) + level, frame.weight, 2 * (top + 1)).reshape(2, -1)
+        forms[:3] = frame.coef[..., None] * counts
         for o, k in itertools.product(range(3), range(2)):
-            forms[3 + o, k] = frame.pc * np.convolve(right[k], left[o, k, ::-1])
+            left = frame.coef[o, k] * hist[k ^ self.flipping[o]][::-1]  # powers of e^{-i step x}
+            forms[3 + o, k] = frame.pc * np.convolve(frame.weight * hist[k], left)
         self.reference = frame.expected(NoiseModel("global", 0.0), 0.0)  # G at u = 1
         error = abs(_combine(forms.sum(-1), self.flipping) - self.reference).max()
         if error > REALNESS_TOL:
@@ -775,12 +789,6 @@ def _even(width: int) -> int:
     """A sub-chunk width rounded down to an even number, at least 2, so
     every sub-chunk but a batch's last draws whole Box-Muller pairs."""
     return max(2, width & ~1)
-
-
-def _bincount(index: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
-    """np.bincount of complex weights, shaped as index."""
-    index, weights = index.ravel(), weights.ravel()
-    return np.bincount(index, weights.real, length) + 1j * np.bincount(index, weights.imag, length)
 
 
 def _combine(forms: np.ndarray, flipping: np.ndarray,

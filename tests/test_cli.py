@@ -260,6 +260,20 @@ def test_dephase_mc_rows_and_seed_requirement(capsys):
             assert abs(float(e[col]) - float(m[col])) <= max(4 * se, 1e-12)
 
 
+def test_dephase_takes_a_seed_above_2_to_128(capsys):
+    """PCG64 takes any nonnegative integer seed: --seed 2^130 runs a small
+    Monte Carlo sweep, and a rerun gives the same bytes."""
+    argv = ["dephase", "--kind", "local", "--theta", "1", "--phi", "1", "--gamma", "1",
+            "--t-grid", "0:1:2", "--mc-samples", "500", "--seed", str(2**130)]
+    outs = []
+    for _ in range(2):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert len([r for r in parse_csv(outs[0]) if r["source"] == "monte_carlo"]) == 2
+
+
 def test_dephase_runs_on_wider_support(capsys, tmp_path):
     """grid_2x2 (n = 20, support S = 128) is within the support cap; its MC
     batches (2^21 / S samples) split the same way for any --threads."""

@@ -61,20 +61,25 @@ def target_and_logicals(target):
     return code, find_logical_set(code)
 
 
+def logical_paulis(logicals):
+    """(Xbar, Ybar = i Zbar Xbar, Zbar) of the first pair."""
+    xbar, zbar = logicals.pairs[0]
+    prod = multiply(zbar, xbar)
+    return xbar, PauliOperator(prod.n, prod.x_mask, prod.z_mask, prod.phase + 1), zbar
+
+
 def block_coefficients(code, logicals):
     """The six forms' coefficients as 4 x S blocks, from _SparseCodewords
     alone: for L in (Xbar, Ybar, Zbar) with L|support[c]> = sign[c]
     |support[perm c]>, cr[2j + k, c] = conj(b_j[perm c]) sign[c] b_k[c], and
     cg[2i + k, c] = conj(b_i[c]) b_k[c], b_k the amplitudes of |k_L> (zero
     off its coset). Returns ([(perm, cr) per L], cg)."""
-    xbar, zbar = logicals.pairs[0]
-    prod = multiply(zbar, xbar)
-    ybar = PauliOperator(prod.n, prod.x_mask, prod.z_mask, prod.phase + 1)
-    words = _SparseCodewords(code, [xbar])
+    paulis = logical_paulis(logicals)
+    words = _SparseCodewords(code, paulis[:1])
     b = np.where(words.position >> words.m_x == np.arange(2)[:, None], words.amps, 0.0)
     terms = [
         (perm, (np.conj(b[:, perm])[:, None] * sign * b).reshape(4, -1))
-        for perm, sign in map(words.signed_permutation, (xbar, ybar, zbar))
+        for perm, sign in map(words.signed_permutation, paulis)
     ]
     return terms, (np.conj(b)[:, None] * b).reshape(4, -1)
 
@@ -291,15 +296,13 @@ def dense_reference(code, logicals, theta, phi, model, t):
     of the paper-normalized code-space operator."""
     one_l = logical_basis_state(code, logicals, "1" + "0" * (logicals.k - 1))
     psi = prepare_logical_state(theta, phi, codeword_zero(code), one_l)
-    xbar, zbar = logicals.pairs[0]
-    prod = multiply(zbar, xbar)
-    ybar = PauliOperator(prod.n, prod.x_mask, prod.z_mask, prod.phase + 1)
+    paulis = logical_paulis(logicals)
     pc_terms = code_space_operator(code, "paper")
-    bloch = [dephased_pauli_expectation(psi, op, model, t) for op in (xbar, ybar, zbar)]
+    bloch = [dephased_pauli_expectation(psi, op, model, t) for op in paulis]
     leakage = [
         sum(c * dephased_pauli_expectation(psi, multiply(op, term), model, t)
             for c, term in pc_terms)
-        for op in (xbar, ybar, zbar)
+        for op in paulis
     ]
     return bloch + leakage
 
@@ -317,8 +320,7 @@ def test_engine_equals_dense_reference(name, kind):
         code = build_unit()
         pair = tuple(parse_pauli(text, code.n) for text in DRESSED_UNIT[name])
         logicals = LogicalSet([pair, *code.logical_pairs[1:]])
-        perms = _Frame(code, logicals).perms
-        assert (perms[2] != np.arange(perms.shape[1])).any() == ("zbar" in name)
+        assert (_Frame(code, logicals).shift[2] != 0) == ("zbar" in name)
     else:
         code = build_named(name)
         logicals = LogicalSet(code.logical_pairs)
@@ -376,38 +378,86 @@ def test_engine_equals_square_damping_reference(target, kind):
 @pytest.mark.parametrize("target", ["unit", "two_vertical", "grid_2x2", "lshape:1,1"])
 def test_frame_rows_are_the_nonzero_block_entries(target):
     """Each block row cr[2j + k] is nonzero only at coset c = k, j = k ^ flip:
-    coefs scattered there give the blocks exactly, Xbar and Ybar flip the
-    coset and Zbar keeps it, and weight is cg summed over its rows."""
+    Pauli o maps state c to c ^ shift[o], coef[o, k] scattered on coset k
+    gives the blocks exactly, Xbar and Ybar flip the coset and Zbar keeps
+    it, and cg summed over its rows is weight on every state."""
     code, logicals = target_and_logicals(target)
     frame = _Frame(code, logicals)
     terms, cg = block_coefficients(code, logicals)
     assert frame.flipping.tolist() == [True, True, False] * 2
     columns = np.arange(len(frame.support))
+    coset = columns // (len(columns) // 2)
     for o, (perm, cr) in enumerate(terms):
-        assert np.array_equal(frame.perms[o], perm)
+        assert np.array_equal(perm, columns ^ frame.shift[o])
         scattered = np.zeros_like(cr)
-        scattered[2 * frame.coset[perm] + frame.coset, columns] = frame.coefs[o]
+        scattered[2 * coset[perm] + coset, columns] = frame.coef[o, coset]
         assert np.array_equal(scattered, cr)
-        assert np.array_equal(frame.coset[perm], frame.coset ^ frame.flipping[o])
-    assert np.array_equal(frame.weight, cg.sum(axis=0))
+        assert np.array_equal(coset[perm], coset ^ frame.flipping[o])
+    assert (cg.sum(axis=0) == frame.weight).all()
+
+
+def test_frame_keeps_no_per_state_array_but_the_support():
+    """On lshape:1,4 (S = 2^18) the frame keeps its per-coset constants and
+    per-Pauli shifts, not S-sized rows: every ndarray attribute but support
+    has at most 6 entries."""
+    frame = _Frame(*target_and_logicals("lshape:1,4"))
+    assert len(frame.support) == 1 << 18
+    sizes = {name: value.size for name, value in vars(frame).items()
+             if isinstance(value, np.ndarray) and name != "support"}
+    assert {"shift", "coef", "flipping"} <= set(sizes)
+    assert max(sizes.values()) <= 6
+
+
+@pytest.mark.parametrize("name", ["unit", "two_vertical", "two_horizontal", "grid_2x2", "grid:1",
+                                  "grid:2", "grid:3", "lshape:0,0", "lshape:0,1", "lshape:1,1",
+                                  *DRESSED_UNIT])
+def test_local_bloch_decays_as_the_x_weight(name):
+    """Under local noise each Bloch row is its t = 0 value times e^{-w c
+    gamma t / 2}, w the x-weight of Xbar, Ybar or Zbar and c the
+    convention: support[c ^ s] ^ support[c] is the Pauli's x-mask for
+    every support state c."""
+    code, logicals = named_pair(name)
+    frame = _Frame(code, logicals)
+    weights = np.array([bin(op.x_mask).count("1") for op in logical_paulis(logicals)])
+    for convention in (1.0, 2.0):
+        model = NoiseModel("local", 0.9, convention)
+        start = frame.expected(model, 0.0)[:3]
+        for t in (0.3, 1.1, 2.7):
+            decay = np.exp(-weights * convention * 0.9 * t / 2.0)
+            assert abs(frame.expected(model, t)[:3] - start * decay).max() <= 1e-12
+
+
+def perturb_signs(monkeypatch, op, states, factor):
+    """Make _SparseCodewords.signed_permutation return op's signs on the
+    support states states (an index) times factor; other Paulis unchanged."""
+    original = _SparseCodewords.signed_permutation
+
+    def signed_permutation(words, other):
+        perm, sign = original(words, other)
+        if (other.x_mask, other.z_mask) == (op.x_mask, op.z_mask):
+            sign = sign.copy()
+            sign[states] *= factor
+        return perm, sign
+
+    monkeypatch.setattr(_SparseCodewords, "signed_permutation", signed_permutation)
 
 
 @pytest.mark.parametrize("pauli, delta", [(0, 1e-6), (1, 1e-6), (2, 1e-6j)])
-def test_expected_raises_on_non_hermitian_forms(pauli, delta):
-    """expected checks the part of the forms that G discards: coefficients
-    perturbed on one coset break F_1 = conj(F_0) on the coset-flipping rows
-    (Xbar, Ybar) or the realness of F_0 on the coset-keeping rows (Zbar). The
-    engine raises even at theta = 0, where y is 0 on the flipping rows, and
-    so does building the Monte Carlo kernel, whose G_ref is expected at t = 0."""
+def test_expected_raises_on_non_hermitian_forms(pauli, delta, monkeypatch):
+    """The frame checks the part of the forms that G discards: one Pauli's
+    signs on coset 0 times 1 + delta keep its coefficient constant per coset
+    but break F_1 = conj(F_0) on the coset-flipping rows (Xbar, Ybar) or the
+    realness of F_0 on the coset-keeping rows (Zbar). Building the frame
+    raises, and so does the engine, which builds it, even at theta = 0,
+    where y is 0 on the flipping rows."""
     code, logicals = unit_and_logicals()
     model = NoiseModel("local", 0.9)
-    frame = _Frame(code, logicals)
-    frame.expected(model, 0.3)
-    frame.coefs[pauli, frame.coset == 0] += delta
+    half = len(_Frame(code, logicals).support) // 2
+    perturb_signs(monkeypatch, logical_paulis(logicals)[pauli], slice(None, half), 1 + delta)
     with pytest.raises(ValueError, match="not Hermitian"):
-        bloch_and_leakage(code, logicals, 0.0, 0.0, model, [0.3], frame=frame)
+        _Frame(code, logicals)
     with pytest.raises(ValueError, match="not Hermitian"):
-        frame.kernel("local")
+        bloch_and_leakage(code, logicals, 0.0, 0.0, model, [0.3])
 
 
 # --- Monte Carlo oracle ----------------------------------------------------------
@@ -700,40 +750,50 @@ def test_phasor_kernel_matches_coset_kernel(name, scale):
 
 def test_phasor_kernel_checks_its_folded_forms_at_u_one():
     """The folded polynomials at x = 0 must give G_ref, which the engine
-    computes without the weights: weights off by 1e-3 are refused."""
+    computes without the weight (it uses 2 / S): a weight off by 1e-3 is
+    refused."""
     frame = named_frame("grid_2x2")
     frame.weight = frame.weight * (1 + 1e-3)
     with pytest.raises(ValueError, match="folded forms miss G at u = 1"):
         _PhasorKernel(frame)
 
 
-def long_double_moments(frame, seed, start, count, scale):
+def long_double_moments(name, seed, start, count, scale):
     """(6, 3) sums of D, D^2 and |D|^2 from the per-sample forms in long
-    double, on the phasor kernel's draws: one normal x per sample, u[p] =
-    e^{i x popcount(support[p])} (the common phase e^{-i x n / 2} cancels)."""
+    double for named_pair(name), on the phasor kernel's draws: one normal x
+    per sample, u[p] = e^{i x popcount(support[p])} (the common phase
+    e^{-i x n / 2} cancels)."""
+    frame = named_frame(name)
     gen = np.random.Generator(np.random.PCG64(seed).advance(start * 2))  # stride 2
     x = box_muller(gen, count) * scale
-    return long_double_d_moments(frame, x[:, None], _popcount(frame.support)[None, :])
+    return long_double_d_moments(name, x[:, None], _popcount(frame.support)[None, :])
 
 
-def long_double_local_moments(frame, seed, start, count, scale):
+def long_double_local_moments(name, seed, start, count, scale):
     """long_double_moments under local noise, on the coset kernel's draws:
     one normal per qubit class (qubit_classes) and u = e^{-i normals .
     spins}, a class's row of spins its qubits' common row from
     frame.spins("local"), relative to state 0, times sqrt(class size)."""
+    frame = named_frame(name)
     spins = frame.spins("local")
     spins = (spins - spins[:, :1]).astype(np.longdouble)
     classes = qubit_classes(frame, "local")
     rows = np.array([spins[c[0]] * np.sqrt(np.longdouble(len(c))) for c in classes])
     x = class_normals(frame, "local", seed, start, count) * scale
-    return long_double_d_moments(frame, x, -rows)
+    return long_double_d_moments(name, x, -rows)
 
 
-def long_double_d_moments(frame, x, spins):
-    """The moments of D in long double for u[p] = e^{i x . spins[:, p]}, x the
-    (samples, fields) normals: every phase difference enters as e^{i theta} -
-    1 = -2 sin^2(theta / 2) + i sin(theta), theta summed over the fields on
-    which its two states differ, so D carries no cancellation against G_ref."""
+def long_double_d_moments(name, x, spins):
+    """The moments of D in long double for named_pair(name) and u[p] = e^{i x
+    . spins[:, p]}, x the (samples, fields) normals, with the coefficients
+    of its block_coefficients (each column of a block holds one nonzero
+    entry, at the coset of |k_L>): every phase difference enters as e^{i
+    theta} - 1 = -2 sin^2(theta / 2) + i sin(theta), theta summed over the
+    fields on which its two states differ, so D carries no cancellation
+    against G_ref."""
+    code, logicals = named_pair(name)
+    terms, cg = block_coefficients(code, logicals)
+    pc = 2.0 ** (code.m - code.n)
     x, spins = x.astype(np.longdouble), spins.astype(np.longdouble)
 
     def phase_minus_one(change):
@@ -741,20 +801,22 @@ def long_double_d_moments(frame, x, spins):
         half = np.sin(theta / 2)
         return -2 * half * half + 1j * np.sin(theta)
 
-    coefs = frame.coefs.astype(np.clongdouble)
-    weight = frame.weight.astype(np.clongdouble)
+    weight = cg.sum(axis=0).astype(np.clongdouble)
     forms = np.zeros((6, 2, len(x)), dtype=np.clongdouble)
+    flipping = np.empty(6, dtype=bool)
     right = weight * phase_minus_one(spins)
-    for o, perm in enumerate(frame.perms):
-        bloch = coefs[o] * phase_minus_one(spins - spins[:, perm])
-        left = coefs[o] * phase_minus_one(-spins[:, perm])
+    for o, (perm, cr) in enumerate(terms):
+        coefs = cr.sum(axis=0).astype(np.clongdouble)
+        flipping[[o, 3 + o]] = (cr[1] != 0).any()  # <0_L| L |1_L>
+        bloch = coefs * phase_minus_one(spins - spins[:, perm])
+        left = coefs * phase_minus_one(-spins[:, perm])
         for k in range(2):
-            cell = frame.coset == k
-            left0, right0 = coefs[o, cell].sum(), weight[cell].sum()
+            cell = cg[3 * k] != 0  # coset k, where |k_L> lives
+            left0, right0 = coefs[cell].sum(), weight[cell].sum()
             dleft, dright = left[:, cell].sum(1), right[:, cell].sum(1)
             forms[o, k] = bloch[:, cell].sum(1)
-            forms[3 + o, k] = frame.pc * (dleft * (right0 + dright) + left0 * dright)
-    d = _combine(forms, frame.flipping)
+            forms[3 + o, k] = pc * (dleft * (right0 + dright) + left0 * dright)
+    d = _combine(forms, flipping)
     return np.stack([d.sum(-1), (d * d).sum(-1), (d * np.conj(d)).sum(-1)], 1)
 
 
@@ -768,7 +830,7 @@ def test_phasor_kernel_is_as_accurate_as_coset_kernel(name, count, scale):
     long-double reference, each moment column's worst relative error over
     the rows is no larger for the phasor kernel; a row that is 0 (r_z) is 0."""
     frame = named_frame(name)
-    want = long_double_moments(frame, 3, 777, count, scale)
+    want = long_double_moments(name, 3, 777, count, scale)
     zero = want == 0
 
     def run(kernel):
@@ -887,7 +949,7 @@ def test_coset_kernel_tan_phases_keep_sin_cos_accuracy(name, scale):
     diagonal) hold round-off only and are not compared."""
     frame = named_frame(name)
     count, errors = LOCAL_ERRORS[name]
-    want = long_double_local_moments(frame, 3, 777, count, scale)
+    want = long_double_local_moments(name, 3, 777, count, scale)
     got = _CosetKernel(frame, "local").moments(3, 777, count, [scale])[0]
     zero = want == 0
     relative = np.where(zero, 0, abs(got - want) / np.where(zero, 1, abs(want)))
@@ -1000,7 +1062,7 @@ def test_component_kernel_keeps_the_reference_accuracy(name, count, scale):
     that records the code (grid_2x2). Entries that are 0 in the reference
     are not compared."""
     frame = named_frame(name)
-    want = long_double_local_moments(frame, 3, 777, count, scale)
+    want = long_double_local_moments(name, 3, 777, count, scale)
     zero = want == 0
 
     def error(kernel):
@@ -1022,13 +1084,18 @@ def test_coefficients_are_one_constant_per_coset(name):
     modulus sqrt(2 / S), so each form's coefficient is one constant on each
     coset, exactly, and so is the weight, 2 / S up to the rounding of the
     amplitude's square. Transcribed (catalog), synthesized (grid, lshape),
-    Y-dressed Xbar and X-dressed Zbar pairs."""
-    frame = named_frame(name)
-    assert (frame.weight == frame.weight[0]).all()
-    assert abs(frame.weight[0] - 2.0 / len(frame.support)) <= 1e-15 * frame.weight[0].real
-    for k in (0, 1):
-        cell = frame.coefs[:, frame.coset == k]
-        assert (cell == cell[:, :1]).all()
+    Y-dressed Xbar and X-dressed Zbar pairs. The coefficients come from the
+    block_coefficients, and the frame keeps exactly those constants."""
+    code, logicals = named_pair(name)
+    terms, cg = block_coefficients(code, logicals)
+    weight = cg.sum(axis=0)
+    assert (weight == weight[0]).all()
+    assert abs(weight[0] - 2.0 / len(weight)) <= 1e-15 * weight[0].real
+    coefs = np.array([cr.sum(axis=0) for _, cr in terms]).reshape(3, 2, -1)  # per coset
+    assert (coefs == coefs[:, :, :1]).all()
+    frame = _Frame(code, logicals)
+    assert np.array_equal(frame.coef, coefs[:, :, 0])
+    assert frame.weight == weight[0]
 
 
 @pytest.mark.parametrize("name", ["unit-zbar-x-dressed", "two_horizontal-zbar-x-dressed"])
@@ -1052,19 +1119,19 @@ def test_mc_matches_per_sample_reference_on_dressed_zbar(name):
             assert abs(got - want) <= (1e-9 * want if want > 1e-8 else 1e-10)
 
 
-def test_component_kernel_checks_its_factors():
-    """One coefficient of a state mixing both two_horizontal components, off
-    by 1e-6 relative, is no longer constant on its coset, and the kernel,
-    whose sums hold one constant per coset, refuses the frame; so it does a
-    partition that misses generators."""
-    frame = named_frame("two_horizontal")
-    mixed = 1 << frame.components[0][0] | 1 << frame.components[1][0]
-    frame.coefs = frame.coefs.copy()
-    frame.coefs[1, mixed] *= 1 + 1e-6
-    with pytest.raises(ValueError, match="not constant per coset"):
-        _CosetKernel(frame, "local", frame.components)
+def test_component_kernel_checks_its_factors(monkeypatch):
+    """Ybar's sign on a state mixing both two_horizontal components, off by
+    1e-6 relative, leaves its coefficient no longer constant on its coset,
+    and the frame, which keeps one constant per coset for the kernels,
+    refuses it; the kernel refuses a partition that misses generators."""
+    code, logicals = named_pair("two_horizontal")
+    frame = _Frame(code, logicals)
     with pytest.raises(ValueError, match="partition"):
         _CosetKernel(frame, "local", frame.components[:1])
+    mixed = 1 << frame.components[0][0] | 1 << frame.components[1][0]
+    perturb_signs(monkeypatch, logical_paulis(logicals)[1], mixed, 1 + 1e-6)
+    with pytest.raises(ValueError, match="not constant per coset"):
+        _Frame(code, logicals)
 
 
 def test_mc_thread_pool_is_capped_by_batches_and_cores(monkeypatch):

@@ -150,14 +150,16 @@ def test_ab_snapshot_copies_the_working_tree_without_ignored_files(tmp_path, mon
 
 def test_kernel_ns_times_both_kernels_per_code_and_kind(capsys):
     """A tiny run: the settings line, then one row per code and kind with
-    the component states, the normals per sample and both kernels' ns per
-    sample."""
+    the component states, the normals per sample, both kernels' ns per
+    sample and the ms to build the frame, run the engine and build the
+    kernel."""
     script = load_script("kernel_ns")
     argv = ["--codes", "unit", "two_horizontal", "--runs", "1", "--samples", "16", "--seed", "3"]
     assert script.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("seed 3, scale 0.8, median of 1 runs, ")
-    assert lines[1] == "code,S,component_states,fields,kind,samples,production_ns,reference_ns"
+    assert lines[1] == ("code,S,component_states,fields,kind,samples,production_ns,reference_ns,"
+                        "frame_ms,engine_ms,build_ms")
     rows = [line.split(",") for line in lines[2:]]
     assert [row[:6] for row in rows] == [
         ["unit", "8", "8", "5", "local", "16"], ["unit", "8", "8", "1", "global", "16"],
