@@ -1,4 +1,4 @@
-"""Monte Carlo kernel time per sample, production kernel against the S-sized reference,
+"""Monte Carlo kernel time per sample, production kernel against the one-component reference,
 and the time to build the frame, to run the engine once and to build the kernel.
 
 Usage, from the root of a checkout:
@@ -9,20 +9,24 @@ Usage, from the root of a checkout:
 For each code (a CLI target) and noise kind the script builds the code's
 dephasing frame once and times ``moments`` over one batch of samples at
 one phase scale, --scale (a one-element scale list, as a single-t sweep
-runs): --samples, else the batch monte_carlo_grid runs (MC_BATCH * 32 / S
-samples, at most MC_BATCH). The production kernel is
-``frame.kernel(kind)``: the component-factored _CosetKernel under local
-noise, _PhasorKernel under global noise. The reference is
-``_CosetKernel(frame, kind)``: the same coset-sum kernel on all S support
-states as one component. The two run alternately in one process, each
---runs times on the same draws, after one untimed call each; the script
-prints each one's median nanoseconds per sample, with the production
-kernel's normals per sample (fields: one per qubit class under local
-noise, one under global), the settings, the core count and the Python,
-numpy and scipy versions. Three more columns hold medians over --runs
-calls, in milliseconds: frame_ms builds the code's _Frame (the same in
-both of its rows), engine_ms runs one ``frame.expected`` at phase
-variance --scale squared, and build_ms builds the production kernel.
+runs): --samples, else the batch monte_carlo_grid runs (MC_BATCH * 32 /
+size samples, at most MC_BATCH, size the frame's component states sum_c
+2^m_c). The production kernel is ``frame.kernel(kind)``: the
+component-factored _CosetKernel under local noise, _PhasorKernel under
+global noise. The reference is ``_CosetKernel(frame, kind)``: the same
+coset-sum kernel with every generator in one component, on all S =
+2^generators states, run only where S is at most 2^12 (reference_ns is
+empty otherwise): a batch is sized by the component states, so past that
+the reference would take minutes per call. The two run alternately in one
+process, each --runs times on the same draws, after one untimed call each;
+the script prints each one's median nanoseconds per sample, with S, the
+component states, the production kernel's normals per sample (fields: one
+per qubit class under local noise, one under global), the settings, the
+core count and the Python, numpy and scipy versions. Three more columns
+hold medians over --runs calls, in milliseconds: frame_ms builds the
+code's _Frame (the same in both of its rows), engine_ms runs one
+``frame.expected`` at phase variance --scale squared, and build_ms builds
+the production kernel.
 """
 
 from __future__ import annotations
@@ -100,17 +104,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         code, logicals = pair_of(target)
         frame_ms = median_ms(lambda: dephasing._Frame(code, logicals), args.runs)
         frame = dephasing._Frame(code, logicals)
-        size = len(frame.support)
-        samples = args.samples or max(1, min(dephasing.MC_BATCH, (dephasing.MC_BATCH << 5) // size))
+        size = 1 << len(frame.generators)  # S
+        samples = args.samples or max(1, min(dephasing.MC_BATCH, (dephasing.MC_BATCH << 5) // frame.size))
         parts = "+".join(str(1 << len(part)) for part in frame.components)
         for kind in args.kinds:
             model = dephasing.NoiseModel(kind, 1.0)
             engine_ms = median_ms(lambda: frame.expected(model, args.scale**2), args.runs)
             build_ms = median_ms(lambda: rebuild(frame, kind), args.runs)
-            kernels = (frame.kernel(kind), dephasing._CosetKernel(frame, kind))
-            ns = median_ns(kernels, args.seed, samples, args.scale, args.runs)
+            kernels = [frame.kernel(kind)]
+            if size <= 1 << 12:  # the reference lists all S states per sample
+                kernels.append(dephasing._CosetKernel(frame, kind))
+            ns = [f"{value:.0f}" for value in median_ns(kernels, args.seed, samples, args.scale, args.runs)]
             print(f"{target},{size},{parts},{kernels[0].fields},{kind},{samples},"
-                  f"{ns[0]:.0f},{ns[1]:.0f},{frame_ms:.3f},{engine_ms:.3f},{build_ms:.3f}",
+                  f"{ns[0]},{ns[1] if len(ns) > 1 else ''},{frame_ms:.3f},{engine_ms:.3f},{build_ms:.3f}",
                   flush=True)
     return 0
 

@@ -1,10 +1,12 @@
 """Command-line workbench: build codes, verify claims, run noise sweeps.
 
 Exit codes: 0 all checks pass, 1 claim mismatch, 2 infeasible request
-(dephase: n > 64, codeword support S above DEPHASE_MAX_SUPPORT, or Monte
-Carlo work --mc-samples x S x t points above DEPHASE_MAX_MC_WORK), 64
-usage error. Data outputs (CSV/JSON) are byte-identical across reruns
-with the same flags; each --out file gets an <out>.manifest.json sidecar.
+(dephase: component states sum_c 2^m_c above DEPHASE_MAX_SUPPORT, a
+component on more than 64 qubits, or Monte Carlo work --mc-samples x
+states x t points above DEPHASE_MAX_MC_WORK, each refused before the
+frame lists a state), 64 usage error. Data outputs (CSV/JSON) are
+byte-identical across reruns with the same flags; each --out file gets an
+<out>.manifest.json sidecar.
 main builds its argument parser on the first call and reuses it for every
 later call in the process.
 """
@@ -27,13 +29,15 @@ EXIT_MISMATCH = 1
 EXIT_INFEASIBLE = 2
 EXIT_USAGE = 64
 
-DEPHASE_MAX_SUPPORT = 1 << 18  # largest codeword support S = 2^(m_x + 1)
-# samples * S * t points. A local-noise sample costs one normal per qubit
-# class (at most n) and sum_c 2^m_c states over the X-components
-# (dephasing._CosetKernel): about 0.2-0.3 us on the unit code (S = 8, so
-# 2^29 sample-t at the cap, ~2-3 min) and 1.1 us on lshape:1,1 (S = 512)
-# on a 2-core Xeon; a global-noise sample costs O(K), K <= n. The cap stays
-# in S terms while dephase still builds the S-sized frame.
+# largest sum_c 2^m_c of the states the dephasing frame lists, one list per
+# component of its generators (dephasing._components); each component's
+# states are uint64 masks over its own qubits, so it may span at most 64
+DEPHASE_MAX_SUPPORT = 1 << 18
+# samples * sum_c 2^m_c * t points. A local-noise sample costs one normal
+# per qubit class (at most n) and sum_c 2^m_c states (dephasing._CosetKernel):
+# about 0.2-0.3 us on the unit code (8 states, so 2^29 sample-t at the cap,
+# ~2-3 min) and 1.1 us on lshape:1,1 (72 states) on a 2-core Xeon; a
+# global-noise sample costs O(K), K <= n.
 DEPHASE_MAX_MC_WORK = 1 << 32
 
 
@@ -228,20 +232,22 @@ def cmd_dephase(args: argparse.Namespace) -> int:
         if code is None:
             return EXIT_USAGE
         manifest.inputs.append(args.code)
-    support = 2 << sum(1 for s in code.stabilizers if s.x_mask)
-    work = args.mc_samples * support * len(t_grid)
-    if code.n > 64 or support > DEPHASE_MAX_SUPPORT or work > DEPHASE_MAX_MC_WORK:
-        print(
-            f"dephase: needs n <= 64, codeword support S <= {DEPHASE_MAX_SUPPORT} and "
-            f"--mc-samples x S x t points <= {DEPHASE_MAX_MC_WORK}, "
-            f"got n = {code.n}, S = {support}, {args.mc_samples} x {support} x {len(t_grid)}",
-            file=sys.stderr,
-        )
-        return EXIT_INFEASIBLE
     if code.logical_pairs is not None:
         logicals = engine.LogicalSet(code.logical_pairs)
     else:
         logicals = engine.find_logical_set(code)
+    # the frame's generators and components, sized before it lists a state
+    generators = [s for s in code.stabilizers if s.x_mask] + [x for x, _ in logicals.pairs[:1]]
+    parts = [[generators[g] for g in part] for part in dephasing._components(generators)]
+    states = sum(1 << len(part) for part in parts)
+    qubits = max((dephasing._span(part).bit_count() for part in parts), default=0)
+    work = args.mc_samples * states * len(t_grid)
+    if states > DEPHASE_MAX_SUPPORT or qubits > 64 or work > DEPHASE_MAX_MC_WORK:
+        print(f"dephase: needs component states sum_c 2^m_c <= {DEPHASE_MAX_SUPPORT}, components "
+              f"on <= 64 qubits and --mc-samples x states x t points <= {DEPHASE_MAX_MC_WORK}, "
+              f"got {states} states, a component on {qubits} qubits, "
+              f"{args.mc_samples} x {states} x {len(t_grid)}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     model = dephasing.NoiseModel(args.kind, args.gamma)
     try:
         frame = dephasing._Frame(code, logicals)  # shared by the engine and MC
@@ -263,21 +269,11 @@ def cmd_dephase(args: argparse.Namespace) -> int:
             )
         ]
     for t, rec, mc in zip(t_grid, engine_records, mc_records):
-        lines.append(
-            dephasing.sweep_row(rec, args.gamma, args.theta, args.phi, args.kind, "engine")
-        )
         closed = dephasing.closed_form(args.kind, args.theta, args.phi, args.gamma, t)
-        lines.append(
-            dephasing.sweep_row(
-                closed, args.gamma, args.theta, args.phi, args.kind, "closed_form"
-            )
-        )
-        if mc is not None:
-            lines.append(
-                dephasing.sweep_row(
-                    mc, args.gamma, args.theta, args.phi, args.kind, "monte_carlo"
-                )
-            )
+        for record, source in ((rec, "engine"), (closed, "closed_form"), (mc, "monte_carlo")):
+            if record is not None:
+                lines.append(dephasing.sweep_row(
+                    record, args.gamma, args.theta, args.phi, args.kind, source))
     manifest.duration_seconds = time.monotonic() - started
     return EXIT_OK if _emit("\n".join(lines) + "\n", args.out, manifest) else EXIT_USAGE
 

@@ -1,49 +1,52 @@
 """Logical-qubit observables under global and local Gaussian dephasing.
 
-Everything is computed on one sparse frame: the codeword support of the
-designated logical pair (the first one, checked by
-engine.verify_logical_set), built by engine._SparseCodewords (the type the
-codeword-matrix oracle also uses) in one doubling pass over the
-X-stabilizers and Xbar. Dephasing multiplies each support state by a phase
-u[a], and every observable is a quadratic form in u with fixed
-coefficients, one row per logical Pauli (Xbar, Ybar, Zbar).
+Everything is computed on one frame: the codewords of the designated
+logical pair (the first one, checked by engine.verify_logical_set), listed
+per component of their generators (_components: the X-type stabilizers and
+Xbar, joined where x-masks overlap or a z-mask meets an x-mask). Across
+components the generators act on disjoint qubits, so the codeword support
+of S = 2^(m_x + 1) states is the XOR of one state per component, and each
+component lists its own 2^m_c states (_states, one doubling pass over its
+generators) as uint64 masks over its own qubits, at most 64 of them. The
+support itself is never formed: the frame, the engine and both kernels
+cost sum_c 2^m_c, so codes past 64 qubits (grid:4 and up) and supports far
+past 2^18 (lshape:6,6, S = 2^34) run. Dephasing multiplies each support
+state by a phase u[a], and every observable is a quadratic form in u with
+fixed coefficients, one row per logical Pauli (Xbar, Ybar, Zbar).
 
 Each logical Pauli maps coset k of the support onto coset k ^ 1 (Xbar, Ybar:
 coset-flipping) or onto itself (Zbar), and the code-space operator is diagonal
 there, so each form has two nonzero entries F_k, k the column. A verified
 logical Pauli maps |k_L> onto a phase times |k'_L>, and every codeword
 amplitude has the modulus sqrt(2/S), so the frame keeps per Pauli o one
-x-shift s (state c goes to c ^ s) and one coefficient coef[o, k] per coset,
-and one weight, 2/S: Bloch F_k = coef[o, k] sum_{c in k} conj(u[c ^ s])
-u[c], leakage F_k = pc weight coef[o, k] conj(P_{k ^ flip}) P_k, with the
-coset sums P_k = sum_{c in k} u[c]. So the forms need only the P_k and, per
-distinct shift, the quadratic sums (shift 0, Zbar's unless it is dressed,
-gives the state count). _combine makes them G = F_0 + conj(F_1)
-(coset-flipping) or Re F_0 + i Re F_1, and a point (theta, phi) reads v =
-Re(y G), y from _point_weights. The Monte Carlo oracle samples u (the phase
-accumulated over time t is Normal(0, gamma*t)); batches keep the sums of D,
-D^2 and |D|^2, D = G - G_ref (G at u = 1), so every point follows in closed
-form. Under local noise _CosetKernel builds u
-per sample on the components of the frame's generators (_components: the
-X-type stabilizers and Xbar, joined where x-masks overlap or a z-mask meets
-an x-mask). A support state is the XOR of one state per component and u is
-a product over the components, so each of those sums is a product of
-per-component sums: a sample costs sum_c 2^m_c states, not S. A common
-phase cancels in every form, so each component takes its spins relative
-to its own state 0, where u is 1 and no phase is computed. Qubits touched
-by the same generators (the same spin row) enter the phases only through
-the sum of their normals, and a sum of m i.i.d. normals is one normal
-times sqrt(m): a sample draws one standard normal per such class of
-qubits, not n, and a qubit touched by no generator draws none. In the
-frame's coordinate order (state p ^ 2^j is p shifted by generator j, Xbar
-last) the cosets are the halves of Xbar's component, and each component's
-u is built from small tables of phases (its first MC_DIRECT states, then
-each generator's distinct spin changes), in sub-chunks of 2 MC_CHUNK phase
-factors (MC_CHUNK under global noise), rounded down to an even number of
-samples. Under global noise one normal drives
-every phase, each form is a trigonometric polynomial of degree K in it, and
-_PhasorKernel builds only K phasors and D from them per sample, a cost of
-samples x K with no S-sized array; it multiplies only the rows of its
+coefficient coef[o, k] per coset (a product of one factor per component),
+and one weight, 2/S: with s its x-shift (state c goes to c ^ s), Bloch F_k =
+coef[o, k] sum_{c in k} conj(u[c ^ s]) u[c], leakage F_k = pc weight
+coef[o, k] conj(P_{k ^ flip}) P_k, with the coset sums P_k = sum_{c in k}
+u[c]. So the forms need only the P_k and, per distinct shift, the quadratic
+sums (shift 0, Zbar's unless it is dressed, gives the state count).
+_combine makes them G = F_0 + conj(F_1) (coset-flipping) or Re F_0 + i Re
+F_1, and a point (theta, phi) reads v = Re(y G), y from _point_weights. The
+Monte Carlo oracle samples u (the phase accumulated over time t is
+Normal(0, gamma*t)); batches keep the sums of D, D^2 and |D|^2, D = G -
+G_ref (G at u = 1), so every point follows in closed form. Under local
+noise _CosetKernel builds u per sample on the components: u is a product
+over them, so each of those sums is a product of per-component sums and a
+sample costs sum_c 2^m_c states. A common phase cancels in every form, so
+each component takes its spins relative to its own state 0, where u is 1
+and no phase is computed. Qubits touched by the same generators (equal
+x-columns) enter the phases only through the sum of their normals, and a
+sum of m i.i.d. normals is one normal times sqrt(m): a sample draws one
+standard normal per such class of qubits, not n, and a qubit touched by no
+generator draws none. Xbar is the top bit of its component, so the cosets
+are that component's halves, and each component's u is built from small
+tables of phases (its first MC_DIRECT states, then each generator's
+distinct spin changes), in sub-chunks of 2 MC_CHUNK phase factors (MC_CHUNK
+under global noise), rounded down to an even number of samples. Under
+global noise one normal drives every phase, each form is a trigonometric
+polynomial of degree K in it, and _PhasorKernel folds its coefficients from
+the frame's weight enumerators and builds only K phasors and D from them
+per sample, a cost of samples x K; it multiplies only the rows of its
 matrix that are not identically zero. Both kernels get their phases as
 e^{2ih} - 1 from one SIMD tan of each half-angle h (_phase_minus_one); no
 per-sample sin or cos remains. Both draw their standard normals by
@@ -58,33 +61,37 @@ offsets set by their first sample (_stream: PCG64's advance, which counts
 one 64-bit draw per double, times a stride of the normals per sample
 rounded up to even), so any thread count reproduces the serial result bit
 for bit; the even stride keeps the one extra uniform of an odd last
-sub-chunk inside the batch's range. The analytic
-engine, _Frame.expected, returns E[G] (G_ref at t = 0), the exact
-expectation of that estimator: E[conj(u_p) u_q] is decoherence_factor of
-the two basis states (magnetization difference for global noise, Hamming
-distance for local), summed per codeword coset or popcount level, never as
-an S x S matrix, and multiplied by the per-coset constants. The frame
-checks at build, once for the engine and both kernels, that the
-coefficients are constant per coset and that the part G drops (F_1 -
-conj(F_0), Im F_k) is zero, as the forms are Hermitian. The dense O(2^n) references
-prepare_logical_state, dephased_pauli_expectation and code_space_operator
-serve the tests. The thread pool loads on the first monte_carlo_grid call,
-not on import; nothing here needs scipy.
+sub-chunk inside the batch's range. The analytic engine, _Frame.expected,
+returns E[G] (G_ref at t = 0), the exact expectation of that estimator:
+E[conj(u_p) u_q] is _damping of the two basis states' distance (popcount
+difference for global noise, Hamming distance for local), summed through
+weight enumerators (MacWilliams & Sloane, ch. 5), each the convolution of
+one popcount histogram per component, and multiplied by the per-coset
+constants. The frame checks at build, once for the engine and both
+kernels, that each component's factors are constant per coset and that the
+part G drops (F_1 - conj(F_0), Im F_k) is zero, as the forms are Hermitian.
+The dense O(2^n) references prepare_logical_state,
+dephased_pauli_expectation and code_space_operator serve the tests. The
+thread pool loads on the first monte_carlo_grid call, not on import;
+nothing here needs scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import pauli
-from .engine import LogicalSet, _SparseCodewords, verify_logical_set
+from .engine import LogicalSet, _seed, verify_logical_set
 from .engine import codeword_zero  # noqa: F401  perfbench/test_perfbench.py needs it
+from .gf2 import _set_bits
 from .lattice import CodeSpec
 from .pauli import PauliOperator, basis_action, multiply
 from .pauli import apply  # noqa: F401  perfbench/test_perfbench.py needs it
@@ -92,9 +99,9 @@ from .states import PureState
 
 KINDS = ("global", "local")
 REALNESS_TOL = 1e-10
-MC_BATCH = 1 << 16  # samples per Monte Carlo batch on supports S <= 32
+MC_BATCH = 1 << 16  # samples per Monte Carlo batch on frames of <= 32 component states
 MC_CHUNK = 1 << 14  # phase factors per global-noise sub-chunk, twice that under local (L2-sized)
-MC_DIRECT = 8  # support states whose local-noise phases need no doubling step
+MC_DIRECT = 8  # component states whose local-noise phases need no doubling step
 
 
 @dataclass(frozen=True)
@@ -160,19 +167,33 @@ def magnetization(index, n: int):
     return n - 2 * _popcount(index)
 
 
-def decoherence_factor(a, b, model: NoiseModel, t: float, n: int):
-    """Damping of the (a, b) density-matrix element after time t, elementwise
-    over basis indices (ints or uint64 arrays). This is the one place the
-    damping formula is written; the engine and the dense reference call it."""
+def _exponent(model: NoiseModel, t: float) -> float:
+    """c gamma t, c the convention, the phase variance after time t;
+    ValueError for a t outside [0, inf) or a product that is not finite."""
     if not 0 <= t < math.inf:
         raise ValueError("t must be finite and nonnegative")
     gt = model.convention * model.gamma * t
     if not math.isfinite(gt):
         raise ValueError("convention * gamma * t must be finite")
+    return gt
+
+
+def _damping(distance, model: NoiseModel, t: float):
+    """e^{-distance c gamma t / 2} elementwise: the damping after time t of a
+    density-matrix element whose two basis states lie distance apart (their
+    Hamming distance under local noise, their popcount difference squared
+    under global noise). This is the one place the damping formula is
+    written; the engine and decoherence_factor call it."""
+    return np.exp(-distance * _exponent(model, t) / 2.0)
+
+
+def decoherence_factor(a, b, model: NoiseModel, t: float, n: int):
+    """Damping of the (a, b) density-matrix element after time t, elementwise
+    over basis indices (ints or uint64 arrays); the dense reference calls it."""
     if model.kind == "global":
-        dm = magnetization(a, n) - magnetization(b, n)
-        return np.exp(-(dm * dm) * gt / 8.0)
-    return np.exp(-_popcount(a ^ b) * gt / 2.0)
+        dm = (magnetization(a, n) - magnetization(b, n)) // 2
+        return _damping(dm * dm, model, t)
+    return _damping(_popcount(a ^ b), model, t)
 
 
 def prepare_logical_state(
@@ -231,34 +252,48 @@ def code_space_operator(
 
 
 class _Frame:
-    """The codeword support of the designated logical pair and its forms.
+    """The codewords of the designated logical pair, component by component,
+    and the constants and weight enumerators of their forms.
 
-    support holds the S basis states of |0_L> and |1_L> in coordinate order;
-    state c lies in coset c >> (log2 S - 1) (the half holding that |k_L>)
-    with amplitude amps[c]. For L in (Xbar, Ybar = i*Zbar*Xbar, Zbar), index
-    o, L|support[c]> = sign[c] |support[c ^ shift[o]]> (_SparseCodewords'
-    signed_permutation) and L maps coset k onto j = k ^ flipping[o],
-    flipping[o] = shift[o] >= S/2. The frame keeps no per-state row but
-    support: conj(amps[c ^ shift[o]]) sign[c] amps[c] is one constant
-    coef[o, k] on each coset k, and |amps[c]|^2 one float, weight (2/S).
+    generators holds the X-type stabilizers, then Xbar, and components
+    partitions their indices as _components does, Xbar's component first.
+    Across components the generators act on disjoint qubits, so the codeword
+    support of |0_L> and |1_L> is the XOR of one state per component (_part
+    lists a component's 2^m_c states on its own qubits, Xbar the top bit, so
+    the halves of Xbar's component are the cosets, coset k holding |k_L>) and
+    every amplitude is a product of one unit per component times sqrt(2/S),
+    S = 2^len(generators). size, the sum of the 2^m_c, is every state the
+    frame or a kernel lists; the S-state support is never formed. For L in
+    paulis (Xbar, Ybar = i*Zbar*Xbar, Zbar), index o, L maps state i of a
+    component to i ^ s (its local shift index, from L's x-mask) with sign
+    (-1)^|mask & z| there (and i^phase once), and L maps coset k onto k ^
+    flipping[o] (flipping: the top bit of s on Xbar's component). Its factor
+    conj(a[i ^ s]) sign[i] a[i] on a component, a its units, must be one
+    constant on each coset there, and coef[o, k] is i^phase times the
+    product of those factors times weight, 2/S (0 for an L whose x-mask
+    leaves the generators' span).
     With Pc = pc (|0_L><0_L| + |1_L><1_L|) on the support, pc = 2^(m-n), a
     phase vector u gives (sums over the states c of coset k; every other
     (j, k) entry is 0)
 
-      <j|U' L U|k>    = coef[o, k] sum_c conj(u[c ^ shift[o]]) u[c]
-      <j|U' L Pc U|k> = pc weight coef[o, k] (sum_c conj(u[c ^ shift[o]])) (sum_c u[c])
+      <j|U' L U|k>    = coef[o, k] sum_c conj(u[c ^ s]) u[c]
+      <j|U' L Pc U|k> = pc weight coef[o, k] (sum_c conj(u[c ^ s])) (sum_c u[c])
+
+    The engine needs only weight enumerators, each a convolution of one
+    histogram per component (of both halves of Xbar's): enumerator[k, w],
+    W, the share of coset-k states of popcount w, and overlap[o, k, a], N,
+    the share of coset-k states c with |c & x_o| = a, x_o the x-mask of L,
+    of popcount x_weight[o]. Shares, not counts, so nothing scales with S.
 
     The build checks both facts the kernels and the engine rest on, once:
-    ValueError when a coefficient or the weight is not constant per coset
-    (to REALNESS_TOL times the weight), or when the forms are not Hermitian
-    (coef[o, 1] = conj(coef[o, 0]) on coset-flipping rows, coef real on the
-    others, to REALNESS_TOL after scaling by S/2, the largest damping sum;
-    G drops that part, so |Im v| at every (theta, phi) and t is then within
-    the tolerance too).
-
-    components partitions the generators (the X-type stabilizers, then Xbar,
-    in coordinate order) as _components does, Xbar's component first; the
-    local-noise kernel factors over it.
+    ValueError when a factor is not constant per coset (to REALNESS_TOL), or
+    when the forms are not Hermitian (coef[o, 1] = conj(coef[o, 0]) on
+    coset-flipping rows, coef real on the others, to REALNESS_TOL after
+    scaling by S/2, the largest damping sum; G drops that part, so |Im v| at
+    every (theta, phi) and t is then within the tolerance too). It also
+    raises for a component on more than 64 qubits (its states are uint64
+    masks), for dependent generators, and for a negated Z-type stabilizer,
+    whose projector annihilates |0...0>.
 
     The designated pair is logicals.pairs[0]; ValueError when there is none
     or when engine.verify_logical_set reports a violation on it.
@@ -273,30 +308,43 @@ class _Frame:
                 "logical pair 1 fails verification: "
                 + "; ".join(report.logical_violations + report.degenerate)
             )
+        _seed(code)  # the code's generators are independent and |0_L> exists
         xbar, zbar = logicals.pairs[0]
         prod = multiply(zbar, xbar)
-        ybar = PauliOperator(prod.n, prod.x_mask, prod.z_mask, prod.phase + 1)
-        words = _SparseCodewords(code, [xbar])
-        amps = words.amps
-        self.n = code.n
-        self.pc = 2.0 ** (code.m - code.n)
-        self.support = words.support
-        perms, signs = zip(*map(words.signed_permutation, (xbar, ybar, zbar)))
-        self.shift = np.array([perm[0] for perm in perms])  # perm[c] = c ^ shift
-        rows = (np.conj(amps[np.array(perms)]) * signs * amps).reshape(3, 2, -1)  # per coset
-        weights = (np.conj(amps) * amps).real
-        self.coef, self.weight = rows[:, :, 0].copy(), weights[0]
-        rows -= self.coef[..., None]
-        error = max(abs(rows).max(), abs(weights - self.weight).max())
-        if error > REALNESS_TOL * self.weight:
-            raise ValueError(f"coefficients are not constant per coset: deviation {error:.3e}")
-        half = len(self.support) // 2
-        self.flipping = np.tile(self.shift >= half, 2)  # per form
-        error = half * np.where(self.flipping[:3], abs(self.coef[:, 1] - np.conj(self.coef[:, 0])),
-                                abs(self.coef.imag).max(1)).max()
+        self.paulis = (xbar, PauliOperator(prod.n, prod.x_mask, prod.z_mask, prod.phase + 1), zbar)
+        self.n, self.pc = code.n, 2.0 ** (code.m - code.n)
+        self.generators = [s for s in code.stabilizers if s.x_mask] + [xbar]
+        self.components = _components(self.generators)
+        self.size = sum(1 << len(part) for part in self.components)
+        self.weight = 2.0 ** (1 - len(self.generators))  # |amplitude|^2 = 2/S
+        span = _span(self.generators)
+        units = np.array([[(1j) ** L.phase * (not L.x_mask & ~span)] * 2 for L in self.paulis])
+        flipping = np.zeros(3, dtype=bool)
+        # W and N start as share 1 at popcount 0; each component convolves its histograms in
+        self.enumerator, self.overlap = np.zeros((2, self.n + 1)), np.zeros((3, 2, self.n + 1))
+        self.enumerator[:, 0] = self.overlap[..., 0] = 1.0
+        for c, part in enumerate(self.components):
+            _, masks, amps, paulis, shifts = _part(self, part)
+            cosets = 2 if c == 0 else 1
+            _convolve(self.enumerator, _popcount(masks), cosets)
+            units[[s is None for s in shifts]] = 0.0  # L leaves the span: coef 0
+            s = np.array([s or 0 for s in shifts])
+            z = np.array([L.z_mask for L in paulis], dtype=np.uint64)[:, None]
+            signs = 1.0 - 2.0 * (np.bitwise_count(masks & z) & 1)  # L|mask> = sign |mask ^ x>, phase 0
+            factor = (np.conj(amps[np.arange(len(masks)) ^ s[:, None]]) * signs * amps).reshape(3, cosets, -1)
+            error = abs(factor - factor[..., :1])[units.any(1)].max(initial=0.0)
+            if error > REALNESS_TOL:
+                raise ValueError(f"coefficients are not constant per coset: deviation {error:.3e}")
+            units *= factor[..., 0]
+            flipping |= (c == 0) & (2 * s >= len(masks))
+            for o in np.flatnonzero(s):
+                _convolve(self.overlap[o], _popcount(masks & masks[s[o]]), cosets)
+        self.coef = self.weight * units
+        self.flipping = np.tile(flipping, 2)  # per form
+        error = np.where(flipping, abs(units[:, 1] - np.conj(units[:, 0])), abs(units.imag).max(1)).max()
         if error > REALNESS_TOL:
             raise ValueError(f"forms are not Hermitian: deviation {error:.3e}")
-        self.components = _components([s for s in code.stabilizers if s.x_mask] + [xbar])
+        self.x_weight = np.array([L.x_mask.bit_count() for L in self.paulis])
         self._kernels = {}  # noise kind -> its Monte Carlo kernel
 
     def kernel(self, kind: str):
@@ -312,41 +360,89 @@ class _Frame:
 
     def expected(self, model: NoiseModel, t: float) -> np.ndarray:
         """(6,) E[G] at t: _combine of the per-coset forms F_k with conj(u_p) u_q
-        replaced by K(p, q) = decoherence_factor(support[p], support[q]), in O(S + n^2).
+        replaced by K(p, q) = _damping between support states p and q, from
+        the enumerators, in O(n) under local noise and O(n^2) under global.
 
-        The support is the linear code O + {0, Xbar} (O: the X-stabilizer
-        orbit), so support[c ^ s] = support[c] ^ support[s], and |k_L> lives
-        on coset k. Bloch F_k is coef[o, k] times the sum of K(c ^ s, c) over
-        coset k. Leakage F_k is pc (2/S) coef[o, k] T[k ^ flip, k], T[j, k] the
-        sum of K(p, q) over p in coset j and q in coset k: under local noise
-        (S/2) times the coset sums of K(., 0) at coset j ^ k (support[p] ^
-        support[q] runs over it), under global noise hist K hist^T, hist the
-        per-coset popcount histograms and K taken between popcounts.
+        With z = e^{-c gamma t / 2}, U = coef / weight (coef S/2), x = x_weight[o]
+        and f = flipping[o]: support state c ^ s is c XOR x_o, so local Bloch
+        F_k = U z^x; local leakage F_k = pc U W_f(z), W_f the polynomial of
+        enumerator row f (the distance between states of cosets k ^ f and k
+        runs over coset f); global leakage F_k = pc U (W K W^T)[k ^ f, k], K
+        taken between popcounts; global Bloch F_k = U sum_a N_k(a) K(x - 2a),
+        |c ^ x_o| - |c| = x - 2 |c & x_o|.
         """
-        n, support = self.n, self.support
-        half = len(support) // 2
+        unit, levels = self.coef / self.weight, np.arange(self.n + 1)
         if model.kind == "local":
-            sums = decoherence_factor(support, 0, model, t, n).reshape(2, -1).sum(-1)
-            table = half * np.array([sums, sums[::-1]])  # [j, k] -> (S/2) sums[j ^ k]
+            sums = self.enumerator @ _damping(levels, model, t)
+            table = np.array([sums, sums[::-1]])  # [j, k] -> W_{j ^ k}(z)
+            bloch = unit * _damping(self.x_weight, model, t)[:, None]
         else:
-            hist = np.array([np.bincount(w, minlength=n + 1)
-                             for w in _popcount(support).reshape(2, -1)])
-            reps = np.array([(1 << w) - 1 for w in range(n + 1)], dtype=np.uint64)
-            table = hist @ decoherence_factor(reps[:, None], reps, model, t, n) @ hist.T
-        damped = decoherence_factor(support ^ support[self.shift, None], support, model, t, n)
+            kept = np.flatnonzero(self.enumerator.any(0))
+            shares = self.enumerator[:, kept]
+            table = shares @ _damping((kept[:, None] - kept) ** 2, model, t) @ shares.T
+            change = _damping((self.x_weight[:, None] - 2 * levels) ** 2, model, t)
+            bloch = unit * np.einsum("oka,oa->ok", self.overlap, change)
         pairs = table[np.arange(2) ^ self.flipping[:3, None], np.arange(2)]  # T[k ^ flip, k]
-        sums = np.vstack([damped.reshape(3, 2, -1).sum(-1), self.pc / half * pairs])  # 2/S exact
-        return _combine(np.tile(self.coef, (2, 1)) * sums, self.flipping)
+        return _combine(np.vstack([bloch, self.pc * unit * pairs]), self.flipping)
 
-    def spins(self, kind: str, states: Optional[np.ndarray] = None) -> np.ndarray:
-        """spins[k, i] couples noise field k to support state states[i] (every
-        state when None): one field, half the magnetization (global), or one
-        per qubit, its z-spin/2 (local)."""
-        support = self.support if states is None else self.support[states]
-        if kind == "global":
-            return magnetization(support, self.n)[None, :] / 2.0
-        bytes_ = support.astype("<u8").view(np.uint8).reshape(-1, 8)
-        return 0.5 - np.unpackbits(bytes_, axis=1, bitorder="little")[:, : self.n].T
+
+def _span(ops: Sequence[PauliOperator]) -> int:
+    """The union of the x-masks of ops."""
+    return functools.reduce(operator.or_, (op.x_mask for op in ops), 0)
+
+
+def _part(frame: _Frame, generators: Sequence[int]):
+    """(local, masks, amps, paulis, shifts) of the component of the frame's
+    generators with these indices: local maps the bit 2^q of each qubit q
+    their x-masks touch to its bit 2^j there (j counting those qubits
+    upwards), then its states (_states), the logical Paulis (Xbar, Ybar,
+    Zbar) there without their phases, and per Pauli the state that is its
+    x-mask there, so that it maps state i to i ^ shift (None where its
+    x-mask is no state). ValueError past 64 qubits, as the states are
+    uint64 masks."""
+    ops = [frame.generators[g] for g in generators]
+    local = {low: 1 << j for j, low in enumerate(_set_bits(_span(ops)))}
+    if len(local) > 64:
+        raise ValueError(f"a component spans {len(local)} qubits, above 64: its states are uint64 masks")
+    masks, amps = _states(ops, local)
+    paulis = [_restrict(L, local) for L in frame.paulis]
+    hits = [np.flatnonzero(masks == np.uint64(L.x_mask)) for L in paulis]
+    return local, masks, amps, paulis, [int(hit[0]) if hit.size else None for hit in hits]
+
+
+def _restrict(op: PauliOperator, local: Dict[int, int], phase: int = 0) -> PauliOperator:
+    """op on the qubits of local alone (_part), with the given phase."""
+    x, z = (sum(local.get(low, 0) for low in _set_bits(mask)) for mask in (op.x_mask, op.z_mask))
+    return PauliOperator(len(local), x, z, phase)
+
+
+def _states(generators: Sequence[PauliOperator], local: Dict[int, int]) -> Tuple[np.ndarray, np.ndarray]:
+    """(masks, amps) of the 2^len(generators) states of one component: state
+    i is the XOR of the x-masks of the generators chosen by the bits of i
+    (bit b: generators[b]), as a uint64 mask over the qubits of local (_part),
+    and amps[i] its unit amplitude: state 2^b + p is generators[b] applied
+    to state p (basis_action: i^phase (-1)^|mask & z| times amps[p]), from
+    amps[0] = 1. ValueError when the x-masks are dependent."""
+    masks = np.zeros(1 << len(generators), dtype=np.uint64)
+    amps = np.ones(len(masks), dtype=np.complex128)
+    for b, g in enumerate(generators):
+        lo, hi = slice(0, 1 << b), slice(1 << b, 2 << b)
+        masks[hi], phases = basis_action(_restrict(g, local, g.phase), masks[lo])
+        np.multiply(phases, amps[lo], out=amps[hi])
+    if not masks[1:].all():
+        raise ValueError("codeword basis not orthonormal (coset collision)")
+    return masks, amps
+
+
+def _convolve(shares: np.ndarray, levels: np.ndarray, cosets: int):
+    """Convolve shares (2, n + 1), one enumerator per coset, in place with
+    the histogram of levels, the popcounts of a component's states: of each
+    half when cosets is 2 (Xbar's component), of all of them for both
+    cosets when it is 1. Each histogram is a share of its states, so the
+    results stay shares, and no popcount passes n."""
+    hist = [np.bincount(half) / half.size for half in levels.reshape(cosets, -1)]
+    for k in range(2):
+        shares[k] = np.convolve(shares[k], hist[k % cosets])[: shares.shape[1]]
 
 
 class _CosetKernel:
@@ -358,57 +454,55 @@ class _CosetKernel:
     weight (checked there), so a sample needs only two kinds of sum of u:
     the coset sums P_k = sum_{c in k} u[c], which give the leakage forms (a
     constant times conj(P_{k ^ flip}) P_k), and per distinct x-shift s of the
-    logical Paulis (frame.shift) the quadratic sums Q_k = sum_{c in k}
-    conj(u[c ^ s]) u[c], which give the Bloch forms (a constant times Q_k;
-    shift 0 makes Q_k the state count). _combine is
-    folded into the constants: on a coset-flipping row c -> c ^ s swaps the
-    cosets, so Q_1 = conj(Q_0) and G = (lambda_0 + conj(lambda_1)) Q_0; on a
-    coset-keeping row Q_k is real and G = Re lambda_0 Q_0 + i Re lambda_1
-    Q_1, lambda_k the row's constant on coset k; the leakage rows likewise.
-    Nothing of the frame is read per state but its support.
+    logical Paulis the quadratic sums Q_k = sum_{c in k} conj(u[c ^ s])
+    u[c], which give the Bloch forms (a constant times Q_k; shift 0 makes
+    Q_k the state count). _combine is folded into the constants: on a
+    coset-flipping row c -> c ^ s swaps the cosets, so Q_1 = conj(Q_0) and G
+    = (lambda_0 + conj(lambda_1)) Q_0; on a coset-keeping row Q_k is real and
+    G = Re lambda_0 Q_0 + i Re lambda_1 Q_1, lambda_k the row's constant on
+    coset k; the leakage rows likewise. Nothing of the frame is read per
+    state: each component lists its own states.
 
     components partitions the frame's generators (its X-type stabilizers,
     then Xbar; _Frame.components), Xbar's component first. A support state
     is the XOR of one state per component and u is a product over the
     components, so each sum is a product of one sum per component over its
     2^m_c states: a sample costs the sum of the 2^m_c, not S. Without
-    components the kernel runs on all S states as one component, the
-    reference the tests hold it to; so does a code whose generators form one
-    component, operation for operation. The draws and the batch split (size
-    = S) do not depend on the partition: fields normals per sample, one per
-    class of qubits whose spin rows on the support, relative to state 0, are
-    equal (under local noise the qubits touched by the same generators; the
-    one magnetization row under global noise), ordered by lowest qubit. A
-    class of m qubits takes its normal times sqrt(m), folded into the step
-    tables; a qubit whose row is constant (touched by no generator) only
-    adds a common phase and draws nothing.
+    components every generator is in one component, listed by the same
+    _part and _states on all S states: the reference the tests hold the
+    kernel to (feasible only for small S); a code whose generators form one
+    component runs it operation for operation. The draws and the batch
+    split (size, the frame's sum of 2^m_c) do not depend on the partition:
+    fields normals per sample, one per class of qubits with equal x-columns
+    over the generators (a qubit's spin row relative to state 0 is the
+    parity of the chosen generators that touch it; the one popcount row
+    under global noise), ordered by lowest qubit. A class of m qubits takes
+    its normal times sqrt(m), folded into the step tables; a qubit touched by
+    no generator only adds a common phase and draws nothing.
 
     The step tables hold half the spin changes, so each table phase is 1 +
     (e^{2ih} - 1) from the tan of its half-angle h (_phase_minus_one): no
     per-sample sin or cos. The oracle runs it under local noise; under
-    global noise (u from the distinct magnetizations, one component) it is
-    the per-sample reference of _PhasorKernel."""
+    global noise (u from the popcounts) it is the per-sample reference of
+    _PhasorKernel."""
 
     def __init__(self, frame: _Frame, kind: str,
                  components: Optional[Sequence[Sequence[int]]] = None):
-        self.pc, self.flipping = frame.pc, frame.flipping
-        self.size = len(frame.support)
-        count = self.size.bit_length() - 1  # generators
+        self.pc, self.flipping, self.size = frame.pc, frame.flipping, frame.size
+        count = len(frame.generators)
         if components is None:
             components = [range(count)]
         if sorted(g for part in components for g in part) != list(range(count)):
             raise ValueError("components must partition the frame's generators")
-        # the qubit classes: equal spin rows on the support relative to state
-        # 0, a constant row dropped; a local row is, up to sign, the parity
-        # of the chosen generators that touch the qubit, so the generator
-        # states decide
-        probe = frame.spins(kind, np.r_[0, 1 << np.arange(count)])
-        rows, qubits, sizes = np.unique(probe - probe[:, :1], axis=0,
-                                        return_index=True, return_counts=True)
-        keep = np.flatnonzero(rows.any(axis=1))
-        keep = keep[np.argsort(qubits[keep])]  # by lowest qubit
-        classes = qubits[keep], np.sqrt(sizes[keep])
-        self.fields = len(keep)
+        # the qubit classes: a local spin row, relative to state 0, is the
+        # parity of the chosen generators that touch the qubit, so qubits with
+        # equal x-columns share it and a qubit in no x-mask has a constant row;
+        # per class its lowest qubit's bit and its size, by lowest qubit (None
+        # under global noise, whose one field is the popcount)
+        columns = pauli.qubit_columns(frame.generators, frame.n)[0]
+        classes = None if kind == "global" else [
+            (1 << columns.index(c), columns.count(c)) for c in dict.fromkeys(columns) if c]
+        self.fields = 1 if classes is None else len(classes)
         self.parts = [_Component(frame, kind, part, c == 0, classes)
                       for c, part in enumerate(components)]
         self.chunk = _even(2 * MC_CHUNK // sum(part.size for part in self.parts))
@@ -514,30 +608,38 @@ def _fill(row: np.ndarray, const, product: Optional[np.ndarray], flip: bool):
 
 
 class _Component:
-    """One component of a _CosetKernel: its state i is the frame coordinate
-    of the XOR of the generators chosen by the bits of i (bit b: generators[b],
-    ascending, so Xbar, the frame's last generator, is the top bit of the
-    component that holds it and its two halves are the cosets). It holds the
-    step tables (lo, hi, fields, half-angle table, index) that build u on its
-    states and the x-shifts of the logical Paulis there (Pauli o maps state i
-    to i ^ shift_o): shifts, the distinct nonzero ones, pick[o], the index
-    of Pauli o's in shifts (None for shift 0), and per shift s the states
-    the quadratic sum visits (pairs). No coefficient is kept per state.
-    classes holds the kernel's (representative qubit, sqrt(size)) per
-    normal. Every component takes the class spins relative to its state 0,
-    so its u is 1 there and no step computes it: a direct step gives u on
-    states 1 .. hi - 1, then each doubling step gives u[lo:2 lo] as u[:lo]
-    times a generator's phase changes. The first component's sums run over
-    both cosets."""
+    """One component of a _CosetKernel: its state i is the XOR of the
+    x-masks of the generators chosen by the bits of i (bit b:
+    generators[b], ascending, so Xbar, the frame's last generator, is the
+    top bit of the component that holds it and its two halves are the
+    cosets), listed by _part as a mask over the component's own qubits. It
+    holds the step tables (lo, hi, fields, half-angle table, index) that
+    build u on its states and the x-shifts of the logical Paulis there
+    (Pauli o maps state i to i ^ shift_o): shifts, the distinct nonzero
+    ones, pick[o], the index of Pauli o's in shifts (None for shift 0, or
+    where its x-mask is no state here), and per shift s the states the
+    quadratic sum visits (pairs). No coefficient is kept per state. classes
+    holds the kernel's (lowest qubit, size) per normal under local noise
+    (None under global noise, where the one field's spin is the popcount).
+    Every component takes the class spins relative to its state 0, the
+    empty mask, so its u is 1 there and no step computes it: a direct step
+    gives u on states 1 .. hi - 1, then each doubling step gives u[lo:2 lo]
+    as u[:lo] times a generator's phase changes. The first component's sums
+    run over both cosets."""
 
     def __init__(self, frame: _Frame, kind: str, generators: Sequence[int], first: bool,
-                 classes: Tuple[np.ndarray, np.ndarray]):
-        states = _embed(np.arange(1 << len(generators)), generators)
-        self.size, self.cosets = len(states), 2 if first else 1
-        qubits, weights = classes
-        spins = frame.spins(kind, states)[qubits] * weights[:, None]
-        shifts = _compress(frame.shift, generators).tolist()
-        self.shifts = sorted(set(shifts) - {0})
+                 classes: Optional[List[Tuple[int, int]]]):
+        local, masks, _, _, shifts = _part(frame, generators)
+        self.size, self.cosets = len(masks), 2 if first else 1
+        # spins relative to state 0 (mask 0): per class held here, the bit of
+        # its lowest qubit times sqrt(its size); the popcount under global noise
+        if classes is None:
+            own, spins = np.zeros(1, dtype=int), _popcount(masks)[None, :].astype(np.float64)
+        else:
+            own = np.array([f for f, (low, _) in enumerate(classes) if low in local], dtype=int)
+            bits = np.array([local[classes[f][0]] for f in own], dtype=np.uint64)
+            spins = ((masks & bits[:, None]) != 0) * np.sqrt([classes[f][1] for f in own])[:, None]
+        self.shifts = sorted(set(shifts) - {0, None})
         self.pick = [self.shifts.index(s) if s else None for s in shifts]
         # per shift s with top bit b: whether it flips the coset, 2^b, and
         # the partners c ^ s of the states c with bit b clear (one of each
@@ -548,15 +650,14 @@ class _Component:
             flips, bit = first and 2 * s >= self.size, 1 << (s.bit_length() - 1)
             index = np.arange(self.size).reshape(1 if flips else self.cosets, -1, 2, bit)[:, :, 0]
             self.pairs.append((flips, bit, index ^ s))
-        spins = spins[:, :1] - spins  # u = exp(i normals . spins), 1 at state 0
         hi = self.size if kind == "global" else min(self.size, MC_DIRECT)
         self.steps, lo = [], 1
         while lo < self.size:  # u[1:hi] = exp(i normals . spins), then doubling steps
             # u[lo:hi] = u[:hi - lo] * exp(i normals . change)
             change = spins[:, lo:hi] - (spins[:, : hi - lo] if lo > 1 else 0.0)
-            fields = np.flatnonzero(np.any(change, axis=1))
-            table, index = np.unique(change[fields].T, axis=0, return_inverse=True)
-            self.steps.append((lo, hi, fields, 0.5 * table, index.ravel()))  # half-angles
+            rows = np.flatnonzero(np.any(change, axis=1))
+            table, index = np.unique(change[rows].T, axis=0, return_inverse=True)
+            self.steps.append((lo, hi, own[rows], 0.5 * table, index.ravel()))  # half-angles
             lo, hi = hi, 2 * hi
 
     def buffers(self, width: int):
@@ -599,16 +700,6 @@ class _Component:
         return coset, found
 
 
-def _embed(index: np.ndarray, generators: Sequence[int]) -> np.ndarray:
-    """Frame coordinates of component indices: bit b of index moves to bit generators[b]."""
-    return sum(((index >> b) & 1) << g for b, g in enumerate(generators))
-
-
-def _compress(position: np.ndarray, generators: Sequence[int]) -> np.ndarray:
-    """Component indices of frame coordinates: bit generators[b] of position moves to bit b."""
-    return sum(((position >> g) & 1) << b for b, g in enumerate(generators))
-
-
 def _components(generators: Sequence[PauliOperator]) -> List[List[int]]:
     """The classes of generator indices (each ascending) under the joins of
     one union-find: two generators whose x-masks overlap, or where the z-mask
@@ -638,19 +729,20 @@ class _PhasorKernel:
     """_CosetKernel's moments under global noise, from one phasor per sample.
 
     One normal x drives every support state, u[p] = e^{i x l_p} with l_p =
-    popcount(support[p]) - n/2, so each per-coset form is a trigonometric
+    popcount(p) - n/2, so each per-coset form is a trigonometric
     polynomial in x whose frequencies are popcount differences: multiples of
-    step (their gcd, 2 when every support state has the same parity) up to
-    K step, the largest popcount on the support (which holds state 0, so
-    K >= 1). _combine is real-linear, so
-    D = G - G_ref = M v with v = (Re w_f, Im w_f), w_f = e^{i f step x} - 1
-    for f = 1..K, and a complex (6, 2K) matrix M folded from the frame here,
-    in two parts. A Bloch form is its coset's constant times the count of
-    states c at each frequency l_c - l_{c ^ s}; a leakage form is pc, the
-    weight and the constant times the convolution of the popcount
-    histograms of its two cosets (q in coset k, p = c ^ s in coset k ^
-    flip). The folded forms at x = 0 must give G_ref, which the engine
-    computes with 2/S, not the frame's weight (ValueError otherwise).
+    step (the gcd of the nonzero degrees of the frame's enumerator W, 2 when
+    every support state has the same parity) up to K step, the largest
+    degree of W (whose state 0 has degree 0, so K >= 1). _combine is
+    real-linear, so D = G - G_ref = M v with v = (Re w_f, Im w_f), w_f =
+    e^{i f step x} - 1 for f = 1..K, and a complex (6, 2K) matrix M folded
+    from the frame's enumerators here, in two parts, with U = coef / weight.
+    A Bloch form is U times the share N_k(a) of coset-k states c with |c &
+    x_o| = a, at frequency (2a - |x_o|) / step = (l_c - l_{c ^ s}) / step; a
+    leakage form is pc U times the convolution of the popcount shares W of
+    its two cosets (q in coset k, p = c ^ s in coset k ^ flip). The folded
+    forms at x = 0 must give G_ref, which the engine sums from the same
+    enumerators another way (ValueError otherwise).
     A sample costs one tan (w_1 from _phase_minus_one, with no sin or cos),
     K - 1 steps of the centred recurrence
     w_{f+1} = (1 + w_1) w_f + w_1, which keeps w_f accurate relative to its
@@ -661,27 +753,26 @@ class _PhasorKernel:
     S. D is squared per sample; the Gram matrix of
     v would cost O(K^2) and lose ~eps / x^2 of D^2 on rows whose leading
     orders cancel between frequencies (p_x, p_y of the unit cell). The draws
-    are _CosetKernel's (fields = 1), and size = S sets the same batch split."""
+    are _CosetKernel's (fields = 1), and size, the frame's sum of 2^m_c,
+    sets the same batch split."""
 
     def __init__(self, frame: _Frame):
         self.flipping = frame.flipping
-        self.size, self.fields = len(frame.support), 1
-        level = _popcount(frame.support)
-        self.step = int(np.gcd.reduce(level))
-        level //= self.step
-        self.degree = top = int(level.max())
+        self.size, self.fields = frame.size, 1
+        degrees = np.flatnonzero(frame.enumerator.any(0))
+        self.step = int(np.gcd.reduce(degrees))
+        self.degree = top = int(degrees[-1]) // self.step
         self.chunk = _even(MC_CHUNK // top)
         # forms[o, k, top + f]: coefficient of e^{i f step x} in F_k of row o
         width = 2 * top + 1
-        moved = _popcount(frame.support ^ frame.support[frame.shift, None]) // self.step  # at c ^ s
-        index = np.arange(6).reshape(3, 2, 1) * width + (level - moved).reshape(3, 2, -1) + top
-        counts = np.bincount(index.ravel(), minlength=6 * width).reshape(3, 2, width)
-        hist = [np.bincount(cell, minlength=top + 1) for cell in level.reshape(2, -1)]
-        forms = np.empty((6, 2, width), dtype=np.complex128)
-        forms[:3] = frame.coef[..., None] * counts
+        hist = frame.enumerator[:, : top * self.step + 1 : self.step]  # per level
+        unit = frame.coef / frame.weight
+        forms = np.zeros((6, 2, width), dtype=np.complex128)
         for o, k in itertools.product(range(3), range(2)):
-            left = frame.coef[o, k] * hist[k ^ self.flipping[o]][::-1]  # powers of e^{-i step x}
-            forms[3 + o, k] = frame.pc * np.convolve(frame.weight * hist[k], left)
+            a = np.flatnonzero(unit[o, k] * frame.overlap[o, k])  # |c & x_o|: frequency (2a - x_weight) / step
+            forms[o, k, top + (2 * a - frame.x_weight[o]) // self.step] = unit[o, k] * frame.overlap[o, k, a]
+            left = unit[o, k] * hist[k ^ int(self.flipping[o])][::-1]  # powers of e^{-i step x}
+            forms[3 + o, k] = frame.pc * np.convolve(hist[k], left)
         self.reference = frame.expected(NoiseModel("global", 0.0), 0.0)  # G at u = 1
         error = abs(_combine(forms.sum(-1), self.flipping) - self.reference).max()
         if error > REALNESS_TOL:
@@ -895,8 +986,8 @@ def monte_carlo_grid(
     local noise and as samples * K under global noise (K the degree of
     _PhasorKernel's polynomial), plus one draw of the normals per sample:
     one per qubit class under local noise, one under global noise.
-    Batches span MC_BATCH * 32 / S samples (MC_BATCH for S <= 32), S the
-    support size, under either kind and read disjoint ranges of one PCG64
+    Batches span MC_BATCH * 32 / size samples (MC_BATCH for size <= 32),
+    size the frame's component states sum_c 2^m_c, under either kind and read disjoint ranges of one PCG64
     stream (_stream: each batch owns batch * stride uniforms, stride the
     normals per sample rounded up to even, so the extra uniform of an odd
     last sub-chunk stays inside that range), so results are bit-identical
@@ -916,14 +1007,7 @@ def monte_carlo_grid(
 
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    scales = []
-    for t in t_grid:
-        if not 0 <= t < math.inf:
-            raise ValueError("t must be finite and nonnegative")
-        gt = model.convention * model.gamma * t
-        if not math.isfinite(gt):
-            raise ValueError("convention * gamma * t must be finite")
-        scales.append(math.sqrt(gt))
+    scales = [math.sqrt(_exponent(model, t)) for t in t_grid]
     if frame is None:
         frame = _Frame(code, logicals)
     kernel = frame.kernel(model.kind)

@@ -44,7 +44,8 @@ import numpy as np
 from . import gf2, pauli
 from .gf2 import _set_bits
 from .lattice import CodeSpec
-from .pauli import PauliOperator, apply, basis_action, commutes, multiply, to_string
+from .pauli import PauliOperator, apply, basis_action, multiply, to_string
+from .pauli import commutes  # noqa: F401  perfbench/test_perfbench.py needs it
 from .states import PureState
 
 KL_TOL = 1e-10
@@ -155,24 +156,18 @@ def verify_logical_set(code: CodeSpec, logicals: LogicalSet) -> VerificationRepo
                 report.degenerate.append(
                     f"{name}{i}={to_string(op)} lies in the stabilizer group"
                 )
-    for i in range(len(pairs)):
-        for j in range(len(pairs)):
-            want_anti = i == j
-            got_anti = not commutes(pairs[i][0], pairs[j][1])
-            if got_anti != want_anti:
-                verb = "commutes" if want_anti else "anticommutes"
-                report.logical_violations.append(
-                    f"Xbar{i + 1} {verb} with Zbar{j + 1}"
-                )
-        for j in range(i + 1, len(pairs)):
-            if not commutes(pairs[i][0], pairs[j][0]):
-                report.logical_violations.append(
-                    f"Xbar{i + 1} anticommutes with Xbar{j + 1}"
-                )
-            if not commutes(pairs[i][1], pairs[j][1]):
-                report.logical_violations.append(
-                    f"Zbar{i + 1} anticommutes with Zbar{j + 1}"
-                )
+    # bit j of table[i]: ops[i] anticommutes with ops[j], ops the Xbars, then the Zbars
+    k = len(pairs)
+    table = list(pauli.anticommutation_rows([x for x, _ in pairs] + [z for _, z in pairs]))
+    for i in range(k):
+        for j in range(k):
+            if table[i] >> (k + j) & 1 != (i == j):
+                verb = "commutes" if i == j else "anticommutes"
+                report.logical_violations.append(f"Xbar{i + 1} {verb} with Zbar{j + 1}")
+        for j in range(i + 1, k):
+            for name, row, column in (("Xbar", i, j), ("Zbar", k + i, k + j)):
+                if table[row] >> column & 1:
+                    report.logical_violations.append(f"{name}{i + 1} anticommutes with {name}{j + 1}")
     return report
 
 
@@ -325,6 +320,21 @@ def distance_symplectic(
 # --- error-discrimination (codeword matrix) oracle ---------------------------
 
 
+def _seed(code: CodeSpec) -> complex:
+    """The scalar prod (1 + i^phase) by which the Z-type stabilizers' (I + S)
+    scale |0...0> (each commutes with every X-type generator, so it scales
+    the whole orbit). ValueError when the generators are dependent or when
+    one (I + S) annihilates |0...0>."""
+    require_independent(code)
+    seed = 1.0 + 0.0j
+    for s in code.stabilizers:
+        if not s.x_mask:
+            seed *= 1 + (1j) ** s.phase
+            if seed == 0:
+                raise ValueError(f"projector (I + {to_string(s)}) annihilates the seed state")
+    return seed
+
+
 class _SparseCodewords:
     """The 2^len(xbars) codewords of a code on their common support.
 
@@ -339,13 +349,7 @@ class _SparseCodewords:
     def __init__(self, code: CodeSpec, xbars: Sequence[PauliOperator]):
         if code.n > 64:
             raise ValueError(f"basis indices are uint64: codewords need n <= 64, got n = {code.n}")
-        require_independent(code)
-        seed = 1.0 + 0.0j
-        for s in code.stabilizers:
-            if not s.x_mask:  # S commutes with every X-type generator: (I + S) scales the orbit
-                seed *= 1 + (1j) ** s.phase
-                if seed == 0:
-                    raise ValueError(f"projector (I + {to_string(s)}) annihilates the seed state")
+        seed = _seed(code)
         for xbar in xbars:
             syndrome = code._tableau.syndrome(xbar)
             if syndrome:

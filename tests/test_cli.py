@@ -275,15 +275,16 @@ def test_dephase_takes_a_seed_above_2_to_128(capsys):
 
 
 def test_dephase_runs_on_wider_support(capsys, tmp_path):
-    """grid_2x2 (n = 20, support S = 128) is within the support cap; its MC
-    batches (2^21 / S samples) split the same way for any --threads."""
+    """grid_2x2 (n = 20, 16 + 8 component states) is within the state cap;
+    its MC batches (MC_BATCH samples, 2^21 / 24 being more) split the same
+    way for any --threads: two full batches and a ragged third."""
     path = write_code(capsys, tmp_path, "grid_2x2")
     outs = []
     for threads in ("1", "2"):
         code, out, err = run(
             capsys, "dephase", "--code", str(path), "--kind", "local",
             "--theta", "1.1", "--phi", "0.3", "--gamma", "0.9", "--t-grid", "0:1.5:3",
-            "--mc-samples", "40000", "--seed", "9", "--threads", threads,
+            "--mc-samples", "140000", "--seed", "9", "--threads", threads,
         )
         assert code == 0, err
         outs.append(out)
@@ -298,11 +299,33 @@ def test_dephase_runs_on_wider_support(capsys, tmp_path):
             assert abs(float(e[col]) - float(m[col])) <= max(5 * se, 1e-12)
 
 
-@pytest.mark.parametrize("target", ["grid:4", "lshape:3,3"])
-def test_dephase_refuses_oversized_code(capsys, tmp_path, target):
-    """grid:4 has n = 72 > 64 (basis indices are 64-bit); lshape:3,3 has
-    n = 64 but support S = 2^19 above the cap."""
+@pytest.mark.parametrize("target", ["grid:4", "grid:10", "lshape:3,3", "lshape:6,6"])
+def test_dephase_runs_past_the_old_support_cap(capsys, tmp_path, target):
+    """The frame lists each component's states, not the S = 2^(m_x + 1)
+    support: grid:4 (n = 72), grid:10 (n = 420), lshape:3,3 (S = 2^19) and
+    lshape:6,6 (S = 2^34, 65584 component states) run an engine sweep and a
+    short Monte Carlo sweep."""
     path = write_code(capsys, tmp_path, target)
+    code, out, err = run(
+        capsys, "dephase", "--code", str(path), "--kind", "global",
+        "--theta", "1", "--phi", "1", "--gamma", "1", "--t-grid", "0:1:2",
+        "--mc-samples", "64", "--seed", "1",
+    )
+    assert code == 0, err
+    rows = parse_csv(out)
+    assert [r["source"] for r in rows] == ["engine", "closed_form", "monte_carlo"] * 2
+
+
+def test_dephase_refuses_oversized_code(capsys, tmp_path, monkeypatch):
+    """grid:14 has 13 x 2^15 + 2^16 = 491520 component states, above the
+    cap of 2^18 (grid:13, 229376, is within it): exit 2 with one stderr
+    line, before the frame lists any state."""
+    path = write_code(capsys, tmp_path, "grid:14")
+
+    def refuse(*args):
+        raise AssertionError("a state was listed")
+
+    monkeypatch.setattr(dephasing, "_states", refuse)
     code, out, err = run(
         capsys, "dephase", "--code", str(path), "--kind", "global",
         "--theta", "1", "--phi", "1", "--gamma", "1", "--t-grid", "0:1:2",
@@ -310,6 +333,22 @@ def test_dephase_refuses_oversized_code(capsys, tmp_path, target):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert "491520 states" in err
+
+
+def test_dephase_refuses_a_component_past_64_qubits(capsys, tmp_path):
+    """One X-type stabilizer on 65 qubits puts a component past the 64
+    qubits its uint64 state masks hold, though it has only 4 states: exit 2
+    with one stderr line."""
+    path = write_code(capsys, tmp_path, "unit")
+    doc = json.loads(path.read_text())
+    doc.update({"n": 66, "stabilizers": ["".join(f"X{q}" for q in range(1, 66))],
+                "logical_pairs": None, "declared": None, "layout": None})
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "dephase", "--code", str(path), *DEPHASE_ARGS, "--t-grid", "0:1:2")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "a component on 65 qubits" in err
 
 
 def test_dephase_synthesizes_past_the_coset_cap(capsys, tmp_path):
@@ -325,10 +364,16 @@ def test_dephase_synthesizes_past_the_coset_cap(capsys, tmp_path):
     assert sum(r["source"] == "engine" for r in parse_csv(out)) == 2
 
 
-def test_dephase_refuses_unbounded_monte_carlo(capsys, tmp_path):
-    """lshape:1,4 (S = 2^18) is within the support cap, but 10^6 samples at
-    3 t points exceed DEPHASE_MAX_MC_WORK: exit 2 before any frame is built."""
-    path = write_code(capsys, tmp_path, "lshape:1,4")
+def test_dephase_refuses_unbounded_monte_carlo(capsys, tmp_path, monkeypatch):
+    """grid:10 (22528 component states) is within the state cap, but 10^6
+    samples at 3 t points exceed DEPHASE_MAX_MC_WORK: exit 2 before the
+    frame lists any state."""
+    path = write_code(capsys, tmp_path, "grid:10")
+
+    def refuse(*args):
+        raise AssertionError("a state was listed")
+
+    monkeypatch.setattr(dephasing, "_states", refuse)
     code, out, err = run(
         capsys, "dephase", "--code", str(path), "--kind", "local",
         "--theta", "1", "--phi", "1", "--gamma", "1", "--t-grid", "0:1:3",

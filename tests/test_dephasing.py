@@ -1,5 +1,6 @@
 """Dephasing engine vs closed forms and the trajectory Monte Carlo oracle."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -84,6 +85,22 @@ def block_coefficients(code, logicals):
     return terms, (np.conj(b)[:, None] * b).reshape(4, -1)
 
 
+def sparse_support(code, logicals):
+    """The S basis states of |0_L> and |1_L> in _SparseCodewords' order (the
+    X-type stabilizers, then Xbar), the order of block_coefficients."""
+    return _SparseCodewords(code, logical_paulis(logicals)[:1]).support
+
+
+def support_spins(code, logicals, kind):
+    """spins[k, p] couples noise field k to support state p: one field, half
+    the magnetization (global), or one per qubit, its z-spin/2 (local)."""
+    support = sparse_support(code, logicals)
+    if kind == "global":
+        return magnetization(support, code.n)[None, :] / 2.0
+    bits = (support[None, :] >> np.arange(code.n, dtype=np.uint64)[:, None]) & 1
+    return 0.5 - bits.astype(np.float64)
+
+
 def point_values(forms, theta, phi):
     """sum_jk conj(c_j) c_k forms[:, j, k] for (6, 2, 2, ...) dense forms and
     the state c_0|0_L> + c_1|1_L>, c = (cos(theta/2), e^{i phi} sin(theta/2)):
@@ -163,16 +180,21 @@ def test_bad_time_or_noise_is_rejected(t, gamma, convention):
 
 @pytest.mark.parametrize("target", ["grid:4", "lshape:1,5"])  # n = 72, 68
 def test_codewords_past_64_qubits_are_refused(target):
-    """The support holds basis indices as uint64, so a code on more than 64
-    qubits is refused with a ValueError naming the limit, not numpy's
-    OverflowError from deep inside the doubling pass."""
+    """_SparseCodewords holds basis indices as uint64, so a code on more than
+    64 qubits is refused with a ValueError naming the limit, not numpy's
+    OverflowError from deep inside the doubling pass. The dephasing frame
+    lists each component's states on its own qubits (at most 18 here), so
+    the engine runs on these codes: r_z stays at cos(theta), and the Bloch
+    rows decay as e^{-w gamma t / 2}, w the x-weight of the Pauli."""
     code = _parse_target(target)
     logicals = find_logical_set(code)
     message = f"basis indices are uint64: codewords need n <= 64, got n = {code.n}"
     with pytest.raises(ValueError, match=f"^{message}$"):
-        bloch_and_leakage(code, logicals, 1.0, 0.5, NoiseModel("local", 1.0), [0.5])
-    with pytest.raises(ValueError, match=f"^{message}$"):
         _SparseCodewords(code, ())
+    rec = bloch_and_leakage(code, logicals, 1.0, 0.5, NoiseModel("local", 1.0), [0.5])[0]
+    weights = [bin(op.x_mask).count("1") for op in logical_paulis(logicals)]
+    assert abs(rec.r_z - math.cos(1.0)) <= 1e-12
+    assert abs(rec.r_x - math.sin(1.0) * math.cos(0.5) * math.exp(-weights[0] / 4)) <= 1e-12
 
 
 def test_prepare_logical_state_bloch():
@@ -320,7 +342,7 @@ def test_engine_equals_dense_reference(name, kind):
         code = build_unit()
         pair = tuple(parse_pauli(text, code.n) for text in DRESSED_UNIT[name])
         logicals = LogicalSet([pair, *code.logical_pairs[1:]])
-        assert (_Frame(code, logicals).shift[2] != 0) == ("zbar" in name)
+        assert (_Frame(code, logicals).x_weight[2] != 0) == ("zbar" in name)
     else:
         code = build_named(name)
         logicals = LogicalSet(code.logical_pairs)
@@ -335,13 +357,13 @@ def test_engine_equals_dense_reference(name, kind):
                     assert abs(got - ref) < 1e-12
 
 
-def square_damping_forms(frame, blocks, model, t):
+def square_damping_forms(code, logicals, blocks, model, t):
     """The dense (6, 2, 2) forms behind _Frame.expected, through the full S x S
-    damping matrix exp(-gt |spins_p - spins_q|^2 / 2), its kernel written out
-    here, and the block_coefficients of the frame's code and logicals."""
+    damping matrix exp(-gt |spins_p - spins_q|^2 / 2) on the S-state support,
+    its kernel written out here, and the block_coefficients of the code and
+    logicals."""
     terms, cg = blocks
-    bits = (frame.support[None, :] >> np.arange(frame.n, dtype=np.uint64)[:, None]) & 1
-    spins = 0.5 - bits.astype(np.float64)
+    spins = support_spins(code, logicals, "local")
     if model.kind == "global":
         spins = spins.sum(axis=0, keepdims=True)
     sq = (spins * spins).sum(axis=0)
@@ -352,7 +374,7 @@ def square_damping_forms(frame, blocks, model, t):
     for o, (perm, cr) in enumerate(terms):
         forms[o] = (cr @ damping[perm, np.arange(len(perm))]).reshape(2, 2)
         pairs = (cr @ right[perm]).reshape(2, 2, 2, 2)
-        forms[3 + o] = frame.pc * (pairs[:, 0, 0] + pairs[:, 1, 1])
+        forms[3 + o] = 2.0 ** (code.m - code.n) * (pairs[:, 0, 0] + pairs[:, 1, 1])
     return forms
 
 
@@ -362,7 +384,6 @@ def test_engine_equals_square_damping_reference(target, kind):
     """The coset/popcount kernel sums against the S x S matrix they replace,
     on supports (S = 128, 512) larger than any dense-reference code."""
     code, logicals = target_and_logicals(target)
-    frame = _Frame(code, logicals)
     blocks = block_coefficients(code, logicals)
     ts = [0.0, 0.3, 1.1, 2.7]
     for convention in (1.0, 2.0):
@@ -370,7 +391,7 @@ def test_engine_equals_square_damping_reference(target, kind):
         for theta, phi in [(0.0, 0.0), (1.1, 0.8), (2.5, 4.0)]:
             recs = bloch_and_leakage(code, logicals, theta, phi, model, ts)
             for t, rec in zip(ts, recs):
-                want = point_values(square_damping_forms(frame, blocks, model, t), theta, phi)
+                want = point_values(square_damping_forms(code, logicals, blocks, model, t), theta, phi)
                 for got, ref in zip(rec.values(), want):
                     assert abs(got - ref) < 1e-12
 
@@ -378,34 +399,40 @@ def test_engine_equals_square_damping_reference(target, kind):
 @pytest.mark.parametrize("target", ["unit", "two_vertical", "grid_2x2", "lshape:1,1"])
 def test_frame_rows_are_the_nonzero_block_entries(target):
     """Each block row cr[2j + k] is nonzero only at coset c = k, j = k ^ flip:
-    Pauli o maps state c to c ^ shift[o], coef[o, k] scattered on coset k
-    gives the blocks exactly, Xbar and Ybar flip the coset and Zbar keeps
-    it, and cg summed over its rows is weight on every state."""
+    on the S-state support Pauli o maps state c to c ^ s, s = perm[0], whose
+    popcount is the frame's x_weight[o]; coef[o, k] scattered on coset k
+    gives the blocks, Xbar and Ybar flip the coset and Zbar keeps it, and cg
+    summed over its rows is weight on every state. The frame's constants are
+    exact (2/S times a unit); the blocks round the amplitudes' squares, so
+    both are compared to 1e-15 of the weight."""
     code, logicals = target_and_logicals(target)
     frame = _Frame(code, logicals)
     terms, cg = block_coefficients(code, logicals)
+    support = sparse_support(code, logicals)
     assert frame.flipping.tolist() == [True, True, False] * 2
-    columns = np.arange(len(frame.support))
+    columns = np.arange(len(support))
     coset = columns // (len(columns) // 2)
     for o, (perm, cr) in enumerate(terms):
-        assert np.array_equal(perm, columns ^ frame.shift[o])
+        assert np.array_equal(perm, columns ^ perm[0])
+        assert frame.x_weight[o] == bin(int(support[perm[0]])).count("1")
         scattered = np.zeros_like(cr)
         scattered[2 * coset[perm] + coset, columns] = frame.coef[o, coset]
-        assert np.array_equal(scattered, cr)
+        assert abs(scattered - cr).max() <= 1e-15 * frame.weight
         assert np.array_equal(coset[perm], coset ^ frame.flipping[o])
-    assert (cg.sum(axis=0) == frame.weight).all()
+    assert abs(cg.sum(axis=0) - frame.weight).max() <= 1e-15 * frame.weight
 
 
-def test_frame_keeps_no_per_state_array_but_the_support():
-    """On lshape:1,4 (S = 2^18) the frame keeps its per-coset constants and
-    per-Pauli shifts, not S-sized rows: every ndarray attribute but support
-    has at most 6 entries."""
+def test_frame_keeps_no_per_state_array():
+    """On lshape:1,4 (S = 2^18, 96 component states) the frame keeps its
+    per-coset constants and the enumerators W (2, n + 1) and N (3, 2, n + 1),
+    not per-state rows: no ndarray attribute has more than 6 (n + 1)
+    entries."""
     frame = _Frame(*target_and_logicals("lshape:1,4"))
-    assert len(frame.support) == 1 << 18
+    assert len(frame.generators) == 18 and frame.size == 96
     sizes = {name: value.size for name, value in vars(frame).items()
-             if isinstance(value, np.ndarray) and name != "support"}
-    assert {"shift", "coef", "flipping"} <= set(sizes)
-    assert max(sizes.values()) <= 6
+             if isinstance(value, np.ndarray)}
+    assert {"coef", "flipping", "enumerator", "overlap"} <= set(sizes)
+    assert max(sizes.values()) <= 6 * (frame.n + 1)
 
 
 @pytest.mark.parametrize("name", ["unit", "two_vertical", "two_horizontal", "grid_2x2", "grid:1",
@@ -427,33 +454,24 @@ def test_local_bloch_decays_as_the_x_weight(name):
             assert abs(frame.expected(model, t)[:3] - start * decay).max() <= 1e-12
 
 
-def perturb_signs(monkeypatch, op, states, factor):
-    """Make _SparseCodewords.signed_permutation return op's signs on the
-    support states states (an index) times factor; other Paulis unchanged."""
-    original = _SparseCodewords.signed_permutation
-
-    def signed_permutation(words, other):
-        perm, sign = original(words, other)
-        if (other.x_mask, other.z_mask) == (op.x_mask, op.z_mask):
-            sign = sign.copy()
-            sign[states] *= factor
-        return perm, sign
-
-    monkeypatch.setattr(_SparseCodewords, "signed_permutation", signed_permutation)
+def times_i(op):
+    """i op."""
+    return PauliOperator(op.n, op.x_mask, op.z_mask, op.phase + 1)
 
 
-@pytest.mark.parametrize("pauli, delta", [(0, 1e-6), (1, 1e-6), (2, 1e-6j)])
-def test_expected_raises_on_non_hermitian_forms(pauli, delta, monkeypatch):
-    """The frame checks the part of the forms that G discards: one Pauli's
-    signs on coset 0 times 1 + delta keep its coefficient constant per coset
-    but break F_1 = conj(F_0) on the coset-flipping rows (Xbar, Ybar) or the
-    realness of F_0 on the coset-keeping rows (Zbar). Building the frame
-    raises, and so does the engine, which builds it, even at theta = 0,
-    where y is 0 on the flipping rows."""
+@pytest.mark.parametrize("dressed", ["xbar", "zbar"])
+def test_expected_raises_on_non_hermitian_forms(dressed):
+    """The frame checks the part of the forms that G discards: an i Xbar
+    (which also makes Ybar i times Hermitian) breaks F_1 = conj(F_0) on the
+    coset-flipping rows, an i Zbar the realness of F_0 on the coset-keeping
+    row, while every coefficient stays constant per coset. Building the
+    frame raises, and so does the engine, which builds it, even at theta =
+    0, where y is 0 on the flipping rows."""
     code, logicals = unit_and_logicals()
+    xbar, zbar = logicals.pairs[0]
+    pair = (times_i(xbar), zbar) if dressed == "xbar" else (xbar, times_i(zbar))
+    logicals = LogicalSet([pair, *logicals.pairs[1:]])
     model = NoiseModel("local", 0.9)
-    half = len(_Frame(code, logicals).support) // 2
-    perturb_signs(monkeypatch, logical_paulis(logicals)[pauli], slice(None, half), 1 + delta)
     with pytest.raises(ValueError, match="not Hermitian"):
         _Frame(code, logicals)
     with pytest.raises(ValueError, match="not Hermitian"):
@@ -542,12 +560,11 @@ def box_muller(gen, count):
     return np.stack([r * np.cos(angle), r * np.sin(angle)], 1).ravel()[:count]
 
 
-def qubit_classes(frame, kind):
-    """The noise fields of the coset kernel, derived from frame.spins on
+def qubit_classes(spins):
+    """The noise fields of the coset kernel, derived from support_spins on
     every support state: the qubits (spin rows; the one global row) whose
     rows relative to state 0 are equal form a class, a constant row is left
     out, and the classes are ordered by their lowest qubit."""
-    spins = frame.spins(kind)
     classes = {}
     for qubit, row in enumerate(spins - spins[:, :1]):
         if row.any():
@@ -555,11 +572,10 @@ def qubit_classes(frame, kind):
     return list(classes.values())
 
 
-def class_normals(frame, kind, seed, start, count):
+def class_normals(fields, seed, start, count):
     """(count, fields) standard normals of the batch from sample start, one
     per qubit class: PCG64(seed) advanced by start x stride, the stride the
     class count rounded up to even."""
-    fields = len(qubit_classes(frame, kind))
     gen = np.random.Generator(np.random.PCG64(seed).advance(start * (fields + fields % 2)))
     return box_muller(gen, count * fields).reshape(count, -1)
 
@@ -569,31 +585,33 @@ def per_sample_reference(code, logicals, points, model, t, samples, seed):
     kernel replaces, on the per-qubit model: each qubit of class c gets the
     normal z_c / sqrt(m_c), z_c the class's normal from the kernel's stream
     and m_c its size (a qubit in no class gets 0), and each batch's phases
-    are exp(-i normals . spins) over the qubits; then dense (6, 2, 2) forms
-    from the block_coefficients, point_values per sample, and the two-pass
-    mean and variance of v."""
+    are exp(-i normals . spins) over the qubits of the S-state support, in
+    pieces of at most 4096 samples; then dense (6, 2, 2) forms from the
+    block_coefficients, point_values per sample, and the two-pass mean and
+    variance of v. The batches split as the oracle's, on the frame's
+    component state count."""
     frame = _Frame(code, logicals)
     terms, cg = block_coefficients(code, logicals)
-    spins = frame.spins(model.kind)
-    classes = qubit_classes(frame, model.kind)
+    spins = support_spins(code, logicals, model.kind)
+    classes = qubit_classes(spins)
     spread = np.zeros((len(classes), len(spins)))  # class normal -> its qubits' normals
     for c, qubits in enumerate(classes):
         spread[c, qubits] = 1.0 / math.sqrt(len(qubits))
-    batch = max(1, min(MC_BATCH, (MC_BATCH << 5) // len(frame.support)))
+    batch = max(1, min(MC_BATCH, (MC_BATCH << 5) // frame.size))
     scale = math.sqrt(model.convention * model.gamma * t)
     values = []
     for start in range(0, samples, batch):
-        count = min(batch, samples - start)
-        normals = class_normals(frame, model.kind, seed, start, count) @ spread * scale
-        u = np.exp(-1j * (normals @ spins)).T
-        uc = np.conj(u)
-        right = (cg @ u).reshape(2, 2, -1)
-        forms = np.empty((6, 2, 2, count), dtype=np.complex128)
-        for o, (perm, cr) in enumerate(terms):
-            forms[o] = (cr @ (uc[perm] * u)).reshape(2, 2, -1)
-            left = (cr @ uc[perm]).reshape(2, 2, -1)
-            forms[3 + o] = frame.pc * (left[:, :1] * right[0] + left[:, 1:] * right[1])
-        values.append([point_values(forms, theta, phi).real for theta, phi in points])
+        drawn = class_normals(len(classes), seed, start, min(batch, samples - start))
+        for piece in np.split(drawn, range(4096, len(drawn), 4096)):
+            u = np.exp(-1j * ((piece @ spread * scale) @ spins)).T
+            uc = np.conj(u)
+            right = (cg @ u).reshape(2, 2, -1)
+            forms = np.empty((6, 2, 2, len(piece)), dtype=np.complex128)
+            for o, (perm, cr) in enumerate(terms):
+                forms[o] = (cr @ (uc[perm] * u)).reshape(2, 2, -1)
+                left = (cr @ uc[perm]).reshape(2, 2, -1)
+                forms[3 + o] = frame.pc * (left[:, :1] * right[0] + left[:, 1:] * right[1])
+            values.append([point_values(forms, theta, phi).real for theta, phi in points])
     v = np.concatenate(values, axis=-1)  # (points, 6, samples)
     means = v.sum(axis=-1) / samples
     var = ((v - means[:, :, None]) ** 2).sum(axis=-1) / (samples - 1)
@@ -601,9 +619,12 @@ def per_sample_reference(code, logicals, points, model, t, samples, seed):
 
 
 @pytest.mark.parametrize(
-    "target, samples",  # >= 3 batches (2^21 / S samples, at most 2^16), the last ragged
+    "target, samples",  # batches of 2^21 / size samples, at most 2^16: >= 3, the last
+    # ragged, on unit, two_vertical and lshape:2,0 (size 256, 15 fields); one
+    # on grid_2x2 (size 24) and lshape:1,1 (size 72)
     [("unit", 3 * MC_BATCH + 4321), ("two_vertical", 3 * MC_BATCH + 999),
-     ("grid_2x2", 3 * (1 << 14) + 2500), ("lshape:1,1", 3 * (1 << 12) + 777)],
+     ("grid_2x2", 3 * (1 << 14) + 2500), ("lshape:1,1", 3 * (1 << 12) + 777),
+     ("lshape:2,0", 3 * (1 << 13) + 555)],
 )
 @pytest.mark.parametrize("kind", ["global", "local"])
 def test_mc_moments_match_per_sample_reference(target, samples, kind):
@@ -639,8 +660,9 @@ def test_one_normal_per_qubit_class(name):
     """The local kernels draw one normal per qubit class, the classes
     qubit_classes derives from the spins on every support state, for any
     partition; both global kernels draw one."""
-    frame = named_frame(name)
-    assert len(qubit_classes(frame, "local")) == CLASS_COUNTS[name] < frame.n
+    code, logicals = named_pair(name)
+    frame = _Frame(code, logicals)
+    assert len(qubit_classes(support_spins(code, logicals, "local"))) == CLASS_COUNTS[name] < frame.n
     assert frame.kernel("local").fields == _CosetKernel(frame, "local").fields == CLASS_COUNTS[name]
     assert frame.kernel("global").fields == _CosetKernel(frame, "global").fields == 1
 
@@ -689,14 +711,15 @@ def test_mc_se_of_constant_form_is_round_off_free(target, kind):
 
 
 def test_mc_thread_and_batch_invariant_beyond_unit_cell():
-    """grid_2x2 (S = 128) splits into batches of 2^14 samples and sub-chunks
-    of 2 MC_CHUNK / (16 + 8) component states, rounded down to even; a
-    sample count that is no multiple of either gives the same records for any thread count, and a grid equals its points run
-    one at a time (two_vertical)."""
+    """grid_2x2 (S = 128, 16 + 8 component states) splits into batches of
+    MC_BATCH samples and sub-chunks of 2 MC_CHUNK / (16 + 8) component
+    states, rounded down to even; a sample count that is no multiple of
+    either gives the same records for any thread count, and a grid equals its
+    points run one at a time (two_vertical)."""
     code = build_named("grid_2x2")
     logicals = LogicalSet(code.logical_pairs)
     model = NoiseModel("local", 0.8)
-    args = (code, logicals, 1.3, 0.6, model, 0.9, 3 * (1 << 14) + 77)
+    args = (code, logicals, 1.3, 0.6, model, 0.9, 3 * MC_BATCH + 77)
     assert len({monte_carlo_oracle(*args, seed=4, threads=k) for k in (1, 2, 3)}) == 1
     code = build_named("two_vertical")
     logicals = LogicalSet(code.logical_pairs)
@@ -709,7 +732,14 @@ def test_mc_thread_and_batch_invariant_beyond_unit_cell():
 
 def named_pair(name):
     """(code, logicals) of a CLI target, of a DRESSED_UNIT pair on the unit
-    code or of a SPANNING pair on two_horizontal."""
+    code, of a SPANNING pair on two_horizontal or of the NEGATED code."""
+    if name == NEGATED:
+        code = build_named("two_horizontal")
+        negated = parse_pauli("-X7X8X9X10", code.n)
+        code = dataclasses.replace(code, stabilizers=tuple(
+            negated if s.x_mask == negated.x_mask else s for s in code.stabilizers))
+        xbar, zbar = code.logical_pairs[0]
+        return code, LogicalSet([(xbar, multiply(zbar, negated)), *code.logical_pairs[1:]])
     if name in DRESSED_UNIT:
         code = build_unit()
         pair = tuple(parse_pauli(text, code.n) for text in DRESSED_UNIT[name])
@@ -749,11 +779,12 @@ def test_phasor_kernel_matches_coset_kernel(name, scale):
 
 
 def test_phasor_kernel_checks_its_folded_forms_at_u_one():
-    """The folded polynomials at x = 0 must give G_ref, which the engine
-    computes without the weight (it uses 2 / S): a weight off by 1e-3 is
-    refused."""
+    """The folded polynomials at x = 0 must give G_ref, the engine's E[G] at
+    t = 0, which sums the same enumerators another way: a G_ref off by 1e-3
+    in one row is refused."""
     frame = named_frame("grid_2x2")
-    frame.weight = frame.weight * (1 + 1e-3)
+    shifted = frame.expected(NoiseModel("global", 0.0), 0.0) + 1e-3 * np.eye(6)[4]
+    frame.expected = lambda model, t: shifted
     with pytest.raises(ValueError, match="folded forms miss G at u = 1"):
         _PhasorKernel(frame)
 
@@ -763,23 +794,21 @@ def long_double_moments(name, seed, start, count, scale):
     double for named_pair(name), on the phasor kernel's draws: one normal x
     per sample, u[p] = e^{i x popcount(support[p])} (the common phase
     e^{-i x n / 2} cancels)."""
-    frame = named_frame(name)
     gen = np.random.Generator(np.random.PCG64(seed).advance(start * 2))  # stride 2
     x = box_muller(gen, count) * scale
-    return long_double_d_moments(name, x[:, None], _popcount(frame.support)[None, :])
+    return long_double_d_moments(name, x[:, None], _popcount(sparse_support(*named_pair(name)))[None, :])
 
 
 def long_double_local_moments(name, seed, start, count, scale):
     """long_double_moments under local noise, on the coset kernel's draws:
     one normal per qubit class (qubit_classes) and u = e^{-i normals .
     spins}, a class's row of spins its qubits' common row from
-    frame.spins("local"), relative to state 0, times sqrt(class size)."""
-    frame = named_frame(name)
-    spins = frame.spins("local")
+    support_spins, relative to state 0, times sqrt(class size)."""
+    spins = support_spins(*named_pair(name), "local")
+    classes = qubit_classes(spins)
     spins = (spins - spins[:, :1]).astype(np.longdouble)
-    classes = qubit_classes(frame, "local")
     rows = np.array([spins[c[0]] * np.sqrt(np.longdouble(len(c))) for c in classes])
-    x = class_normals(frame, "local", seed, start, count) * scale
+    x = class_normals(len(classes), seed, start, count) * scale
     return long_double_d_moments(name, x, -rows)
 
 
@@ -976,7 +1005,7 @@ def test_frame_components_put_xbar_first(name):
     frame = named_frame(name)
     parts = frame.components
     assert sorted(map(len, parts)) == FRAME_COMPONENTS[name]
-    generators = len(frame.support).bit_length() - 1
+    generators = len(frame.generators)
     assert sorted(g for part in parts for g in part) == list(range(generators))
     assert all(part == sorted(part) for part in parts)
     assert parts[0][-1] == generators - 1
@@ -1015,6 +1044,10 @@ def two_horizontal_pair(xbar_dressing, zbar_dressing):
 # carrying Y factors
 SPANNING = {"two_horizontal-zbar-x-dressed": (None, "X7X8X9X10"),
             "two_horizontal-xbar-y-dressed": ("Z2Z4Z6", "X9X10X11X12")}
+# two_horizontal with its X-stabilizer X7X8X9X10 negated and Zbar dressed by
+# it: the component without Xbar has amplitudes -1, and Zbar's factor there
+# is -1
+NEGATED = "two_horizontal-negated-zbar-x-dressed"
 
 
 @pytest.mark.parametrize("name", ["unit", "two_vertical"])
@@ -1077,7 +1110,7 @@ def test_component_kernel_keeps_the_reference_accuracy(name, count, scale):
 
 @pytest.mark.parametrize("name", ["unit", "two_vertical", "grid_2x2", "grid:2", "grid:3",
                                   "lshape:0,1", "lshape:1,0", "lshape:1,1", *DRESSED_UNIT,
-                                  *SPANNING])
+                                  *SPANNING, NEGATED])
 def test_coefficients_are_one_constant_per_coset(name):
     """The fact the coset kernel rests on: a verified logical Pauli maps
     |k_L> onto a phase times |k'_L>, and every codeword amplitude has the
@@ -1085,7 +1118,10 @@ def test_coefficients_are_one_constant_per_coset(name):
     coset, exactly, and so is the weight, 2 / S up to the rounding of the
     amplitude's square. Transcribed (catalog), synthesized (grid, lshape),
     Y-dressed Xbar and X-dressed Zbar pairs. The coefficients come from the
-    block_coefficients, and the frame keeps exactly those constants."""
+    block_coefficients. The frame builds its constants from unit amplitudes
+    per component, so they are 2 / S times a unit exactly: they equal the
+    blocks' constants to the same 1e-15 of the weight, and its weight is 2 /
+    S."""
     code, logicals = named_pair(name)
     terms, cg = block_coefficients(code, logicals)
     weight = cg.sum(axis=0)
@@ -1094,8 +1130,77 @@ def test_coefficients_are_one_constant_per_coset(name):
     coefs = np.array([cr.sum(axis=0) for _, cr in terms]).reshape(3, 2, -1)  # per coset
     assert (coefs == coefs[:, :, :1]).all()
     frame = _Frame(code, logicals)
-    assert np.array_equal(frame.coef, coefs[:, :, 0])
-    assert frame.weight == weight[0]
+    assert abs(frame.coef - coefs[:, :, 0]).max() <= 1e-15 * weight[0].real
+    assert frame.weight == 2.0 / len(weight)
+
+
+def support_engine(code, logicals, model, t):
+    """(6,) E[G] from the S-state support of _SparseCodewords, the sums the
+    frame's enumerators replace: per logical Pauli (perm, sign) from
+    signed_permutation and its block constant at each coset's first state;
+    Bloch F_k the sum of K(c ^ s, c) over coset k, leakage F_k = pc (2/S)
+    T[k ^ flip, k], T under local noise (S/2) times the coset sums of K(., 0)
+    and under global noise hist K hist^T of the per-coset popcount
+    histograms."""
+    words = _SparseCodewords(code, logical_paulis(logicals)[:1])
+    support, half, n = words.support, len(words.support) // 2, code.n
+    if model.kind == "local":
+        sums = decoherence_factor(support, 0, model, t, n).reshape(2, -1).sum(-1)
+        table = half * np.array([sums, sums[::-1]])  # [j, k] -> (S/2) sums[j ^ k]
+    else:
+        hist = np.array([np.bincount(w, minlength=n + 1) for w in _popcount(support).reshape(2, -1)])
+        reps = np.array([(1 << w) - 1 for w in range(n + 1)], dtype=np.uint64)
+        table = hist @ decoherence_factor(reps[:, None], reps, model, t, n) @ hist.T
+    forms, flipping = np.empty((6, 2), dtype=np.complex128), np.empty(6, dtype=bool)
+    for o, op in enumerate(logical_paulis(logicals)):
+        perm, sign = words.signed_permutation(op)
+        coef = (np.conj(words.amps[perm]) * sign * words.amps).reshape(2, -1)[:, 0]
+        flipping[[o, 3 + o]] = flip = perm[0] >= half
+        damped = decoherence_factor(support[perm], support, model, t, n).reshape(2, -1).sum(-1)
+        forms[o] = coef * damped
+        forms[3 + o] = 2.0 ** (code.m - code.n) / half * coef * table[np.arange(2) ^ flip, np.arange(2)]
+    return _combine(forms, flipping)
+
+
+ENGINE_CODES = ["unit", "two_vertical", "two_horizontal", "grid_2x2", "grid:1", "grid:2",
+                "grid:3", *(f"lshape:{v},{h}" for v in range(3) for h in range(4)),
+                "lshape:1,4", "lshape:0,5", *DRESSED_UNIT, *SPANNING, NEGATED]
+
+
+@pytest.mark.parametrize("name", ENGINE_CODES)
+@pytest.mark.parametrize("kind", ["global", "local"])
+def test_component_engine_equals_support_engine(name, kind):
+    """The frame's engine, built from per-component weight enumerators,
+    equals the S-state support engine to 1e-12 at conventions 1 and 2 and t
+    in {0, 0.3, 1.7}: transcribed (catalog), synthesized (grid, lshape),
+    dressed and spanning pairs, S up to 2^18 (lshape:1,4), and a component
+    other than Xbar's whose factor is -1 (NEGATED)."""
+    code, logicals = named_pair(name)
+    frame = _Frame(code, logicals)
+    for convention in (1.0, 2.0):
+        model = NoiseModel(kind, 0.9, convention)
+        for t in (0.0, 0.3, 1.7):
+            assert abs(frame.expected(model, t) - support_engine(code, logicals, model, t)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("target", ["grid:4", "grid:6", "lshape:6,6"])
+@pytest.mark.parametrize("kind", ["global", "local"])
+def test_mc_agrees_with_engine_past_the_support(target, kind):
+    """On codes whose S-state support no longer fits (grid:4, n = 72; grid:6,
+    n = 156; lshape:6,6, S = 2^34), the Monte Carlo means agree with the
+    engine within 5 standard errors at two points, also on the leakage
+    rows, which are below 1e-13 there (r_z, constant per sample, has SE 0
+    and matches to round-off)."""
+    code, logicals = target_and_logicals(target)
+    frame = _Frame(code, logicals)
+    model = NoiseModel(kind, 0.9)
+    points = [(1.1, 0.3), (2.5, 4.0)]
+    samples = 1000 if target == "lshape:6,6" and kind == "local" else 20_000
+    recs = monte_carlo_grid(code, logicals, points, model, [0.7], samples, 5, frame=frame)[0]
+    for (theta, phi), rec in zip(points, recs):
+        want = bloch_and_leakage(code, logicals, theta, phi, model, [0.7], frame=frame)[0]
+        for a, b, se in zip(want.values(), rec.values(), rec.errors()):
+            assert abs(a - b) <= 5 * se + 1e-15 * abs(a)
 
 
 @pytest.mark.parametrize("name", ["unit-zbar-x-dressed", "two_horizontal-zbar-x-dressed"])
@@ -1120,16 +1225,24 @@ def test_mc_matches_per_sample_reference_on_dressed_zbar(name):
 
 
 def test_component_kernel_checks_its_factors(monkeypatch):
-    """Ybar's sign on a state mixing both two_horizontal components, off by
-    1e-6 relative, leaves its coefficient no longer constant on its coset,
-    and the frame, which keeps one constant per coset for the kernels,
-    refuses it; the kernel refuses a partition that misses generators."""
+    """One amplitude of Xbar's two_horizontal component off by 1e-6 relative
+    leaves each logical Pauli's factor there no longer constant on its
+    coset, and the frame, which keeps one constant per coset for the
+    kernels, refuses it; the kernel refuses a partition that misses
+    generators."""
     code, logicals = named_pair("two_horizontal")
     frame = _Frame(code, logicals)
     with pytest.raises(ValueError, match="partition"):
         _CosetKernel(frame, "local", frame.components[:1])
-    mixed = 1 << frame.components[0][0] | 1 << frame.components[1][0]
-    perturb_signs(monkeypatch, logical_paulis(logicals)[1], mixed, 1 + 1e-6)
+    states = dephasing._states
+
+    def perturbed(generators, qubits):
+        masks, amps = states(generators, qubits)
+        if generators[-1] is frame.generators[-1]:  # Xbar's component
+            amps[3] *= 1 + 1e-6  # state 3: neither half's first state
+        return masks, amps
+
+    monkeypatch.setattr(dephasing, "_states", perturbed)
     with pytest.raises(ValueError, match="not constant per coset"):
         _Frame(code, logicals)
 
@@ -1222,7 +1335,7 @@ def test_mc_grid_over_t_equals_one_element_grids(kind):
     frame = _Frame(code, logicals)
     points = [(1.1, 0.3), (2.5, 4.0)]
     t_grid = [0.4, 0.0, 1.3, 0.4]
-    samples = 2 * (MC_BATCH >> 2) + 77  # grid_2x2: S = 128, batches of MC_BATCH / 4
+    samples = 2 * MC_BATCH + 77  # grid_2x2: 16 + 8 component states, batches of MC_BATCH
     for gamma in (0.8, 0.0):
         model = NoiseModel(kind, gamma)
         single = [monte_carlo_grid(code, logicals, points, model, [t], samples, 6, frame=frame)[0]

@@ -150,19 +150,25 @@ def test_ab_snapshot_copies_the_working_tree_without_ignored_files(tmp_path, mon
 
 def test_kernel_ns_times_both_kernels_per_code_and_kind(capsys):
     """A tiny run: the settings line, then one row per code and kind with
-    the component states, the normals per sample, both kernels' ns per
+    S, the component states, the normals per sample, both kernels' ns per
     sample and the ms to build the frame, run the engine and build the
-    kernel."""
+    kernel. On grid:10 (S = 2^111, 2^12 + 9 x 2^11 component states) the
+    one-component reference cannot list its states: its column is empty."""
     script = load_script("kernel_ns")
-    argv = ["--codes", "unit", "two_horizontal", "--runs", "1", "--samples", "16", "--seed", "3"]
+    argv = ["--codes", "unit", "two_horizontal", "grid:10", "--runs", "1", "--samples", "16",
+            "--seed", "3"]
     assert script.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("seed 3, scale 0.8, median of 1 runs, ")
     assert lines[1] == ("code,S,component_states,fields,kind,samples,production_ns,reference_ns,"
                         "frame_ms,engine_ms,build_ms")
     rows = [line.split(",") for line in lines[2:]]
-    assert [row[:6] for row in rows] == [
+    grid = "+".join(["4096"] + ["2048"] * 9)
+    assert [row[:6] for row in rows[:4]] == [
         ["unit", "8", "8", "5", "local", "16"], ["unit", "8", "8", "1", "global", "16"],
         ["two_horizontal", "32", "8+4", "8", "local", "16"],
         ["two_horizontal", "32", "8+4", "1", "global", "16"]]
-    assert all(float(value) > 0 for row in rows for value in row[6:])
+    assert [row[:3] + row[4:6] for row in rows[4:]] == [
+        ["grid:10", str(2**111), grid, "local", "16"], ["grid:10", str(2**111), grid, "global", "16"]]
+    assert [row[7] for row in rows[4:]] == ["", ""]
+    assert all(float(value) > 0 for row in rows for value in row[6:] if value)
