@@ -324,13 +324,11 @@ class _Frame:
         self.enumerator, self.overlap = np.zeros((2, self.n + 1)), np.zeros((3, 2, self.n + 1))
         self.enumerator[:, 0] = self.overlap[..., 0] = 1.0
         for c, part in enumerate(self.components):
-            _, masks, amps, paulis, shifts = _part(self, part)
+            _, masks, amps, signs, shifts = _part(self, part)
             cosets = 2 if c == 0 else 1
             _convolve(self.enumerator, _popcount(masks), cosets)
             units[[s is None for s in shifts]] = 0.0  # L leaves the span: coef 0
             s = np.array([s or 0 for s in shifts])
-            z = np.array([L.z_mask for L in paulis], dtype=np.uint64)[:, None]
-            signs = 1.0 - 2.0 * (np.bitwise_count(masks & z) & 1)  # L|mask> = sign |mask ^ x>, phase 0
             factor = (np.conj(amps[np.arange(len(masks)) ^ s[:, None]]) * signs * amps).reshape(3, cosets, -1)
             error = abs(factor - factor[..., :1])[units.any(1)].max(initial=0.0)
             if error > REALNESS_TOL:
@@ -392,14 +390,14 @@ def _span(ops: Sequence[PauliOperator]) -> int:
 
 
 def _part(frame: _Frame, generators: Sequence[int]):
-    """(local, masks, amps, paulis, shifts) of the component of the frame's
+    """(local, masks, amps, signs, shifts) of the component of the frame's
     generators with these indices: local maps the bit 2^q of each qubit q
     their x-masks touch to its bit 2^j there (j counting those qubits
-    upwards), then its states (_states), the logical Paulis (Xbar, Ybar,
-    Zbar) there without their phases, and per Pauli the state that is its
-    x-mask there, so that it maps state i to i ^ shift (None where its
-    x-mask is no state). ValueError past 64 qubits, as the states are
-    uint64 masks."""
+    upwards), then its states (_states), per logical Pauli L (Xbar, Ybar,
+    Zbar) its signs (-1)^|mask & z| there, so L|mask> = sign |mask ^ x>
+    without its phase, and per Pauli the state that is its x-mask there, so
+    that it maps state i to i ^ shift (None where its x-mask is no state).
+    ValueError past 64 qubits, as the states are uint64 masks."""
     ops = [frame.generators[g] for g in generators]
     local = {low: 1 << j for j, low in enumerate(_set_bits(_span(ops)))}
     if len(local) > 64:
@@ -407,7 +405,9 @@ def _part(frame: _Frame, generators: Sequence[int]):
     masks, amps = _states(ops, local)
     paulis = [_restrict(L, local) for L in frame.paulis]
     hits = [np.flatnonzero(masks == np.uint64(L.x_mask)) for L in paulis]
-    return local, masks, amps, paulis, [int(hit[0]) if hit.size else None for hit in hits]
+    z = np.array([L.z_mask for L in paulis], dtype=np.uint64)[:, None]
+    signs = 1.0 - 2.0 * (np.bitwise_count(masks & z) & 1)
+    return local, masks, amps, signs, [int(hit[0]) if hit.size else None for hit in hits]
 
 
 def _restrict(op: PauliOperator, local: Dict[int, int], phase: int = 0) -> PauliOperator:

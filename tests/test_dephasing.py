@@ -459,8 +459,34 @@ def times_i(op):
     return PauliOperator(op.n, op.x_mask, op.z_mask, op.phase + 1)
 
 
+@pytest.mark.parametrize("pauli, delta", [(0, 1e-6), (1, 1e-6), (2, 1e-6j)])
+def test_expected_raises_on_non_hermitian_forms(pauli, delta, monkeypatch):
+    """The frame checks the part of the forms that G discards: one Pauli's
+    signs on coset 0 times 1 + delta keep its coefficient constant per coset
+    but break F_1 = conj(F_0) on the coset-flipping rows (Xbar, Ybar) or the
+    realness of F_0 on the coset-keeping rows (Zbar). The unit code has one
+    component, Xbar's, whose first half is coset 0. Building the frame
+    raises, and so does the engine, which builds it, even at theta = 0,
+    where y is 0 on the flipping rows."""
+    code, logicals = unit_and_logicals()
+    model = NoiseModel("local", 0.9)
+    part = dephasing._part
+
+    def perturbed(frame, generators):
+        local, masks, amps, signs, shifts = part(frame, generators)
+        signs = signs.astype(complex)
+        signs[pauli, : len(masks) // 2] *= 1 + delta
+        return local, masks, amps, signs, shifts
+
+    monkeypatch.setattr(dephasing, "_part", perturbed)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        _Frame(code, logicals)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        bloch_and_leakage(code, logicals, 0.0, 0.0, model, [0.3])
+
+
 @pytest.mark.parametrize("dressed", ["xbar", "zbar"])
-def test_expected_raises_on_non_hermitian_forms(dressed):
+def test_expected_raises_on_dressed_logicals(dressed):
     """The frame checks the part of the forms that G discards: an i Xbar
     (which also makes Ybar i times Hermitian) breaks F_1 = conj(F_0) on the
     coset-flipping rows, an i Zbar the realness of F_0 on the coset-keeping
