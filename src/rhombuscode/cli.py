@@ -4,9 +4,10 @@ Exit codes: 0 all checks pass, 1 claim mismatch, 2 infeasible request
 (dephase: component states sum_c 2^m_c above DEPHASE_MAX_SUPPORT, a
 component on more than 64 qubits, or Monte Carlo work --mc-samples x
 states x t points above DEPHASE_MAX_MC_WORK, each refused before the
-frame lists a state), 64 usage error. Data outputs (CSV/JSON) are
-byte-identical across reruns with the same flags; each --out file gets an
-<out>.manifest.json sidecar.
+frame lists a state, and before logicals are synthesized when the X-type
+stabilizers alone, a lower bound, are past a cap), 64 usage error. Data
+outputs (CSV/JSON) are byte-identical across reruns with the same flags;
+each --out file gets an <out>.manifest.json sidecar.
 main builds its argument parser on the first call and reuses it for every
 later call in the process.
 """
@@ -200,6 +201,22 @@ def _parse_t_grid(text: str) -> List[float]:
     return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
 
 
+def _dephase_refused(layout, args: argparse.Namespace, points: int, bound: str = "") -> bool:
+    """Print one line and return True when a dephasing frame of this layout
+    (dephasing._layout: its sum_c 2^m_c states and its widest component, or
+    lower bounds of both, which bound names) is past the caps at
+    args.mc_samples samples over points t points."""
+    _, _, states, widest = layout
+    work = args.mc_samples * states * points
+    if states <= DEPHASE_MAX_SUPPORT and widest <= 64 and work <= DEPHASE_MAX_MC_WORK:
+        return False
+    print(f"dephase: needs component states sum_c 2^m_c <= {DEPHASE_MAX_SUPPORT}, components on "
+          f"<= 64 qubits and --mc-samples x states x t points <= {DEPHASE_MAX_MC_WORK}, got {states} "
+          f"states, a component on {widest} qubits, {args.mc_samples} x {states} x {points}{bound}",
+          file=sys.stderr)
+    return True
+
+
 def cmd_dephase(args: argparse.Namespace) -> int:
     manifest = _manifest(args)
     started = time.monotonic()
@@ -232,42 +249,29 @@ def cmd_dephase(args: argparse.Namespace) -> int:
         if code is None:
             return EXIT_USAGE
         manifest.inputs.append(args.code)
-    if code.logical_pairs is not None:
-        logicals = engine.LogicalSet(code.logical_pairs)
-    else:
-        logicals = engine.find_logical_set(code)
-    # the frame's generators and components, sized before it lists a state
-    generators = [s for s in code.stabilizers if s.x_mask] + [x for x, _ in logicals.pairs[:1]]
-    parts = [[generators[g] for g in part] for part in dephasing._components(generators)]
-    states = sum(1 << len(part) for part in parts)
-    qubits = max((dephasing._span(part).bit_count() for part in parts), default=0)
-    work = args.mc_samples * states * len(t_grid)
-    if states > DEPHASE_MAX_SUPPORT or qubits > 64 or work > DEPHASE_MAX_MC_WORK:
-        print(f"dephase: needs component states sum_c 2^m_c <= {DEPHASE_MAX_SUPPORT}, components "
-              f"on <= 64 qubits and --mc-samples x states x t points <= {DEPHASE_MAX_MC_WORK}, "
-              f"got {states} states, a component on {qubits} qubits, "
-              f"{args.mc_samples} x {states} x {len(t_grid)}", file=sys.stderr)
+    # the stabilizers alone bound the frame from below: a code refused there skips synthesis
+    if _dephase_refused(dephasing._layout(code, []), args, len(t_grid), " (lower bounds, no Xbar)"):
+        return EXIT_INFEASIBLE
+    pairs = code.logical_pairs
+    logicals = engine.LogicalSet(pairs) if pairs is not None else engine.find_logical_set(code)
+    layout = dephasing._layout(code, [x for x, _ in logicals.pairs[:1]])
+    if _dephase_refused(layout, args, len(t_grid)):
         return EXIT_INFEASIBLE
     model = dephasing.NoiseModel(args.kind, args.gamma)
     try:
-        frame = dephasing._Frame(code, logicals)  # shared by the engine and MC
+        frame = dephasing._Frame(code, logicals, layout)  # shared by the engine and MC
     except ValueError as exc:
         print(f"dephase: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     lines = [dephasing.SWEEP_COLUMNS]
-    engine_records = dephasing.bloch_and_leakage(
-        code, logicals, args.theta, args.phi, model, t_grid, frame=frame
-    )
+    point = (args.theta, args.phi)
+    engine_records = dephasing.bloch_and_leakage(code, logicals, *point, model, t_grid, frame=frame)
     mc_records = [None] * len(t_grid)
     if args.mc_samples > 0:
-        mc_records = [
-            records[0]
-            for records in dephasing.monte_carlo_grid(
-                code, logicals, [(args.theta, args.phi)], model, t_grid, args.mc_samples,
-                args.seed, threads=args.threads, frame=frame,
-            )
-        ]
+        grid = dephasing.monte_carlo_grid(code, logicals, [point], model, t_grid, args.mc_samples,
+                                          args.seed, threads=args.threads, frame=frame)
+        mc_records = [records[0] for records in grid]
     for t, rec, mc in zip(t_grid, engine_records, mc_records):
         closed = dephasing.closed_form(args.kind, args.theta, args.phi, args.gamma, t)
         for record, source in ((rec, "engine"), (closed, "closed_form"), (mc, "monte_carlo")):

@@ -6,8 +6,10 @@ per component of their generators (_components: the X-type stabilizers and
 Xbar, joined where x-masks overlap or a z-mask meets an x-mask). Across
 components the generators act on disjoint qubits, so the codeword support
 of S = 2^(m_x + 1) states is the XOR of one state per component, and each
-component lists its own 2^m_c states (_states, one doubling pass over its
-generators) as uint64 masks over its own qubits, at most 64 of them. The
+component lists its own 2^m_c states (engine._states, the one doubling
+routine, which also builds the KL oracle's codewords) as uint64 masks over
+its own qubits, at most 64 of them, renumbered from bit 0 only when they
+reach past qubit 63. The
 support itself is never formed: the frame, the engine and both kernels
 cost sum_c 2^m_c, so codes past 64 qubits (grid:4 and up) and supports far
 past 2^18 (lshape:6,6, S = 2^34) run. Dephasing multiplies each support
@@ -84,12 +86,12 @@ import math
 import operator
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import pauli
-from .engine import LogicalSet, _seed, verify_logical_set
+from .engine import LogicalSet, _seed, _squeeze, _states, verify_logical_set
 from .engine import codeword_zero  # noqa: F401  perfbench/test_perfbench.py needs it
 from .gf2 import _set_bits
 from .lattice import CodeSpec
@@ -147,14 +149,7 @@ class ObservableRecord:
         return (self.r_x, self.r_y, self.r_z, self.p_x, self.p_y, self.p_z)
 
     def errors(self) -> Tuple[Optional[float], ...]:
-        return (
-            self.se_r_x,
-            self.se_r_y,
-            self.se_r_z,
-            self.se_p_x,
-            self.se_p_y,
-            self.se_p_z,
-        )
+        return (self.se_r_x, self.se_r_y, self.se_r_z, self.se_p_x, self.se_p_y, self.se_p_z)
 
 
 def _popcount(index) -> np.ndarray:
@@ -296,47 +291,51 @@ class _Frame:
     whose projector annihilates |0...0>.
 
     The designated pair is logicals.pairs[0]; ValueError when there is none
-    or when engine.verify_logical_set reports a violation on it.
+    or when engine.verify_logical_set reports a violation on it. layout is
+    _layout(code, [Xbar]) (generators, components, size and the widest
+    component's qubit count), which cli.cmd_dephase computes for its caps;
+    it is computed here when None.
     """
 
-    def __init__(self, code: CodeSpec, logicals: LogicalSet):
+    def __init__(self, code: CodeSpec, logicals: LogicalSet, layout: Optional[tuple] = None):
         if not logicals.pairs:
             raise ValueError("no logical pair to dephase (k = 0)")
         report = verify_logical_set(code, LogicalSet(logicals.pairs[:1]))
+        violations = "; ".join(report.logical_violations + report.degenerate)
         if not report.logicals_ok:
-            raise ValueError(
-                "logical pair 1 fails verification: "
-                + "; ".join(report.logical_violations + report.degenerate)
-            )
+            raise ValueError(f"logical pair 1 fails verification: {violations}")
         _seed(code)  # the code's generators are independent and |0_L> exists
         xbar, zbar = logicals.pairs[0]
         prod = multiply(zbar, xbar)
         self.paulis = (xbar, PauliOperator(prod.n, prod.x_mask, prod.z_mask, prod.phase + 1), zbar)
         self.n, self.pc = code.n, 2.0 ** (code.m - code.n)
-        self.generators = [s for s in code.stabilizers if s.x_mask] + [xbar]
-        self.components = _components(self.generators)
-        self.size = sum(1 << len(part) for part in self.components)
+        self.generators, self.components, self.size, widest = layout or _layout(code, [xbar])
+        if widest > 64:
+            raise ValueError(f"a component spans {widest} qubits, above 64 (uint64 masks)")
         self.weight = 2.0 ** (1 - len(self.generators))  # |amplitude|^2 = 2/S
         span = _span(self.generators)
-        units = np.array([[(1j) ** L.phase * (not L.x_mask & ~span)] * 2 for L in self.paulis])
-        flipping = np.zeros(3, dtype=bool)
-        # W and N start as share 1 at popcount 0; each component convolves its histograms in
-        self.enumerator, self.overlap = np.zeros((2, self.n + 1)), np.zeros((3, 2, self.n + 1))
-        self.enumerator[:, 0] = self.overlap[..., 0] = 1.0
+        live = np.array([not L.x_mask & ~span for L in self.paulis])  # else L's coef is 0
+        units = np.array([[(1j) ** L.phase] * 2 for L in self.paulis])
         for c, part in enumerate(self.components):
             _, masks, amps, signs, shifts = _part(self, part)
             cosets = 2 if c == 0 else 1
-            _convolve(self.enumerator, _popcount(masks), cosets)
-            units[[s is None for s in shifts]] = 0.0  # L leaves the span: coef 0
+            live &= [s is not None for s in shifts]
             s = np.array([s or 0 for s in shifts])
             factor = (np.conj(amps[np.arange(len(masks)) ^ s[:, None]]) * signs * amps).reshape(3, cosets, -1)
-            error = abs(factor - factor[..., :1])[units.any(1)].max(initial=0.0)
+            error = abs(factor - factor[..., :1])[live].max(initial=0.0)
             if error > REALNESS_TOL:
                 raise ValueError(f"coefficients are not constant per coset: deviation {error:.3e}")
             units *= factor[..., 0]
-            flipping |= (c == 0) & (2 * s >= len(masks))
-            for o in np.flatnonzero(s):
-                _convolve(self.overlap[o], _popcount(masks & masks[s[o]]), cosets)
+            # the levels of N, |c & x_o| (x_o: L's x-mask here), then those of W, |c|
+            keys = np.full(4, ~np.uint64(0))
+            keys[:3] = masks[s]
+            hist = _histograms(np.bitwise_count(masks & keys[:, None]), cosets, self.n)
+            if c == 0:  # Xbar's component, the first: the shares start as its histograms
+                shares, flipping = hist, 2 * s >= len(masks)
+            for row in [*np.flatnonzero(s), 3] if c else ():  # the rows that vary here
+                shares[row] = [np.convolve(share, hist[row, 0])[: self.n + 1] for share in shares[row]]
+        units[~live] = 0.0
+        self.overlap, self.enumerator = shares[:3], shares[3]
         self.coef = self.weight * units
         self.flipping = np.tile(flipping, 2)  # per form
         error = np.where(flipping, abs(units[:, 1] - np.conj(units[:, 0])), abs(units.imag).max(1)).max()
@@ -389,60 +388,52 @@ def _span(ops: Sequence[PauliOperator]) -> int:
     return functools.reduce(operator.or_, (op.x_mask for op in ops), 0)
 
 
+def _layout(code: CodeSpec, xbars: Sequence[PauliOperator]):
+    """(generators, components, size, widest) of the frame of code with
+    the designated Xbar in xbars: its generators (the X-type stabilizers,
+    then xbars), their _components, the sum of their 2^m_c and the most
+    qubits one component spans. Xbar can only join components and add a
+    generator, so without it (xbars empty) size and widest bound the frame's
+    from below."""
+    generators = [s for s in code.stabilizers if s.x_mask] + list(xbars)
+    components = _components(generators)
+    spans = [_span(generators[g] for g in part).bit_count() for part in components]
+    return generators, components, sum(1 << len(part) for part in components), max(spans, default=0)
+
+
 def _part(frame: _Frame, generators: Sequence[int]):
-    """(local, masks, amps, signs, shifts) of the component of the frame's
-    generators with these indices: local maps the bit 2^q of each qubit q
-    their x-masks touch to its bit 2^j there (j counting those qubits
-    upwards), then its states (_states), per logical Pauli L (Xbar, Ybar,
-    Zbar) its signs (-1)^|mask & z| there, so L|mask> = sign |mask ^ x>
-    without its phase, and per Pauli the state that is its x-mask there, so
-    that it maps state i to i ^ shift (None where its x-mask is no state).
-    ValueError past 64 qubits, as the states are uint64 masks."""
+    """(place, masks, amps, signs, shifts) of the component of the frame's
+    generators with these indices: place maps a qubit mask onto the
+    component's own bits (its qubits past bit 63 renumbered upwards from
+    bit 0, else kept; other qubits dropped), then its states (_states), per
+    logical Pauli L (Xbar, Ybar, Zbar) its signs (-1)^|mask & z| there, so
+    L|mask> = sign |mask ^ x> without its phase, and per Pauli the state
+    that is its x-mask there, so that it maps state i to i ^ shift (None
+    where its x-mask is no state)."""
     ops = [frame.generators[g] for g in generators]
-    local = {low: 1 << j for j, low in enumerate(_set_bits(_span(ops)))}
-    if len(local) > 64:
-        raise ValueError(f"a component spans {len(local)} qubits, above 64: its states are uint64 masks")
-    masks, amps = _states(ops, local)
-    paulis = [_restrict(L, local) for L in frame.paulis]
-    hits = [np.flatnonzero(masks == np.uint64(L.x_mask)) for L in paulis]
-    z = np.array([L.z_mask for L in paulis], dtype=np.uint64)[:, None]
-    signs = 1.0 - 2.0 * (np.bitwise_count(masks & z) & 1)
-    return local, masks, amps, signs, [int(hit[0]) if hit.size else None for hit in hits]
+    span = _span(ops)
+    qubits = {low: 1 << j for j, low in enumerate(_set_bits(span))} if span >> 64 else None
+
+    def place(mask: int) -> int:
+        return _squeeze(mask & span, qubits)
+
+    masks, amps = _states(ops, qubits)
+    x, z = np.array([(place(L.x_mask), place(L.z_mask)) for L in frame.paulis], dtype=np.uint64).T
+    signs = 1.0 - 2.0 * (np.bitwise_count(masks & z[:, None]) & 1)
+    hits = masks == x[:, None]
+    shifts = [int(i) if hit else None for i, hit in zip(hits.argmax(1), hits.any(1))]
+    return place, masks, amps, signs, shifts
 
 
-def _restrict(op: PauliOperator, local: Dict[int, int], phase: int = 0) -> PauliOperator:
-    """op on the qubits of local alone (_part), with the given phase."""
-    x, z = (sum(local.get(low, 0) for low in _set_bits(mask)) for mask in (op.x_mask, op.z_mask))
-    return PauliOperator(len(local), x, z, phase)
-
-
-def _states(generators: Sequence[PauliOperator], local: Dict[int, int]) -> Tuple[np.ndarray, np.ndarray]:
-    """(masks, amps) of the 2^len(generators) states of one component: state
-    i is the XOR of the x-masks of the generators chosen by the bits of i
-    (bit b: generators[b]), as a uint64 mask over the qubits of local (_part),
-    and amps[i] its unit amplitude: state 2^b + p is generators[b] applied
-    to state p (basis_action: i^phase (-1)^|mask & z| times amps[p]), from
-    amps[0] = 1. ValueError when the x-masks are dependent."""
-    masks = np.zeros(1 << len(generators), dtype=np.uint64)
-    amps = np.ones(len(masks), dtype=np.complex128)
-    for b, g in enumerate(generators):
-        lo, hi = slice(0, 1 << b), slice(1 << b, 2 << b)
-        masks[hi], phases = basis_action(_restrict(g, local, g.phase), masks[lo])
-        np.multiply(phases, amps[lo], out=amps[hi])
-    if not masks[1:].all():
-        raise ValueError("codeword basis not orthonormal (coset collision)")
-    return masks, amps
-
-
-def _convolve(shares: np.ndarray, levels: np.ndarray, cosets: int):
-    """Convolve shares (2, n + 1), one enumerator per coset, in place with
-    the histogram of levels, the popcounts of a component's states: of each
-    half when cosets is 2 (Xbar's component), of all of them for both
-    cosets when it is 1. Each histogram is a share of its states, so the
-    results stay shares, and no popcount passes n."""
-    hist = [np.bincount(half) / half.size for half in levels.reshape(cosets, -1)]
-    for k in range(2):
-        shares[k] = np.convolve(shares[k], hist[k % cosets])[: shares.shape[1]]
+def _histograms(levels: np.ndarray, cosets: int, n: int) -> np.ndarray:
+    """(rows, cosets, n + 1): per row of levels (rows, states), levels of a
+    component's states, the share of each coset's states at each level (of
+    each half when cosets is 2, Xbar's component; of all of them, which both
+    cosets share, when it is 1), so that convolutions of shares stay shares
+    and nothing scales with S. No level passes n."""
+    half, size = levels.shape[1] // cosets, len(levels) * cosets * (n + 1)
+    counts = np.bincount(levels.ravel() + np.arange(0, size, n + 1).repeat(half), minlength=size)
+    return counts.reshape(-1, cosets, n + 1) / half  # the keys offset each row's cosets
 
 
 class _CosetKernel:
@@ -508,10 +499,9 @@ class _CosetKernel:
         self.chunk = _even(2 * MC_CHUNK // sum(part.size for part in self.parts))
         self.rows = max(len(step[3]) for part in self.parts for step in part.steps)
         self.reference = frame.expected(NoiseModel(kind, 0.0), 0.0)  # G at u = 1
+
         # per row: one complex constant (coset-flipping) or two real ones,
         # times the product of Q_0 (and Q_1) over the components that shift
-        coef, weight = frame.coef, frame.weight
-
         def folded(pair, flip):
             return pair[0] + np.conj(pair[1]) if flip else pair.real
 
@@ -521,10 +511,10 @@ class _CosetKernel:
                           if part.pick[o] is not None)
             states = math.prod(part.size // part.cosets for part in self.parts
                                if part.pick[o] is None)  # Q_k at shift 0, |u| = 1
-            const = folded(coef[o] * states, flip)
+            const = folded(frame.coef[o] * states, flip)
             if picks or const[0] + 1j * const[1] != self.reference[o]:  # else D is 0
                 self.bloch.append((o, picks, const))
-        self.leak = [folded(self.pc * coef[o] * weight, flip)  # of conj(P_{k ^ flip}) P_k
+        self.leak = [folded(self.pc * frame.coef[o] * frame.weight, flip)  # of conj(P_{k ^ flip}) P_k
                      for o, flip in enumerate(self.flipping[:3])]
         self.varying = [o for o, _, _ in self.bloch] + [3, 4, 5]  # the rows of D computed
 
@@ -629,15 +619,15 @@ class _Component:
 
     def __init__(self, frame: _Frame, kind: str, generators: Sequence[int], first: bool,
                  classes: Optional[List[Tuple[int, int]]]):
-        local, masks, _, _, shifts = _part(frame, generators)
+        place, masks, _, _, shifts = _part(frame, generators)
         self.size, self.cosets = len(masks), 2 if first else 1
         # spins relative to state 0 (mask 0): per class held here, the bit of
         # its lowest qubit times sqrt(its size); the popcount under global noise
         if classes is None:
             own, spins = np.zeros(1, dtype=int), _popcount(masks)[None, :].astype(np.float64)
         else:
-            own = np.array([f for f, (low, _) in enumerate(classes) if low in local], dtype=int)
-            bits = np.array([local[classes[f][0]] for f in own], dtype=np.uint64)
+            own = np.array([f for f, (low, _) in enumerate(classes) if place(low)], dtype=int)
+            bits = np.array([place(classes[f][0]) for f in own], dtype=np.uint64)
             spins = ((masks & bits[:, None]) != 0) * np.sqrt([classes[f][1] for f in own])[:, None]
         self.shifts = sorted(set(shifts) - {0, None})
         self.pick = [self.shifts.index(s) if s else None for s in shifts]

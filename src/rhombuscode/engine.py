@@ -22,11 +22,12 @@ shifted by n, and logical synthesis reads both blocks from it: the stabilizer
 rows are reduced once per code.
 
 One sparse codeword type, _SparseCodewords, builds the codeword support and
-amplitudes in one pass, doubling over the X-stabilizers and then the
-X-logicals (each Z-stabilizer only rescales the orbit), so in this
-coordinate order codeword p >> m_x owns position p. It also gives a Pauli's
-signed permutation, serves the codeword-matrix oracle here and both
-dephasing methods, and codeword_zero is its dense embedding. The
+amplitudes by one doubling routine, _states, over the X-stabilizers and then
+the X-logicals (each Z-stabilizer only rescales the orbit), so in this
+coordinate order codeword p >> m_x owns position p. _states also lists the
+states of each component of the dephasing frame, on that component's own
+qubits. _SparseCodewords serves the codeword-matrix oracle here and the
+tests' S-state references, and codeword_zero is its dense embedding. The
 oracle still evaluates M from the explicit amplitudes, but reads each column
 from a Walsh-Hadamard spectrum of the amplitude products, computed once per
 X-shift and cached: a candidate costs O(2^k) after its shift's first O(S m_x).
@@ -37,15 +38,14 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import gf2, pauli
 from .gf2 import _set_bits
 from .lattice import CodeSpec
-from .pauli import PauliOperator, apply, basis_action, multiply, to_string
-from .pauli import commutes  # noqa: F401  perfbench/test_perfbench.py needs it
+from .pauli import PauliOperator, apply, basis_action, commutes, multiply, to_string
 from .states import PureState
 
 KL_TOL = 1e-10
@@ -156,18 +156,24 @@ def verify_logical_set(code: CodeSpec, logicals: LogicalSet) -> VerificationRepo
                 report.degenerate.append(
                     f"{name}{i}={to_string(op)} lies in the stabilizer group"
                 )
-    # bit j of table[i]: ops[i] anticommutes with ops[j], ops the Xbars, then the Zbars
-    k = len(pairs)
-    table = list(pauli.anticommutation_rows([x for x, _ in pairs] + [z for _, z in pairs]))
-    for i in range(k):
-        for j in range(k):
-            if table[i] >> (k + j) & 1 != (i == j):
-                verb = "commutes" if i == j else "anticommutes"
-                report.logical_violations.append(f"Xbar{i + 1} {verb} with Zbar{j + 1}")
-        for j in range(i + 1, k):
-            for name, row, column in (("Xbar", i, j), ("Zbar", k + i, k + j)):
-                if table[row] >> column & 1:
-                    report.logical_violations.append(f"{name}{i + 1} anticommutes with {name}{j + 1}")
+    for i in range(len(pairs)):
+        for j in range(len(pairs)):
+            want_anti = i == j
+            got_anti = not commutes(pairs[i][0], pairs[j][1])
+            if got_anti != want_anti:
+                verb = "commutes" if want_anti else "anticommutes"
+                report.logical_violations.append(
+                    f"Xbar{i + 1} {verb} with Zbar{j + 1}"
+                )
+        for j in range(i + 1, len(pairs)):
+            if not commutes(pairs[i][0], pairs[j][0]):
+                report.logical_violations.append(
+                    f"Xbar{i + 1} anticommutes with Xbar{j + 1}"
+                )
+            if not commutes(pairs[i][1], pairs[j][1]):
+                report.logical_violations.append(
+                    f"Zbar{i + 1} anticommutes with Zbar{j + 1}"
+                )
     return report
 
 
@@ -335,6 +341,35 @@ def _seed(code: CodeSpec) -> complex:
     return seed
 
 
+def _squeeze(mask: int, qubits: Optional[Dict[int, int]]) -> int:
+    """mask on the qubits of qubits alone, the bit 2^q of each moved to
+    qubits[2^q]; mask itself when qubits is None."""
+    return mask if qubits is None else sum(qubits.get(low, 0) for low in _set_bits(mask))
+
+
+def _states(generators: Sequence[PauliOperator], qubits: Optional[Dict[int, int]] = None,
+            start: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """(masks, amps) of the basis states the products of generators reach
+    from the states of start, (masks, amps), by one doubling pass (default:
+    |0...0> with amplitude 1, giving 2^len(generators) states): with m
+    states in start, state m 2^b + p is generators[b] applied to state p
+    (basis_action: i^phase (-1)^|mask & z| times amps[p]), so from the
+    default start state i is the XOR of the x-masks of the generators
+    chosen by the bits of i. Each mask is a uint64 over the bits qubits maps
+    each qubit to (_squeeze; None: the qubits' own bits). ValueError when a
+    state past the first is the empty mask: from the default start, when
+    the x-masks are dependent."""
+    masks, amps = start or (np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.complex128))
+    for g in generators:
+        if qubits is not None:
+            g = PauliOperator(64, _squeeze(g.x_mask, qubits), _squeeze(g.z_mask, qubits), g.phase)
+        images, phases = basis_action(g, masks)
+        masks, amps = np.concatenate([masks, images]), np.concatenate([amps, phases * amps])
+    if not masks[1:].all():
+        raise ValueError("codeword basis not orthonormal (coset collision)")
+    return masks, amps
+
+
 class _SparseCodewords:
     """The 2^len(xbars) codewords of a code on their common support.
 
@@ -366,18 +401,10 @@ class _SparseCodewords:
         if any(col >= code.n for col in self._echelon[1]):
             raise ValueError("codeword basis not orthonormal (coset collision)")
         self.n, self.m_x, self.count = code.n, len(masks) - len(xbars), 1 << len(xbars)
-        self.support = np.zeros(1 << len(masks), dtype=np.uint64)
-        self.amps = np.empty(len(self.support), dtype=np.complex128)
-        self.amps[0] = seed
-        for j, g in enumerate(generators):  # state 2^j + p is g applied to state p
-            lo, hi = slice(0, 1 << j), slice(1 << j, 2 << j)
-            if j == self.m_x:  # normalize |0_L> before the xbars shift it: complex
-                # division sets the signs of zero parts, and this order fixes them
-                self.amps[lo] /= np.linalg.norm(self.amps[lo])
-            self.support[hi], phases = basis_action(g, self.support[lo])
-            np.multiply(phases, self.amps[lo], out=self.amps[hi])
-        if not xbars:
-            self.amps /= np.linalg.norm(self.amps)
+        empty = (np.zeros(1, dtype=np.uint64), np.full(1, seed))  # seed |0...0>
+        support, amps = _states(generators[: self.m_x], start=empty)
+        amps /= np.linalg.norm(amps)  # |0_L>, normalized before the xbars shift it
+        self.support, self.amps = _states(xbars, start=(support, amps))
         self.position = np.arange(len(self.support))
         self._columns = pauli.qubit_columns(generators, code.n)[0]  # per qubit, its generators
         self._coordinates = {}  # x-mask -> coordinates, or None outside the span
@@ -397,16 +424,6 @@ class _SparseCodewords:
         for low in _set_bits(z_mask):
             t ^= self._columns[low.bit_length() - 1]
         return t
-
-    def signed_permutation(self, op: PauliOperator) -> Tuple[np.ndarray, np.ndarray]:
-        """(perm, sign) with op|support[p]> = sign[p] |support[perm[p]]>,
-        perm[p] = p ^ a and sign[p] = i^phase (-1)^popcount(p & t), t =
-        parity(op.z_mask); sign is 0 (perm the identity) if op leaves the support."""
-        a = self.coordinate(op.x_mask)
-        if a is None:
-            return self.position, np.zeros(len(self.support), dtype=np.complex128)
-        odd = np.bitwise_count(self.position & self.parity(op.z_mask)) & 1
-        return self.position ^ a, (1j) ** op.phase * (1.0 - 2.0 * odd)
 
     def _spectrum(self, a: int) -> np.ndarray:
         """F[j, s] = sum_r conj(amps[p ^ a]) amps[p] (-1)^popcount(r & s), p =

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -149,30 +149,26 @@ def qubit_columns(ops: Sequence[PauliOperator], n: int) -> Tuple[List[int], List
     return x_cols, z_cols
 
 
-def anticommutation_rows(
-    ops: Sequence[PauliOperator], columns: Optional[Tuple[List[int], List[int]]] = None
-) -> Iterator[int]:
-    """Per op of ops, in order, the mask whose bit j is the symplectic
-    product of that op and ops[j]: the XOR of z_cols over its X-support and
-    x_cols over its Z-support (see qubit_columns), so all pairs cost O(total
-    weight) big-int XORs, not O(m^2) pair tests. columns, qubit_columns of
-    ops when the caller has it, is computed here when None."""
-    x_cols, z_cols = columns or qubit_columns(ops, ops[0].n if ops else 0)
-    for a in ops:
-        odd = 0
-        for cols, mask in ((z_cols, a.x_mask), (x_cols, a.z_mask)):
-            for low in _set_bits(mask):
-                odd ^= cols[low.bit_length() - 1]
-        yield odd
-
-
 def first_anticommuting_pair(
     ops: Sequence[PauliOperator], columns: Optional[Tuple[List[int], List[int]]] = None
 ) -> Optional[Tuple[int, int]]:
     """(i, j) of the first anticommuting pair in itertools.combinations
-    order, or None when all of ops commute, from anticommutation_rows (its
-    rows are read one at a time, so the scan stops at the first pair)."""
-    for i, odd in enumerate(anticommutation_rows(ops, columns)):
+    order, or None when all of ops commute.
+
+    Bit j of the XOR of z_cols over the X-support of ops[i] and x_cols over
+    its Z-support (see qubit_columns) is the symplectic product of ops[i]
+    and ops[j], so the cost is O(total weight) big-int XORs, not O(m^2)
+    pair tests. columns, qubit_columns of ops when the caller has it, is
+    computed here when None.
+    """
+    if columns is None:
+        columns = qubit_columns(ops, ops[0].n if ops else 0)
+    x_cols, z_cols = columns
+    for i, a in enumerate(ops):
+        odd = 0
+        for cols, mask in ((z_cols, a.x_mask), (x_cols, a.z_mask)):
+            for low in _set_bits(mask):
+                odd ^= cols[low.bit_length() - 1]
         later = odd >> (i + 1)
         if later:
             return i, i + (later & -later).bit_length()
@@ -186,10 +182,8 @@ def weight(a: PauliOperator) -> int:
 
 def basis_action(a: PauliOperator, indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(images, phases) with a|i> = phases[j] |images[j]> for i = indices[j]."""
-    signs = 1.0 - 2.0 * (
-        np.bitwise_count(indices & np.uint64(a.z_mask)).astype(np.int64) & 1
-    )
-    return indices ^ np.uint64(a.x_mask), (1j) ** a.phase * signs
+    odd = np.bitwise_count(indices & np.uint64(a.z_mask)) & 1
+    return indices ^ np.uint64(a.x_mask), ((1j) ** a.phase * np.array([1.0, -1.0]))[odd]
 
 
 def apply(a: PauliOperator, s: PureState) -> PureState:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhombuscode import cli, dephasing, gf2
+from rhombuscode import cli, dephasing, engine, gf2
 from rhombuscode.cli import main
 
 
@@ -318,14 +318,16 @@ def test_dephase_runs_past_the_old_support_cap(capsys, tmp_path, target):
 
 def test_dephase_refuses_oversized_code(capsys, tmp_path, monkeypatch):
     """grid:14 has 13 x 2^15 + 2^16 = 491520 component states, above the
-    cap of 2^18 (grid:13, 229376, is within it): exit 2 with one stderr
-    line, before the frame lists any state."""
+    cap of 2^18 (grid:13, 229376, is within it), and its X-type stabilizers
+    alone, 14 x 2^15 = 458752, already are: exit 2 with one stderr line,
+    before logicals are synthesized or the frame lists any state."""
     path = write_code(capsys, tmp_path, "grid:14")
 
     def refuse(*args):
-        raise AssertionError("a state was listed")
+        raise AssertionError("a state was listed or logicals were synthesized")
 
     monkeypatch.setattr(dephasing, "_states", refuse)
+    monkeypatch.setattr(engine, "find_logical_set", refuse)
     code, out, err = run(
         capsys, "dephase", "--code", str(path), "--kind", "global",
         "--theta", "1", "--phi", "1", "--gamma", "1", "--t-grid", "0:1:2",
@@ -333,7 +335,7 @@ def test_dephase_refuses_oversized_code(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-    assert "491520 states" in err
+    assert "458752 states" in err and "lower bounds" in err
 
 
 def test_dephase_refuses_a_component_past_64_qubits(capsys, tmp_path):
@@ -364,25 +366,44 @@ def test_dephase_synthesizes_past_the_coset_cap(capsys, tmp_path):
     assert sum(r["source"] == "engine" for r in parse_csv(out)) == 2
 
 
-def test_dephase_refuses_unbounded_monte_carlo(capsys, tmp_path, monkeypatch):
-    """grid:10 (22528 component states) is within the state cap, but 10^6
-    samples at 3 t points exceed DEPHASE_MAX_MC_WORK: exit 2 before the
-    frame lists any state."""
+def refuse_mc_work(capsys, tmp_path, monkeypatch, samples):
+    """dephase on grid:10 with samples at 3 t points, listing no state:
+    (exit code, stdout, stderr)."""
     path = write_code(capsys, tmp_path, "grid:10")
 
     def refuse(*args):
         raise AssertionError("a state was listed")
 
     monkeypatch.setattr(dephasing, "_states", refuse)
-    code, out, err = run(
+    return run(
         capsys, "dephase", "--code", str(path), "--kind", "local",
         "--theta", "1", "--phi", "1", "--gamma", "1", "--t-grid", "0:1:3",
-        "--mc-samples", "1000000", "--seed", "1",
+        "--mc-samples", str(samples), "--seed", "1",
     )
+
+
+def test_dephase_refuses_unbounded_monte_carlo(capsys, tmp_path, monkeypatch):
+    """grid:10 (22528 component states) is within the state cap, but 10^6
+    samples at 3 t points exceed DEPHASE_MAX_MC_WORK, already on the bound
+    of its X-type stabilizers alone: exit 2 before the frame lists any
+    state."""
+    code, out, err = refuse_mc_work(capsys, tmp_path, monkeypatch, 1_000_000)
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-    assert "--mc-samples" in err
+    assert "--mc-samples" in err and "lower bounds" in err
+
+
+def test_dephase_refuses_monte_carlo_past_the_frame_count(capsys, tmp_path, monkeypatch):
+    """66000 samples at 3 t points pass the bound of grid:10's X-type
+    stabilizers alone (20480 states) and exceed DEPHASE_MAX_MC_WORK on the
+    frame's own count (22528 states), checked after synthesis: exit 2
+    before the frame lists any state."""
+    code, out, err = refuse_mc_work(capsys, tmp_path, monkeypatch, 66_000)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert "66000 x 22528 x 3" in err and "lower bounds" not in err
 
 
 def test_dephase_bad_grid_usage_error(capsys):

@@ -43,6 +43,7 @@ from rhombuscode.engine import (
 from rhombuscode.lattice import build_named, build_unit
 from rhombuscode.pauli import PauliOperator, apply, multiply, parse_pauli
 from rhombuscode.states import PureState
+from test_engine import signed_permutation
 
 THETAS = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi]
 PHIS = [0.0, math.pi / 3, math.pi / 2, math.pi, 3 * math.pi / 2]
@@ -80,7 +81,7 @@ def block_coefficients(code, logicals):
     b = np.where(words.position >> words.m_x == np.arange(2)[:, None], words.amps, 0.0)
     terms = [
         (perm, (np.conj(b[:, perm])[:, None] * sign * b).reshape(4, -1))
-        for perm, sign in map(words.signed_permutation, paulis)
+        for perm, sign in (signed_permutation(words, op) for op in paulis)
     ]
     return terms, (np.conj(b)[:, None] * b).reshape(4, -1)
 
@@ -402,24 +403,31 @@ def test_frame_rows_are_the_nonzero_block_entries(target):
     on the S-state support Pauli o maps state c to c ^ s, s = perm[0], whose
     popcount is the frame's x_weight[o]; coef[o, k] scattered on coset k
     gives the blocks, Xbar and Ybar flip the coset and Zbar keeps it, and cg
-    summed over its rows is weight on every state. The frame's constants are
-    exact (2/S times a unit); the blocks round the amplitudes' squares, so
-    both are compared to 1e-15 of the weight."""
+    summed over its rows is weight on every state. The frame's constants
+    are exact: weight is 2/S and each coef[o, k] / weight is a unit in
+    {1, i, -1, -i}, equal to the blocks divided by the weight and rounded.
+    The blocks round the amplitudes' squares, so only they are held to
+    1e-15 of those units."""
     code, logicals = target_and_logicals(target)
     frame = _Frame(code, logicals)
     terms, cg = block_coefficients(code, logicals)
     support = sparse_support(code, logicals)
     assert frame.flipping.tolist() == [True, True, False] * 2
+    assert frame.weight == 2.0 / len(support)
+    units = frame.coef / frame.weight
+    assert np.isin(units, [1, 1j, -1, -1j]).all()
     columns = np.arange(len(support))
     coset = columns // (len(columns) // 2)
     for o, (perm, cr) in enumerate(terms):
         assert np.array_equal(perm, columns ^ perm[0])
         assert frame.x_weight[o] == bin(int(support[perm[0]])).count("1")
         scattered = np.zeros_like(cr)
-        scattered[2 * coset[perm] + coset, columns] = frame.coef[o, coset]
-        assert abs(scattered - cr).max() <= 1e-15 * frame.weight
+        scattered[2 * coset[perm] + coset, columns] = units[o, coset]
+        assert np.array_equal(np.round(cr / frame.weight), scattered)
+        assert abs(cr / frame.weight - scattered).max() <= 1e-15
         assert np.array_equal(coset[perm], coset ^ frame.flipping[o])
-    assert abs(cg.sum(axis=0) - frame.weight).max() <= 1e-15 * frame.weight
+    assert (np.round(cg.sum(axis=0) / frame.weight) == 1).all()
+    assert abs(cg.sum(axis=0) / frame.weight - 1).max() <= 1e-15
 
 
 def test_frame_keeps_no_per_state_array():
@@ -1145,9 +1153,10 @@ def test_coefficients_are_one_constant_per_coset(name):
     amplitude's square. Transcribed (catalog), synthesized (grid, lshape),
     Y-dressed Xbar and X-dressed Zbar pairs. The coefficients come from the
     block_coefficients. The frame builds its constants from unit amplitudes
-    per component, so they are 2 / S times a unit exactly: they equal the
-    blocks' constants to the same 1e-15 of the weight, and its weight is 2 /
-    S."""
+    per component, so they are exact: its weight is 2 / S and each
+    coef / weight is a unit in {1, i, -1, -i}, equal to the blocks' constant
+    divided by their weight and rounded; the blocks' constants, which round,
+    are within 1e-15 of it."""
     code, logicals = named_pair(name)
     terms, cg = block_coefficients(code, logicals)
     weight = cg.sum(axis=0)
@@ -1156,8 +1165,11 @@ def test_coefficients_are_one_constant_per_coset(name):
     coefs = np.array([cr.sum(axis=0) for _, cr in terms]).reshape(3, 2, -1)  # per coset
     assert (coefs == coefs[:, :, :1]).all()
     frame = _Frame(code, logicals)
-    assert abs(frame.coef - coefs[:, :, 0]).max() <= 1e-15 * weight[0].real
     assert frame.weight == 2.0 / len(weight)
+    units = frame.coef / frame.weight
+    assert np.isin(units, [1, 1j, -1, -1j]).all()
+    assert np.array_equal(units, np.round(coefs[:, :, 0] / weight[0]))
+    assert abs(coefs[:, :, 0] / weight[0] - units).max() <= 1e-15
 
 
 def support_engine(code, logicals, model, t):
@@ -1179,7 +1191,7 @@ def support_engine(code, logicals, model, t):
         table = hist @ decoherence_factor(reps[:, None], reps, model, t, n) @ hist.T
     forms, flipping = np.empty((6, 2), dtype=np.complex128), np.empty(6, dtype=bool)
     for o, op in enumerate(logical_paulis(logicals)):
-        perm, sign = words.signed_permutation(op)
+        perm, sign = signed_permutation(words, op)
         coef = (np.conj(words.amps[perm]) * sign * words.amps).reshape(2, -1)[:, 0]
         flipping[[o, 3 + o]] = flip = perm[0] >= half
         damped = decoherence_factor(support[perm], support, model, t, n).reshape(2, -1).sum(-1)
