@@ -149,7 +149,14 @@ class ObservableRecord:
         return (self.r_x, self.r_y, self.r_z, self.p_x, self.p_y, self.p_z)
 
     def errors(self) -> Tuple[Optional[float], ...]:
-        return (self.se_r_x, self.se_r_y, self.se_r_z, self.se_p_x, self.se_p_y, self.se_p_z)
+        return (
+            self.se_r_x,
+            self.se_r_y,
+            self.se_r_z,
+            self.se_p_x,
+            self.se_p_y,
+            self.se_p_z,
+        )
 
 
 def _popcount(index) -> np.ndarray:
