@@ -91,7 +91,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import pauli
-from .engine import LogicalSet, _seed, _squeeze, _states, verify_logical_set
+from .engine import LogicalSet, _seed, _states, verify_logical_set
 from .engine import codeword_zero  # noqa: F401  perfbench/test_perfbench.py needs it
 from .gf2 import _set_bits
 from .lattice import CodeSpec
@@ -411,20 +411,23 @@ def _layout(code: CodeSpec, xbars: Sequence[PauliOperator]):
 def _part(frame: _Frame, generators: Sequence[int]):
     """(place, masks, amps, signs, shifts) of the component of the frame's
     generators with these indices: place maps a qubit mask onto the
-    component's own bits (its qubits past bit 63 renumbered upwards from
-    bit 0, else kept; other qubits dropped), then its states (_states), per
+    component's own bits (other qubits dropped; all of its qubits
+    renumbered upwards from bit 0 when one lies past bit 63, else kept),
+    then its states (_states, on generators placed so), per
     logical Pauli L (Xbar, Ybar, Zbar) its signs (-1)^|mask & z| there, so
     L|mask> = sign |mask ^ x> without its phase, and per Pauli the state
     that is its x-mask there, so that it maps state i to i ^ shift (None
     where its x-mask is no state)."""
     ops = [frame.generators[g] for g in generators]
     span = _span(ops)
-    qubits = {low: 1 << j for j, low in enumerate(_set_bits(span))} if span >> 64 else None
+    qubits = {low: 1 << j for j, low in enumerate(_set_bits(span))} if span >> 64 else {}
 
     def place(mask: int) -> int:
-        return _squeeze(mask & span, qubits)
+        return sum(qubits[low] for low in _set_bits(mask & span)) if qubits else mask & span
 
-    masks, amps = _states(ops, qubits)
+    if qubits:  # the component reaches past qubit 63: its qubits renumbered from bit 0
+        ops = [PauliOperator(64, place(g.x_mask), place(g.z_mask), g.phase) for g in ops]
+    masks, amps = _states(ops)
     x, z = np.array([(place(L.x_mask), place(L.z_mask)) for L in frame.paulis], dtype=np.uint64).T
     signs = 1.0 - 2.0 * (np.bitwise_count(masks & z[:, None]) & 1)
     hits = masks == x[:, None]

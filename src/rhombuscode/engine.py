@@ -25,8 +25,7 @@ One sparse codeword type, _SparseCodewords, builds the codeword support and
 amplitudes by one doubling routine, _states, over the X-stabilizers and then
 the X-logicals (each Z-stabilizer only rescales the orbit), so in this
 coordinate order codeword p >> m_x owns position p. _states also lists the
-states of each component of the dephasing frame, on that component's own
-qubits. _SparseCodewords serves the codeword-matrix oracle here and the
+states of each component of the dephasing frame. _SparseCodewords serves the codeword-matrix oracle here and the
 tests' S-state references, and codeword_zero is its dense embedding. The
 oracle still evaluates M from the explicit amplitudes, but reads each column
 from a Walsh-Hadamard spectrum of the amplitude products, computed once per
@@ -38,7 +37,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -341,28 +340,20 @@ def _seed(code: CodeSpec) -> complex:
     return seed
 
 
-def _squeeze(mask: int, qubits: Optional[Dict[int, int]]) -> int:
-    """mask on the qubits of qubits alone, the bit 2^q of each moved to
-    qubits[2^q]; mask itself when qubits is None."""
-    return mask if qubits is None else sum(qubits.get(low, 0) for low in _set_bits(mask))
-
-
-def _states(generators: Sequence[PauliOperator], qubits: Optional[Dict[int, int]] = None,
-            start: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> Tuple[np.ndarray, np.ndarray]:
+def _states(
+    generators: Sequence[PauliOperator], start: Optional[Tuple[np.ndarray, np.ndarray]] = None
+) -> Tuple[np.ndarray, np.ndarray]:
     """(masks, amps) of the basis states the products of generators reach
     from the states of start, (masks, amps), by one doubling pass (default:
     |0...0> with amplitude 1, giving 2^len(generators) states): with m
     states in start, state m 2^b + p is generators[b] applied to state p
     (basis_action: i^phase (-1)^|mask & z| times amps[p]), so from the
     default start state i is the XOR of the x-masks of the generators
-    chosen by the bits of i. Each mask is a uint64 over the bits qubits maps
-    each qubit to (_squeeze; None: the qubits' own bits). ValueError when a
-    state past the first is the empty mask: from the default start, when
-    the x-masks are dependent."""
+    chosen by the bits of i, a uint64 mask. ValueError when a state past
+    the first is the empty mask: from the default start, when the x-masks
+    are dependent."""
     masks, amps = start or (np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.complex128))
     for g in generators:
-        if qubits is not None:
-            g = PauliOperator(64, _squeeze(g.x_mask, qubits), _squeeze(g.z_mask, qubits), g.phase)
         images, phases = basis_action(g, masks)
         masks, amps = np.concatenate([masks, images]), np.concatenate([amps, phases * amps])
     if not masks[1:].all():

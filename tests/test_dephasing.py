@@ -1274,8 +1274,8 @@ def test_component_kernel_checks_its_factors(monkeypatch):
         _CosetKernel(frame, "local", frame.components[:1])
     states = dephasing._states
 
-    def perturbed(generators, qubits):
-        masks, amps = states(generators, qubits)
+    def perturbed(generators):
+        masks, amps = states(generators)
         if generators[-1] is frame.generators[-1]:  # Xbar's component
             amps[3] *= 1 + 1e-6  # state 3: neither half's first state
         return masks, amps
