@@ -13,8 +13,8 @@ runs): --samples, else the batch monte_carlo_grid runs (MC_BATCH * 32 /
 size samples, at most MC_BATCH, size the frame's component states sum_c
 2^m_c). The production kernel is ``frame.kernel(kind)``: the
 component-factored _CosetKernel under local noise, _PhasorKernel under
-global noise. The reference is ``_CosetKernel(frame, kind)``: the same
-coset-sum kernel with every generator in one component, on all S =
+global noise. The reference is ``_CosetKernel(one_component(frame), kind)``:
+the same coset-sum kernel with every generator in one component, on all S =
 2^generators states, run only where S is at most 2^12 (reference_ns is
 empty otherwise): a batch is sized by the component states, so past that
 the reference would take minutes per call. The two run alternately in one
@@ -32,6 +32,7 @@ the production kernel.
 from __future__ import annotations
 
 import argparse
+import copy
 import os
 import platform
 import statistics
@@ -53,6 +54,16 @@ def pair_of(target: str):
     if code.logical_pairs is not None:
         return code, LogicalSet(code.logical_pairs)
     return code, find_logical_set(code)
+
+
+def one_component(frame: dephasing._Frame) -> dephasing._Frame:
+    """A copy of frame whose components are one part holding every
+    generator, with no kernel built yet: its _CosetKernel lists all S
+    states per sample on the same draws and batch split (size is kept), the
+    reference the production kernel is held to."""
+    whole = copy.copy(frame)
+    whole.components, whole._kernels = [list(range(len(frame.generators)))], {}
+    return whole
 
 
 def median_ms(call, runs: int) -> float:
@@ -113,7 +124,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             build_ms = median_ms(lambda: rebuild(frame, kind), args.runs)
             kernels = [frame.kernel(kind)]
             if size <= 1 << 12:  # the reference lists all S states per sample
-                kernels.append(dephasing._CosetKernel(frame, kind))
+                kernels.append(dephasing._CosetKernel(one_component(frame), kind))
             ns = [f"{value:.0f}" for value in median_ns(kernels, args.seed, samples, args.scale, args.runs)]
             print(f"{target},{size},{parts},{kernels[0].fields},{kind},{samples},"
                   f"{ns[0]},{ns[1] if len(ns) > 1 else ''},{frame_ms:.3f},{engine_ms:.3f},{build_ms:.3f}",

@@ -259,7 +259,7 @@ def cmd_dephase(args: argparse.Namespace) -> int:
         return EXIT_INFEASIBLE
     model = dephasing.NoiseModel(args.kind, args.gamma)
     try:
-        frame = dephasing._Frame(code, logicals, layout)  # shared by the engine and MC
+        frame = dephasing._Frame(code, logicals)  # shared by the engine and MC
     except ValueError as exc:
         print(f"dephase: {exc}", file=sys.stderr)
         return EXIT_USAGE

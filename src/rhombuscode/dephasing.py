@@ -2,14 +2,14 @@
 
 Everything is computed on one frame: the codewords of the designated
 logical pair (the first one, checked by engine.verify_logical_set), listed
-per component of their generators (_components: the X-type stabilizers and
-Xbar, joined where x-masks overlap or a z-mask meets an x-mask). Across
-components the generators act on disjoint qubits, so the codeword support
-of S = 2^(m_x + 1) states is the XOR of one state per component, and each
+per component of their generators, the X-type stabilizers and Xbar
+(_components, one join per qubit column: on a qubit where some generator
+has an X, every generator with an X or a Z there). Across components the
+generators act on disjoint qubits, so the codeword support of S =
+2^(m_x + 1) states is the XOR of one state per component, and each
 component lists its own 2^m_c states (engine._states, the one doubling
 routine, which also builds the KL oracle's codewords) as uint64 masks over
-its own qubits, at most 64 of them, renumbered from bit 0 only when they
-reach past qubit 63. The
+its own qubits, at most 64 of them, always renumbered from bit 0. The
 support itself is never formed: the frame, the engine and both kernels
 cost sum_c 2^m_c, so codes past 64 qubits (grid:4 and up) and supports far
 past 2^18 (lshape:6,6, S = 2^34) run. Dephasing multiplies each support
@@ -298,13 +298,12 @@ class _Frame:
     whose projector annihilates |0...0>.
 
     The designated pair is logicals.pairs[0]; ValueError when there is none
-    or when engine.verify_logical_set reports a violation on it. layout is
-    _layout(code, [Xbar]) (generators, components, size and the widest
-    component's qubit count), which cli.cmd_dephase computes for its caps;
-    it is computed here when None.
+    or when engine.verify_logical_set reports a violation on it. generators,
+    components and size come from _layout(code, [Xbar]), as do the caps
+    cli.cmd_dephase checks.
     """
 
-    def __init__(self, code: CodeSpec, logicals: LogicalSet, layout: Optional[tuple] = None):
+    def __init__(self, code: CodeSpec, logicals: LogicalSet):
         if not logicals.pairs:
             raise ValueError("no logical pair to dephase (k = 0)")
         report = verify_logical_set(code, LogicalSet(logicals.pairs[:1]))
@@ -316,7 +315,7 @@ class _Frame:
         prod = multiply(zbar, xbar)
         self.paulis = (xbar, PauliOperator(prod.n, prod.x_mask, prod.z_mask, prod.phase + 1), zbar)
         self.n, self.pc = code.n, 2.0 ** (code.m - code.n)
-        self.generators, self.components, self.size, widest = layout or _layout(code, [xbar])
+        self.generators, self.components, self.size, widest = _layout(code, [xbar])
         if widest > 64:
             raise ValueError(f"a component spans {widest} qubits, above 64 (uint64 masks)")
         self.weight = 2.0 ** (1 - len(self.generators))  # |amplitude|^2 = 2/S
@@ -356,10 +355,7 @@ class _Frame:
         use: _PhasorKernel for global noise, _CosetKernel on the components
         for local."""
         if kind not in self._kernels:
-            self._kernels[kind] = (
-                _PhasorKernel(self) if kind == "global"
-                else _CosetKernel(self, kind, self.components)
-            )
+            self._kernels[kind] = _PhasorKernel(self) if kind == "global" else _CosetKernel(self, kind)
         return self._kernels[kind]
 
     def expected(self, model: NoiseModel, t: float) -> np.ndarray:
@@ -411,23 +407,20 @@ def _layout(code: CodeSpec, xbars: Sequence[PauliOperator]):
 def _part(frame: _Frame, generators: Sequence[int]):
     """(place, masks, amps, signs, shifts) of the component of the frame's
     generators with these indices: place maps a qubit mask onto the
-    component's own bits (other qubits dropped; all of its qubits
-    renumbered upwards from bit 0 when one lies past bit 63, else kept),
-    then its states (_states, on generators placed so), per
-    logical Pauli L (Xbar, Ybar, Zbar) its signs (-1)^|mask & z| there, so
-    L|mask> = sign |mask ^ x> without its phase, and per Pauli the state
-    that is its x-mask there, so that it maps state i to i ^ shift (None
-    where its x-mask is no state)."""
+    component's own bits (other qubits dropped, its qubits renumbered
+    upwards from bit 0), then its states (_states, on generators placed
+    so), per logical Pauli L (Xbar, Ybar, Zbar) its signs (-1)^|mask & z|
+    there, so L|mask> = sign |mask ^ x> without its phase, and per Pauli
+    the state that is its x-mask there, so that it maps state i to i ^
+    shift (None where its x-mask is no state)."""
     ops = [frame.generators[g] for g in generators]
     span = _span(ops)
-    qubits = {low: 1 << j for j, low in enumerate(_set_bits(span))} if span >> 64 else {}
+    qubits = {low: 1 << j for j, low in enumerate(_set_bits(span))}
 
     def place(mask: int) -> int:
-        return sum(qubits[low] for low in _set_bits(mask & span)) if qubits else mask & span
+        return sum(qubits[low] for low in _set_bits(mask & span))
 
-    if qubits:  # the component reaches past qubit 63: its qubits renumbered from bit 0
-        ops = [PauliOperator(64, place(g.x_mask), place(g.z_mask), g.phase) for g in ops]
-    masks, amps = _states(ops)
+    masks, amps = _states([PauliOperator(64, place(g.x_mask), place(g.z_mask), g.phase) for g in ops])
     x, z = np.array([(place(L.x_mask), place(L.z_mask)) for L in frame.paulis], dtype=np.uint64).T
     signs = 1.0 - 2.0 * (np.bitwise_count(masks & z[:, None]) & 1)
     hits = masks == x[:, None]
@@ -464,15 +457,15 @@ class _CosetKernel:
     coset k; the leakage rows likewise. Nothing of the frame is read per
     state: each component lists its own states.
 
-    components partitions the frame's generators (its X-type stabilizers,
-    then Xbar; _Frame.components), Xbar's component first. A support state
-    is the XOR of one state per component and u is a product over the
-    components, so each sum is a product of one sum per component over its
-    2^m_c states: a sample costs the sum of the 2^m_c, not S. Without
-    components every generator is in one component, listed by the same
-    _part and _states on all S states: the reference the tests hold the
-    kernel to (feasible only for small S); a code whose generators form one
-    component runs it operation for operation. The draws and the batch
+    It reads the components from frame.components (its X-type stabilizers,
+    then Xbar, partitioned by _components), Xbar's component first. A
+    support state is the XOR of one state per component and u is a product
+    over the components, so each sum is a product of one sum per component
+    over its 2^m_c states: a sample costs the sum of the 2^m_c, not S. A
+    frame whose components are one part holding every generator runs the
+    same code on all S states: the reference the tests hold the kernel to
+    (feasible only for small S); a code whose generators form one component
+    is that reference operation for operation. The draws and the batch
     split (size, the frame's sum of 2^m_c) do not depend on the partition:
     fields normals per sample, one per class of qubits with equal x-columns
     over the generators (a qubit's spin row relative to state 0 is the
@@ -487,14 +480,8 @@ class _CosetKernel:
     global noise (u from the popcounts) it is the per-sample reference of
     _PhasorKernel."""
 
-    def __init__(self, frame: _Frame, kind: str,
-                 components: Optional[Sequence[Sequence[int]]] = None):
+    def __init__(self, frame: _Frame, kind: str):
         self.pc, self.flipping, self.size = frame.pc, frame.flipping, frame.size
-        count = len(frame.generators)
-        if components is None:
-            components = [range(count)]
-        if sorted(g for part in components for g in part) != list(range(count)):
-            raise ValueError("components must partition the frame's generators")
         # the qubit classes: a local spin row, relative to state 0, is the
         # parity of the chosen generators that touch the qubit, so qubits with
         # equal x-columns share it and a qubit in no x-mask has a constant row;
@@ -505,7 +492,7 @@ class _CosetKernel:
             (1 << columns.index(c), columns.count(c)) for c in dict.fromkeys(columns) if c]
         self.fields = 1 if classes is None else len(classes)
         self.parts = [_Component(frame, kind, part, c == 0, classes)
-                      for c, part in enumerate(components)]
+                      for c, part in enumerate(frame.components)]
         self.chunk = _even(2 * MC_CHUNK // sum(part.size for part in self.parts))
         self.rows = max(len(step[3]) for part in self.parts for step in part.steps)
         self.reference = frame.expected(NoiseModel(kind, 0.0), 0.0)  # G at u = 1
@@ -612,8 +599,9 @@ class _Component:
     x-masks of the generators chosen by the bits of i (bit b:
     generators[b], ascending, so Xbar, the frame's last generator, is the
     top bit of the component that holds it and its two halves are the
-    cosets), listed by _part as a mask over the component's own qubits. It
-    holds the step tables (lo, hi, fields, half-angle table, index) that
+    cosets), listed by _part as a mask over the component's own qubits,
+    renumbered from bit 0 (_part's place maps the kernel's class qubits
+    there too). It holds the step tables (lo, hi, fields, half-angle table, index) that
     build u on its states and the x-shifts of the logical Paulis there
     (Pauli o maps state i to i ^ shift_o): shifts, the distinct nonzero
     ones, pick[o], the index of Pauli o's in shifts (None for shift 0, or
@@ -701,28 +689,23 @@ class _Component:
 
 
 def _components(generators: Sequence[PauliOperator]) -> List[List[int]]:
-    """The classes of generator indices (each ascending) under the joins of
-    one union-find: two generators whose x-masks overlap, or where the z-mask
-    of one meets the x-mask of the other. Across classes the generators act
-    on disjoint qubits and each one's sign on a basis state ignores the
-    other classes' flips, so codeword amplitudes and dephasing phases factor
-    over the classes. The class holding the last generator comes first,
-    then the others by descending last index."""
-    parent = list(range(len(generators)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    for i, a in enumerate(generators):
-        for j, b in enumerate(generators[:i]):
-            if a.x_mask & (b.x_mask | b.z_mask) or a.z_mask & b.x_mask:
-                parent[find(i)] = find(j)
-    classes = {}
-    for i in range(len(generators)):
-        classes.setdefault(find(i), []).append(i)
-    return sorted(classes.values(), key=lambda part: -part[-1])
+    """The classes of generator indices (each ascending) joined on the
+    qubit columns (pauli.qubit_columns): on each qubit where some generator
+    has an X, the generators with an X or a Z there. So two generators meet
+    when their x-masks overlap or the z-mask of one meets the x-mask of the
+    other, and a generator that meets none is a class of its own. Across
+    classes the generators act on disjoint qubits and each one's sign on a
+    basis state ignores the other classes' flips, so codeword amplitudes and
+    dephasing phases factor over the classes. The class holding the last
+    generator comes first, then the others by descending last index."""
+    x_cols, z_cols = pauli.qubit_columns(generators, generators[0].n if generators else 0)
+    parts = []  # disjoint masks over the generator indices
+    for joined in dict.fromkeys(x | z for x, z in zip(x_cols, z_cols) if x):
+        met = [part for part in parts if part & joined]
+        parts = [part for part in parts if not part & joined] + [functools.reduce(operator.or_, met, joined)]
+    alone = ~functools.reduce(operator.or_, parts, 0)
+    parts += [1 << g for g in range(len(generators)) if alone >> g & 1]
+    return [[low.bit_length() - 1 for low in _set_bits(part)] for part in sorted(parts, reverse=True)]
 
 
 class _PhasorKernel:
@@ -987,13 +970,13 @@ def monte_carlo_grid(
     _PhasorKernel's polynomial), plus one draw of the normals per sample:
     one per qubit class under local noise, one under global noise.
     Batches span MC_BATCH * 32 / size samples (MC_BATCH for size <= 32),
-    size the frame's component states sum_c 2^m_c, under either kind and read disjoint ranges of one PCG64
-    stream (_stream: each batch owns batch * stride uniforms, stride the
-    normals per sample rounded up to even, so the extra uniform of an odd
-    last sub-chunk stays inside that range), so results are bit-identical
-    for any thread count, and each t's records
-    equal those of a one-element grid. Threads run whole batches, in one
-    pool per call of min(threads, batches, usable cores) threads (more
+    size the frame's component states sum_c 2^m_c, under either kind and
+    read disjoint ranges of one PCG64 stream (_stream: each batch owns
+    batch * stride uniforms, stride the normals per sample rounded up to
+    even, so the extra uniform of an odd last sub-chunk stays inside that
+    range), so results are bit-identical for any thread count, and each t's
+    records equal those of a one-element grid. Threads run whole batches, in
+    one pool per call of min(threads, batches, usable cores) threads (more
     threads than cores only pass the interpreter lock around), and need no
     OPENBLAS_NUM_THREADS setting: neither kernel calls BLAS. frame, the
     _Frame of (code, logicals), is built here when None; it builds its

@@ -24,12 +24,12 @@ rows are reduced once per code.
 One sparse codeword type, _SparseCodewords, builds the codeword support and
 amplitudes by one doubling routine, _states, over the X-stabilizers and then
 the X-logicals (each Z-stabilizer only rescales the orbit), so in this
-coordinate order codeword p >> m_x owns position p. _states also lists the
-states of each component of the dephasing frame. _SparseCodewords serves the codeword-matrix oracle here and the
-tests' S-state references, and codeword_zero is its dense embedding. The
-oracle still evaluates M from the explicit amplitudes, but reads each column
-from a Walsh-Hadamard spectrum of the amplitude products, computed once per
-X-shift and cached: a candidate costs O(2^k) after its shift's first O(S m_x).
+coordinate order codeword p >> m_x owns position p; _states also lists the
+dephasing frame's component states. _SparseCodewords serves the KL oracle
+and the tests' S-state references; codeword_zero is its dense embedding. The
+oracle evaluates M from the explicit amplitudes, each column read from a
+Walsh-Hadamard spectrum of the amplitude products, computed once per X-shift
+and cached: a candidate costs O(2^k) after its shift's first O(S m_x).
 """
 
 from __future__ import annotations

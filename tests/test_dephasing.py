@@ -40,10 +40,15 @@ from rhombuscode.engine import (
     find_logical_set,
     logical_basis_state,
 )
-from rhombuscode.lattice import build_named, build_unit
+from rhombuscode.lattice import NAMED_CODES, CodeSpec, build_named, build_unit
 from rhombuscode.pauli import PauliOperator, apply, multiply, parse_pauli
 from rhombuscode.states import PureState
 from test_engine import signed_permutation
+from test_scripts import load_script
+
+# a copy of a frame with every generator in one component: its _CosetKernel
+# is the S-state reference (scripts/kernel_ns.py times it the same way)
+one_component = load_script("kernel_ns").one_component
 
 THETAS = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi]
 PHIS = [0.0, math.pi / 3, math.pi / 2, math.pi, 3 * math.pi / 2]
@@ -462,6 +467,59 @@ def test_local_bloch_decays_as_the_x_weight(name):
             assert abs(frame.expected(model, t)[:3] - start * decay).max() <= 1e-12
 
 
+def squared_hamming(monkeypatch):
+    """Patch dephasing._damping so that the local distance enters squared,
+    K(a, b) = e^{-|a ^ b|^2 c gamma t / 2}; global noise is unchanged."""
+    damping = dephasing._damping
+    monkeypatch.setattr(dephasing, "_damping", lambda distance, model, t: damping(
+        np.square(distance) if model.kind == "local" else distance, model, t))
+
+
+@pytest.mark.parametrize("theta, phi, gt", [(1.1, 0.3, 0.1), (0.4, 2.0, 0.05), (2.5, 4.0, 0.7),
+                                            (math.pi / 2, 0.0, 2.0)])
+def test_published_local_form_is_the_squared_hamming_damping(theta, phi, gt, monkeypatch):
+    """The published local closed form is the engine on the unit code with
+    the Hamming distance squared in the damping (convention 1): all six
+    observables agree to 1e-12. It is the global formula with |dm| / 2
+    replaced by the Hamming distance, one shared field that counts every
+    differing qubit with the same sign."""
+    squared_hamming(monkeypatch)
+    code, logicals = unit_and_logicals()
+    got = bloch_and_leakage(code, logicals, theta, phi, NoiseModel("local", 1.0), [gt])[0]
+    want = closed_form("local", theta, phi, 1.0, gt)
+    assert max(abs(a - b) for a, b in zip(got.values(), want.values())) <= 1e-12
+
+
+def test_published_local_form_is_no_dephasing_channel(monkeypatch):
+    """The unit support is a group of 8 states with coset 0 an index-2
+    subgroup, so for any damping k(a ^ b) the character that is +1 on coset
+    0 and -1 on coset 1 gives the kernel's eigenvalue sum_{coset 0} k -
+    sum_{coset 1} k. The published local leakage fixes both sums (16 p_z at
+    theta = 0 and 16 p_x at theta = pi / 2, phi = 0), so that eigenvalue is
+    1 + e^{-8 gamma t} - 2 e^{-2 gamma t}, -0.188 at gamma t = 0.1: no
+    damping of a ^ b alone (independent symmetric phases per qubit
+    included) gives the published form. Under the squared-Hamming kernel
+    that gives it, the dense dephased unit-code state at theta = 1.1, phi =
+    0.3 has the eigenvalue -0.019."""
+    squared_hamming(monkeypatch)
+    code, logicals = unit_and_logicals()
+    model, gt = NoiseModel("local", 1.0), 0.1
+    sums = [16 * closed_form("local", 0.0, 0.0, 1.0, gt).p_z,
+            16 * closed_form("local", math.pi / 2, 0.0, 1.0, gt).p_x]
+    support = _SparseCodewords(code, logicals.pairs[0][:1]).support  # coset 0, then coset 1
+    kernel = decoherence_factor(support[:, None], support, model, gt, code.n)
+    assert abs(kernel[0].reshape(2, -1).sum(1) - sums).max() <= 1e-12
+    coefficient = sums[0] - sums[1]
+    assert abs(coefficient - (1 + math.exp(-8 * gt) - 2 * math.exp(-2 * gt))) <= 1e-12
+    assert -0.189 < coefficient < -0.188
+    assert abs(np.linalg.eigvalsh(kernel) - coefficient).min() <= 1e-12
+    one_l = logical_basis_state(code, logicals, "10")
+    psi = prepare_logical_state(1.1, 0.3, codeword_zero(code), one_l).amplitudes
+    index = np.arange(1 << code.n, dtype=np.uint64)
+    rho = np.outer(psi, np.conj(psi)) * decoherence_factor(index[:, None], index, model, gt, code.n)
+    assert -0.020 < np.linalg.eigvalsh(rho).min() < -0.019
+
+
 def times_i(op):
     """i op."""
     return PauliOperator(op.n, op.x_mask, op.z_mask, op.phase + 1)
@@ -692,13 +750,15 @@ CLASS_COUNTS = {"unit": 5, "two_vertical": 8, "two_horizontal": 8, "grid_2x2": 1
 @pytest.mark.parametrize("name", CLASS_COUNTS)
 def test_one_normal_per_qubit_class(name):
     """The local kernels draw one normal per qubit class, the classes
-    qubit_classes derives from the spins on every support state, for any
-    partition; both global kernels draw one."""
+    qubit_classes derives from the spins on every support state, for the
+    frame's components and for one component holding every generator; both
+    global kernels draw one."""
     code, logicals = named_pair(name)
     frame = _Frame(code, logicals)
     assert len(qubit_classes(support_spins(code, logicals, "local"))) == CLASS_COUNTS[name] < frame.n
-    assert frame.kernel("local").fields == _CosetKernel(frame, "local").fields == CLASS_COUNTS[name]
-    assert frame.kernel("global").fields == _CosetKernel(frame, "global").fields == 1
+    whole = one_component(frame)
+    assert frame.kernel("local").fields == _CosetKernel(whole, "local").fields == CLASS_COUNTS[name]
+    assert frame.kernel("global").fields == _CosetKernel(whole, "global").fields == 1
 
 
 @pytest.mark.parametrize("name", ["unit", "two_vertical", "two_horizontal", "grid_2x2",
@@ -726,7 +786,7 @@ def test_skipped_rows_give_sums_of_exactly_zero(name):
     assert (got[[o for o in range(6) if o not in coset.varying]] == 0).all()
     shifted = frame.expected(NoiseModel("local", 0.0), 0.0) + 1e-3 * np.eye(6)[2]
     frame.expected = lambda model, t: shifted
-    assert 2 in _CosetKernel(frame, "local", frame.components).varying
+    assert 2 in _CosetKernel(frame, "local").varying
 
 
 @pytest.mark.parametrize("target", ["unit", "grid_2x2"])
@@ -801,7 +861,7 @@ def test_phasor_kernel_matches_coset_kernel(name, scale):
     compared relative to count * max |G_ref| and the second moments relative
     to count * max |G_ref| * rms(D), to 1e-13."""
     frame = named_frame(name)
-    new, old = _PhasorKernel(frame), _CosetKernel(frame, "global")
+    new, old = _PhasorKernel(frame), _CosetKernel(one_component(frame), "global")
     assert old.fields == 1 and new.size == old.size  # same draws, same batch split
     count = 2 * new.chunk + 37
     got = new.moments(5, 12345, count, [scale])[0]
@@ -902,7 +962,7 @@ def test_phasor_kernel_is_as_accurate_as_coset_kernel(name, count, scale):
         return got, np.where(zero, 0, relative).astype(float).max(0)
 
     got, error = run(_PhasorKernel(frame))
-    _, coset_error = run(_CosetKernel(frame, "global"))
+    _, coset_error = run(_CosetKernel(one_component(frame), "global"))
     assert (got[zero] == 0).all()
     assert (error <= coset_error).all()
 
@@ -1013,14 +1073,14 @@ def test_coset_kernel_tan_phases_keep_sin_cos_accuracy(name, scale):
     frame = named_frame(name)
     count, errors = LOCAL_ERRORS[name]
     want = long_double_local_moments(name, 3, 777, count, scale)
-    got = _CosetKernel(frame, "local").moments(3, 777, count, [scale])[0]
+    got = _CosetKernel(one_component(frame), "local").moments(3, 777, count, [scale])[0]
     zero = want == 0
     relative = np.where(zero, 0, abs(got - want) / np.where(zero, 1, abs(want)))
     assert relative.astype(float).max() <= 2 * errors[scale]
 
 
 # sorted component sizes of the frame (X-type stabilizers, then Xbar) and of
-# the X-type stabilizers alone, from one union-find over the generators
+# the X-type stabilizers alone, from the join on the generators' qubit columns
 FRAME_COMPONENTS = {"unit": [3], "two_vertical": [4], "two_horizontal": [2, 3],
                     "grid_2x2": [3, 4], "grid:2": [3, 4], "lshape:1,1": [3, 6],
                     "lshape:1,4": [3, 3, 3, 3, 6]}
@@ -1051,16 +1111,68 @@ def test_x_stabilizer_components(name):
     assert sorted(map(len, _components(x_stabilizers(code)))) == X_COMPONENTS[name]
 
 
+def union_find_components(generators):
+    """_components by one union-find over every pair of generators: i and j
+    join when their x-masks overlap or the z-mask of one meets the x-mask
+    of the other. Classes ascending, the last generator's first, then the
+    others by descending last index."""
+    parent = list(range(len(generators)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, a in enumerate(generators):
+        for j, b in enumerate(generators[:i]):
+            if a.x_mask & (b.x_mask | b.z_mask) or a.z_mask & b.x_mask:
+                parent[find(i)] = find(j)
+    classes = {}
+    for i in range(len(generators)):
+        classes.setdefault(find(i), []).append(i)
+    return sorted(classes.values(), key=lambda part: -part[-1])
+
+
+@pytest.mark.parametrize("name", [*NAMED_CODES, *(f"grid:{p}" for p in range(1, 15)),
+                                  *(f"lshape:{v},{h}" for v in range(7) for h in range(7))])
+def test_components_equal_the_pairwise_union_find(name):
+    """The join on qubit columns gives the pairwise union-find's classes, in
+    its order, on the X-type stabilizers alone and with the designated Xbar
+    (transcribed, else synthesized)."""
+    code, logicals = target_and_logicals(name)
+    generators = x_stabilizers(code)
+    for ops in (generators, generators + [logicals.pairs[0][0]]):
+        assert _components(ops) == union_find_components(ops)
+
+
 def test_components_join_on_z_meeting_x():
     """A Y-dressed Xbar whose z-part stays on its own component keeps the
     two_horizontal split; one whose z-part meets the other component's
-    x-masks joins the two."""
+    x-masks joins the two. Both equal the pairwise union-find's classes."""
     code = build_named("two_horizontal")
     xbar = code.logical_pairs[0][0]
     kept, joined = (multiply(xbar, parse_pauli(text, code.n)) for text in ("Z2Z4Z6", "Z8Z10Z12"))
     assert kept.x_mask & kept.z_mask  # Y factors
     assert _components(x_stabilizers(code) + [kept]) == [[0, 1, 4], [2, 3]]
     assert _components(x_stabilizers(code) + [joined]) == [[0, 1, 2, 3, 4]]
+    for dressed in (kept, joined):
+        ops = x_stabilizers(code) + [dressed]
+        assert _components(ops) == union_find_components(ops)
+
+
+def test_an_xbar_that_meets_no_x_mask_is_its_own_component():
+    """On the unit code widened by a seventh qubit that no stabilizer
+    touches, Xbar = Z7 (paired with Zbar = X7) has no X, and its Z lies
+    where no generator has an X: no qubit column joins it, so _components
+    keeps it as its own class, first, as the pairwise union-find does, and
+    the frame refuses it (it shifts no state) rather than dephasing a frame
+    that leaves Xbar out."""
+    code = CodeSpec(7, tuple(parse_pauli(str(s), 7) for s in build_unit().stabilizers))
+    xbar, zbar = parse_pauli("Z7", 7), parse_pauli("X7", 7)
+    ops = x_stabilizers(code) + [xbar]
+    assert _components(ops) == union_find_components(ops) == [[2], [0, 1]]
+    with pytest.raises(ValueError, match="coset collision"):
+        _Frame(code, LogicalSet([(xbar, zbar)]))
 
 
 def two_horizontal_pair(xbar_dressing, zbar_dressing):
@@ -1092,7 +1204,7 @@ def test_one_component_kernel_is_the_reference_bit_for_bit(name, kind):
     sub-chunks and a ragged third."""
     frame = named_frame(name)
     assert len(frame.components) == 1
-    new, old = _CosetKernel(frame, kind, frame.components), _CosetKernel(frame, kind)
+    new, old = _CosetKernel(frame, kind), _CosetKernel(one_component(frame), kind)
     count = 2 * new.chunk + 37
     for scale in (0.8, 1e-3):
         got = new.moments(5, 12345, count, [scale])[0]
@@ -1108,7 +1220,7 @@ def test_component_kernel_matches_reference(name, kind):
     full sub-chunks and a ragged third; the draws and batch split match."""
     frame = named_frame(name)
     assert len(frame.components) == 2
-    new, old = _CosetKernel(frame, kind, frame.components), _CosetKernel(frame, kind)
+    new, old = _CosetKernel(frame, kind), _CosetKernel(one_component(frame), kind)
     assert (new.fields, new.size) == (old.fields, old.size)
     assert new.chunk > old.chunk
     count = 2 * new.chunk + 37
@@ -1137,7 +1249,7 @@ def test_component_kernel_keeps_the_reference_accuracy(name, count, scale):
         return np.where(zero, 0, abs(got - want) / np.where(zero, 1, abs(want))).astype(float).max()
 
     got = error(frame.kernel("local"))
-    assert got <= 2 * error(_CosetKernel(frame, "local"))
+    assert got <= 2 * error(_CosetKernel(one_component(frame), "local"))
     if name in LOCAL_ERRORS:
         assert got <= 2 * LOCAL_ERRORS[name][1][scale]
 
@@ -1266,17 +1378,17 @@ def test_component_kernel_checks_its_factors(monkeypatch):
     """One amplitude of Xbar's two_horizontal component off by 1e-6 relative
     leaves each logical Pauli's factor there no longer constant on its
     coset, and the frame, which keeps one constant per coset for the
-    kernels, refuses it; the kernel refuses a partition that misses
-    generators."""
+    kernels, refuses it. _part lists each component on renumbered
+    generators, so Xbar's is told by its generator count: 3 there, against
+    2 on the other component."""
     code, logicals = named_pair("two_horizontal")
     frame = _Frame(code, logicals)
-    with pytest.raises(ValueError, match="partition"):
-        _CosetKernel(frame, "local", frame.components[:1])
+    assert [len(part) for part in frame.components] == [3, 2]
     states = dephasing._states
 
     def perturbed(generators):
         masks, amps = states(generators)
-        if generators[-1] is frame.generators[-1]:  # Xbar's component
+        if len(generators) == len(frame.components[0]):  # Xbar's component
             amps[3] *= 1 + 1e-6  # state 3: neither half's first state
         return masks, amps
 
