@@ -58,11 +58,13 @@ def pair_of(target: str):
 
 def one_component(frame: dephasing._Frame) -> dephasing._Frame:
     """A copy of frame whose components are one part holding every
-    generator, with no kernel built yet: its _CosetKernel lists all S
-    states per sample on the same draws and batch split (size is kept), the
-    reference the production kernel is held to."""
+    generator, its per-class data built by the frame's own helper
+    (dephasing._listing), with no kernel built yet: its _CosetKernel lists
+    all S states per sample on the same draws and batch split (size is
+    kept), the reference the production kernel is held to."""
     whole = copy.copy(frame)
     whole.components, whole._kernels = [list(range(len(frame.generators)))], {}
+    whole.parts = [dephasing._listing(whole, whole.components[0])[0]]
     return whole
 
 

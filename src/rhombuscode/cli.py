@@ -1,9 +1,9 @@
 """Command-line workbench: build codes, verify claims, run noise sweeps.
 
 Exit codes: 0 all checks pass, 1 claim mismatch, 2 infeasible request
-(dephase: component states sum_c 2^m_c above DEPHASE_MAX_SUPPORT, a
-component on more than 64 qubits, or Monte Carlo work --mc-samples x
-states x t points above DEPHASE_MAX_MC_WORK, each refused before the
+(dephase: component states sum_c 2^m_c above DEPHASE_MAX_SUPPORT, or
+Monte Carlo work --mc-samples x states x t points above
+DEPHASE_MAX_MC_WORK, each refused before the
 frame lists a state, and before logicals are synthesized when the X-type
 stabilizers alone, a lower bound, are past a cap), 64 usage error. Data
 outputs (CSV/JSON) are byte-identical across reruns with the same flags;
@@ -31,8 +31,8 @@ EXIT_INFEASIBLE = 2
 EXIT_USAGE = 64
 
 # largest sum_c 2^m_c of the states the dephasing frame lists, one list per
-# component of its generators (dephasing._components); each component's
-# states are uint64 masks over its own qubits, so it may span at most 64
+# component of its generators (dephasing._components), state i the set of
+# its generators chosen by the bits of i
 DEPHASE_MAX_SUPPORT = 1 << 18
 # samples * sum_c 2^m_c * t points. A local-noise sample costs one normal
 # per qubit class (at most n) and sum_c 2^m_c states (dephasing._CosetKernel):
@@ -201,19 +201,17 @@ def _parse_t_grid(text: str) -> List[float]:
     return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
 
 
-def _dephase_refused(layout, args: argparse.Namespace, points: int, bound: str = "") -> bool:
-    """Print one line and return True when a dephasing frame of this layout
-    (dephasing._layout: its sum_c 2^m_c states and its widest component, or
-    lower bounds of both, which bound names) is past the caps at
-    args.mc_samples samples over points t points."""
-    _, _, states, widest = layout
+def _dephase_refused(states: int, args: argparse.Namespace, points: int, bound: str = "") -> bool:
+    """Print one line and return True when a dephasing frame of sum_c 2^m_c
+    states (dephasing._layout's size, or a lower bound of it, which bound
+    names) is past the caps at args.mc_samples samples over points t
+    points."""
     work = args.mc_samples * states * points
-    if states <= DEPHASE_MAX_SUPPORT and widest <= 64 and work <= DEPHASE_MAX_MC_WORK:
+    if states <= DEPHASE_MAX_SUPPORT and work <= DEPHASE_MAX_MC_WORK:
         return False
-    print(f"dephase: needs component states sum_c 2^m_c <= {DEPHASE_MAX_SUPPORT}, components on "
-          f"<= 64 qubits and --mc-samples x states x t points <= {DEPHASE_MAX_MC_WORK}, got {states} "
-          f"states, a component on {widest} qubits, {args.mc_samples} x {states} x {points}{bound}",
-          file=sys.stderr)
+    print(f"dephase: needs component states sum_c 2^m_c <= {DEPHASE_MAX_SUPPORT} and --mc-samples x "
+          f"states x t points <= {DEPHASE_MAX_MC_WORK}, got {states} states, "
+          f"{args.mc_samples} x {states} x {points}{bound}", file=sys.stderr)
     return True
 
 
@@ -250,12 +248,11 @@ def cmd_dephase(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         manifest.inputs.append(args.code)
     # the stabilizers alone bound the frame from below: a code refused there skips synthesis
-    if _dephase_refused(dephasing._layout(code, []), args, len(t_grid), " (lower bounds, no Xbar)"):
+    if _dephase_refused(dephasing._layout(code, [])[2], args, len(t_grid), " (lower bounds, no Xbar)"):
         return EXIT_INFEASIBLE
     pairs = code.logical_pairs
     logicals = engine.LogicalSet(pairs) if pairs is not None else engine.find_logical_set(code)
-    layout = dephasing._layout(code, [x for x, _ in logicals.pairs[:1]])
-    if _dephase_refused(layout, args, len(t_grid)):
+    if _dephase_refused(dephasing._layout(code, [x for x, _ in logicals.pairs[:1]])[2], args, len(t_grid)):
         return EXIT_INFEASIBLE
     model = dephasing.NoiseModel(args.kind, args.gamma)
     try:

@@ -6,15 +6,22 @@ per component of their generators, the X-type stabilizers and Xbar
 (_components, one join per qubit column: on a qubit where some generator
 has an X, every generator with an X or a Z there). Across components the
 generators act on disjoint qubits, so the codeword support of S =
-2^(m_x + 1) states is the XOR of one state per component, and each
-component lists its own 2^m_c states (engine._states, the one doubling
-routine, which also builds the KL oracle's codewords) as uint64 masks over
-its own qubits, at most 64 of them, always renumbered from bit 0. The
-support itself is never formed: the frame, the engine and both kernels
-cost sum_c 2^m_c, so codes past 64 qubits (grid:4 and up) and supports far
-past 2^18 (lshape:6,6, S = 2^34) run. Dephasing multiplies each support
-state by a phase u[a], and every observable is a quadratic form in u with
-fixed coefficients, one row per logical Pauli (Xbar, Ybar, Zbar).
+2^(m_x + 1) states is the XOR of one state per component. State i of a
+component is the set of its generators chosen by the bits of i; its
+qubit mask, the XOR of their x-masks, is never listed. A logical Pauli
+maps state i to i ^ shift with the sign (-1)^|i & t|, shift and t read
+from one tagged echelon and the qubits' x-columns by engine._Translation,
+which the KL oracle shares, and the amplitudes come from engine._states,
+the one doubling routine, run on the generators written in index space.
+Qubits enter only through their classes (equal nonzero x-columns): the
+popcount of state i is the sum of the class sizes whose column meets i an
+odd number of times. So a component may span any number of qubits, and
+the support itself is never formed: the frame, the engine and both
+kernels cost sum_c 2^m_c, so codes past 64 qubits (grid:4 and up) and
+supports far past 2^18 (lshape:6,6, S = 2^34) run. Dephasing multiplies
+each support state by a phase u[a], and every observable is a quadratic
+form in u with fixed coefficients, one row per logical Pauli (Xbar, Ybar,
+Zbar).
 
 Each logical Pauli maps coset k of the support onto coset k ^ 1 (Xbar, Ybar:
 coset-flipping) or onto itself (Zbar), and the code-space operator is diagonal
@@ -40,8 +47,10 @@ and no phase is computed. Qubits touched by the same generators (equal
 x-columns) enter the phases only through the sum of their normals, and a
 sum of m i.i.d. normals is one normal times sqrt(m): a sample draws one
 standard normal per such class of qubits, not n, and a qubit touched by no
-generator draws none. Xbar is the top bit of its component, so the cosets
-are that component's halves, and each component's u is built from small
+generator draws none. A class's spin on state i is the parity of i and
+its column, so each component keeps only its classes' columns and its
+shifts, not a list of states. Xbar is the top bit of its component, so
+the cosets are that component's halves, and each component's u is built from small
 tables of phases (its first MC_DIRECT states, then each generator's
 distinct spin changes), in sub-chunks of 2 MC_CHUNK phase factors (MC_CHUNK
 under global noise), rounded down to an even number of samples. Under
@@ -80,6 +89,7 @@ nothing here needs scipy.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -91,7 +101,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import pauli
-from .engine import LogicalSet, _seed, _states, verify_logical_set
+from .engine import LogicalSet, _seed, _states, _Translation, _walsh, verify_logical_set
 from .engine import codeword_zero  # noqa: F401  perfbench/test_perfbench.py needs it
 from .gf2 import _set_bits
 from .lattice import CodeSpec
@@ -260,16 +270,23 @@ class _Frame:
     generators holds the X-type stabilizers, then Xbar, and components
     partitions their indices as _components does, Xbar's component first.
     Across components the generators act on disjoint qubits, so the codeword
-    support of |0_L> and |1_L> is the XOR of one state per component (_part
-    lists a component's 2^m_c states on its own qubits, Xbar the top bit, so
-    the halves of Xbar's component are the cosets, coset k holding |k_L>) and
-    every amplitude is a product of one unit per component times sqrt(2/S),
-    S = 2^len(generators). size, the sum of the 2^m_c, is every state the
-    frame or a kernel lists; the S-state support is never formed. For L in
-    paulis (Xbar, Ybar = i*Zbar*Xbar, Zbar), index o, L maps state i of a
-    component to i ^ s (its local shift index, from L's x-mask) with sign
-    (-1)^|mask & z| there (and i^phase once), and L maps coset k onto k ^
-    flipping[o] (flipping: the top bit of s on Xbar's component). Its factor
+    support of |0_L> and |1_L> is the XOR of one state per component (state
+    i of a component: the set of its generators chosen by the bits of i,
+    Xbar the top bit, so the halves of Xbar's component are the cosets,
+    coset k holding |k_L>) and every amplitude is a product of one unit per
+    component times sqrt(2/S), S = 2^len(generators). size, the sum of the
+    2^m_c, is every state the frame or a kernel lists; the S-state support
+    is never formed, and no qubit mask is. translation, the
+    engine._Translation of the generators (one tagged echelon), and
+    classes, the qubit classes (x-column over the generators, qubits), by
+    lowest qubit, serve every component: _listing lists each one's
+    amplitudes and signs once, here, and parts keeps per component only its
+    classes and shifts, (fields, columns, sizes, shifts), which the kernels
+    read. For L in paulis (Xbar, Ybar = i*Zbar*Xbar, Zbar), index o, L maps
+    state i of a component to i ^ s (s the coordinates of its x-mask there)
+    with sign (-1)^|i & t| (t the parity of its z-mask there; and i^phase
+    once), and L maps coset k onto k ^ flipping[o] (flipping: the top bit
+    of s on Xbar's component). Its factor
     conj(a[i ^ s]) sign[i] a[i] on a component, a its units, must be one
     constant on each coset there, and coef[o, k] is i^phase times the
     product of those factors times weight, 2/S (0 for an L whose x-mask
@@ -283,9 +300,11 @@ class _Frame:
 
     The engine needs only weight enumerators, each a convolution of one
     histogram per component (of both halves of Xbar's): enumerator[k, w],
-    W, the share of coset-k states of popcount w, and overlap[o, k, a], N,
-    the share of coset-k states c with |c & x_o| = a, x_o the x-mask of L,
-    of popcount x_weight[o]. Shares, not counts, so nothing scales with S.
+    W, the share of coset-k states of popcount w (_popcounts, from the
+    classes), and overlap[o, k, a], N, the share of coset-k states c with
+    |c & x_o| = a, x_o the x-mask of L, of popcount x_weight[o]: |c & x_o|
+    = (|c| + |x_o| - |c ^ x_o|) / 2, and c ^ x_o is state i ^ s. Shares, not
+    counts, so nothing scales with S.
 
     The build checks both facts the kernels and the engine rest on, once:
     ValueError when a factor is not constant per coset (to REALNESS_TOL), or
@@ -293,9 +312,8 @@ class _Frame:
     coset-flipping rows, coef real on the others, to REALNESS_TOL after
     scaling by S/2, the largest damping sum; G drops that part, so |Im v| at
     every (theta, phi) and t is then within the tolerance too). It also
-    raises for a component on more than 64 qubits (its states are uint64
-    masks), for dependent generators, and for a negated Z-type stabilizer,
-    whose projector annihilates |0...0>.
+    raises for dependent generators (translation: "coset collision") and
+    for a negated Z-type stabilizer, whose projector annihilates |0...0>.
 
     The designated pair is logicals.pairs[0]; ValueError when there is none
     or when engine.verify_logical_set reports a violation on it. generators,
@@ -315,29 +333,32 @@ class _Frame:
         prod = multiply(zbar, xbar)
         self.paulis = (xbar, PauliOperator(prod.n, prod.x_mask, prod.z_mask, prod.phase + 1), zbar)
         self.n, self.pc = code.n, 2.0 ** (code.m - code.n)
-        self.generators, self.components, self.size, widest = _layout(code, [xbar])
-        if widest > 64:
-            raise ValueError(f"a component spans {widest} qubits, above 64 (uint64 masks)")
+        self.generators, self.components, self.size = _layout(code, [xbar])
         self.weight = 2.0 ** (1 - len(self.generators))  # |amplitude|^2 = 2/S
-        span = _span(self.generators)
-        live = np.array([not L.x_mask & ~span for L in self.paulis])  # else L's coef is 0
+        self.translation = _Translation(self.generators, self.n)
+        # the qubit classes, (x-column, qubits), by lowest qubit
+        self.classes = [(c, q) for c, q in collections.Counter(self.translation.columns).items() if c]
+        # L's coef is 0 where its x-mask leaves the generators' span
+        live = np.array([self.translation.coordinate(L.x_mask) is not None for L in self.paulis])
         units = np.array([[(1j) ** L.phase] * 2 for L in self.paulis])
+        self.parts = []  # per component: (fields, columns, sizes, shifts), from _listing
         for c, part in enumerate(self.components):
-            _, masks, amps, signs, shifts = _part(self, part)
+            piece, amps, signs = _listing(self, part)
+            self.parts.append(piece)
             cosets = 2 if c == 0 else 1
-            live &= [s is not None for s in shifts]
-            s = np.array([s or 0 for s in shifts])
-            factor = (np.conj(amps[np.arange(len(masks)) ^ s[:, None]]) * signs * amps).reshape(3, cosets, -1)
+            s = np.array([s or 0 for s in piece[3]])
+            images = np.arange(len(amps)) ^ s[:, None]
+            factor = (np.conj(amps[images]) * signs * amps).reshape(3, cosets, -1)
             error = abs(factor - factor[..., :1])[live].max(initial=0.0)
             if error > REALNESS_TOL:
                 raise ValueError(f"coefficients are not constant per coset: deviation {error:.3e}")
             units *= factor[..., 0]
-            # the levels of N, |c & x_o| (x_o: L's x-mask here), then those of W, |c|
-            keys = np.full(4, ~np.uint64(0))
-            keys[:3] = masks[s]
-            hist = _histograms(np.bitwise_count(masks & keys[:, None]), cosets, self.n)
+            # the levels of N, |c & x_o| = (|c| + |x_o| - |c ^ x_o|) / 2 (x_o: L's
+            # x-mask here, the mask of state s), then those of W, |c|
+            w = _popcounts(*piece[1:3], len(amps))
+            hist = _histograms(np.vstack([(w + w[s][:, None] - w[images]) // 2, w]), cosets, self.n)
             if c == 0:  # Xbar's component, the first: the shares start as its histograms
-                shares, flipping = hist, 2 * s >= len(masks)
+                shares, flipping = hist, 2 * s >= len(amps)
             for row in [*np.flatnonzero(s), 3] if c else ():  # the rows that vary here
                 shares[row] = [np.convolve(share, hist[row, 0])[: self.n + 1] for share in shares[row]]
         units[~live] = 0.0
@@ -392,40 +413,57 @@ def _span(ops: Sequence[PauliOperator]) -> int:
 
 
 def _layout(code: CodeSpec, xbars: Sequence[PauliOperator]):
-    """(generators, components, size, widest) of the frame of code with
-    the designated Xbar in xbars: its generators (the X-type stabilizers,
-    then xbars), their _components, the sum of their 2^m_c and the most
-    qubits one component spans. Xbar can only join components and add a
-    generator, so without it (xbars empty) size and widest bound the frame's
-    from below."""
+    """(generators, components, size) of the frame of code with the
+    designated Xbar in xbars: its generators (the X-type stabilizers, then
+    xbars), their _components and the sum of their 2^m_c. Xbar can only
+    join components and add a generator, so without it (xbars empty) size
+    bounds the frame's from below."""
     generators = [s for s in code.stabilizers if s.x_mask] + list(xbars)
     components = _components(generators)
-    spans = [_span(generators[g] for g in part).bit_count() for part in components]
-    return generators, components, sum(1 << len(part) for part in components), max(spans, default=0)
+    return generators, components, sum(1 << len(part) for part in components)
 
 
-def _part(frame: _Frame, generators: Sequence[int]):
-    """(place, masks, amps, signs, shifts) of the component of the frame's
-    generators with these indices: place maps a qubit mask onto the
-    component's own bits (other qubits dropped, its qubits renumbered
-    upwards from bit 0), then its states (_states, on generators placed
-    so), per logical Pauli L (Xbar, Ybar, Zbar) its signs (-1)^|mask & z|
-    there, so L|mask> = sign |mask ^ x> without its phase, and per Pauli
-    the state that is its x-mask there, so that it maps state i to i ^
-    shift (None where its x-mask is no state)."""
-    ops = [frame.generators[g] for g in generators]
+def _listing(frame: _Frame, generators: Sequence[int]):
+    """((fields, columns, sizes, shifts), amps, signs) of the component of
+    the frame's generators with these indices, its state i the set of them
+    chosen by the bits of i (bit b: generators[b]), whose qubit mask, the
+    XOR of their x-masks, is not formed. fields lists the frame's qubit
+    classes on the component (indices into frame.classes), columns their
+    x-columns on the component's bits and sizes their qubit counts. amps
+    are the states' amplitudes, _states on the generators written in index
+    space (x-mask 2^b, z-mask the parity of its z-mask, the same phase). Per
+    logical Pauli L (Xbar, Ybar, Zbar), index o, signs[o, i] is (-1)^|i & t|,
+    t the parity of L's z-mask, so L|i> = sign |i ^ shift> without its
+    phase, shifts[o] the coordinates of L's x-mask on the component's qubits
+    (None where that is no state). Parities and coordinates come from
+    frame.translation, and only the first part is kept (frame.parts)."""
+    ops, translation = [frame.generators[g] for g in generators], frame.translation
+
+    def local(mask: int) -> int:  # a set of the frame's generators, on the component's bits
+        return sum(1 << b for b, g in enumerate(generators) if mask >> g & 1) if mask else 0
+
+    own = sum(1 << g for g in generators)
+    fields = [f for f, (column, _) in enumerate(frame.classes) if column & own]
+    columns, sizes = [local(frame.classes[f][0]) for f in fields], [frame.classes[f][1] for f in fields]
     span = _span(ops)
-    qubits = {low: 1 << j for j, low in enumerate(_set_bits(span))}
+    shifts = [translation.coordinate(L.x_mask & span) for L in frame.paulis]
+    index, amps = _states([PauliOperator(len(ops), 1 << b, local(translation.parity(g.z_mask)), g.phase)
+                           for b, g in enumerate(ops)])
+    t = np.array([local(translation.parity(L.z_mask)) for L in frame.paulis], dtype=np.uint64)
+    signs = 1.0 - 2.0 * (np.bitwise_count(index & t[:, None]) & 1)
+    return (fields, columns, sizes, [None if a is None else local(a) for a in shifts]), amps, signs
 
-    def place(mask: int) -> int:
-        return sum(qubits[low] for low in _set_bits(mask & span))
 
-    masks, amps = _states([PauliOperator(64, place(g.x_mask), place(g.z_mask), g.phase) for g in ops])
-    x, z = np.array([(place(L.x_mask), place(L.z_mask)) for L in frame.paulis], dtype=np.uint64).T
-    signs = 1.0 - 2.0 * (np.bitwise_count(masks & z[:, None]) & 1)
-    hits = masks == x[:, None]
-    shifts = [int(i) if hit else None for i, hit in zip(hits.argmax(1), hits.any(1))]
-    return place, masks, amps, signs, shifts
+def _popcounts(columns: Sequence[int], sizes: Sequence[int], size: int) -> np.ndarray:
+    """W[i], the popcount of the qubit mask of state i of a component of
+    size states, from its classes' columns and sizes (_listing): the sum of
+    sizes[f] parity(i & columns[f]). As parity(i & c) = (1 - (-1)^|i & c|)
+    / 2, W is (q - H) / 2, q the component's qubits and H the
+    Walsh-Hadamard transform (engine._walsh) of the sizes set at their
+    columns: no (classes, states) array is formed."""
+    h = np.zeros(size, dtype=np.int32)
+    h[columns] = sizes
+    return (sum(sizes) - _walsh(h, size.bit_length() - 1)) // 2
 
 
 def _histograms(levels: np.ndarray, cosets: int, n: int) -> np.ndarray:
@@ -455,7 +493,8 @@ class _CosetKernel:
     = (lambda_0 + conj(lambda_1)) Q_0; on a coset-keeping row Q_k is real and
     G = Re lambda_0 Q_0 + i Re lambda_1 Q_1, lambda_k the row's constant on
     coset k; the leakage rows likewise. Nothing of the frame is read per
-    state: each component lists its own states.
+    state and nothing is listed again: each component builds its spins
+    from the frame's per-class data (frame.parts).
 
     It reads the components from frame.components (its X-type stabilizers,
     then Xbar, partitioned by _components), Xbar's component first. A
@@ -468,9 +507,9 @@ class _CosetKernel:
     is that reference operation for operation. The draws and the batch
     split (size, the frame's sum of 2^m_c) do not depend on the partition:
     fields normals per sample, one per class of qubits with equal x-columns
-    over the generators (a qubit's spin row relative to state 0 is the
-    parity of the chosen generators that touch it; the one popcount row
-    under global noise), ordered by lowest qubit. A class of m qubits takes
+    over the generators, frame.classes (a qubit's spin row relative to
+    state 0 is the parity of the chosen generators that touch it; the one
+    popcount row under global noise), ordered by lowest qubit. A class of m qubits takes
     its normal times sqrt(m), folded into the step tables; a qubit touched by
     no generator only adds a common phase and draws nothing.
 
@@ -482,17 +521,8 @@ class _CosetKernel:
 
     def __init__(self, frame: _Frame, kind: str):
         self.pc, self.flipping, self.size = frame.pc, frame.flipping, frame.size
-        # the qubit classes: a local spin row, relative to state 0, is the
-        # parity of the chosen generators that touch the qubit, so qubits with
-        # equal x-columns share it and a qubit in no x-mask has a constant row;
-        # per class its lowest qubit's bit and its size, by lowest qubit (None
-        # under global noise, whose one field is the popcount)
-        columns = pauli.qubit_columns(frame.generators, frame.n)[0]
-        classes = None if kind == "global" else [
-            (1 << columns.index(c), columns.count(c)) for c in dict.fromkeys(columns) if c]
-        self.fields = 1 if classes is None else len(classes)
-        self.parts = [_Component(frame, kind, part, c == 0, classes)
-                      for c, part in enumerate(frame.components)]
+        self.fields = 1 if kind == "global" else len(frame.classes)
+        self.parts = [_Component(frame, kind, c) for c in range(len(frame.components))]
         self.chunk = _even(2 * MC_CHUNK // sum(part.size for part in self.parts))
         self.rows = max(len(step[3]) for part in self.parts for step in part.steps)
         self.reference = frame.expected(NoiseModel(kind, 0.0), 0.0)  # G at u = 1
@@ -595,38 +625,39 @@ def _fill(row: np.ndarray, const, product: Optional[np.ndarray], flip: bool):
 
 
 class _Component:
-    """One component of a _CosetKernel: its state i is the XOR of the
-    x-masks of the generators chosen by the bits of i (bit b:
-    generators[b], ascending, so Xbar, the frame's last generator, is the
-    top bit of the component that holds it and its two halves are the
-    cosets), listed by _part as a mask over the component's own qubits,
-    renumbered from bit 0 (_part's place maps the kernel's class qubits
-    there too). It holds the step tables (lo, hi, fields, half-angle table, index) that
-    build u on its states and the x-shifts of the logical Paulis there
-    (Pauli o maps state i to i ^ shift_o): shifts, the distinct nonzero
-    ones, pick[o], the index of Pauli o's in shifts (None for shift 0, or
-    where its x-mask is no state here), and per shift s the states the
-    quadratic sum visits (pairs). No coefficient is kept per state. classes
-    holds the kernel's (lowest qubit, size) per normal under local noise
-    (None under global noise, where the one field's spin is the popcount).
-    Every component takes the class spins relative to its state 0, the
-    empty mask, so its u is 1 there and no step computes it: a direct step
+    """Component c of a _CosetKernel: its state i is the set of the
+    generators chosen by the bits of i (bit b: the b-th of
+    frame.components[c], ascending, so Xbar, the frame's last generator, is
+    the top bit of the component that holds it and its two halves are the
+    cosets). It reads the frame's parts[c], (fields, columns, sizes,
+    shifts): the classes it holds (their normals' indices, their x-columns
+    on its bits, their sizes) and the logical Paulis' shifts, and lists no
+    state. It holds the step tables (lo, hi, fields, half-angle table,
+    index) that build u on its states and the x-shifts of the logical
+    Paulis there (Pauli o maps state i to i ^ shift_o): shifts, the distinct
+    nonzero ones, pick[o], the index of Pauli o's in shifts (None for shift
+    0, or where its x-mask is no state here), and per shift s the states the
+    quadratic sum visits (pairs). No coefficient is kept per state. Under
+    local noise a class's spin on state i is the parity of i & its column
+    times the square root of its size; under global noise the one field's
+    spin is the popcount W (_popcounts). Every component takes the class
+    spins relative to its state 0, the empty set, so its u is 1 there and
+    no step computes it: a direct step
     gives u on states 1 .. hi - 1, then each doubling step gives u[lo:2 lo]
     as u[:lo] times a generator's phase changes. The first component's sums
     run over both cosets."""
 
-    def __init__(self, frame: _Frame, kind: str, generators: Sequence[int], first: bool,
-                 classes: Optional[List[Tuple[int, int]]]):
-        place, masks, _, _, shifts = _part(frame, generators)
-        self.size, self.cosets = len(masks), 2 if first else 1
-        # spins relative to state 0 (mask 0): per class held here, the bit of
-        # its lowest qubit times sqrt(its size); the popcount under global noise
-        if classes is None:
-            own, spins = np.zeros(1, dtype=int), _popcount(masks)[None, :].astype(np.float64)
+    def __init__(self, frame: _Frame, kind: str, c: int):
+        fields, columns, sizes, shifts = frame.parts[c]
+        self.size, self.cosets = 1 << len(frame.components[c]), 2 if c == 0 else 1
+        # spins relative to state 0 (no generator chosen): per class held
+        # here, the parity of i & its column times sqrt(its size); the
+        # popcount W under global noise
+        if kind == "global":
+            own, spins = np.zeros(1, dtype=int), _popcounts(columns, sizes, self.size)[None, :] * 1.0
         else:
-            own = np.array([f for f, (low, _) in enumerate(classes) if place(low)], dtype=int)
-            bits = np.array([place(classes[f][0]) for f in own], dtype=np.uint64)
-            spins = ((masks & bits[:, None]) != 0) * np.sqrt([classes[f][1] for f in own])[:, None]
+            odd = np.bitwise_count(np.arange(self.size, dtype=np.uint64) & np.uint64(columns)[:, None]) & 1
+            own, spins = np.array(fields, dtype=int), odd * np.sqrt(sizes)[:, None]
         self.shifts = sorted(set(shifts) - {0, None})
         self.pick = [self.shifts.index(s) if s else None for s in shifts]
         # per shift s with top bit b: whether it flips the coset, 2^b, and
@@ -635,7 +666,7 @@ class _Component:
         # it, as its b is then the coset bit)
         self.pairs = []
         for s in self.shifts:
-            flips, bit = first and 2 * s >= self.size, 1 << (s.bit_length() - 1)
+            flips, bit = c == 0 and 2 * s >= self.size, 1 << (s.bit_length() - 1)
             index = np.arange(self.size).reshape(1 if flips else self.cosets, -1, 2, bit)[:, :, 0]
             self.pairs.append((flips, bit, index ^ s))
         hi = self.size if kind == "global" else min(self.size, MC_DIRECT)

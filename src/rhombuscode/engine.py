@@ -24,12 +24,18 @@ rows are reduced once per code.
 One sparse codeword type, _SparseCodewords, builds the codeword support and
 amplitudes by one doubling routine, _states, over the X-stabilizers and then
 the X-logicals (each Z-stabilizer only rescales the orbit), so in this
-coordinate order codeword p >> m_x owns position p; _states also lists the
-dephasing frame's component states. _SparseCodewords serves the KL oracle
-and the tests' S-state references; codeword_zero is its dense embedding. The
-oracle evaluates M from the explicit amplitudes, each column read from a
-Walsh-Hadamard spectrum of the amplitude products, computed once per X-shift
-and cached: a candidate costs O(2^k) after its shift's first O(S m_x).
+coordinate order codeword p >> m_x owns position p. How a Pauli acts on
+states written so, state p the set of generators chosen by the bits of p,
+is one _Translation: p goes to p ^ a, a the coordinates of its x-mask in one
+tagged echelon of the generators, with the sign (-1)^|p & t|, t the parity
+of its z-mask against their x-columns. _SparseCodewords is one; the
+dephasing frame builds one over its generators and runs _states on them
+written in index space (generator b: x-mask 2^b), so it lists no qubit mask.
+_SparseCodewords serves the KL oracle and the tests' S-state references;
+codeword_zero is its dense embedding. The oracle evaluates M from the
+explicit amplitudes, each column read from a Walsh-Hadamard spectrum
+(_walsh) of the amplitude products, computed once per X-shift and cached: a
+candidate costs O(2^k) after its shift's first O(S m_x).
 """
 
 from __future__ import annotations
@@ -349,19 +355,67 @@ def _states(
     states in start, state m 2^b + p is generators[b] applied to state p
     (basis_action: i^phase (-1)^|mask & z| times amps[p]), so from the
     default start state i is the XOR of the x-masks of the generators
-    chosen by the bits of i, a uint64 mask. ValueError when a state past
-    the first is the empty mask: from the default start, when the x-masks
-    are dependent."""
+    chosen by the bits of i, a uint64 mask. The dephasing frame runs it on
+    generators written in index space (generator b: x-mask 2^b), where
+    mask i is i itself."""
     masks, amps = start or (np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.complex128))
     for g in generators:
         images, phases = basis_action(g, masks)
         masks, amps = np.concatenate([masks, images]), np.concatenate([amps, phases * amps])
-    if not masks[1:].all():
-        raise ValueError("codeword basis not orthonormal (coset collision)")
     return masks, amps
 
 
-class _SparseCodewords:
+def _walsh(f: np.ndarray, bits: int) -> np.ndarray:
+    """F[..., s] = sum_r f[..., r] (-1)^popcount(r & s) over the last axis,
+    of 2^bits entries: the unnormalised Walsh-Hadamard transform, one
+    butterfly on bit 0 of r per pass (that bit moves to the top). f is
+    overwritten; the result is f or a new array of its shape."""
+    g, half = np.empty_like(f), f.shape[-1] // 2
+    for _ in range(bits):
+        np.add(f[..., 0::2], f[..., 1::2], out=g[..., :half])
+        np.subtract(f[..., 0::2], f[..., 1::2], out=g[..., half:])
+        f, g = g, f
+    return f
+
+
+class _Translation:
+    """How a Pauli acts on the states of independent generators (n-qubit
+    Paulis), state p being the XOR of the x-masks of the generators chosen
+    by the bits of p: op maps state p to state p ^ coordinate(op.x_mask)
+    with the sign (-1)^popcount(p & parity(op.z_mask)) times i^phase. It
+    keeps one tagged echelon of the x-masks, the per-qubit x-columns over
+    the generators (columns[q], bit j set when generator j has an X on
+    qubit q) and the coordinates of every x-mask asked for. ValueError
+    ("coset collision") when the x-masks are dependent. The KL oracle's
+    _SparseCodewords is one; the dephasing frame keeps one over its
+    generators."""
+
+    def __init__(self, generators: Sequence[PauliOperator], n: int):
+        # bit n + j tags generator j, so a reduced x-mask keeps its coordinates there
+        tagged = [g.x_mask | 1 << (n + j) for j, g in enumerate(generators)]
+        self._echelon = gf2.row_reduce(tagged, n + len(generators))
+        if any(col >= n for col in self._echelon[1]):
+            raise ValueError("codeword basis not orthonormal (coset collision)")
+        self.n, self.columns = n, pauli.qubit_columns(generators, n)[0]
+        self._coordinates = {}  # x-mask -> coordinates, or None outside the span
+
+    def coordinate(self, x_mask: int) -> Optional[int]:
+        """a with state p ^ x_mask = state p ^ a for all p; None off the span."""
+        if x_mask not in self._coordinates:
+            rem = gf2.reduce_against(x_mask, *self._echelon)
+            self._coordinates[x_mask] = None if rem & ((1 << self.n) - 1) else rem >> self.n
+        return self._coordinates[x_mask]
+
+    def parity(self, z_mask: int) -> int:
+        """t with popcount(state p & z_mask) = popcount(p & t) mod 2 for all
+        p: bit j set when generator j meets z_mask on an odd number of qubits."""
+        t = 0
+        for low in _set_bits(z_mask):
+            t ^= self.columns[low.bit_length() - 1]
+        return t
+
+
+class _SparseCodewords(_Translation):
     """The 2^len(xbars) codewords of a code on their common support.
 
     support[p] is the XOR of the generator x-masks (the m_x X-stabilizers,
@@ -369,7 +423,7 @@ class _SparseCodewords:
     codeword p >> m_x (bit i set: xbars[i] applied); the first 2^m_x states
     hold |0_L> = prod_i (I + S_i)|0...0>, normalized, stabilizer phases
     included. Independent generators (dependent ones raise) make the
-    codewords orthonormal cosets.
+    codewords orthonormal cosets; a Pauli acts on them as _Translation says.
     """
 
     def __init__(self, code: CodeSpec, xbars: Sequence[PauliOperator]):
@@ -385,36 +439,14 @@ class _SparseCodewords:
                     f"{to_string(s)}: its shifted orbit is not a codeword"
                 )
         generators = [s for s in code.stabilizers if s.x_mask] + list(xbars)
-        masks = [g.x_mask for g in generators]
-        # bit n + j tags generator j, so a reduced x-mask keeps its coordinates there
-        tagged = [mask | 1 << (code.n + j) for j, mask in enumerate(masks)]
-        self._echelon = gf2.row_reduce(tagged, code.n + len(masks))
-        if any(col >= code.n for col in self._echelon[1]):
-            raise ValueError("codeword basis not orthonormal (coset collision)")
-        self.n, self.m_x, self.count = code.n, len(masks) - len(xbars), 1 << len(xbars)
+        super().__init__(generators, code.n)
+        self.m_x, self.count = len(generators) - len(xbars), 1 << len(xbars)
         empty = (np.zeros(1, dtype=np.uint64), np.full(1, seed))  # seed |0...0>
         support, amps = _states(generators[: self.m_x], start=empty)
         amps /= np.linalg.norm(amps)  # |0_L>, normalized before the xbars shift it
         self.support, self.amps = _states(xbars, start=(support, amps))
         self.position = np.arange(len(self.support))
-        self._columns = pauli.qubit_columns(generators, code.n)[0]  # per qubit, its generators
-        self._coordinates = {}  # x-mask -> coordinates, or None outside the span
         self._spectra = {}  # coordinates a -> _spectrum(a), oldest first
-
-    def coordinate(self, x_mask: int) -> Optional[int]:
-        """a with support[p] ^ x_mask = support[p ^ a] for all p; None off the span."""
-        if x_mask not in self._coordinates:
-            rem = gf2.reduce_against(x_mask, *self._echelon)
-            self._coordinates[x_mask] = None if rem & ((1 << self.n) - 1) else rem >> self.n
-        return self._coordinates[x_mask]
-
-    def parity(self, z_mask: int) -> int:
-        """t with popcount(support[p] & z_mask) = popcount(p & t) mod 2 for all
-        p: bit j set when generator j meets z_mask on an odd number of qubits."""
-        t = 0
-        for low in _set_bits(z_mask):
-            t ^= self._columns[low.bit_length() - 1]
-        return t
 
     def _spectrum(self, a: int) -> np.ndarray:
         """F[j, s] = sum_r conj(amps[p ^ a]) amps[p] (-1)^popcount(r & s), p =
@@ -425,12 +457,7 @@ class _SparseCodewords:
             f = self.amps[self.position ^ a]
             np.conj(f, out=f)
             f *= self.amps
-            f = f.reshape(self.count, -1)
-            g, half = np.empty_like(f), f.shape[1] // 2
-            for _ in range(self.m_x):  # butterfly on bit 0 of r, which moves to the top
-                np.add(f[:, 0::2], f[:, 1::2], out=g[:, :half])
-                np.subtract(f[:, 0::2], f[:, 1::2], out=g[:, half:])
-                f, g = g, f
+            f = _walsh(f.reshape(self.count, -1), self.m_x)
             if f.nbytes <= SPECTRUM_CACHE_BYTES:
                 while (len(self._spectra) + 1) * f.nbytes > SPECTRUM_CACHE_BYTES:
                     del self._spectra[next(iter(self._spectra))]

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhombuscode import cli, dephasing, engine, gf2
+from rhombuscode import cli, dephasing, engine, gf2, lattice
 from rhombuscode.cli import main
 
 
@@ -338,19 +339,35 @@ def test_dephase_refuses_oversized_code(capsys, tmp_path, monkeypatch):
     assert "458752 states" in err and "lower bounds" in err
 
 
-def test_dephase_refuses_a_component_past_64_qubits(capsys, tmp_path):
-    """One X-type stabilizer on 65 qubits puts a component past the 64
-    qubits its uint64 state masks hold, though it has only 4 states: exit 2
-    with one stderr line."""
+def test_dephase_runs_a_component_past_64_qubits(capsys, tmp_path):
+    """One X-type stabilizer on 65 of 66 qubits, with the synthesized Xbar
+    on one of them, makes a component on 65 qubits with 4 states. Its
+    states are sets of generators, not qubit masks, so dephase runs it:
+    under local noise r_x is sin(theta) cos(phi) z^|Xbar|, z = e^{-gamma t /
+    2}, to 1e-12 at three t points, and the Monte Carlo rows lie within 5
+    standard errors of the engine rows."""
     path = write_code(capsys, tmp_path, "unit")
     doc = json.loads(path.read_text())
     doc.update({"n": 66, "stabilizers": ["".join(f"X{q}" for q in range(1, 66))],
                 "logical_pairs": None, "declared": None, "layout": None})
     path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "dephase", "--code", str(path), *DEPHASE_ARGS, "--t-grid", "0:1:2")
-    assert code == 2
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1 and "a component on 65 qubits" in err
+    code, out, err = run(capsys, "dephase", "--code", str(path), *DEPHASE_ARGS, "--t-grid", "0.5:1.5:3",
+                         "--mc-samples", "4000", "--seed", "3")
+    assert code == 0, err
+    wide = lattice.code_from_json(path.read_text())
+    frame = dephasing._Frame(wide, engine.find_logical_set(wide))
+    xbar = frame.paulis[0]
+    assert frame.components == [[0, 1]] and dephasing._span(frame.generators).bit_count() == 65
+    rows = parse_csv(out)
+    engine_rows = [r for r in rows if r["source"] == "engine"]
+    mc_rows = [r for r in rows if r["source"] == "monte_carlo"]
+    assert len(engine_rows) == len(mc_rows) == 3
+    for e, m in zip(engine_rows, mc_rows):
+        z = math.exp(-float(e["t"]) / 2)  # gamma = 1
+        assert abs(float(e["r_x"]) - math.sin(1) * math.cos(1) * z ** xbar.x_mask.bit_count()) <= 1e-12
+        for col in ("r_x", "r_y", "r_z", "p_x", "p_y", "p_z"):
+            want, got = float(e[col]), float(m[col])
+            assert abs(got - want) <= 5 * float(m["se_" + col]) + 1e-15 * abs(want)
 
 
 def test_dephase_synthesizes_past_the_coset_cap(capsys, tmp_path):
@@ -509,6 +526,27 @@ def test_dephase_builds_one_frame(capsys, monkeypatch):
     assert code == 0
     assert len(built) == len(kernels) == 1
     assert sum(r["source"] == "monte_carlo" for r in parse_csv(out)) == 3
+
+
+def test_local_dephase_lists_each_component_once(capsys, tmp_path, monkeypatch):
+    """A local dephase with a Monte Carlo sweep lists each component's
+    states once, when the frame is built: the kernel reads the frame's
+    per-class columns and shifts. two_horizontal has two components, so
+    _listing runs twice."""
+    path = write_code(capsys, tmp_path, "two_horizontal")
+    calls = []
+    listing = dephasing._listing
+
+    def counted(frame, generators):
+        calls.append(list(generators))
+        return listing(frame, generators)
+
+    monkeypatch.setattr(dephasing, "_listing", counted)
+    code, out, err = run(capsys, "dephase", "--code", str(path), *DEPHASE_ARGS, "--t-grid", "0:1:3",
+                         "--mc-samples", "1024", "--seed", "5")
+    assert code == 0, err
+    assert sum(r["source"] == "monte_carlo" for r in parse_csv(out)) == 3
+    assert calls == [[0, 1, 4], [2, 3]]
 
 
 @pytest.mark.parametrize("argv, target, most", [

@@ -8,9 +8,10 @@ import os
 import numpy as np
 import pytest
 
-from rhombuscode import dephasing
+from rhombuscode import dephasing, pauli
 from rhombuscode.cli import _parse_target
 from rhombuscode.dephasing import (
+    KINDS,
     MC_BATCH,
     NoiseModel,
     _CosetKernel,
@@ -36,10 +37,12 @@ from rhombuscode.dephasing import (
 from rhombuscode.engine import (
     LogicalSet,
     _SparseCodewords,
+    _states,
     codeword_zero,
     find_logical_set,
     logical_basis_state,
 )
+from rhombuscode.gf2 import _set_bits
 from rhombuscode.lattice import NAMED_CODES, CodeSpec, build_named, build_unit
 from rhombuscode.pauli import PauliOperator, apply, multiply, parse_pauli
 from rhombuscode.states import PureState
@@ -536,15 +539,15 @@ def test_expected_raises_on_non_hermitian_forms(pauli, delta, monkeypatch):
     where y is 0 on the flipping rows."""
     code, logicals = unit_and_logicals()
     model = NoiseModel("local", 0.9)
-    part = dephasing._part
+    listing = dephasing._listing
 
     def perturbed(frame, generators):
-        local, masks, amps, signs, shifts = part(frame, generators)
+        piece, amps, signs = listing(frame, generators)
         signs = signs.astype(complex)
-        signs[pauli, : len(masks) // 2] *= 1 + delta
-        return local, masks, amps, signs, shifts
+        signs[pauli, : len(amps) // 2] *= 1 + delta
+        return piece, amps, signs
 
-    monkeypatch.setattr(dephasing, "_part", perturbed)
+    monkeypatch.setattr(dephasing, "_listing", perturbed)
     with pytest.raises(ValueError, match="not Hermitian"):
         _Frame(code, logicals)
     with pytest.raises(ValueError, match="not Hermitian"):
@@ -1194,6 +1197,80 @@ SPANNING = {"two_horizontal-zbar-x-dressed": (None, "X7X8X9X10"),
 # it: the component without Xbar has amplitudes -1, and Zbar's factor there
 # is -1
 NEGATED = "two_horizontal-negated-zbar-x-dressed"
+
+
+def listed_part(frame, generators):
+    """The component of the frame's generators with these indices listed
+    as qubit masks, the reference for _listing: (place, masks, amps, signs,
+    shifts). place maps a qubit mask onto the component's own bits (other
+    qubits dropped, its qubits renumbered upwards from bit 0), masks are
+    its states (engine._states on the generators placed so, as 64-qubit
+    Paulis), per logical Pauli L (Xbar, Ybar, Zbar) signs holds (-1)^|mask &
+    z| there, and shifts the index of the state that is L's x-mask there
+    (None where no state is)."""
+    ops = [frame.generators[g] for g in generators]
+    span = dephasing._span(ops)
+    qubits = {low: 1 << j for j, low in enumerate(_set_bits(span))}
+
+    def place(mask):
+        return sum(qubits[low] for low in _set_bits(mask & span))
+
+    masks, amps = _states([PauliOperator(64, place(g.x_mask), place(g.z_mask), g.phase) for g in ops])
+    x, z = np.array([(place(L.x_mask), place(L.z_mask)) for L in frame.paulis], dtype=np.uint64).T
+    signs = 1.0 - 2.0 * (np.bitwise_count(masks & z[:, None]) & 1)
+    hits = masks == x[:, None]
+    shifts = [int(i) if hit else None for i, hit in zip(hits.argmax(1), hits.any(1))]
+    return place, masks, amps, signs, shifts
+
+
+def listed_steps(frame, kind, generators):
+    """The step tables of _Component built from listed_part's masks: spins
+    per class the component holds (the bit of its lowest qubit, times the
+    square root of its size), or the popcount under global noise."""
+    place, masks, _, _, _ = listed_part(frame, generators)
+    if kind == "global":
+        own, spins = np.zeros(1, dtype=int), _popcount(masks)[None, :].astype(np.float64)
+    else:
+        columns = pauli.qubit_columns(frame.generators, frame.n)[0]
+        classes = [(1 << columns.index(c), columns.count(c)) for c in dict.fromkeys(columns) if c]
+        own = np.array([f for f, (low, _) in enumerate(classes) if place(low)], dtype=int)
+        bits = np.array([place(classes[f][0]) for f in own], dtype=np.uint64)
+        spins = ((masks & bits[:, None]) != 0) * np.sqrt([classes[f][1] for f in own])[:, None]
+    steps, lo, size = [], 1, len(masks)
+    hi = size if kind == "global" else min(size, dephasing.MC_DIRECT)
+    while lo < size:
+        change = spins[:, lo:hi] - (spins[:, : hi - lo] if lo > 1 else 0.0)
+        rows = np.flatnonzero(np.any(change, axis=1))
+        table, index = np.unique(change[rows].T, axis=0, return_inverse=True)
+        steps.append((lo, hi, own[rows], 0.5 * table, index.ravel()))
+        lo, hi = hi, 2 * hi
+    return steps
+
+
+@pytest.mark.parametrize("name", [*NAMED_CODES, *(f"grid:{p}" for p in range(1, 5)),
+                                  *(f"lshape:{v},{h}" for v in range(3) for h in range(3)),
+                                  *DRESSED_UNIT, *SPANNING, NEGATED])
+def test_listing_equals_the_mask_listing(name):
+    """On every component, the states as sets of generators give what the
+    qubit-mask listing gives, exactly: amplitudes, signs and shifts; the
+    popcounts W (_popcounts, from the classes) and the levels of N, |c &
+    x| = (|c| + |x| - |c ^ x|) / 2, c ^ x being state i ^ shift; and the
+    kernel's step tables under both noise kinds, array by array."""
+    frame = named_frame(name)
+    kernels = {kind: _CosetKernel(frame, kind) for kind in KINDS}
+    for c, generators in enumerate(frame.components):
+        (fields, columns, sizes, shifts), amps, signs = dephasing._listing(frame, generators)
+        _, masks, want_amps, want_signs, want_shifts = listed_part(frame, generators)
+        assert np.array_equal(amps, want_amps) and np.array_equal(signs, want_signs)
+        assert shifts == want_shifts and frame.parts[c] == (fields, columns, sizes, shifts)
+        w = dephasing._popcounts(columns, sizes, len(amps))
+        assert np.array_equal(w, _popcount(masks))
+        for s in (s for s in shifts if s is not None):
+            levels = (w + w[s] - w[np.arange(len(amps)) ^ s]) // 2
+            assert np.array_equal(levels, _popcount(masks & masks[s]))
+        for kind, kernel in kernels.items():
+            for got, want in zip(kernel.parts[c].steps, listed_steps(frame, kind, generators), strict=True):
+                assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 @pytest.mark.parametrize("name", ["unit", "two_vertical"])
