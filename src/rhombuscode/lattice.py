@@ -11,12 +11,16 @@ Coordinates use scaled integers ``(sx, sy)`` meaning the point
 ``x = sx/2, y = sy*sqrt(3)/2``, so all geometry predicates are exact.
 
 Construction, validation and serialization are linear in the total
-stabilizer weight: the pairwise commutation check transposes the
-generators once (CodeSpec._columns, which the tableau reuses), each
-ancilla looks up its six unit-distance offsets, stabilizers are assembled
-as bit masks, operator strings visit only the support, and the JSON is
-written directly from its fixed shape. ``build grid:20`` (n = 1640, 840 generators) takes
-about 17 ms in process on a 2-core Xeon, Python 3.11.
+stabilizer weight: stabilizer masks follow by arithmetic from the
+row-major numbering, the pairwise commutation check transposes only the
+Z-type generators and visits each support bit once, each ancilla is
+checked by looking up its six unit-distance offsets (the adjacency lists
+are derived only when read), operator strings visit only the support, and
+the JSON is written directly from its fixed shape. ``build grid:20``
+(n = 1640, 840 generators) takes about 7 ms through ``cli.main`` in
+process, against 13 ms with a (row, column) -> bit dict, a commutation
+check over both transposes and eager adjacency (medians of 31 in-process
+alternations, 2-core Xeon, Python 3.11).
 """
 
 from __future__ import annotations
@@ -28,32 +32,40 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2, pauli
 from .gf2 import _set_bits
-from .pauli import PauliOperator, parse_pauli, to_string
+from .pauli import PauliOperator, _qubits, parse_pauli, to_string
 
 Coord = Tuple[int, int]
 
 
 @dataclass(frozen=True)
 class LatticeLayout:
-    """Planar placement of data and ancilla qubits plus measured supports."""
+    """Planar placement of data and ancilla qubits. Equality is over the
+    coordinates; the measured supports are derived from them on demand."""
 
     data_coords: Tuple[Coord, ...]
     x_ancilla_coords: Tuple[Coord, ...]
     z_ancilla_coords: Tuple[Coord, ...]
-    x_adjacency: Tuple[Tuple[int, ...], ...]  # 0-based data indices per X ancilla
-    z_adjacency: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        coords = (
-            list(self.data_coords)
-            + list(self.x_ancilla_coords)
-            + list(self.z_ancilla_coords)
-        )
-        if len(set(coords)) != len(coords):
+        ancillae = self.x_ancilla_coords + self.z_ancilla_coords
+        data = set(self.data_coords)
+        if len(self.data_coords) + len(ancillae) != len(data.union(ancillae)):
             raise ValueError("coordinates of distinct qubits must be distinct")
-        for adj in self.x_adjacency + self.z_adjacency:
-            if not adj:
+        for ax, ay in ancillae:
+            for dx, dy in _UNIT_OFFSETS:
+                if (ax + dx, ay + dy) in data:
+                    break
+            else:
                 raise ValueError("every ancilla must measure at least one data qubit")
+
+    @functools.cached_property
+    def x_adjacency(self) -> Tuple[Tuple[int, ...], ...]:
+        """1-based data labels measured by each X ancilla (see _adjacency)."""
+        return _adjacency(self.data_coords, self.x_ancilla_coords)
+
+    @functools.cached_property
+    def z_adjacency(self) -> Tuple[Tuple[int, ...], ...]:
+        return _adjacency(self.data_coords, self.z_ancilla_coords)
 
 
 @dataclass(frozen=True)
@@ -91,9 +103,9 @@ class CodeSpec:
         for s in self.stabilizers:
             if s.n != self.n:
                 raise ValueError("stabilizer qubit count differs from code size")
-            if not (s.is_x_type() or s.is_z_type()):
+            if s.x_mask and s.z_mask:
                 raise ValueError(f"stabilizer {to_string(s)} is not CSS (pure X or Z)")
-        pair = pauli.first_anticommuting_pair(self.stabilizers, self._columns)
+        pair = _first_anticommuting_pair(self.stabilizers, self.n)
         if pair is not None:
             a, b = (to_string(self.stabilizers[i]) for i in pair)
             raise ValueError(f"stabilizers {a} and {b} anticommute")
@@ -104,13 +116,49 @@ class CodeSpec:
 
     @functools.cached_property
     def _columns(self) -> Tuple[List[int], List[int]]:
-        """pauli.qubit_columns of the stabilizers: the commutation check above
-        and the tableau share this one transpose."""
+        """pauli.qubit_columns of the stabilizers, built for the tableau."""
         return pauli.qubit_columns(self.stabilizers, self.n)
 
     @functools.cached_property
     def _tableau(self) -> _Tableau:
         return _Tableau(self)
+
+
+def _first_anticommuting_pair(
+    stabilizers: Sequence[PauliOperator], n: int
+) -> Optional[Tuple[int, int]]:
+    """(i, j) of the first anticommuting pair in itertools.combinations
+    order, or None when all commute; every stabilizer is n-qubit and pure X
+    or pure Z.
+
+    Only an X-type and a Z-type can anticommute. The Z-type supports are
+    transposed into per-qubit columns (bit g of z_cols[q] set when
+    stabilizers[g] has Z on qubit q), and the XOR of z_cols over an X-type
+    support has bit j set exactly when that X-type anticommutes with
+    stabilizers[j]: each support bit is visited once.
+    """
+    z_cols = [0] * n
+    x_type = []
+    for g, s in enumerate(stabilizers):
+        if s.x_mask:
+            x_type.append(g)
+        else:
+            bit = 1 << g
+            for q in _qubits(s.z_mask):
+                z_cols[q] |= bit
+    first = None
+    for g in x_type:
+        odd = 0
+        for q in _qubits(stabilizers[g].x_mask):
+            odd ^= z_cols[q]
+        if odd:
+            # g's first pair in combinations order: (its lowest partner, g)
+            # when that partner comes first, else (g, its lowest partner)
+            low = (odd & -odd).bit_length() - 1
+            pair = (low, g) if low < g else (g, low)
+            if first is None or pair < first:
+                first = pair
+    return first
 
 
 class _Tableau:
@@ -256,42 +304,45 @@ def _assemble(
 ) -> CodeSpec:
     """Build a CodeSpec from per-column-pair row ranges.
 
+    Each pair's rows are contiguous and its qubits are numbered row-major,
+    so the left-column qubit of row r in pair c is bit
+    start[c] + 2 (r - pair_rows[c][0]) and the right-column one the next
+    bit: an X block is a run of ones and a Z block's column is 0b10101.
+
     z_order_block_major=False emits Z stabilizers boundary-major (the
     grid ordering); True emits them row-block-major (the L-shape/strip
     ordering, which reproduces the two_vertical listing exactly).
     """
     npairs = len(pair_rows)
-    bit: Dict[Tuple[int, int], int] = {}  # (row, column) -> the qubit's mask bit
-    for c, rows in enumerate(pair_rows, start=1):
-        for r in rows:
-            for col in (2 * c - 1, 2 * c):
-                bit[(r, col)] = 1 << len(bit)
-    nq = len(bit)
+    start = [0]
+    for rows in pair_rows:
+        start.append(start[-1] + 2 * len(rows))
 
-    # a block's qubits are distinct, so the sum of their bits is its mask
-    x_entries: List[Tuple[Tuple[int, int], int]] = []  # (sort key, x-mask)
-    for c, rows in enumerate(pair_rows, start=1):
-        for j, block in enumerate(_x_blocks(rows)):
-            mask = sum(bit[(r, col)] for r in block for col in (2 * c - 1, 2 * c))
-            x_entries.append(((c, j), mask))
+    def shift(c: int, r: int) -> int:  # the bit of row r's left-column qubit in pair c
+        return start[c] + 2 * (r - pair_rows[c][0])
+
+    x_masks = [
+        ((1 << 2 * len(block)) - 1) << shift(c, block[0])
+        for c, rows in enumerate(pair_rows)
+        for block in _x_blocks(rows)
+    ]
 
     z_entries: List[Tuple[Tuple[int, int], int]] = []  # (sort key, z-mask)
     for b in range(npairs + 1):
-        left_rows = pair_rows[b - 1] if b >= 1 else ()
-        right_rows = pair_rows[b] if b < npairs else ()
-        # blocks are laid out per adjacent column and merged only when the
-        # two columns produce the same row block (interior weight-6 plaquettes)
-        blocks: Dict[Tuple[int, ...], int] = {}
-        for rows, col in ((left_rows, 2 * b), (right_rows, 2 * b + 1)):
-            if not rows:
-                continue
-            for block in _z_blocks(rows):
-                key = tuple(block)
-                blocks[key] = blocks.get(key, 0) | sum(bit[(r, col)] for r in block)
-        for i, key in enumerate(sorted(blocks)):
-            z_entries.append(((i, b) if z_order_block_major else (b, i), blocks[key]))
+        # boundary b has pair b - 1's right column (side 1) on its left and
+        # pair b's left column (side 0) on its right; blocks of the two
+        # columns on the same rows merge into one (interior weight-6 plaquettes)
+        blocks: Dict[int, int] = {}  # first row -> z-mask
+        for c, side in ((b - 1, 1), (b, 0)):
+            if 0 <= c < npairs:
+                for block in _z_blocks(pair_rows[c]):
+                    r = block[0]
+                    blocks[r] = blocks.get(r, 0) | 0b10101 << (shift(c, r) + side)
+        for i, r in enumerate(sorted(blocks)):
+            z_entries.append(((i, b) if z_order_block_major else (b, i), blocks[r]))
 
-    stabs = tuple(PauliOperator(nq, x_mask=x) for _, x in sorted(x_entries)) + tuple(
+    nq = start[-1]
+    stabs = tuple(PauliOperator(nq, x_mask=x) for x in x_masks) + tuple(
         PauliOperator(nq, z_mask=z) for _, z in sorted(z_entries)
     )
     return CodeSpec(nq, stabs, logical_pairs=logical_pairs, layout=layout,
@@ -341,12 +392,12 @@ def stack_l_shape(v: int, h: int, fill_matrix: bool = False) -> CodeSpec:
 
 
 def layout_coordinates(p: int) -> LatticeLayout:
-    """Planar coordinates and nearest-neighbour adjacency for the p x p grid.
+    """Planar coordinates for the p x p grid.
 
     X-ancillae sit on the (3a, b*sqrt(3)) sublattice, Z-ancillae on
     (3(a+1/2), sqrt(3)(b+1/2)), data qubits on the two remaining
     sublattices; every measured data qubit is at unit distance from its
-    ancilla, so adjacency is the exact predicate dist**2 == 1.
+    ancilla, so the layout's adjacency is the exact predicate dist**2 == 1.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -367,13 +418,7 @@ def layout_coordinates(p: int) -> LatticeLayout:
         for i in range(1, p + 1):
             z_anc.append((6 * b - 3, 2 * p + 1 - 2 * i))
 
-    return LatticeLayout(
-        data_coords=tuple(data),
-        x_ancilla_coords=tuple(x_anc),
-        z_ancilla_coords=tuple(z_anc),
-        x_adjacency=_adjacency(tuple(data), tuple(x_anc)),
-        z_adjacency=_adjacency(tuple(data), tuple(z_anc)),
-    )
+    return LatticeLayout(tuple(data), tuple(x_anc), tuple(z_anc))
 
 
 # The integer solutions of dx^2 + 3 dy^2 == 4: unit distance in scaled coordinates.
@@ -415,11 +460,18 @@ def _json_array(items: List[str], indent: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
-def _encode_coord(c: Coord) -> str:
-    """A layout coordinate as an array at depth 3; "%d" is int.__repr__ for an int."""
-    if len(c) == 2 and type(c[0]) is int and type(c[1]) is int:
-        return "[\n        %d,\n        %d\n      ]" % (c[0], c[1])
-    return _json_array([_encode_scalar(v) for v in c], "      ")
+_INT_COORD = "[\n        %d,\n        %d\n      ]"  # "%d" is int.__repr__ for an int
+
+
+def _encode_coords(coords: Sequence[Coord]) -> str:
+    """A layout's coordinate list as an array at depth 2: one % format when
+    every coordinate is a pair of ints, else value by value."""
+    flat = [v for c in coords for v in c]
+    if set(map(len, coords)) <= {2} and set(map(type, flat)) <= {int}:
+        return _json_array([_INT_COORD] * len(coords), "    ") % tuple(flat)
+    return _json_array(
+        [_json_array([_encode_scalar(v) for v in c], "      ") for c in coords], "    "
+    )
 
 
 def code_to_json(code: CodeSpec) -> str:
@@ -445,9 +497,7 @@ def code_to_json(code: CodeSpec) -> str:
             ("z_ancilla", code.layout.z_ancilla_coords),
         )
         layout = "{\n" + ",\n".join(
-            f'    "{key}": '
-            + _json_array([_encode_coord(c) for c in cs], "    ")
-            for key, cs in coords
+            f'    "{key}": ' + _encode_coords(cs) for key, cs in coords
         ) + "\n  }"
     return (
         f'{{\n  "n": {_encode_scalar(code.n)},\n  "stabilizers": {stabilizers},\n'
@@ -475,10 +525,7 @@ def code_from_json(text: str) -> CodeSpec:
         data = tuple(tuple(c) for c in layout_doc["data"])
         x_anc = tuple(tuple(c) for c in layout_doc["x_ancilla"])
         z_anc = tuple(tuple(c) for c in layout_doc["z_ancilla"])
-        # adjacency is re-derived from the coordinates, not serialized
-        layout = LatticeLayout(
-            data, x_anc, z_anc, _adjacency(data, x_anc), _adjacency(data, z_anc)
-        )
+        layout = LatticeLayout(data, x_anc, z_anc)
     return CodeSpec(
         n, stabs, logical_pairs=logical_pairs, layout=layout, declared=declared
     )

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .gf2 import _set_bits
 from .states import PureState
 
 _TOKEN = re.compile(r"([XYZ])([0-9]+)")
@@ -33,8 +32,7 @@ class PauliOperator:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("qubit count must be nonnegative")
-        full = (1 << self.n) - 1
-        if self.x_mask & ~full or self.z_mask & ~full:
+        if self.x_mask >> self.n or self.z_mask >> self.n:  # also true for a negative mask
             raise ValueError("mask has bits set beyond the qubit count")
         object.__setattr__(self, "phase", self.phase % 4)
 
@@ -135,6 +133,21 @@ def commutes(a: PauliOperator, b: PauliOperator) -> bool:
     return par % 2 == 0
 
 
+def _qubits(mask: int) -> List[int]:
+    """The set bits of a nonnegative mask as 0-based qubits, ascending. The
+    mask is shifted down to its lowest set bit once, so each step works on a
+    small int however high the support sits."""
+    qubits: List[int] = []
+    if mask:
+        base = (mask & -mask).bit_length() - 1
+        rest = mask >> base
+        while rest:
+            low = rest & -rest
+            qubits.append(base + low.bit_length() - 1)
+            rest ^= low
+    return qubits
+
+
 def qubit_columns(ops: Sequence[PauliOperator], n: int) -> Tuple[List[int], List[int]]:
     """The n-qubit ops transposed to per-qubit masks over the operators: bit
     g of x_cols[q] (z_cols[q]) is set when ops[g] carries X or Y (Z or Y) on
@@ -143,36 +156,12 @@ def qubit_columns(ops: Sequence[PauliOperator], n: int) -> Tuple[List[int], List
         raise ValueError("qubit count mismatch")
     x_cols, z_cols = [0] * n, [0] * n
     for g, a in enumerate(ops):
-        for cols, mask in ((x_cols, a.x_mask), (z_cols, a.z_mask)):
-            for low in _set_bits(mask):
-                cols[low.bit_length() - 1] |= 1 << g
+        bit = 1 << g
+        for q in _qubits(a.x_mask):
+            x_cols[q] |= bit
+        for q in _qubits(a.z_mask):
+            z_cols[q] |= bit
     return x_cols, z_cols
-
-
-def first_anticommuting_pair(
-    ops: Sequence[PauliOperator], columns: Optional[Tuple[List[int], List[int]]] = None
-) -> Optional[Tuple[int, int]]:
-    """(i, j) of the first anticommuting pair in itertools.combinations
-    order, or None when all of ops commute.
-
-    Bit j of the XOR of z_cols over the X-support of ops[i] and x_cols over
-    its Z-support (see qubit_columns) is the symplectic product of ops[i]
-    and ops[j], so the cost is O(total weight) big-int XORs, not O(m^2)
-    pair tests. columns, qubit_columns of ops when the caller has it, is
-    computed here when None.
-    """
-    if columns is None:
-        columns = qubit_columns(ops, ops[0].n if ops else 0)
-    x_cols, z_cols = columns
-    for i, a in enumerate(ops):
-        odd = 0
-        for cols, mask in ((z_cols, a.x_mask), (x_cols, a.z_mask)):
-            for low in _set_bits(mask):
-                odd ^= cols[low.bit_length() - 1]
-        later = odd >> (i + 1)
-        if later:
-            return i, i + (later & -later).bit_length()
-    return None
 
 
 def weight(a: PauliOperator) -> int:

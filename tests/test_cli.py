@@ -139,6 +139,18 @@ def test_verify_rejects_non_integer_qubit_count(capsys, tmp_path, n):
     assert err == f"verify: cannot load code: n must be an integer, got {n!r}\n"
 
 
+def test_verify_refuses_a_layout_with_an_isolated_ancilla(capsys, tmp_path):
+    """code_from_json builds the layout, which checks at construction that
+    every ancilla is at unit distance from a data qubit."""
+    path = write_code(capsys, tmp_path, "unit")
+    doc = json.loads(path.read_text())
+    doc["layout"]["x_ancilla"][0] = [100, 100]
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (64, "")
+    assert err == "verify: cannot load code: every ancilla must measure at least one data qubit\n"
+
+
 BAD_UNIT_PAIRS = [["Z3", "X1"], ["X4X6", "Z2Z4Z5"], ["Z1Z3Z5", "X2"]]
 
 

@@ -233,8 +233,8 @@ def test_tableau_is_built_once_and_requires_independence():
                                    lambda: verify_code(build_unit())],
                          ids=["find_logical_set-grid3", "verify_code-unit"])
 def test_one_qubit_transpose_per_code(build, monkeypatch):
-    """The commutation check of CodeSpec and the tableau share one
-    pauli.qubit_columns call."""
+    """The tableau makes the one pauli.qubit_columns call; CodeSpec's
+    commutation check makes none."""
     calls = []
     transpose = pauli.qubit_columns
 

@@ -12,6 +12,7 @@ from rhombuscode.lattice import (
     CodeSpec,
     LatticeLayout,
     _adjacency,
+    _first_anticommuting_pair,
     _x_blocks,
     _z_blocks,
     build_named,
@@ -24,6 +25,7 @@ from rhombuscode.lattice import (
     stack_l_shape,
 )
 from rhombuscode.pauli import PauliOperator, parse_pauli, to_string
+from test_pauli import brute_first_pair
 
 UNIT_STABILIZERS = ("X1X2X3X4", "X3X4X5X6", "Z1Z3Z5", "Z2Z4Z6")
 
@@ -177,8 +179,37 @@ points = st.tuples(st.integers(-6, 6), st.integers(-4, 4))
 @settings(max_examples=300, deadline=None)
 @given(st.lists(points, max_size=60, unique=True), st.lists(points, max_size=12))
 def test_adjacency_matches_predicate_on_random_points(data, ancillae):
+    """Through the layout's properties when the points make a layout (distinct,
+    every ancilla measuring a data qubit), else through _adjacency, with the
+    layout refused at construction."""
     data, ancillae = tuple(data), tuple(ancillae)
-    assert _adjacency(data, ancillae) == unit_distance_adjacency(data, ancillae)
+    want = unit_distance_adjacency(data, ancillae)
+    assert _adjacency(data, ancillae) == want
+    if len(set(data + ancillae)) == len(data + ancillae) and all(want):
+        layout = LatticeLayout(data, (), ancillae)
+        assert (layout.x_adjacency, layout.z_adjacency) == ((), want)
+    else:
+        with pytest.raises(ValueError):
+            LatticeLayout(data, ancillae, ())
+
+
+@pytest.mark.parametrize("x_anc, z_anc", [(((0, 0), (9, 9)), ()), ((), ((9, 9),))],
+                         ids=["x", "z"])
+def test_isolated_ancilla_raises_at_construction(x_anc, z_anc):
+    """An ancilla at unit distance from no data qubit is refused when the
+    layout is built, not when its adjacency is first read."""
+    data = ((-2, 0), (2, 0))
+    with pytest.raises(ValueError, match="^every ancilla must measure at least one data qubit$"):
+        LatticeLayout(data, x_anc, z_anc)
+
+
+def test_layout_equality_is_over_the_coordinates():
+    """Reading the adjacency caches it on the layout but leaves equality and
+    the hash to the coordinates."""
+    a, b = layout_coordinates(2), layout_coordinates(2)
+    assert a.x_adjacency and a.z_adjacency
+    assert a == b and hash(a) == hash(b)
+    assert a != layout_coordinates(3)
 
 
 def test_layout_coords_distinct():
@@ -246,11 +277,11 @@ def reference_code_to_json(code):
 
 def odd_layout():
     """Negative, float and integral-float coordinates, each ancilla at unit
-    distance from a data qubit; adjacency derived as code_from_json derives it."""
+    distance from a data qubit."""
     data = ((-3, -1), (-2.5, 0.5), (1, -0.5), (2.0, 10**20))
     x_anc = ((-1, -1), (0, 0.5))
     z_anc = ((-0.5, 0.5), (4.0, 10**20))
-    return LatticeLayout(data, x_anc, z_anc, _adjacency(data, x_anc), _adjacency(data, z_anc))
+    return LatticeLayout(data, x_anc, z_anc)
 
 
 def sparse_code(**fields):
@@ -260,7 +291,7 @@ def sparse_code(**fields):
 
 JSON_CODES = (
     [pytest.param(build_named(name), id=name) for name in NAMED_CODES]
-    + [pytest.param(stack_grid(p), id=f"grid:{p}") for p in (1, 2, 3, 4, 5, 6, 12)]
+    + [pytest.param(stack_grid(p), id=f"grid:{p}") for p in (1, 2, 3, 4, 5, 6, 12, 16, 20)]
     + [pytest.param(stack_l_shape(v, h, fill), id=f"lshape:{v},{h}" + (",matrix" * fill))
        for v in range(4) for h in range(4) for fill in (False, True)]
     + [
@@ -336,19 +367,73 @@ def text_rule_stabilizers(pair_rows, z_order_block_major):
     return tuple(parse_pauli(t, nq) for t in texts)
 
 
+def grid_rows(p):
+    return [tuple(range(1, 2 * p + 2))] * p
+
+
+def l_shape_rows(v, h, fill):
+    full = tuple(range(1, 4 * v + 6))
+    short = tuple(range(4 * v + 1, 4 * v + 6))
+    return [full] + [full if fill else short] * h
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
 def test_grid_masks_match_text_rule(p):
-    rows = tuple(range(1, 2 * p + 2))
-    assert stack_grid(p).stabilizers == text_rule_stabilizers([rows] * p, False)
+    assert stack_grid(p).stabilizers == text_rule_stabilizers(grid_rows(p), False)
 
 
 @pytest.mark.parametrize("v,h", [(v, h) for v in range(3) for h in range(3)])
 @pytest.mark.parametrize("fill", [False, True])
 def test_l_shape_masks_match_text_rule(v, h, fill):
-    full = tuple(range(1, 4 * v + 6))
-    short = tuple(range(4 * v + 1, 4 * v + 6))
-    pair_rows = [full] + [full if fill else short] * h
+    pair_rows = l_shape_rows(v, h, fill)
     assert stack_l_shape(v, h, fill).stabilizers == text_rule_stabilizers(pair_rows, True)
+
+
+def dict_rule_stabilizers(pair_rows, z_order_block_major):
+    """The stabilizers as _assemble built them before it computed masks by
+    arithmetic: a (row, column) -> bit dict over the numbering, and each
+    block's mask the sum of its qubits' bits."""
+    npairs = len(pair_rows)
+    bit = {}
+    for c, rows in enumerate(pair_rows, start=1):
+        for r in rows:
+            for col in (2 * c - 1, 2 * c):
+                bit[(r, col)] = 1 << len(bit)
+    nq = len(bit)
+    x_entries = []
+    for c, rows in enumerate(pair_rows, start=1):
+        for j, block in enumerate(_x_blocks(rows)):
+            mask = sum(bit[(r, col)] for r in block for col in (2 * c - 1, 2 * c))
+            x_entries.append(((c, j), mask))
+    z_entries = []
+    for b in range(npairs + 1):
+        left_rows = pair_rows[b - 1] if b >= 1 else ()
+        right_rows = pair_rows[b] if b < npairs else ()
+        blocks = {}
+        for rows, col in ((left_rows, 2 * b), (right_rows, 2 * b + 1)):
+            if not rows:
+                continue
+            for block in _z_blocks(rows):
+                key = tuple(block)
+                blocks[key] = blocks.get(key, 0) | sum(bit[(r, col)] for r in block)
+        for i, key in enumerate(sorted(blocks)):
+            z_entries.append(((i, b) if z_order_block_major else (b, i), blocks[key]))
+    return tuple(PauliOperator(nq, x_mask=x) for _, x in sorted(x_entries)) + tuple(
+        PauliOperator(nq, z_mask=z) for _, z in sorted(z_entries)
+    )
+
+
+@pytest.mark.parametrize("p", range(1, 21))
+def test_grid_masks_match_dict_rule(p):
+    """The same stabilizers in the same order as the bit-dict construction."""
+    assert stack_grid(p).stabilizers == dict_rule_stabilizers(grid_rows(p), False)
+
+
+@pytest.mark.parametrize("v,h", [(v, h) for v in range(5) for h in range(5)])
+@pytest.mark.parametrize("fill", [False, True])
+def test_l_shape_masks_match_dict_rule(v, h, fill):
+    pair_rows = l_shape_rows(v, h, fill)
+    assert stack_l_shape(v, h, fill).stabilizers == dict_rule_stabilizers(pair_rows, True)
 
 
 # --- validation and scale -------------------------------------------------------
@@ -361,6 +446,55 @@ def test_anticommuting_stabilizers_name_the_first_pair():
     with pytest.raises(ValueError) as exc:
         CodeSpec(3, stabs)
     assert str(exc.value) == "stabilizers X1 and Z1Z2 anticommute"
+
+
+@st.composite
+def css_lists(draw):
+    """(n, pure-X and pure-Z operators, expected first pair or "any").
+
+    In the "none" and "one" modes every support is made of whole qubit
+    pairs (2i, 2i + 1) below the last qubit, so any X and Z overlap evenly;
+    "one" then puts the last qubit on one X-type and one Z-type, the only
+    odd overlap. "many" draws arbitrary masks, with many odd overlaps."""
+    n = draw(st.integers(1, 120))
+    mode = draw(st.sampled_from(["none", "one", "many"]))
+    kinds = draw(st.lists(st.sampled_from("XZ"), max_size=16))
+    if mode == "one" and not {"X", "Z"} <= set(kinds):
+        kinds += ["X", "Z"]
+    if mode == "many":
+        masks = [draw(st.integers(0, (1 << n) - 1)) for _ in kinds]
+    else:
+        units = draw(st.lists(st.integers(0, (1 << ((n - 1) // 2)) - 1),
+                              min_size=len(kinds), max_size=len(kinds)))
+        masks = [sum(3 << 2 * i for i in range(u.bit_length()) if u >> i & 1) for u in units]
+    expected = "any" if mode == "many" else None
+    if mode == "one":
+        a = draw(st.sampled_from([g for g, k in enumerate(kinds) if k == "X"]))
+        b = draw(st.sampled_from([g for g, k in enumerate(kinds) if k == "Z"]))
+        masks[a] |= 1 << (n - 1)
+        masks[b] |= 1 << (n - 1)
+        expected = (min(a, b), max(a, b))
+    ops = [PauliOperator(n, x_mask=m) if k == "X" else PauliOperator(n, z_mask=m)
+           for k, m in zip(kinds, masks)]
+    return n, ops, expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(css_lists())
+def test_css_commutation_check_finds_the_first_pair(case):
+    """The one-pass check names the pair a combinations scan finds first, and
+    CodeSpec raises with that pair."""
+    n, ops, expected = case
+    found = _first_anticommuting_pair(ops, n)
+    assert found == brute_first_pair(ops)
+    if expected != "any":
+        assert found == expected
+    if found is None:
+        CodeSpec(n, tuple(ops))
+    else:
+        a, b = (to_string(ops[i]) for i in found)
+        with pytest.raises(ValueError, match=f"^stabilizers {a} and {b} anticommute$"):
+            CodeSpec(n, tuple(ops))
 
 
 def test_stack_grid_40_builds_round_trips_and_is_independent():

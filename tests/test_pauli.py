@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rhombuscode.gf2 import _set_bits
 from rhombuscode.pauli import (
     PauliOperator,
     apply,
     commutes,
-    first_anticommuting_pair,
     from_symplectic_vector,
     identity,
     multiply,
     parse_pauli,
+    qubit_columns,
     symplectic_vector,
     to_string,
     weight,
@@ -147,6 +148,15 @@ def test_weight_and_symplectic_round_trip():
     assert (back.x_mask, back.z_mask) == (op.x_mask, op.z_mask)
 
 
+@pytest.mark.parametrize("x, z", [(8, 0), (0, 1 << 100), (-1, 0), (0, -2)])
+def test_masks_beyond_the_qubit_count_are_refused(x, z):
+    """A bit at or above n is refused, and so is a negative mask, whose
+    two's-complement bits run on past every n."""
+    with pytest.raises(ValueError, match="^mask has bits set beyond the qubit count$"):
+        PauliOperator(3, x, z)
+    assert (PauliOperator(3, 7, 7).n, PauliOperator(0).n) == (3, 0)
+
+
 # --- hypothesis properties -------------------------------------------------
 
 masks = st.integers(min_value=0, max_value=(1 << 8) - 1)
@@ -275,6 +285,30 @@ def y_ops(draw):
 def test_parse_reads_what_to_string_writes(op):
     """Every phase prefix to_string writes, on operators with and without Y."""
     assert parse_pauli(to_string(op), op.n) == op
+
+
+def first_anticommuting_pair(ops):
+    """(i, j) of the first anticommuting pair in itertools.combinations
+    order, or None when all of ops commute, for any ops (Y factors included).
+
+    Bit j of the XOR of z_cols over the X-support of ops[i] and x_cols over
+    its Z-support (see qubit_columns) is the symplectic product of ops[i]
+    and ops[j], so the cost is O(total weight) big-int XORs, not O(m^2)
+    pair tests. CodeSpec's check (lattice._first_anticommuting_pair) needs
+    only the Z columns, since its operators are pure X or pure Z; this
+    general form is kept as the reference for a check over non-CSS
+    operators.
+    """
+    x_cols, z_cols = qubit_columns(ops, ops[0].n if ops else 0)
+    for i, a in enumerate(ops):
+        odd = 0
+        for cols, mask in ((z_cols, a.x_mask), (x_cols, a.z_mask)):
+            for low in _set_bits(mask):
+                odd ^= cols[low.bit_length() - 1]
+        later = odd >> (i + 1)
+        if later:
+            return i, i + (later & -later).bit_length()
+    return None
 
 
 def brute_first_pair(ops):

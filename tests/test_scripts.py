@@ -3,7 +3,9 @@ artifacts they wrote match what the package computes today."""
 
 import importlib.util
 import json
+import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -146,6 +148,56 @@ def test_ab_snapshot_copies_the_working_tree_without_ignored_files(tmp_path, mon
     copied = sorted(p.relative_to(copy).as_posix() for p in copy.rglob("*") if p.is_file())
     assert copied == [".gitignore", "new.txt", "src/tracked.py"]
     assert (copy / "src" / "tracked.py").read_text() == "x = 2\n"
+
+
+def copy_program(into):
+    """The src/ and perfbench/ of this checkout, as both sides of an
+    in-process A/B run need them."""
+    for name in ("src", "perfbench"):
+        shutil.copytree(ROOT / name, pathlib.Path(into) / name,
+                        ignore=shutil.ignore_patterns("__pycache__", ".perfbench-*"))
+
+
+def test_ab_in_process_alternates_op_by_op_on_each_sides_modules(tmp_path, monkeypatch, capsys):
+    """Each side imports its own copy's rhombuscode and perfbench modules;
+    activate swaps them into sys.modules, and after the run the modules this
+    process had are back. The run checks every op on both sides (the one
+    known defect fails on both) and writes per-pass and per-op summaries."""
+    ab = load_script("ab_pairs")
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)  # load_side sets them; restored after the test
+    own = sys.modules["rhombuscode"]
+    sides = {}
+    for label in ("a", "b"):
+        copy_program(tmp_path / label)
+        sides[label] = ab.load_side(str(tmp_path / label), "verify-family", 1)
+        assert sys.modules["rhombuscode"] is own
+    for label, side in sides.items():
+        assert side.modules["rhombuscode"].__file__.startswith(str(tmp_path / label) + os.sep)
+        assert side.modules["workloads"].__file__.startswith(str(tmp_path / label) + os.sep)
+    sys_modules = dict(sys.modules)
+    try:
+        sides["a"].activate()
+        assert sys.modules["rhombuscode.lattice"] is sides["a"].modules["rhombuscode.lattice"]
+        sides["b"].activate()
+        assert sys.modules["rhombuscode.lattice"] is sides["b"].modules["rhombuscode.lattice"]
+    finally:
+        sys.modules.clear()
+        sys.modules.update(sys_modules)
+
+    monkeypatch.setattr(ab, "export", lambda rev, into: copy_program(into))
+    monkeypatch.setattr(ab, "snapshot", copy_program)
+    out = tmp_path / "bench.json"
+    assert ab.main(["HEAD", "--in-process", "--workload", "verify-family", "--pairs", "2",
+                    "--seed", "1", "--out", str(out)]) == 0
+    assert sys.modules["rhombuscode"] is own
+    doc = json.loads(out.read_text())
+    assert (doc["mode"], doc["workload"], doc["passes"]) == ("in-process", "verify-family", 2)
+    assert [w["first"] for w in doc["pass_walls"]] == ["change", "parent"]
+    assert len(doc["ops"]) == 46 and doc["ops"]["build grid:20"]["pairs"] == 2
+    assert doc["failed_frac"]["parent"] == doc["failed_frac"]["change"] == pytest.approx(2 / 92)
+    assert doc["summary"]["pass_wall"]["gain_holds"] is False  # two passes are too few
+    assert "sum of per-op medians: parent" in capsys.readouterr().out
 
 
 def test_kernel_ns_times_both_kernels_per_code_and_kind(capsys):
